@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -12,6 +13,32 @@ from collapsim.cli import main
 from collapsim.schemas import (REPORT_SCHEMA, TRAJECTORY_SCHEMA,
                                VERDICT_SCHEMA)
 from collapsim.units import parse_quantity
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Every CLI example in the README, keyed by its tests/golden/<key>.txt file.
+README_EXAMPLES = {
+    "boundary_trapped": ["boundary", "trapped", "--v", "100 m/s", "--D", "10 um"],
+    "boundary_free_flight": ["boundary", "free-flight", "--v", "1e3 m/s",
+                             "--theta", "1e-5", "--D", "10 um"],
+    "tau_trapped_json": ["tau", "trapped", "--M", "2000 GeV/c2",
+                         "--v", "100 m/s", "--D", "10 um", "--json"],
+    "tau_free_flight": ["tau", "free-flight", "--M", "100 GeV/c2",
+                        "--v", "1e3 m/s", "--D", "10 um", "--L", "1 m",
+                        "--d", "1 um"],
+    "tau_photon": ["tau", "photon"],
+    "tau_rabi": ["tau", "rabi", "--gap", "1 eV"],
+    "tau_oscillator": ["tau", "oscillator", "--M", "40 kg",
+                       "--omega0", "6.283 rad/s", "--n", "0"],
+    "evolve": ["evolve", "--rate", "1 1/s", "--t-end", "1 s"],
+    "sweep_trapped": ["sweep", "trapped", "--axis", "M", "--min", "1 GeV/c2",
+                      "--max", "1e6 GeV/c2", "--count", "13",
+                      "--v", "100 m/s", "--D", "10 um"],
+    "curve_free_flight": ["curve", "free-flight", "--M", "4.7326 GeV/c2",
+                          "--v", "1e3 m/s", "--D", "10 um", "--L", "1 m",
+                          "--d", "1 um", "--t-end", "1e-3 s"],
+}
 
 
 def run(capsys, *argv):
@@ -198,6 +225,13 @@ class TestUsageErrors:
                            "--d", "20 um")
         assert code == 2
         assert "slit_width" in err
+
+
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_example_output_is_unchanged(capsys, name):
+    code, out, err = run(capsys, *README_EXAMPLES[name])
+    assert code == 0, err
+    assert out == (GOLDEN / f"{name}.txt").read_bytes().decode()
 
 
 def test_console_entry_point_runs():
