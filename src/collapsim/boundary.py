@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -36,18 +37,51 @@ class SweepError(RuntimeError):
     """The regime pattern along the grid is not a single monotone flip."""
 
 
-class Scenario(str, enum.Enum):
-    TRAPPED = "trapped"
-    FREE_FLIGHT = "free-flight"
-    OSCILLATOR = "oscillator"
+@dataclass(frozen=True)
+class ScenarioEntry:
+    """One scenario: required and optional parameter names, and its verdict.
+
+    verdict(params, eta) evaluates a {name: Quantity} map.  Only a scenario
+    that uses_eta accepts eta != 1; sweeps scan those with has_boundary.
+    """
+
+    name: str
+    params: tuple[str, ...]
+    verdict: Callable[[dict, float], DiscriminationVerdict]
+    optional: tuple[str, ...] = ()
+    uses_eta: bool = False
+    has_boundary: bool = True
 
 
-# Parameter names accepted per scenario; the axis must be one of them.
-SCENARIO_PARAMS: dict[Scenario, tuple[str, ...]] = {
-    Scenario.TRAPPED: ("M", "v", "D"),
-    Scenario.FREE_FLIGHT: ("M", "v", "D", "L", "d"),
-    Scenario.OSCILLATOR: ("M", "omega0", "n"),
-}
+# Verdicts look up disc.<fn> when called, so wrapping it later (tracing,
+# profiling) still sees every dispatch through this table.
+SCENARIOS: dict[str, ScenarioEntry] = {entry.name: entry for entry in (
+    ScenarioEntry(
+        "trapped", ("M", "v", "D"), optional=("E",), uses_eta=True,
+        verdict=lambda p, eta: disc.trapped_tau(TrappedPairSpec(
+            mass=p["M"], mean_velocity=p["v"], separation=p["D"],
+            energy_gap=p.get("E"), margin=eta))),
+    ScenarioEntry(
+        "free-flight", ("M", "v", "D", "L", "d"),
+        verdict=lambda p, eta: disc.free_flight_tau(FreeFlightSpec(
+            mass=p["M"], speed=p["v"], slit_separation=p["D"],
+            source_distance=p["L"], slit_width=p["d"]))),
+    ScenarioEntry("photon", (), verdict=lambda p, eta: disc.photon_tau(),
+                  has_boundary=False),
+    ScenarioEntry("rabi", ("gap",), has_boundary=False,
+                  verdict=lambda p, eta: disc.rabi_tau(p["gap"])),
+    ScenarioEntry(
+        "oscillator", ("M", "omega0", "n"),
+        verdict=lambda p, eta: disc.oscillator_verdict(OscillatorSpec(
+            mass=p["M"], angular_frequency=p["omega0"],
+            quantum_number=p["n"].value))),
+)}
+
+# The scenarios a sweep can scan, e.g. Scenario.FREE_FLIGHT == "free-flight".
+Scenario = enum.Enum(
+    "Scenario", [(name.upper().replace("-", "_"), name)
+                 for name, entry in SCENARIOS.items() if entry.has_boundary],
+    type=str, module=__name__)
 
 
 @dataclass(frozen=True)
@@ -55,8 +89,8 @@ class SweepSpec:
     """One-axis scan of a scenario: grid plus fixed remaining parameters.
 
     Quantities throughout; the oscillator's n is a dimensionless Quantity
-    and is rounded to an integer at evaluation points.  eta is the margin
-    passed to the trapped analysis.
+    and is rounded to an integer at grid points.  eta is the margin, which
+    only a scenario that uses it accepts != 1.
     """
 
     scenario: Scenario
@@ -69,7 +103,7 @@ class SweepSpec:
     eta: float = 1.0
 
     def __post_init__(self):
-        params = SCENARIO_PARAMS[self.scenario]
+        params = SCENARIOS[self.scenario].params
         if self.axis not in params:
             raise ValidationError(
                 f"axis '{self.axis}' is not a {self.scenario.value} parameter "
@@ -130,38 +164,17 @@ def _derivation_digest(verdict: DiscriminationVerdict) -> str:
     return "; ".join(parts)
 
 
-def scenario_verdict(scenario: Scenario, params: dict, eta: float = 1.0
+def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
                      ) -> DiscriminationVerdict:
-    """Evaluate one scenario from a {name: Quantity} parameter map."""
-    if scenario is Scenario.TRAPPED:
-        spec = TrappedPairSpec(mass=params["M"], mean_velocity=params["v"],
-                               separation=params["D"],
-                               energy_gap=params.get("E"), margin=eta)
-        return disc.trapped_tau(spec)
-    if scenario is Scenario.FREE_FLIGHT:
-        spec = FreeFlightSpec(mass=params["M"], speed=params["v"],
-                              slit_separation=params["D"],
-                              source_distance=params["L"],
-                              slit_width=params["d"])
-        return disc.free_flight_tau(spec)
-    spec = OscillatorSpec(mass=params["M"], angular_frequency=params["omega0"],
-                          quantum_number=int(round(params["n"].value)))
-    return disc.oscillator_verdict(spec)
+    """Evaluate one SCENARIOS entry from a {name: Quantity} parameter map."""
+    entry = SCENARIOS[scenario]
+    if eta != 1.0 and not entry.uses_eta:
+        raise ValidationError(f"{entry.name} takes no margin eta, got {eta}")
+    return entry.verdict(params, eta)
 
 
 def _is_finite_at(spec: SweepSpec, x: float) -> bool:
-    """Finite-tau classifier at axis value x (SI scale).
-
-    For the oscillator's n axis the threshold comparison extends naturally
-    to real n, which is what bisection refines.
-    """
-    if spec.scenario is Scenario.OSCILLATOR and spec.axis == "n":
-        probe = OscillatorSpec(mass=spec.fixed["M"],
-                               angular_frequency=spec.fixed["omega0"],
-                               quantum_number=0)
-        verdict = disc.oscillator_verdict(probe)
-        n_star = dict(verdict.derivation)["n_star"].value
-        return x > n_star
+    """Finite-tau classifier at axis value x (SI scale; n may be real)."""
     params = dict(spec.fixed)
     params[spec.axis] = Quantity(x, spec.minimum.dim)
     return not scenario_verdict(spec.scenario, params, spec.eta).is_infinite

@@ -20,8 +20,9 @@ import sys
 from pathlib import Path
 
 from . import discrimination as disc
-from .boundary import (SCENARIO_PARAMS, BoundaryReport, Scenario, SweepError,
-                       SweepSpec, curve_to_csv, curve_trajectory, sweep)
+from .boundary import (SCENARIOS, BoundaryReport, Scenario, SweepError,
+                       SweepSpec, curve_to_csv, curve_trajectory,
+                       scenario_verdict, sweep)
 from .discrimination import ValidationError
 from .evolution import (EvolutionConfig, IntegrationError, Method, evolve,
                         trajectory_to_csv, trajectory_to_json)
@@ -50,7 +51,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unit", metavar="U", default=None,
                    help=f"mass output unit (default {DEFAULT_MASS_UNIT})")
     p.add_argument("--eta", type=float, default=1.0, metavar="REAL",
-                   help="margin factor for the strong inequalities (>= 1)")
+                   help="margin for the trapped strong inequalities (>= 1)")
+
+
+def _flag_names(entries) -> tuple[str, ...]:
+    """Every parameter flag of the given SCENARIOS entries, in table order."""
+    return tuple(dict.fromkeys(name for entry in entries
+                               for name in entry.params + entry.optional))
 
 
 def _scenario_flags(p: argparse.ArgumentParser, names: tuple[str, ...],
@@ -59,15 +66,30 @@ def _scenario_flags(p: argparse.ArgumentParser, names: tuple[str, ...],
         "M": "mass", "v": "speed", "D": "separation",
         "L": "source-to-plate distance", "d": "slit width",
         "E": "energy gap override", "omega0": "angular frequency",
-        "gap": "resonant energy gap",
+        "gap": "resonant energy gap", "n": "oscillator quantum number",
     }
     for name in names:
-        if name == "n":
-            p.add_argument("--n", type=int, default=None, required=required,
-                           help="oscillator quantum number")
+        p.add_argument(f"--{name}", type=int if name == "n" else _quantity_arg,
+                       required=required, help=helps.get(name, name))
+
+
+def _scenario_params(args, axis: str | None = None) -> dict:
+    """{name: Quantity} for args.scenario from its flags but a sweep axis;
+    a missing required flag and one it does not use are usage errors."""
+    entry = SCENARIOS[args.scenario]
+    params = {}
+    for name in _flag_names(SCENARIOS.values()):
+        value = getattr(args, name, None)
+        if value is None:
+            if name in entry.params and name != axis:
+                raise ValidationError(f"missing --{name} for {entry.name}")
+        elif name == axis:
+            raise ValidationError(f"--{name} is the sweep axis")
+        elif name not in entry.params + entry.optional:
+            raise ValidationError(f"{entry.name} does not take --{name}")
         else:
-            p.add_argument(f"--{name}", type=_quantity_arg, default=None,
-                           required=required, help=helps.get(name, name))
+            params[name] = Quantity(value) if name == "n" else value
+    return params
 
 
 def _dump(payload) -> str:
@@ -91,16 +113,17 @@ def _verdict_text(verdict: disc.DiscriminationVerdict) -> str:
 
 def _cmd_boundary(args) -> str:
     scenario = Scenario(args.scenario)
+    fixed = {"v": args.v, "D": args.D}
+    theta = args.theta
     if scenario is Scenario.TRAPPED:
-        fixed = {"v": args.v, "D": args.D}
+        if theta is not None:
+            raise ValidationError("trapped boundary does not take --theta")
+    elif theta is None:
+        raise ValidationError("free-flight boundary needs --theta")
+    elif not 0.0 < theta < 1.0:
+        raise ValidationError(f"--theta must be in (0, 1), got {theta}")
     else:
-        theta = args.theta
-        if theta is None:
-            raise ValidationError("free-flight boundary needs --theta")
-        if not 0.0 < theta < 1.0:
-            raise ValidationError(f"--theta must be in (0, 1), got {theta}")
-        length = args.D / theta
-        fixed = {"v": args.v, "D": args.D, "L": length, "d": args.D / 10.0}
+        fixed.update(L=args.D / theta, d=args.D / 10.0)
     lo, hi, count = BOUNDARY_GRID
     spec = SweepSpec(scenario, "M", quantity(float(lo), DEFAULT_MASS_UNIT),
                      quantity(float(hi), DEFAULT_MASS_UNIT), count=count,
@@ -116,25 +139,7 @@ def _cmd_boundary(args) -> str:
 
 
 def _tau_verdict(args) -> disc.DiscriminationVerdict:
-    kind = args.scenario
-    if kind == "trapped":
-        spec = disc.TrappedPairSpec(mass=args.M, mean_velocity=args.v,
-                                    separation=args.D, energy_gap=args.E,
-                                    margin=args.eta)
-        return disc.trapped_tau(spec)
-    if kind == "free-flight":
-        spec = disc.FreeFlightSpec(mass=args.M, speed=args.v,
-                                   slit_separation=args.D,
-                                   source_distance=args.L,
-                                   slit_width=args.d)
-        return disc.free_flight_tau(spec)
-    if kind == "photon":
-        return disc.photon_tau()
-    if kind == "rabi":
-        return disc.rabi_tau(args.gap)
-    spec = disc.OscillatorSpec(mass=args.M, angular_frequency=args.omega0,
-                               quantum_number=args.n)
-    return disc.oscillator_verdict(spec)
+    return scenario_verdict(args.scenario, _scenario_params(args), args.eta)
 
 
 def _cmd_tau(args) -> str:
@@ -171,23 +176,9 @@ def _cmd_evolve(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
-    scenario = Scenario(args.scenario)
-    params = SCENARIO_PARAMS[scenario]
-    if args.axis not in params:
-        raise ValidationError(
-            f"axis '{args.axis}' is not a {scenario.value} parameter {params}")
-    fixed = {}
-    for name in params:
-        if name == args.axis:
-            continue
-        value = getattr(args, name)
-        if value is None:
-            raise ValidationError(f"missing --{name} for {scenario.value} sweep")
-        fixed[name] = Quantity(float(value)) if name == "n" else value
-    if getattr(args, "E", None) is not None and scenario is Scenario.TRAPPED:
-        fixed["E"] = args.E
-    spec = SweepSpec(scenario, args.axis, args.min, args.max, count=args.count,
-                     spacing=args.spacing, fixed=fixed, eta=args.eta)
+    spec = SweepSpec(Scenario(args.scenario), args.axis, args.min, args.max,
+                     count=args.count, spacing=args.spacing,
+                     fixed=_scenario_params(args, args.axis), eta=args.eta)
     report = sweep(spec)
     if args.json:
         return _dump(report.to_json())
@@ -224,6 +215,22 @@ def _cmd_curve(args) -> str:
     return curve_to_csv(traj.times, vis)
 
 
+def _add_scenario_commands(p: argparse.ArgumentParser, handler,
+                           curve: bool = False) -> None:
+    """One subcommand per SCENARIOS entry, taking exactly its flags."""
+    kinds = p.add_subparsers(dest="scenario", required=True)
+    for entry in SCENARIOS.values():
+        q = kinds.add_parser(entry.name)
+        _scenario_flags(q, entry.params)
+        _scenario_flags(q, entry.optional, required=False)
+        if curve:
+            q.add_argument("--t-end", dest="t_end", type=_quantity_arg)
+            q.add_argument("--dt", type=_quantity_arg)
+            q.add_argument("--stride", type=int, default=1)
+        _add_common(q)
+        q.set_defaults(handler=handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collapsim",
@@ -241,19 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_boundary)
 
     p = sub.add_parser("tau", help="discrimination verdict for one setup")
-    tau_sub = p.add_subparsers(dest="scenario", required=True)
-    for kind, names in (("trapped", ("M", "v", "D")),
-                        ("free-flight", ("M", "v", "D", "L", "d")),
-                        ("photon", ()),
-                        ("rabi", ("gap",)),
-                        ("oscillator", ("M", "omega0", "n"))):
-        q = tau_sub.add_parser(kind)
-        _scenario_flags(q, names)
-        if kind == "trapped":
-            q.add_argument("--E", type=_quantity_arg, default=None,
-                           help="energy gap override")
-        _add_common(q)
-        q.set_defaults(handler=_cmd_tau)
+    _add_scenario_commands(p, _cmd_tau)
 
     p = sub.add_parser("evolve", help="two-level decay trajectory")
     p.add_argument("--rate", type=_quantity_arg, required=True,
@@ -275,28 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=21)
     p.add_argument("--spacing", choices=["geometric", "linear"],
                    default="geometric")
-    _scenario_flags(p, ("M", "v", "D", "L", "d", "omega0"), required=False)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--E", type=_quantity_arg, default=None)
+    _scenario_flags(p, _flag_names(SCENARIOS[s] for s in Scenario),
+                    required=False)
     _add_common(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("curve", help="visibility decay curve")
-    curve_sub = p.add_subparsers(dest="scenario", required=True)
-    for kind, names in (("trapped", ("M", "v", "D")),
-                        ("free-flight", ("M", "v", "D", "L", "d")),
-                        ("photon", ()),
-                        ("rabi", ("gap",)),
-                        ("oscillator", ("M", "omega0", "n"))):
-        q = curve_sub.add_parser(kind)
-        _scenario_flags(q, names)
-        if kind == "trapped":
-            q.add_argument("--E", type=_quantity_arg, default=None)
-        q.add_argument("--t-end", dest="t_end", type=_quantity_arg, default=None)
-        q.add_argument("--dt", type=_quantity_arg, default=None)
-        q.add_argument("--stride", type=int, default=1)
-        _add_common(q)
-        q.set_defaults(handler=_cmd_curve)
+    _add_scenario_commands(p, _cmd_curve, curve=True)
 
     return parser
 

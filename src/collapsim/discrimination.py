@@ -192,7 +192,11 @@ class FreeFlightSpec:
 
 @dataclass(frozen=True)
 class OscillatorSpec:
-    """Mechanical oscillator in the number state n."""
+    """Mechanical oscillator in the number state n.
+
+    A real quantum_number is accepted: the threshold comparison extends to
+    it, which is what bisection along the n axis refines.
+    """
 
     mass: Quantity
     angular_frequency: Quantity
@@ -253,6 +257,14 @@ def doppler_back_action(omega: Quantity, M: Quantity) -> Quantity:
     return 2.0 * HBAR * omega / (C * M)
 
 
+def _doppler_bounds(spec: FreeFlightSpec) -> tuple[Quantity, Quantity]:
+    """(omega_low, omega_high) of the speed meter, open window or not."""
+    omega_low = 2.0 * C / spec.slit_separation
+    p = spec.mass * spec.speed
+    omega_high = (p * C ** 2 / (2.0 * HBAR * spec.source_distance)).sqrt()
+    return omega_low, omega_high
+
+
 def doppler_window(spec: FreeFlightSpec) -> tuple[Quantity, Quantity] | None:
     """Usable photon frequencies for the speed meter, or None when closed.
 
@@ -260,9 +272,7 @@ def doppler_window(spec: FreeFlightSpec) -> tuple[Quantity, Quantity] | None:
     the flight-time duration budget.  Upper bound sqrt(p c^2 / (2 hbar L)):
     the recoil must stay below half the resolution.
     """
-    omega_low = 2.0 * C / spec.slit_separation
-    p = spec.mass * spec.speed
-    omega_high = (p * C ** 2 / (2.0 * HBAR * spec.source_distance)).sqrt()
+    omega_low, omega_high = _doppler_bounds(spec)
     if omega_low > omega_high:
         return None
     return omega_low, omega_high
@@ -281,17 +291,12 @@ def free_flight_tau(spec: FreeFlightSpec) -> DiscriminationVerdict:
     theta = spec.theta
     flight_time = spec.source_distance / spec.speed
     margin = (p * spec.slit_separation / (8.0 * HBAR) * theta).value
-    window = doppler_window(spec)
-    if window is None:
-        omega_low = 2.0 * C / spec.slit_separation
-        omega_high = (p * C ** 2 / (2.0 * HBAR * spec.source_distance)).sqrt()
-    else:
-        omega_low, omega_high = window
+    omega_low, omega_high = _doppler_bounds(spec)
     derivation = [("p", p), ("theta", Quantity(theta)),
                   ("omega_low", omega_low), ("omega_high", omega_high),
                   ("flight_time", flight_time),
                   ("window_margin", Quantity(margin))]
-    if window is None:
+    if omega_low > omega_high:
         return _quantum_verdict(Reason.WINDOW_CLOSED, derivation)
     tau = 2.0 * C / (omega_high * spec.speed * theta)
     # Implied by the open window when theta = D/L exactly; the slack only

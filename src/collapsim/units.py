@@ -221,10 +221,6 @@ def format_quantity(q: Quantity, unit: str, digits: int | None = 5) -> str:
     return f"{text} {unit}"
 
 
-def si_unit_string(dim: Dimension) -> str:
-    return dim.si_name()
-
-
 # Preferred tokens for serializing derivation traces and reports.
 _PREFERRED_UNIT: dict[Dimension, str] = {
     MASS: "kg",

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import collapsim.boundary as boundary_mod
-from collapsim.boundary import (Scenario, SweepError, SweepSpec,
+from collapsim.boundary import (SCENARIOS, Scenario, SweepError, SweepSpec,
                                 curve_trajectory, scenario_verdict, sweep,
                                 visibility_curve)
-from collapsim.discrimination import (FreeFlightSpec, Regime, TrappedPairSpec,
-                                      ValidationError,
+from collapsim.discrimination import (FreeFlightSpec, OscillatorSpec, Regime,
+                                      TrappedPairSpec, ValidationError,
                                       free_flight_critical_mass,
-                                      free_flight_tau, photon_tau,
+                                      free_flight_tau, oscillator_verdict,
+                                      photon_tau, rabi_tau,
                                       trapped_critical_mass, trapped_tau)
 from collapsim.units import Quantity, quantity
 
@@ -161,15 +162,41 @@ def test_multiple_flips_rejected(monkeypatch):
         sweep(spec)
 
 
+# Parameters and the direct discrimination call for every SCENARIOS entry.
+# The oscillator's n = 2.5 checks that n reaches the verdict unrounded:
+# v_n = sqrt(n) v0 is in the derivation.
+DIRECT_CALLS = {
+    "trapped": ({"M": quantity(1e5, "GeV/c2"), "v": quantity(100, "m/s"),
+                 "D": quantity(10, "um")},
+                lambda p: trapped_tau(TrappedPairSpec(
+                    mass=p["M"], mean_velocity=p["v"], separation=p["D"]))),
+    "free-flight": ({"M": quantity(100, "GeV/c2"), **free_flight_fixed()},
+                    lambda p: free_flight_tau(FreeFlightSpec(
+                        mass=p["M"], speed=p["v"], slit_separation=p["D"],
+                        source_distance=p["L"], slit_width=p["d"]))),
+    "photon": ({}, lambda p: photon_tau()),
+    "rabi": ({"gap": quantity(1, "eV")}, lambda p: rabi_tau(p["gap"])),
+    "oscillator": ({"M": quantity(40, "kg"),
+                    "omega0": quantity(6.283, "rad/s"), "n": Quantity(2.5)},
+                   lambda p: oscillator_verdict(OscillatorSpec(
+                       mass=p["M"], angular_frequency=p["omega0"],
+                       quantum_number=2.5))),
+}
+
+
 class TestScenarioVerdict:
-    def test_trapped_dispatch(self):
-        params = {"M": quantity(1e5, "GeV/c2"), "v": quantity(100, "m/s"),
-                  "D": quantity(10, "um")}
-        direct = trapped_tau(TrappedPairSpec(
-            mass=params["M"], mean_velocity=params["v"],
-            separation=params["D"]))
-        assert scenario_verdict(Scenario.TRAPPED, params).tau.value == \
-            direct.tau.value
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_dispatch_matches_direct_call(self, name):
+        params, direct = DIRECT_CALLS[name]
+        assert scenario_verdict(name, params).to_json() == \
+            direct(params).to_json()
+
+    @pytest.mark.parametrize(
+        "name", [n for n, entry in SCENARIOS.items() if not entry.uses_eta])
+    def test_eta_rejected_where_unused(self, name):
+        params, _ = DIRECT_CALLS[name]
+        with pytest.raises(ValidationError, match=f"^{name} takes no margin"):
+            scenario_verdict(name, params, eta=2.0)
 
     def test_energy_override_passthrough(self):
         params = {"M": quantity(1, "GeV/c2"), "v": quantity(1, "m/s"),

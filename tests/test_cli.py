@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from collapsim.cli import main
+from collapsim.boundary import SCENARIOS
+from collapsim.cli import build_parser, main
 from collapsim.schemas import (REPORT_SCHEMA, TRAJECTORY_SCHEMA,
                                VERDICT_SCHEMA)
 from collapsim.units import parse_quantity
@@ -19,7 +21,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # Every CLI example in the README, keyed by its tests/golden/<key>.txt file.
 README_EXAMPLES = {
-    "boundary_trapped": ["boundary", "trapped", "--v", "100 m/s", "--D", "10 um"],
+    "boundary_trapped": ["boundary", "trapped", "--v", "100 m/s",
+                         "--D", "10 um"],
     "boundary_free_flight": ["boundary", "free-flight", "--v", "1e3 m/s",
                              "--theta", "1e-5", "--D", "10 um"],
     "tau_trapped_json": ["tau", "trapped", "--M", "2000 GeV/c2",
@@ -219,6 +222,41 @@ class TestUsageErrors:
     def test_no_command_exits_2(self, capsys):
         assert run(capsys, )[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["boundary", "free-flight", "--v", "1e3 m/s", "--theta", "1e-5",
+         "--D", "10 um", "--eta", "10"],
+        ["tau", "photon", "--eta", "0.5"],
+        ["sweep", "oscillator", "--axis", "M", "--min", "1e-30 kg",
+         "--max", "1e-10 kg", "--omega0", "1e5 rad/s", "--n", "10000000",
+         "--eta", "2"],
+        ["curve", "rabi", "--gap", "1 eV", "--eta", "2"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_eta_outside_trapped_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{argv[1]} takes no margin eta" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "free-flight", "--axis", "M", "--min", "1 GeV/c2",
+          "--max", "1e3 GeV/c2", "--v", "1e3 m/s", "--D", "10 um",
+          "--L", "1 m", "--d", "1 um", "--E", "1 eV"], "--E"),
+        (["sweep", "trapped", "--axis", "M", "--min", "1 GeV/c2",
+          "--max", "1e6 GeV/c2", "--v", "100 m/s", "--D", "10 um",
+          "--L", "1 m"], "--L"),
+        (["sweep", "trapped", "--axis", "M", "--min", "1 GeV/c2",
+          "--max", "1e6 GeV/c2", "--v", "100 m/s", "--D", "10 um",
+          "--M", "1 kg"], "--M is the sweep axis"),
+        (["boundary", "trapped", "--v", "100 m/s", "--D", "10 um",
+          "--theta", "1e-5"], "--theta"),
+    ], ids=["sweep-free-flight-E", "sweep-trapped-L", "sweep-trapped-M-axis",
+            "boundary-trapped-theta"])
+    def test_flag_the_scenario_does_not_use_exits_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
     def test_invalid_geometry_exits_2(self, capsys):
         code, _, err = run(capsys, "tau", "free-flight", "--M", "1 GeV/c2",
                            "--v", "1 m/s", "--D", "10 um", "--L", "1 m",
@@ -232,6 +270,25 @@ def test_readme_example_output_is_unchanged(capsys, name):
     code, out, err = run(capsys, *README_EXAMPLES[name])
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.txt").read_bytes().decode()
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict:
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", ["tau", "curve"])
+def test_scenario_subcommands_take_exactly_the_table_flags(command):
+    common = {"-h", "--help", "--json", "--out", "--unit", "--eta"}
+    if command == "curve":
+        common |= {"--t-end", "--dt", "--stride"}
+    kinds = subcommands(subcommands(build_parser())[command])
+    assert list(kinds) == list(SCENARIOS)
+    for name, entry in SCENARIOS.items():
+        flags = {s for a in kinds[name]._actions for s in a.option_strings}
+        names = entry.params + entry.optional
+        assert flags - common == {f"--{n}" for n in names}
 
 
 def test_console_entry_point_runs():
