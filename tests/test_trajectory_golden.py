@@ -1,0 +1,46 @@
+"""Trajectory outputs pinned byte for byte: JSON, a nonzero Hamiltonian and
+more than two levels, none of which the README examples cover.  The files
+in tests/golden/ were written by the code before trajectories kept their
+health as arrays, so these tests hold both before and after that change."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from collapsim.cli import main
+from collapsim.evolution import (EvolutionConfig, evolve, trajectory_to_csv,
+                                 trajectory_to_json)
+from collapsim.states import (CollapseRateMatrix, Hamiltonian, make_basis,
+                              pure_state)
+from collapsim.units import quantity
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden(name):
+    return (GOLDEN / name).read_bytes().decode()
+
+
+def test_evolve_json_with_gap(capsys):
+    code = main(["evolve", "--rate", "3 1/s", "--t-end", "2 s",
+                 "--gap", "1e-15 eV", "--stride", "16", "--json"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == golden("evolve_gap_json.txt")
+
+
+def test_three_level_positivity_violation():
+    # The trajectory of test_three_level_positivity_violation_is_flagged,
+    # recorded every 32nd of its 3200 steps to keep the files near 100 kB.
+    basis = make_basis("a", "b", "c")
+    rates = np.zeros((3, 3))
+    rates[0, 1] = rates[1, 0] = 50.0
+    cfg = EvolutionConfig(t_end=quantity(1, "s"), record_stride=32)
+    traj = evolve(pure_state([1, 1, 1], basis), Hamiltonian.zero(basis),
+                  CollapseRateMatrix(basis, rates), cfg)
+    doc = trajectory_to_json(traj, ("a", "b"))
+    assert trajectory_to_csv(traj, ("a", "b")) == \
+        golden("three_level_violation.csv")
+    assert json.dumps(doc, indent=2) + "\n" == \
+        golden("three_level_violation.json")
