@@ -28,7 +28,8 @@ from .evolution import (EvolutionConfig, IntegrationError, Method, Trajectory,
                         evolve, trajectory_to_csv, trajectory_to_json,
                         unitary_baseline)
 from .states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
-                     coherence_visibility, make_basis, pure_state, validate)
+                     coherence_visibility, invariants, make_basis, pure_state,
+                     validate)
 from .units import (C, HBAR, DimensionError, Quantity, UnitError,
                     format_quantity, parse_quantity, quantity)
 

@@ -24,8 +24,7 @@ from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
                              OscillatorSpec, Regime, TrappedPairSpec,
                              ValidationError)
 from .evolution import EvolutionConfig, Method, Trajectory, evolve
-from .states import CollapseRateMatrix, Hamiltonian, coherence_visibility, \
-    make_basis, pure_state
+from .states import CollapseRateMatrix, Hamiltonian, make_basis, pure_state
 from .units import Quantity, preferred_unit
 
 REPORT_SCHEMA_ID = "report/1"
@@ -103,6 +102,11 @@ class SweepSpec:
     eta: float = 1.0
 
     def __post_init__(self):
+        valid = [s.value for s in Scenario]
+        if self.scenario not in valid:
+            raise ValidationError(
+                f"cannot sweep scenario '{self.scenario}' (one of {valid})")
+        object.__setattr__(self, "scenario", Scenario(self.scenario))
         params = SCENARIOS[self.scenario].params
         if self.axis not in params:
             raise ValidationError(
@@ -167,7 +171,10 @@ def _derivation_digest(verdict: DiscriminationVerdict) -> str:
 def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
                      ) -> DiscriminationVerdict:
     """Evaluate one SCENARIOS entry from a {name: Quantity} parameter map."""
-    entry = SCENARIOS[scenario]
+    entry = SCENARIOS.get(scenario)
+    if entry is None:
+        raise ValidationError(
+            f"unknown scenario '{scenario}' (one of {list(SCENARIOS)})")
     if eta != 1.0 and not entry.uses_eta:
         raise ValidationError(f"{entry.name} takes no margin eta, got {eta}")
     return entry.verdict(params, eta)
@@ -263,9 +270,7 @@ def visibility_curve(verdict: DiscriminationVerdict, t_end: Quantity, *,
     """
     traj = curve_trajectory(verdict, t_end, dt=dt, method=method,
                             record_stride=record_stride)
-    vis = np.array([coherence_visibility(s, "here", "there")
-                    for s in traj.states])
-    return traj.times, vis
+    return traj.times, traj.visibility("here", "there")
 
 
 def curve_to_csv(times: np.ndarray, visibilities: np.ndarray) -> str:

@@ -26,8 +26,7 @@ from .boundary import (SCENARIOS, BoundaryReport, Scenario, SweepError,
 from .discrimination import ValidationError
 from .evolution import (EvolutionConfig, IntegrationError, Method, evolve,
                         trajectory_to_csv, trajectory_to_json)
-from .states import (CollapseRateMatrix, Hamiltonian, coherence_visibility,
-                     make_basis, pure_state)
+from .states import CollapseRateMatrix, Hamiltonian, make_basis, pure_state
 from .units import (ENERGY, PER_SECOND, Quantity, UnitError, format_quantity,
                     parse_quantity, preferred_unit, quantity)
 
@@ -138,12 +137,8 @@ def _cmd_boundary(args) -> str:
     return f"critical_mass: {format_quantity(report.critical_value, unit)}\n"
 
 
-def _tau_verdict(args) -> disc.DiscriminationVerdict:
-    return scenario_verdict(args.scenario, _scenario_params(args), args.eta)
-
-
 def _cmd_tau(args) -> str:
-    verdict = _tau_verdict(args)
+    verdict = scenario_verdict(args.scenario, _scenario_params(args), args.eta)
     if args.json:
         return _dump(verdict.to_json())
     return _verdict_text(verdict)
@@ -200,7 +195,7 @@ def _report_text(report: BoundaryReport) -> str:
 
 
 def _cmd_curve(args) -> str:
-    verdict = _tau_verdict(args)
+    verdict = scenario_verdict(args.scenario, _scenario_params(args), args.eta)
     if args.t_end is not None:
         t_end = args.t_end
     elif verdict.is_infinite:
@@ -211,8 +206,7 @@ def _cmd_curve(args) -> str:
                             record_stride=args.stride)
     if args.json:
         return _dump(trajectory_to_json(traj, ("here", "there")))
-    vis = [coherence_visibility(s, "here", "there") for s in traj.states]
-    return curve_to_csv(traj.times, vis)
+    return curve_to_csv(traj.times, traj.visibility("here", "there"))
 
 
 def _add_scenario_commands(p: argparse.ArgumentParser, handler,

@@ -82,6 +82,7 @@ def _require_dim(q: Quantity, dim, name: str) -> None:
 def _require_positive(q: Quantity, dim, name: str) -> None:
     _require_dim(q, dim, name)
     _require(q.value > 0.0, f"{name} must be positive, got {q.value!r}")
+    _require(q.is_finite, f"{name} must be finite, got {q.value!r}")
 
 
 @dataclass(frozen=True)
@@ -207,6 +208,8 @@ class OscillatorSpec:
         _require_positive(self.angular_frequency, PER_SECOND, "angular_frequency")
         _require(self.quantum_number >= 0,
                  f"quantum_number must be >= 0, got {self.quantum_number}")
+        _require(math.isfinite(self.quantum_number),
+                 f"quantum_number must be finite, got {self.quantum_number}")
 
 
 def trapped_tau(spec: TrappedPairSpec) -> DiscriminationVerdict:
@@ -331,9 +334,7 @@ def rabi_tau(resonant_gap: Quantity) -> DiscriminationVerdict:
     |E2 - E1|, which would destroy the system, so the superposition is
     protected for any positive gap.
     """
-    _require_dim(resonant_gap, ENERGY, "resonant_gap")
-    _require(resonant_gap.value > 0.0,
-             f"resonant_gap must be positive, got {resonant_gap.value!r}")
+    _require_positive(resonant_gap, ENERGY, "resonant_gap")
     return _quantum_verdict(Reason.RABI_PROBE_DESTROYS,
                             [("resonant_gap", resonant_gap)])
 

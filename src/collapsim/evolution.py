@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (BasisLabel, CollapseRateMatrix, DensityMatrix,
-                     Hamiltonian, basis_names, coherence_visibility, index_of,
+                     Hamiltonian, basis_names, index_of, invariants,
                      make_basis, pure_state, validate)
 from .units import HBAR, TIME, Quantity
 
 TRAJECTORY_SCHEMA_ID = "trajectory/1"
 
-# Trace and Hermiticity drift allowed along a trajectory before a sample is
+# Trace and Hermiticity drift allowed along a trajectory before it is
 # flagged; sized for 1e4 steps of double-precision accumulation.
 TRAJECTORY_DRIFT_TOL = 1e-10
 
@@ -65,33 +65,44 @@ class EvolutionConfig:
     positivity_floor: float = -1e-10
 
     def __post_init__(self):
-        if self.t_end.dim != TIME or not self.t_end.value > 0.0:
-            raise ValueError("t_end must be a positive time")
-        if self.dt is not None and (self.dt.dim != TIME or not self.dt.value > 0.0):
-            raise ValueError("dt must be a positive time")
+        if self.t_end.dim != TIME or not 0.0 < self.t_end.value < math.inf:
+            raise ValueError("t_end must be a positive finite time")
+        if self.dt is not None and (self.dt.dim != TIME
+                                    or not 0.0 < self.dt.value < math.inf):
+            raise ValueError("dt must be a positive finite time")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
 
 @dataclass(frozen=True)
-class SampleFlags:
-    """Per-sample health record; warnings name any tolerance excess."""
-
-    trace_drift: float
-    min_eigenvalue: float
-    hermiticity_defect: float
-    warnings: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Trajectory:
+    """Recorded samples and their health, one array entry per sample;
+    warnings has one line per tolerance that any sample exceeded."""
+
     basis: tuple[BasisLabel, ...]
     times: np.ndarray            # seconds, strictly increasing
     states: list[DensityMatrix]
-    flags: list[SampleFlags]
+    trace_drift: np.ndarray
+    hermiticity_defect: np.ndarray
+    min_eigenvalue: np.ndarray
+    warnings: tuple[str, ...]
 
     def final_state(self) -> DensityMatrix:
         return self.states[-1]
+
+    @property
+    def elements(self) -> np.ndarray:
+        """The recorded states stacked into one (samples, n, n) array."""
+        return np.stack([state.elements for state in self.states])
+
+    def visibility(self, i: BasisLabel | str | int,
+                   j: BasisLabel | str | int) -> np.ndarray:
+        """Interference contrast 2|rho_ij| of the (i, j) coherence per sample."""
+        ii, jj = index_of(self.basis, i), index_of(self.basis, j)
+        if ii == jj:
+            raise ValueError(f"visibility needs two distinct labels, got '{i}' twice")
+        z = self.elements[:, ii, jj]
+        return 2.0 * np.hypot(z.real, z.imag)
 
 
 def _check_shared_basis(*objs) -> tuple[BasisLabel, ...]:
@@ -99,6 +110,15 @@ def _check_shared_basis(*objs) -> tuple[BasisLabel, ...]:
     if len(set(names)) != 1:
         raise ValueError(f"basis mismatch: {names}")
     return objs[0].basis
+
+
+def _rhs(H: Hamiltonian, rates: CollapseRateMatrix):
+    """y -> -(i/hbar)[H, y] - rates*y on raw matrices; pure damping if H = 0."""
+    h_over_hbar = H.elements / HBAR.value
+    damping = rates.rates
+    if not np.any(h_over_hbar):
+        return lambda y: -damping * y
+    return lambda y: -1j * (h_over_hbar @ y - y @ h_over_hbar) - damping * y
 
 
 def derivative(rho: DensityMatrix, H: Hamiltonian,
@@ -109,9 +129,7 @@ def derivative(rho: DensityMatrix, H: Hamiltonian,
     [H, rho]_01 = (E0 - E1) rho_01.
     """
     _check_shared_basis(rho, H, rates)
-    h_over_hbar = H.elements / HBAR.value
-    y = rho.elements
-    return -1j * (h_over_hbar @ y - y @ h_over_hbar) - rates.rates * y
+    return _rhs(H, rates)(rho.elements)
 
 
 def _resolve_dt(cfg: EvolutionConfig, H: Hamiltonian,
@@ -131,20 +149,6 @@ def _resolve_dt(cfg: EvolutionConfig, H: Hamiltonian,
     return min(min(scales) / AUTO_STEP_DIVISOR, cfg.t_end.value)
 
 
-def _sample_flags(y: np.ndarray, floor: float) -> SampleFlags:
-    trace_drift = float(abs(np.trace(y) - 1.0))
-    herm = float(np.max(np.abs(y - y.conj().T)))
-    min_eig = float(np.min(np.linalg.eigvalsh((y + y.conj().T) / 2.0)))
-    warnings = []
-    if trace_drift > TRAJECTORY_DRIFT_TOL:
-        warnings.append(f"trace drift {trace_drift:.3e}")
-    if herm > TRAJECTORY_DRIFT_TOL:
-        warnings.append(f"hermiticity defect {herm:.3e}")
-    if min_eig < floor:
-        warnings.append(f"min eigenvalue {min_eig:.3e} below floor {floor:.1e}")
-    return SampleFlags(trace_drift, min_eig, herm, tuple(warnings))
-
-
 def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
            cfg: EvolutionConfig) -> Trajectory:
     """Integrate from rho0 to at least t_end - dt, sampling every
@@ -152,7 +156,7 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
 
     rho0 must satisfy the density-matrix invariants.  Every recorded sample
     carries trace drift, Hermiticity defect, and smallest eigenvalue;
-    positivity violations are flagged, never silently repaired.
+    positivity violations are flagged in warnings, never silently repaired.
     """
     basis = _check_shared_basis(rho0, H, rates)
     violations = validate(rho0)
@@ -162,19 +166,10 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
     dt = _resolve_dt(cfg, H, rates)
     n_steps = max(1, math.ceil(cfg.t_end.value / dt - 1e-9))
 
-    h_over_hbar = H.elements / HBAR.value
-    damping = rates.rates
-    unitary = bool(np.any(h_over_hbar))
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        if unitary:
-            return -1j * (h_over_hbar @ y - y @ h_over_hbar) - damping * y
-        return -damping * y
-
+    rhs = _rhs(H, rates)
     y = rho0.elements.astype(np.complex128)
     times = [0.0]
     states = [rho0]
-    flags = [_sample_flags(y, cfg.positivity_floor)]
 
     euler = cfg.method is Method.EULER
     for step in range(1, n_steps + 1):
@@ -192,9 +187,16 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
         if step % cfg.record_stride == 0 or step == n_steps:
             times.append(t)
             states.append(DensityMatrix(basis, y))
-            flags.append(_sample_flags(y, cfg.positivity_floor))
 
-    return Trajectory(basis, np.array(times), states, flags)
+    drift, herm, lo = invariants(np.stack([s.elements for s in states]))
+    worst = {"trace drift": drift.max(), "hermiticity defect": herm.max()}
+    warnings = [f"{name} {value:.3e}" for name, value in worst.items()
+                if value > TRAJECTORY_DRIFT_TOL]
+    if lo.min() < cfg.positivity_floor:
+        warnings.append(f"min eigenvalue {lo.min():.3e} below floor "
+                        f"{cfg.positivity_floor:.1e}")
+    return Trajectory(basis, np.array(times), states, drift, herm, lo,
+                      tuple(warnings))
 
 
 def analytic_isolated(rho0: DensityMatrix, rates: CollapseRateMatrix,
@@ -255,35 +257,27 @@ def trajectory_to_csv(traj: Trajectory, pair: tuple = (0, 1)) -> str:
     the designated pair, min_eigenvalue."""
     n = len(traj.basis)
     i, j = (index_of(traj.basis, pair[0]), index_of(traj.basis, pair[1]))
-    header = ["time_s"]
-    for a in range(n):
-        for b in range(n):
-            header += [f"rho_{a}{b}_re", f"rho_{a}{b}_im"]
-    header += ["visibility", "min_eigenvalue"]
-    lines = [",".join(header)]
-    for t, state, flag in zip(traj.times, traj.states, traj.flags):
-        row = [repr(float(t))]
-        for a in range(n):
-            for b in range(n):
-                z = state.elements[a, b]
-                row += [repr(float(z.real)), repr(float(z.imag))]
-        row.append(repr(2.0 * float(abs(state.elements[i, j]))))
-        row.append(repr(flag.min_eigenvalue))
-        lines.append(",".join(row))
+    header = (["time_s"] + [f"rho_{a}{b}_{part}" for a in range(n)
+                            for b in range(n) for part in ("re", "im")]
+              + ["visibility", "min_eigenvalue"])
+    table = np.column_stack([
+        traj.times, traj.elements.view(np.float64).reshape(len(traj.times), -1),
+        traj.visibility(i, j), traj.min_eigenvalue])
+    lines = [",".join(header)] + [",".join(map(repr, row))
+                                  for row in table.tolist()]
     return "\r\n".join(lines) + "\r\n"
 
 
 def trajectory_to_json(traj: Trajectory, pair: tuple = (0, 1)) -> dict:
     i, j = (index_of(traj.basis, pair[0]), index_of(traj.basis, pair[1]))
-    samples = []
-    for t, state, flag in zip(traj.times, traj.states, traj.flags):
-        samples.append({
-            "time": {"value": float(t), "unit": "s"},
-            "rho": state.to_json()["elements"],
-            "visibility": coherence_visibility(state, i, j),
-            "min_eigenvalue": flag.min_eigenvalue,
-            "trace_drift": flag.trace_drift,
-        })
+    n = len(traj.basis)
+    rho = traj.elements.view(np.float64).reshape(len(traj.times), n, n, 2)
+    samples = [
+        {"time": {"value": t, "unit": "s"}, "rho": r, "visibility": vis,
+         "min_eigenvalue": lo, "trace_drift": drift}
+        for t, r, vis, lo, drift in zip(
+            traj.times.tolist(), rho.tolist(), traj.visibility(i, j).tolist(),
+            traj.min_eigenvalue.tolist(), traj.trace_drift.tolist())]
     return {
         "schema": TRAJECTORY_SCHEMA_ID,
         "basis": basis_names(traj.basis),

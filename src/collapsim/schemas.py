@@ -8,6 +8,8 @@ string.
 
 from __future__ import annotations
 
+from .boundary import Scenario
+
 _QUANTITY = {
     "type": "object",
     "properties": {
@@ -113,7 +115,7 @@ REPORT_SCHEMA = {
     "type": "object",
     "properties": {
         "schema": {"const": "report/1"},
-        "scenario": {"enum": ["trapped", "free-flight", "oscillator"]},
+        "scenario": {"enum": [s.value for s in Scenario]},
         "axis": {"type": "string"},
         "rows": {
             "type": "array",

@@ -183,6 +183,17 @@ class PositivityDefect:
     min_eigenvalue: float
 
 
+def invariants(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trace drift |tr(m) - 1|, Hermiticity defect max |m - m^H| and the
+    smallest eigenvalue of the Hermitian part (meaningful even when m is
+    slightly non-Hermitian), for one matrix or each of a stack (..., n, n)."""
+    mh = np.swapaxes(m, -1, -2).conj()
+    trace = np.trace(m, axis1=-2, axis2=-1) - 1.0
+    return (np.hypot(trace.real, trace.imag),
+            np.max(np.abs(m - mh), axis=(-2, -1)),
+            np.min(np.linalg.eigvalsh((m + mh) / 2.0), axis=-1))
+
+
 def validate(rho: DensityMatrix, *, hermiticity_tol: float = HERMITICITY_TOL,
              trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TOL) -> list:
     """Measure the three density-matrix invariants; one entry per violation.
@@ -190,17 +201,12 @@ def validate(rho: DensityMatrix, *, hermiticity_tol: float = HERMITICITY_TOL,
     Diagnostic only: accepts any square complex matrix with a basis and
     never raises.
     """
-    m = rho.elements
+    trace, herm, lo = map(float, invariants(rho.elements))
     violations = []
-    herm = float(np.max(np.abs(m - m.conj().T)))
     if herm > hermiticity_tol:
         violations.append(HermiticityDefect(herm))
-    trace = float(abs(np.trace(m) - 1.0))
     if trace > trace_tol:
         violations.append(TraceDefect(trace))
-    # Eigenvalues of the Hermitian part; meaningful even when slightly
-    # non-Hermitian since the defect is reported separately above.
-    lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
     if lo < -psd_tol:
         violations.append(PositivityDefect(lo))
     return violations

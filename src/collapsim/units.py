@@ -197,12 +197,16 @@ def parse_quantity(text: str) -> Quantity:
     """Parse '<number><space?><unit>' into an SI-scaled Quantity.
 
     The unit token is mandatory; dimensionless values spell it out
-    ('1.5 dimensionless' or '0.3 rad').
+    ('1.5 dimensionless' or '0.3 rad').  A number that overflows a double
+    is rejected.
     """
     m = _NUMBER.match(text.strip())
     if m is None:
         raise UnitError(f"malformed quantity '{text}'")
-    return quantity(float(m.group(1)), m.group(2).strip())
+    q = quantity(float(m.group(1)), m.group(2).strip())
+    if not q.is_finite:
+        raise UnitError(f"quantity '{text}' overflows")
+    return q
 
 
 def format_quantity(q: Quantity, unit: str, digits: int | None = 5) -> str:

@@ -163,8 +163,8 @@ def test_criterion_6_integrator_quality():
         traj = cs.evolve(cs.DensityMatrix(basis, rho),
                          cs.Hamiltonian(basis, h),
                          cs.CollapseRateMatrix(basis, r), cfg)
-        worst_trace = max(worst_trace, traj.flags[-1].trace_drift)
-        worst_herm = max(worst_herm, traj.flags[-1].hermiticity_defect)
+        worst_trace = max(worst_trace, traj.trace_drift[-1])
+        worst_herm = max(worst_herm, traj.hermiticity_defect[-1])
     check("criterion 6 trace", worst_trace <= 1e-10,
           f"max trace drift {worst_trace:.3e} <= 1e-10 over 1e4 steps x 20 seeds")
     check("criterion 6 hermiticity", worst_herm <= 1e-10,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from collapsim.discrimination import (FreeFlightSpec, OscillatorSpec, Regime,
                                       free_flight_tau, oscillator_verdict,
                                       photon_tau, rabi_tau,
                                       trapped_critical_mass, trapped_tau)
+from collapsim.schemas import REPORT_SCHEMA
 from collapsim.units import Quantity, quantity
 
 HBAR_V = 1.054571817e-34
@@ -46,6 +48,18 @@ class TestSweepSpec:
         with pytest.raises(ValidationError):
             SweepSpec(Scenario.TRAPPED, "M", quantity(2, "kg"),
                       quantity(1, "kg"), count=5, fixed={})
+
+    @pytest.mark.parametrize("scenario", ["rabi", "bogus"])
+    def test_unknown_scenario_names_the_sweepable_ones(self, scenario):
+        with pytest.raises(ValidationError,
+                           match="one of.*'trapped', 'free-flight', 'oscillator'"):
+            SweepSpec(scenario, "M", quantity(1, "kg"), quantity(2, "kg"),
+                      count=5, fixed={})
+
+    def test_scenario_name_becomes_a_member(self):
+        spec = SweepSpec("trapped", "M", quantity(1, "kg"), quantity(2, "kg"),
+                         count=5, fixed={})
+        assert spec.scenario is Scenario.TRAPPED
 
     def test_geometric_needs_positive_minimum(self):
         with pytest.raises(ValidationError, match="geometric"):
@@ -198,6 +212,11 @@ class TestScenarioVerdict:
         with pytest.raises(ValidationError, match=f"^{name} takes no margin"):
             scenario_verdict(name, params, eta=2.0)
 
+    def test_unknown_scenario_names_the_table(self):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"one of {list(SCENARIOS)}")):
+            scenario_verdict("bogus", {})
+
     def test_energy_override_passthrough(self):
         params = {"M": quantity(1, "GeV/c2"), "v": quantity(1, "m/s"),
                   "D": quantity(10, "um"), "E": quantity(1e-15, "J")}
@@ -254,6 +273,10 @@ class TestReportJson:
             assert row["unit"] == "kg"
             assert row["tau"]["unit"] == "s"
         assert doc["critical_value"]["unit"] == "kg"
+
+    def test_schema_scenarios_come_from_the_table(self):
+        assert REPORT_SCHEMA["properties"]["scenario"]["enum"] == \
+            [s.value for s in Scenario]
 
     def test_no_flip_serializes_null(self):
         doc = sweep(trapped_sweep(count=5, v=1e-6)).to_json()

@@ -257,6 +257,19 @@ class TestUsageErrors:
         assert out == ""
         assert flag in err
 
+    @pytest.mark.parametrize("argv", [
+        ["tau", "trapped", "--M", "1e400 GeV/c2", "--v", "100 m/s",
+         "--D", "10 um"],
+        ["evolve", "--rate", "1e400 1/s", "--t-end", "1 s"],
+        ["evolve", "--rate", "1 1/s", "--t-end", "1 s", "--gap", "1e400 eV"],
+        ["evolve", "--rate", "1 1/s", "--t-end", "1e400 s"],
+    ], ids=["tau-M", "evolve-rate", "evolve-gap", "evolve-t-end"])
+    def test_overflowing_quantity_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "1e400" in err and "overflows" in err
+
     def test_invalid_geometry_exits_2(self, capsys):
         code, _, err = run(capsys, "tau", "free-flight", "--M", "1 GeV/c2",
                            "--v", "1 m/s", "--D", "10 um", "--L", "1 m",

@@ -35,6 +35,22 @@ def free_flight(mass_gev, v=1e3, D=1e-5, L=1.0, d=1e-6):
                           slit_width=quantity(d, "m"))
 
 
+class TestNonFinite:
+    def test_infinite_mass_rejected(self):
+        with pytest.raises(ValidationError, match="mass must be finite"):
+            trapped(math.inf)
+
+    def test_infinite_slit_distance_rejected(self):
+        with pytest.raises(ValidationError, match="source_distance"):
+            free_flight(1.0, L=math.inf)
+
+    def test_infinite_quantum_number_rejected(self):
+        with pytest.raises(ValidationError, match="quantum_number must be finite"):
+            OscillatorSpec(mass=quantity(40, "kg"),
+                           angular_frequency=quantity(6.283, "rad/s"),
+                           quantum_number=math.inf)
+
+
 class TestTrapped:
     def test_boundary_case_tau_is_separation_over_c(self):
         # At E*D = 4 pi hbar c the window pinches to a point and both
@@ -237,6 +253,10 @@ class TestPhotonAndRabi:
     def test_rabi_zero_gap_rejected(self):
         with pytest.raises(ValidationError):
             rabi_tau(quantity(0, "J"))
+
+    def test_rabi_infinite_gap_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            rabi_tau(quantity(math.inf, "J"))
 
 
 class TestOscillator:

@@ -113,13 +113,19 @@ class TestEvolve:
         traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                       rate_matrix(1.0), cfg)
         assert np.all(np.diff(traj.times) > 0)
-        assert len(traj.states) == len(traj.times) == len(traj.flags)
+        assert len(traj.states) == len(traj.times) == len(traj.min_eigenvalue)
 
     def test_invalid_initial_state_rejected(self):
         bad = DensityMatrix(BASIS, np.diag([0.9, 0.3]))
         cfg = EvolutionConfig(t_end=quantity(1, "s"))
         with pytest.raises(ValueError, match="density"):
             evolve(bad, Hamiltonian.zero(BASIS), rate_matrix(0.0), cfg)
+
+    @pytest.mark.parametrize("field", ["t_end", "dt"])
+    def test_non_finite_time_rejected(self, field):
+        times = {"t_end": quantity(1, "s"), field: quantity(math.inf, "s")}
+        with pytest.raises(ValueError, match=f"{field} must be a positive finite"):
+            EvolutionConfig(**times)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_reports_failing_time(self):
@@ -271,18 +277,16 @@ def test_trace_and_hermiticity_preserved(n, seed):
     cfg = EvolutionConfig(t_end=quantity(1.0, "s"), dt=quantity(1e-3, "s"),
                           record_stride=100)
     traj = evolve(rho0, H, rates, cfg)
-    for flag in traj.flags:
-        assert flag.trace_drift <= 1e-10
-        assert flag.hermiticity_defect <= 1e-10
+    assert np.all(traj.trace_drift <= 1e-10)
+    assert np.all(traj.hermiticity_defect <= 1e-10)
 
 
 def test_two_level_positivity_never_below_floor():
     cfg = EvolutionConfig(t_end=quantity(3, "s"))
     traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                   rate_matrix(1.0), cfg)
-    for flag in traj.flags:
-        assert flag.min_eigenvalue >= cfg.positivity_floor
-        assert flag.warnings == ()
+    assert np.all(traj.min_eigenvalue >= cfg.positivity_floor)
+    assert traj.warnings == ()
 
 
 def test_three_level_positivity_violation_is_flagged():
@@ -295,12 +299,33 @@ def test_three_level_positivity_violation_is_flagged():
     cfg = EvolutionConfig(t_end=quantity(1, "s"))
     traj = evolve(rho0, Hamiltonian.zero(basis),
                   CollapseRateMatrix(basis, rates), cfg)
-    final_flag = traj.flags[-1]
-    assert final_flag.min_eigenvalue < -1e-6
-    assert any("below floor" in w for w in final_flag.warnings)
+    assert traj.min_eigenvalue[-1] < -1e-6
+    assert any("below floor" in w for w in traj.warnings)
     # the state itself still carries the un-projected eigenvalue
     eigs = np.linalg.eigvalsh(traj.final_state().elements)
     assert eigs.min() < -1e-6
+    # one line for the whole trajectory, naming its worst sample
+    assert traj.warnings == (
+        f"min eigenvalue {traj.min_eigenvalue.min():.3e} below floor -1.0e-10",)
+
+
+@pytest.mark.parametrize("n, stride", [(2, 1), (3, 7), (8, 3), (16, 5)])
+def test_health_and_visibility_arrays_match_each_state(n, stride):
+    rho0, H, rates = random_system(n, seed=n)
+    cfg = EvolutionConfig(t_end=quantity(0.5, "s"), dt=quantity(0.01, "s"),
+                          record_stride=stride)
+    traj = evolve(rho0, H, rates, cfg)
+    vis = traj.visibility(0, n - 1)
+    for k, state in enumerate(traj.states):
+        # the per-sample measurement the batched one replaced, bit for bit
+        m = state.elements
+        assert traj.trace_drift[k] == abs(np.trace(m) - 1.0)
+        assert traj.hermiticity_defect[k] == np.max(np.abs(m - m.conj().T))
+        assert traj.min_eigenvalue[k] == \
+            np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
+        assert vis[k] == coherence_visibility(state, 0, n - 1)
+    with pytest.raises(ValueError, match="distinct"):
+        traj.visibility(1, 1)
 
 
 class TestExports:

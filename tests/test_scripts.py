@@ -1,0 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_boundary_tables_runs():
+    proc = run_script("boundary_tables.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "quantum/classical boundary summary" in proc.stdout
+    assert "bisected" in proc.stdout
+
+
+def test_visibility_curves_writes_three_csv_files(tmp_path):
+    proc = run_script("visibility_curves.py", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    names = ["free_flight_boundary.csv", "trapped_classical.csv", "photon.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        lines = (tmp_path / name).read_bytes().decode().split("\r\n")
+        assert lines[0] == "time_s,visibility"
+        assert len(lines) > 3

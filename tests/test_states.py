@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from collapsim.states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
                               HermiticityDefect, PositivityDefect, TraceDefect,
                               basis_names, coherence_visibility, from_json,
-                              make_basis, pure_state, validate)
+                              invariants, make_basis, pure_state, validate)
 
 
 @pytest.fixture
@@ -91,6 +91,14 @@ class TestValidate:
         defects = [v for v in violations if isinstance(v, HermiticityDefect)]
         assert len(defects) == 1
         assert defects[0].defect == pytest.approx(1e-6, rel=1e-3)
+
+    def test_invariants_of_a_stack_match_each_matrix(self):
+        rng = np.random.default_rng(7)
+        stack = (rng.normal(size=(5, 3, 3))
+                 + 1j * rng.normal(size=(5, 3, 3)))
+        batched = invariants(stack)
+        for k, m in enumerate(stack):
+            assert tuple(a[k] for a in batched) == invariants(m)
 
     def test_negative_eigenvalue_measured(self, two_basis):
         m = np.array([[0.0, 0.5], [0.5, 1.0]], dtype=complex)

@@ -44,6 +44,11 @@ class TestParse:
         with pytest.raises(UnitError):
             parse_quantity("42")
 
+    @pytest.mark.parametrize("text", ["1e400 m/s", "-1e400 s", "1e400 GeV/c2"])
+    def test_overflowing_number_rejected(self, text):
+        with pytest.raises(UnitError, match="overflows"):
+            parse_quantity(text)
+
 
 class TestFormat:
     def test_gev_display(self):
