@@ -23,8 +23,8 @@ from . import discrimination as disc
 from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
                              OscillatorSpec, Regime, TrappedPairSpec,
                              ValidationError)
-from .evolution import EvolutionConfig, Method, Trajectory, evolve
-from .states import CollapseRateMatrix, Hamiltonian, make_basis, pure_state
+from .evolution import (EvolutionConfig, Trajectory, csv_text, evolve,
+                        two_level_decay)
 from .units import Quantity, preferred_unit
 
 REPORT_SCHEMA_ID = "report/1"
@@ -241,7 +241,7 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
 
 
 def curve_trajectory(verdict: DiscriminationVerdict, t_end: Quantity, *,
-                     dt: Quantity | None = None, method: Method = Method.RK4,
+                     dt: Quantity | None = None,
                      record_stride: int = 1) -> Trajectory:
     """Trajectory of an equal two-state superposition decaying at the
     verdict's rate (rate 0, hence constant, for an infinite tau).
@@ -249,32 +249,25 @@ def curve_trajectory(verdict: DiscriminationVerdict, t_end: Quantity, *,
     The default step is t_end/512, an exact divisor, so the last sample
     lands on t_end itself rather than on the next whole step past it.
     """
-    basis = make_basis("here", "there")
-    rate = verdict.rate.value
-    rates = CollapseRateMatrix(basis, np.array([[0.0, rate], [rate, 0.0]]))
-    rho0 = pure_state([1.0, 1.0], basis)
+    rho0, H, rates = two_level_decay(verdict.rate.value)
     if dt is None:
         dt = t_end / 512.0
-    cfg = EvolutionConfig(t_end=t_end, dt=dt, method=method,
-                          record_stride=record_stride)
-    return evolve(rho0, Hamiltonian.zero(basis), rates, cfg)
+    cfg = EvolutionConfig(t_end=t_end, dt=dt, record_stride=record_stride)
+    return evolve(rho0, H, rates, cfg)
 
 
 def visibility_curve(verdict: DiscriminationVerdict, t_end: Quantity, *,
-                     dt: Quantity | None = None, method: Method = Method.RK4,
+                     dt: Quantity | None = None,
                      record_stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Visibility 2|rho_01|(t) of an equal two-state superposition decaying
     at the verdict's rate; constant 1.0 for an infinite tau.
 
     Returns (times in seconds, visibilities).
     """
-    traj = curve_trajectory(verdict, t_end, dt=dt, method=method,
+    traj = curve_trajectory(verdict, t_end, dt=dt,
                             record_stride=record_stride)
     return traj.times, traj.visibility("here", "there")
 
 
 def curve_to_csv(times: np.ndarray, visibilities: np.ndarray) -> str:
-    lines = ["time_s,visibility"]
-    for t, v in zip(times, visibilities):
-        lines.append(f"{float(t)!r},{float(v)!r}")
-    return "\r\n".join(lines) + "\r\n"
+    return csv_text(["time_s", "visibility"], times, visibilities)

@@ -25,10 +25,9 @@ from .boundary import (SCENARIOS, BoundaryReport, Scenario, SweepError,
                        scenario_verdict, sweep)
 from .discrimination import ValidationError
 from .evolution import (EvolutionConfig, IntegrationError, Method, evolve,
-                        trajectory_to_csv, trajectory_to_json)
-from .states import CollapseRateMatrix, Hamiltonian, make_basis, pure_state
-from .units import (ENERGY, PER_SECOND, Quantity, UnitError, format_quantity,
-                    parse_quantity, preferred_unit, quantity)
+                        trajectory_to_csv, trajectory_to_json, two_level_decay)
+from .units import (ENERGY, PER_SECOND, DimensionError, Quantity, UnitError,
+                    format_quantity, parse_quantity, preferred_unit, quantity)
 
 DEFAULT_MASS_UNIT = "GeV/c2"
 
@@ -45,10 +44,9 @@ def _quantity_arg(text: str) -> Quantity:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """Output flags, and the margin eta, of the commands built on a verdict."""
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.add_argument("--out", metavar="PATH", help="write output to PATH")
-    p.add_argument("--unit", metavar="U", default=None,
-                   help=f"mass output unit (default {DEFAULT_MASS_UNIT})")
     p.add_argument("--eta", type=float, default=1.0, metavar="REAL",
                    help="margin for the trapped strong inequalities (>= 1)")
 
@@ -133,8 +131,8 @@ def _cmd_boundary(args) -> str:
             f"no regime flip for masses in [{lo}, {hi}] {DEFAULT_MASS_UNIT}")
     if args.json:
         return _dump(report.to_json())
-    unit = args.unit or DEFAULT_MASS_UNIT
-    return f"critical_mass: {format_quantity(report.critical_value, unit)}\n"
+    mass = format_quantity(report.critical_value, args.unit)
+    return f"critical_mass: {mass}\n"
 
 
 def _cmd_tau(args) -> str:
@@ -150,17 +148,11 @@ def _cmd_evolve(args) -> str:
             f"--rate must be a rate (1/s), got {args.rate.dim.si_name()}")
     if args.rate.value < 0.0:
         raise ValidationError("--rate must be nonnegative")
-    basis = make_basis("here", "there")
-    r = args.rate.value
-    rates = CollapseRateMatrix(basis, [[0.0, r], [r, 0.0]])
-    if args.gap is not None:
-        if args.gap.dim != ENERGY:
-            raise ValidationError(
-                f"--gap must be an energy, got {args.gap.dim.si_name()}")
-        H = Hamiltonian(basis, [[0.0, 0.0], [0.0, complex(args.gap.value)]])
-    else:
-        H = Hamiltonian.zero(basis)
-    rho0 = pure_state([1.0, 1.0], basis)
+    if args.gap is not None and args.gap.dim != ENERGY:
+        raise ValidationError(
+            f"--gap must be an energy, got {args.gap.dim.si_name()}")
+    rho0, H, rates = two_level_decay(
+        args.rate.value, 0.0 if args.gap is None else args.gap.value)
     cfg = EvolutionConfig(t_end=args.t_end, dt=args.dt,
                           method=Method(args.method),
                           record_stride=args.stride)
@@ -239,6 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=None,
                    help="trajectory angle (free-flight)")
     _add_common(p)
+    p.add_argument("--unit", metavar="U", default=DEFAULT_MASS_UNIT,
+                   help=f"mass output unit (default {DEFAULT_MASS_UNIT})")
     p.set_defaults(handler=_cmd_boundary)
 
     p = sub.add_parser("tau", help="discrimination verdict for one setup")
@@ -253,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="diagonal energy gap for the second state")
     p.add_argument("--method", choices=[m.value for m in Method], default="rk4")
     p.add_argument("--stride", type=int, default=1)
-    _add_common(p)
+    p.add_argument("--json", action="store_true", help="emit JSON")
+    p.add_argument("--out", metavar="PATH", help="write output to PATH")
     p.set_defaults(handler=_cmd_evolve)
 
     p = sub.add_parser("sweep", help="one-axis grid scan")
@@ -283,7 +278,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         text = args.handler(args)
-    except (UnitError, ValidationError, ValueError) as exc:
+    except (ValueError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SweepError, IntegrationError) as exc:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (BasisLabel, CollapseRateMatrix, DensityMatrix,
+from .states import (PSD_TOL, BasisLabel, CollapseRateMatrix, DensityMatrix,
                      Hamiltonian, basis_names, index_of, invariants,
                      make_basis, pure_state, validate)
 from .units import HBAR, TIME, Quantity
@@ -39,6 +39,10 @@ TRAJECTORY_DRIFT_TOL = 1e-10
 # relative error under 1e-8 across ten decay times (50 would land at
 # 1.4e-8, just over that budget).
 AUTO_STEP_DIVISOR = 64
+
+# Most steps one run may plan: 20x the largest run in the tests, so that a
+# mistyped rate, dt or t_end fails at once instead of running without end.
+MAX_STEPS = 10 ** 6
 
 
 class Method(str, enum.Enum):
@@ -62,7 +66,6 @@ class EvolutionConfig:
     dt: Quantity | None = None
     method: Method = Method.RK4
     record_stride: int = 1
-    positivity_floor: float = -1e-10
 
     def __post_init__(self):
         if self.t_end.dim != TIME or not 0.0 < self.t_end.value < math.inf:
@@ -149,6 +152,8 @@ def _resolve_dt(cfg: EvolutionConfig, H: Hamiltonian,
     return min(min(scales) / AUTO_STEP_DIVISOR, cfg.t_end.value)
 
 
+# A blow-up is reported once, by the finite check, not as numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
            cfg: EvolutionConfig) -> Trajectory:
     """Integrate from rho0 to at least t_end - dt, sampling every
@@ -164,7 +169,11 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
         raise ValueError(f"initial state is not a valid density matrix: {violations}")
 
     dt = _resolve_dt(cfg, H, rates)
-    n_steps = max(1, math.ceil(cfg.t_end.value / dt - 1e-9))
+    planned = cfg.t_end.value / dt - 1e-9
+    if planned > MAX_STEPS:
+        raise ValueError(f"{planned:.3g} steps of dt = {dt:.3g} s to reach "
+                         f"t_end exceed the budget of {MAX_STEPS}")
+    n_steps = max(1, math.ceil(planned))
 
     rhs = _rhs(H, rates)
     y = rho0.elements.astype(np.complex128)
@@ -192,11 +201,21 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
     worst = {"trace drift": drift.max(), "hermiticity defect": herm.max()}
     warnings = [f"{name} {value:.3e}" for name, value in worst.items()
                 if value > TRAJECTORY_DRIFT_TOL]
-    if lo.min() < cfg.positivity_floor:
+    if lo.min() < -PSD_TOL:
         warnings.append(f"min eigenvalue {lo.min():.3e} below floor "
-                        f"{cfg.positivity_floor:.1e}")
+                        f"{-PSD_TOL:.1e}")
     return Trajectory(basis, np.array(times), states, drift, herm, lo,
                       tuple(warnings))
+
+
+def two_level_decay(rate: float, gap: float = 0.0) -> tuple[
+        DensityMatrix, Hamiltonian, CollapseRateMatrix]:
+    """The here/there problem: an equal superposition, H = diag(0, gap) in
+    joules and the pair decay rate in 1/s, as (rho0, H, rates)."""
+    basis = make_basis("here", "there")
+    return (pure_state([1.0, 1.0], basis),
+            Hamiltonian(basis, [[0.0, 0.0], [0.0, complex(gap)]]),
+            CollapseRateMatrix(basis, [[0.0, rate], [rate, 0.0]]))
 
 
 def analytic_isolated(rho0: DensityMatrix, rates: CollapseRateMatrix,
@@ -228,10 +247,7 @@ def convergence_order(method: Method = Method.RK4, *, rate: float = 1.0,
     closed form, halving dt `refinements` times; returns the mean
     log2(error ratio).  Expect about 4 for RK4 and 1 for Euler.
     """
-    basis = make_basis("a", "b")
-    rho0 = pure_state([1.0, 1.0], basis)
-    rates = CollapseRateMatrix(basis, np.array([[0.0, rate], [rate, 0.0]]))
-    H = Hamiltonian.zero(basis)
+    rho0, H, rates = two_level_decay(rate)
     exact = analytic_isolated(rho0, rates, Quantity(t_end, TIME)).elements
 
     def error(step: float) -> float:
@@ -260,11 +276,17 @@ def trajectory_to_csv(traj: Trajectory, pair: tuple = (0, 1)) -> str:
     header = (["time_s"] + [f"rho_{a}{b}_{part}" for a in range(n)
                             for b in range(n) for part in ("re", "im")]
               + ["visibility", "min_eigenvalue"])
-    table = np.column_stack([
-        traj.times, traj.elements.view(np.float64).reshape(len(traj.times), -1),
-        traj.visibility(i, j), traj.min_eigenvalue])
-    lines = [",".join(header)] + [",".join(map(repr, row))
-                                  for row in table.tolist()]
+    return csv_text(
+        header, traj.times,
+        traj.elements.view(np.float64).reshape(len(traj.times), -1),
+        traj.visibility(i, j), traj.min_eigenvalue)
+
+
+def csv_text(header: list[str], *columns: np.ndarray) -> str:
+    """RFC-4180 CSV of the header and the columns side by side, every value
+    written as the repr of its float (round-trips exactly)."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row
+                                  in np.column_stack(columns).tolist()]
     return "\r\n".join(lines) + "\r\n"
 
 

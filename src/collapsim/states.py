@@ -109,6 +109,8 @@ class Hamiltonian:
     def __post_init__(self):
         object.__setattr__(self, "elements", _frozen(self.elements, np.complex128))
         _check_shape(self.basis, self.elements)
+        if not np.all(np.isfinite(self.elements)):
+            raise ValueError("Hamiltonian entries must be finite")
         defect = float(np.max(np.abs(self.elements - self.elements.conj().T)))
         norm = float(np.max(np.abs(self.elements)))
         if norm > 0.0 and defect > 1e-12 * norm:
@@ -143,6 +145,8 @@ class CollapseRateMatrix:
     def __post_init__(self):
         object.__setattr__(self, "rates", _frozen(self.rates, np.float64))
         _check_shape(self.basis, self.rates)
+        if not np.all(np.isfinite(self.rates)):
+            raise ValueError("rates must be finite")
         if not np.array_equal(self.rates, self.rates.T):
             raise ValueError("rate matrix must be exactly symmetric")
         if np.any(np.diagonal(self.rates) != 0.0):
@@ -194,8 +198,7 @@ def invariants(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.min(np.linalg.eigvalsh((m + mh) / 2.0), axis=-1))
 
 
-def validate(rho: DensityMatrix, *, hermiticity_tol: float = HERMITICITY_TOL,
-             trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TOL) -> list:
+def validate(rho: DensityMatrix) -> list:
     """Measure the three density-matrix invariants; one entry per violation.
 
     Diagnostic only: accepts any square complex matrix with a basis and
@@ -203,11 +206,11 @@ def validate(rho: DensityMatrix, *, hermiticity_tol: float = HERMITICITY_TOL,
     """
     trace, herm, lo = map(float, invariants(rho.elements))
     violations = []
-    if herm > hermiticity_tol:
+    if herm > HERMITICITY_TOL:
         violations.append(HermiticityDefect(herm))
-    if trace > trace_tol:
+    if trace > TRACE_TOL:
         violations.append(TraceDefect(trace))
-    if lo < -psd_tol:
+    if lo < -PSD_TOL:
         violations.append(PositivityDefect(lo))
     return violations
 

@@ -249,8 +249,18 @@ class TestUsageErrors:
           "--M", "1 kg"], "--M is the sweep axis"),
         (["boundary", "trapped", "--v", "100 m/s", "--D", "10 um",
           "--theta", "1e-5"], "--theta"),
+        (["evolve", "--rate", "1 1/s", "--t-end", "1 s", "--eta", "2"],
+         "unrecognized arguments: --eta"),
+        (["evolve", "--rate", "1 1/s", "--t-end", "1 s", "--unit", "kg"],
+         "unrecognized arguments: --unit"),
+        (["tau", "photon", "--unit", "kg"], "unrecognized arguments: --unit"),
+        (["sweep", "trapped", "--axis", "M", "--min", "1 GeV/c2",
+          "--max", "1e6 GeV/c2", "--v", "100 m/s", "--D", "10 um",
+          "--unit", "kg"], "unrecognized arguments: --unit"),
+        (["curve", "photon", "--unit", "kg"], "unrecognized arguments: --unit"),
     ], ids=["sweep-free-flight-E", "sweep-trapped-L", "sweep-trapped-M-axis",
-            "boundary-trapped-theta"])
+            "boundary-trapped-theta", "evolve-eta", "evolve-unit",
+            "tau-photon-unit", "sweep-trapped-unit", "curve-photon-unit"])
     def test_flag_the_scenario_does_not_use_exits_2(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -269,6 +279,19 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert "1e400" in err and "overflows" in err
+
+    def test_unit_of_another_dimension_exits_2(self, capsys):
+        code, out, err = run(capsys, "boundary", "trapped", "--v", "100 m/s",
+                             "--D", "10 um", "--unit", "m")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot format kg as 'm' (m)\n"
+
+    def test_run_over_the_step_budget_exits_2(self, capsys):
+        code, out, err = run(capsys, "evolve", "--rate", "1 1/s",
+                             "--t-end", "1e300 s", "--dt", "1e-300 s")
+        assert code == 2
+        assert out == ""
+        assert "budget of 1000000" in err
 
     def test_invalid_geometry_exits_2(self, capsys):
         code, _, err = run(capsys, "tau", "free-flight", "--M", "1 GeV/c2",
@@ -293,7 +316,7 @@ def subcommands(parser: argparse.ArgumentParser) -> dict:
 
 @pytest.mark.parametrize("command", ["tau", "curve"])
 def test_scenario_subcommands_take_exactly_the_table_flags(command):
-    common = {"-h", "--help", "--json", "--out", "--unit", "--eta"}
+    common = {"-h", "--help", "--json", "--out", "--eta"}
     if command == "curve":
         common |= {"--t-end", "--dt", "--stride"}
     kinds = subcommands(subcommands(build_parser())[command])
@@ -302,6 +325,16 @@ def test_scenario_subcommands_take_exactly_the_table_flags(command):
         flags = {s for a in kinds[name]._actions for s in a.option_strings}
         names = entry.params + entry.optional
         assert flags - common == {f"--{n}" for n in names}
+
+
+def test_blow_up_prints_one_error_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "collapsim", "evolve", "--rate", "1 1/s",
+         "--t-end", "1e5 s", "--dt", "1e3 s"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: non-finite state at t = 30000.0 s\n"
 
 
 def test_console_entry_point_runs():

@@ -1,18 +1,21 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collapsim import evolution
 from collapsim.evolution import (AUTO_STEP_DIVISOR, EvolutionConfig,
                                  IntegrationError, Method, analytic_isolated,
                                  convergence_order, derivative, evolve,
                                  trajectory_to_csv, trajectory_to_json,
                                  unitary_baseline)
-from collapsim.states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
-                              coherence_visibility, make_basis, pure_state)
+from collapsim.states import (PSD_TOL, CollapseRateMatrix, DensityMatrix,
+                              Hamiltonian, coherence_visibility, make_basis,
+                              pure_state)
 from collapsim.units import HBAR, quantity
 
 BASIS = make_basis("here", "there")
@@ -136,6 +139,41 @@ class TestEvolve:
             evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                    rate_matrix(200.0), cfg)
         assert err.value.time > 0
+
+    def test_blow_up_raises_without_numpy_warnings(self):
+        cfg = EvolutionConfig(t_end=quantity(1e5, "s"), dt=quantity(1e3, "s"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError) as err:
+                evolve(equal_superposition(), Hamiltonian.zero(BASIS),
+                       rate_matrix(1.0), cfg)
+        assert err.value.time == 30000.0
+
+
+class TestStepBudget:
+    def test_overflowing_plan_refused(self):
+        cfg = EvolutionConfig(t_end=quantity(1e300, "s"),
+                              dt=quantity(1e-300, "s"))
+        with pytest.raises(ValueError, match="inf steps .* budget of 1000000"):
+            evolve(equal_superposition(), Hamiltonian.zero(BASIS),
+                   rate_matrix(1.0), cfg)
+
+    def test_run_at_the_budget_allowed(self, monkeypatch):
+        monkeypatch.setattr(evolution, "MAX_STEPS", 10)
+        cfg = EvolutionConfig(t_end=quantity(1, "s"), dt=quantity(0.1, "s"))
+        traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
+                      rate_matrix(1.0), cfg)
+        assert len(traj.times) == 11
+
+    @pytest.mark.parametrize("dt", [quantity(0.1, "s"), None],
+                             ids=["explicit", "auto"])
+    def test_plan_over_the_budget_refused(self, monkeypatch, dt):
+        # 1.1 s is 11 steps of 0.1 s, or 70 AUTO steps (64 per lifetime).
+        monkeypatch.setattr(evolution, "MAX_STEPS", 10)
+        cfg = EvolutionConfig(t_end=quantity(1.1, "s"), dt=dt)
+        with pytest.raises(ValueError, match="budget of 10$"):
+            evolve(equal_superposition(), Hamiltonian.zero(BASIS),
+                   rate_matrix(1.0), cfg)
 
 
 class TestAutoStep:
@@ -285,7 +323,7 @@ def test_two_level_positivity_never_below_floor():
     cfg = EvolutionConfig(t_end=quantity(3, "s"))
     traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                   rate_matrix(1.0), cfg)
-    assert np.all(traj.min_eigenvalue >= cfg.positivity_floor)
+    assert np.all(traj.min_eigenvalue >= -PSD_TOL)
     assert traj.warnings == ()
 
 

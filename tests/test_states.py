@@ -149,6 +149,11 @@ class TestHamiltonian:
     def test_zero(self, two_basis):
         assert np.all(Hamiltonian.zero(two_basis).elements == 0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0, np.inf)])
+    def test_non_finite_rejected(self, two_basis, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Hamiltonian(two_basis, np.array([[0.0, 0.0], [0.0, bad]]))
+
 
 class TestRateMatrix:
     def test_symmetric_nonnegative_zero_diagonal(self, two_basis):
@@ -166,6 +171,11 @@ class TestRateMatrix:
     def test_negative_rejected(self, two_basis):
         with pytest.raises(ValueError, match="nonnegative"):
             CollapseRateMatrix(two_basis, np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, two_basis, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CollapseRateMatrix(two_basis, np.array([[0.0, bad], [bad, 0.0]]))
 
 
 class TestJson:
