@@ -31,6 +31,10 @@ REPORT_SCHEMA_ID = "report/1"
 
 BISECTION_REL_TOL = 1e-6
 
+# Most grid points one sweep may evaluate: 100x the largest sweep in use,
+# so that a mistyped --count fails at once instead of running for hours.
+MAX_SWEEP_POINTS = 10 ** 4
+
 
 class SweepError(RuntimeError):
     """The regime pattern along the grid is not a single monotone flip."""
@@ -112,8 +116,9 @@ class SweepSpec:
             raise ValidationError(
                 f"axis '{self.axis}' is not a {self.scenario.value} parameter "
                 f"(one of {params})")
-        if self.count < 2:
-            raise ValidationError(f"count must be >= 2, got {self.count}")
+        if not 2 <= self.count <= MAX_SWEEP_POINTS:
+            raise ValidationError(f"count must be between 2 and "
+                                  f"{MAX_SWEEP_POINTS}, got {self.count}")
         if self.minimum.dim != self.maximum.dim:
             raise ValidationError("grid endpoints must share a dimension")
         if not self.minimum.value < self.maximum.value:

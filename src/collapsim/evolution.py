@@ -14,11 +14,20 @@ and used as the integrator oracle.
 A fixed-step classic RK4 (Euler selectable) keeps trajectories reproducible
 and makes the convergence order directly measurable; the dynamics is
 non-stiff at the scales this package targets.
+
+The equation is linear and time-invariant, so one step is a fixed
+n^2 x n^2 matrix acting on the row-major vec rho.  A run of at least n^2
+steps builds it once, by stepping the n^2 basis matrices, and jumps from
+one recorded sample to the next with its powers; a shorter run steps the
+matrix directly, since building the operator costs as much as n^2 steps.
+Runs over MAX_STEPS steps or MAX_RECORDED_ENTRIES recorded entries are
+refused before the first step.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +52,10 @@ AUTO_STEP_DIVISOR = 64
 # Most steps one run may plan: 20x the largest run in the tests, so that a
 # mistyped rate, dt or t_end fails at once instead of running without end.
 MAX_STEPS = 10 ** 6
+
+# Most recorded matrix entries (samples x n^2) one run may keep: 35x the
+# largest recording in the tests, about 16 MB of complex states.
+MAX_RECORDED_ENTRIES = 10 ** 6
 
 
 class Method(str, enum.Enum):
@@ -124,6 +137,24 @@ def _rhs(H: Hamiltonian, rates: CollapseRateMatrix):
     return lambda y: -1j * (h_over_hbar @ y - y @ h_over_hbar) - damping * y
 
 
+def _step(rhs, dt: float, method: Method):
+    """One RK4 (or Euler) step of a matrix or a stack of matrices."""
+    if method is Method.EULER:
+        return lambda y: y + dt * rhs(y)
+
+    def rk4(y):
+        k1 = rhs(y)
+        k2 = rhs(y + (0.5 * dt) * k1)
+        k3 = rhs(y + (0.5 * dt) * k2)
+        k4 = rhs(y + dt * k3)
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rk4
+
+
+def _finite(y: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(y.view(np.float64))))
+
+
 def derivative(rho: DensityMatrix, H: Hamiltonian,
                rates: CollapseRateMatrix) -> np.ndarray:
     """Right-hand side -(i/hbar)[H, rho] - rates*rho, as a raw matrix.
@@ -175,27 +206,45 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
                          f"t_end exceed the budget of {MAX_STEPS}")
     n_steps = max(1, math.ceil(planned))
 
-    rhs = _rhs(H, rates)
+    n = len(basis)
+    samples = 1 + math.ceil(n_steps / cfg.record_stride)
+    if samples * n * n > MAX_RECORDED_ENTRIES:
+        raise ValueError(f"{samples} recorded samples of {n}x{n} exceed the "
+                         f"budget of {MAX_RECORDED_ENTRIES} entries; raise "
+                         f"record_stride")
+
+    step = _step(_rhs(H, rates), dt, cfg.method)
+    # Building the step operator costs about n^2 steps, so only a run at
+    # least that long builds it, and then jumps between samples with powers.
+    operator = n_steps >= n * n
+    if operator:
+        op = step(np.eye(n * n, dtype=np.complex128).reshape(-1, n, n))
+        op = op.reshape(n * n, n * n).T
+        step = lambda y: (op @ y.ravel()).reshape(n, n)
+        power = functools.cache(lambda k: np.linalg.matrix_power(op, k))
+
+    def advance(y, start: int, count: int) -> np.ndarray:
+        for s in range(start + 1, start + count + 1):
+            y = step(y)
+            if not _finite(y):
+                raise IntegrationError(f"non-finite state at t = {s * dt!r} s",
+                                       s * dt)
+        return y
+
     y = rho0.elements.astype(np.complex128)
     times = [0.0]
     states = [rho0]
-
-    euler = cfg.method is Method.EULER
-    for step in range(1, n_steps + 1):
-        if euler:
-            y = y + dt * rhs(y)
+    marks = [*range(cfg.record_stride, n_steps, cfg.record_stride), n_steps]
+    for start, stop in zip([0] + marks, marks):
+        if operator:
+            jump = (power(stop - start) @ y.ravel()).reshape(n, n)
+            # A non-finite jump is replayed one step at a time, so a
+            # blow-up is reported at its first non-finite step.
+            y = jump if _finite(jump) else advance(y, start, stop - start)
         else:
-            k1 = rhs(y)
-            k2 = rhs(y + (0.5 * dt) * k1)
-            k3 = rhs(y + (0.5 * dt) * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = step * dt
-        if not np.all(np.isfinite(y.view(np.float64))):
-            raise IntegrationError(f"non-finite state at t = {t!r} s", t)
-        if step % cfg.record_stride == 0 or step == n_steps:
-            times.append(t)
-            states.append(DensityMatrix(basis, y))
+            y = advance(y, start, stop - start)
+        times.append(stop * dt)
+        states.append(DensityMatrix(basis, y))
 
     drift, herm, lo = invariants(np.stack([s.elements for s in states]))
     worst = {"trace drift": drift.max(), "hermiticity defect": herm.max()}

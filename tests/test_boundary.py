@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import collapsim.boundary as boundary_mod
-from collapsim.boundary import (SCENARIOS, Scenario, SweepError, SweepSpec,
-                                curve_trajectory, scenario_verdict, sweep,
-                                visibility_curve)
+from collapsim.boundary import (MAX_SWEEP_POINTS, SCENARIOS, Scenario,
+                                SweepError, SweepSpec, curve_trajectory,
+                                scenario_verdict, sweep, visibility_curve)
 from collapsim.discrimination import (FreeFlightSpec, OscillatorSpec, Regime,
                                       TrappedPairSpec, ValidationError,
                                       free_flight_critical_mass,
@@ -43,6 +43,11 @@ class TestSweepSpec:
     def test_count_at_least_two(self):
         with pytest.raises(ValidationError, match="count"):
             trapped_sweep(count=1)
+
+    def test_count_at_most_the_cap(self):
+        assert trapped_sweep(count=MAX_SWEEP_POINTS).count == MAX_SWEEP_POINTS
+        with pytest.raises(ValidationError, match="count .* 10000, got 10001"):
+            trapped_sweep(count=MAX_SWEEP_POINTS + 1)
 
     def test_ordered_endpoints(self):
         with pytest.raises(ValidationError):

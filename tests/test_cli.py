@@ -293,6 +293,24 @@ class TestUsageErrors:
         assert out == ""
         assert "budget of 1000000" in err
 
+    def test_run_over_the_recording_budget_exits_2(self, capsys):
+        # 500000 steps are under the step budget, but recording each of
+        # them keeps 4 * 500001 entries.
+        code, out, err = run(capsys, "evolve", "--rate", "1 1/s",
+                             "--t-end", "1 s", "--dt", "2e-6 s")
+        assert (code, out) == (2, "")
+        assert err == ("error: 500001 recorded samples of 2x2 exceed the "
+                       "budget of 1000000 entries; raise record_stride\n")
+
+    def test_sweep_over_the_point_budget_exits_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "trapped", "--axis", "M",
+                             "--min", "1 GeV/c2", "--max", "1e6 GeV/c2",
+                             "--count", "1000000000",
+                             "--v", "100 m/s", "--D", "10 um")
+        assert (code, out) == (2, "")
+        assert err == ("error: count must be between 2 and 10000, "
+                       "got 1000000000\n")
+
     def test_invalid_geometry_exits_2(self, capsys):
         code, _, err = run(capsys, "tau", "free-flight", "--M", "1 GeV/c2",
                            "--v", "1 m/s", "--D", "10 um", "--L", "1 m",

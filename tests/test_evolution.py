@@ -149,6 +149,59 @@ class TestEvolve:
                        rate_matrix(1.0), cfg)
         assert err.value.time == 30000.0
 
+    def test_blow_up_between_samples_reports_its_first_step(self):
+        # Samples at steps 28 and 35 straddle the first non-finite step, 30.
+        cfg = EvolutionConfig(t_end=quantity(1e5, "s"), dt=quantity(1e3, "s"),
+                              record_stride=7)
+        with pytest.raises(IntegrationError) as err:
+            evolve(equal_superposition(), Hamiltonian.zero(BASIS),
+                   rate_matrix(1.0), cfg)
+        assert err.value.time == 30000.0
+        assert str(err.value) == "non-finite state at t = 30000.0 s"
+
+
+def reference_run(rho0, H, rates, dt, n_steps, method):
+    """Every state of a plain matrix-form RK4 (or Euler) loop."""
+    h, r = H.elements / HBAR.value, rates.rates
+
+    def f(y):
+        return -1j * (h @ y - y @ h) - r * y
+
+    y = rho0.elements
+    out = [y]
+    for _ in range(n_steps):
+        if method is Method.EULER:
+            y = y + dt * f(y)
+        else:
+            k1 = f(y)
+            k2 = f(y + 0.5 * dt * k1)
+            k3 = f(y + 0.5 * dt * k2)
+            k4 = f(y + dt * k3)
+            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return out
+
+
+@pytest.mark.parametrize("method, n", [(Method.RK4, 2), (Method.RK4, 3),
+                                       (Method.RK4, 5), (Method.EULER, 3)])
+@pytest.mark.parametrize("steps", ["n2-1", "n2", "10n2"])
+@pytest.mark.parametrize("stride", [1, 7, "all"])
+def test_every_sample_matches_a_plain_stepping_loop(method, n, steps, stride):
+    # n^2 - 1 steps step the matrix; n^2 and more build the step operator.
+    n_steps = {"n2-1": n * n - 1, "n2": n * n, "10n2": 10 * n * n}[steps]
+    stride = n_steps if stride == "all" else stride
+    rho0, H, rates = random_system(n, seed=10 * n + n_steps)
+    dt = 1.0 / 64.0
+    cfg = EvolutionConfig(t_end=quantity(n_steps * dt, "s"),
+                          dt=quantity(dt, "s"), method=method,
+                          record_stride=stride)
+    traj = evolve(rho0, H, rates, cfg)
+    marks = sorted({0, n_steps, *range(0, n_steps, stride)})
+    assert traj.times.tolist() == [k * dt for k in marks]
+    want = reference_run(rho0, H, rates, dt, n_steps, method)
+    for k, state in zip(marks, traj.states):
+        assert np.max(np.abs(state.elements - want[k])) <= 1e-12
+
 
 class TestStepBudget:
     def test_overflowing_plan_refused(self):
@@ -174,6 +227,36 @@ class TestStepBudget:
         with pytest.raises(ValueError, match="budget of 10$"):
             evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                    rate_matrix(1.0), cfg)
+
+    def test_recording_over_the_budget_refused_before_any_step(
+            self, monkeypatch):
+        # n = 16 at stride 1: 10001 samples of 256 entries.
+        def no_step(*args):
+            raise AssertionError("stepped a refused run")
+
+        monkeypatch.setattr(evolution, "_step", no_step)
+        rho0, H, rates = random_system(16, seed=16)
+        cfg = EvolutionConfig(t_end=quantity(1, "s"), dt=quantity(1e-4, "s"))
+        with pytest.raises(ValueError, match="10001 recorded samples of 16x16 "
+                           "exceed the budget of 1000000 entries; raise "
+                           "record_stride"):
+            evolve(rho0, H, rates, cfg)
+
+    def test_recording_at_the_budget_allowed(self, monkeypatch):
+        # 11 samples of 2x2 are exactly a budget of 44 entries; 12 are
+        # over it unless only every second step is recorded.
+        monkeypatch.setattr(evolution, "MAX_RECORDED_ENTRIES", 44)
+
+        def run(t_end, stride):
+            cfg = EvolutionConfig(t_end=quantity(t_end, "s"),
+                                  dt=quantity(0.1, "s"), record_stride=stride)
+            return evolve(equal_superposition(), Hamiltonian.zero(BASIS),
+                          rate_matrix(1.0), cfg)
+
+        assert len(run(1.0, 1).times) == 11
+        assert len(run(1.1, 2).times) == 7
+        with pytest.raises(ValueError, match="^12 recorded samples"):
+            run(1.1, 1)
 
 
 class TestAutoStep:

@@ -1,7 +1,9 @@
 """Trajectory outputs pinned byte for byte: JSON, a nonzero Hamiltonian and
 more than two levels, none of which the README examples cover.  The files
-in tests/golden/ were written by the code before trajectories kept their
-health as arrays, so these tests hold both before and after that change."""
+in tests/golden/ were last written by the code that applies each RK4 step
+as one precomputed n^2 x n^2 operator and jumps between recorded samples
+with its powers; against the matrix-form stepping before it, about half of
+their values moved, by at most 7e-16."""
 
 import json
 from pathlib import Path
