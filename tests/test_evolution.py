@@ -149,8 +149,12 @@ class TestEvolve:
                        rate_matrix(1.0), cfg)
         assert err.value.time == 30000.0
 
-    def test_blow_up_between_samples_reports_its_first_step(self):
+    @pytest.mark.parametrize("path", ["direct", "operator"])
+    def test_blow_up_between_samples_reports_its_first_step(self, monkeypatch,
+                                                            path):
         # Samples at steps 28 and 35 straddle the first non-finite step, 30.
+        monkeypatch.setattr(evolution, "_operator_pays",
+                            lambda *args: path == "operator")
         cfg = EvolutionConfig(t_end=quantity(1e5, "s"), dt=quantity(1e3, "s"),
                               record_stride=7)
         with pytest.raises(IntegrationError) as err:
@@ -186,8 +190,11 @@ def reference_run(rho0, H, rates, dt, n_steps, method):
                                        (Method.RK4, 5), (Method.EULER, 3)])
 @pytest.mark.parametrize("steps", ["n2-1", "n2", "10n2"])
 @pytest.mark.parametrize("stride", [1, 7, "all"])
-def test_every_sample_matches_a_plain_stepping_loop(method, n, steps, stride):
-    # n^2 - 1 steps step the matrix; n^2 and more build the step operator.
+@pytest.mark.parametrize("path", ["direct", "operator"])
+def test_every_sample_matches_a_plain_stepping_loop(monkeypatch, method, n,
+                                                    steps, stride, path):
+    monkeypatch.setattr(evolution, "_operator_pays",
+                        lambda *args: path == "operator")
     n_steps = {"n2-1": n * n - 1, "n2": n * n, "10n2": 10 * n * n}[steps]
     stride = n_steps if stride == "all" else stride
     rho0, H, rates = random_system(n, seed=10 * n + n_steps)
@@ -201,6 +208,40 @@ def test_every_sample_matches_a_plain_stepping_loop(method, n, steps, stride):
     want = reference_run(rho0, H, rates, dt, n_steps, method)
     for k, state in zip(marks, traj.states):
         assert np.max(np.abs(state.elements - want[k])) <= 1e-12
+
+
+@pytest.mark.parametrize("n, steps, stride, built", [
+    (2, 1, 1, False), (2, 2, 1, True), (3, 1000, 125, True),
+    (8, 25, 1, True), (16, 20, 1, False), (16, 256, 256, False),
+    (16, 4096, 4096, True), (24, 576, 576, False), (32, 40, 40, False)])
+def test_operator_built_only_where_it_pays(monkeypatch, n, steps, stride,
+                                           built):
+    # Building the operator steps a stack of n^2 basis matrices; the
+    # measured crossovers put these runs on either side of the rule.
+    stacks, real = [], evolution._step
+
+    def spy(rhs, dt, method):
+        step = real(rhs, dt, method)
+
+        def counted(y):
+            stacks.append(y.ndim == 3)
+            return step(y)
+        return counted
+
+    monkeypatch.setattr(evolution, "_step", spy)
+    rho0, H, rates = random_system(n, seed=n)
+    dt = 1.0 / 64.0
+    cfg = EvolutionConfig(t_end=quantity(steps * dt, "s"),
+                          dt=quantity(dt, "s"), record_stride=stride)
+    evolve(rho0, H, rates, cfg)
+    assert any(stacks) is built
+
+
+def test_large_operator_never_built():
+    # At n = 64 the operator would hold 16.8 million entries, and each of
+    # its products costs more than thousands of direct steps.
+    assert not evolution._operator_pays(64, Method.RK4, [64] * 64)
+    assert not evolution._operator_pays(64, Method.RK4, [10 ** 4] * 100)
 
 
 class TestStepBudget:
