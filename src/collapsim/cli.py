@@ -7,9 +7,12 @@ Subcommands
     sweep <scenario>                 one-axis grid scan with flip bisection
     curve <scenario>                 visibility-decay curve for a verdict
 
-Quantity flags take '<number> <unit>' strings ('100 m/s', '10 um',
-'2.5 GeV/c2').  Exit codes: 0 success, 2 usage error (bad flags, unknown
-units, invalid parameters), 1 computation error.
+The scenario is a positional argument; `collapsim tau --help` (and `sweep`,
+`curve`) lists the flags each scenario takes.  Quantity flags take
+'<number> <unit>' strings ('100 m/s', '10 um', '2.5 GeV/c2').  Exit codes:
+0 success, 2 usage error (bad, missing or unused flags, unknown units,
+invalid parameters; one `error:` line on stderr), 1 computation error.
+Trajectory health warnings go to stderr as `warning:` lines.
 """
 
 from __future__ import annotations
@@ -57,22 +60,11 @@ def _flag_names(entries) -> tuple[str, ...]:
                                for name in entry.params + entry.optional))
 
 
-def _scenario_flags(p: argparse.ArgumentParser, names: tuple[str, ...],
-                    required: bool = True) -> None:
-    helps = {
-        "M": "mass", "v": "speed", "D": "separation",
-        "L": "source-to-plate distance", "d": "slit width",
-        "E": "energy gap override", "omega0": "angular frequency",
-        "gap": "resonant energy gap", "n": "oscillator quantum number",
-    }
-    for name in names:
-        p.add_argument(f"--{name}", type=int if name == "n" else _quantity_arg,
-                       required=required, help=helps.get(name, name))
-
-
 def _scenario_params(args, axis: str | None = None) -> dict:
-    """{name: Quantity} for args.scenario from its flags but a sweep axis;
-    a missing required flag and one it does not use are usage errors."""
+    """{name: Quantity} for args.scenario from its flags but a sweep axis.
+
+    The one check of scenario flags: a missing required flag, one the
+    scenario does not use and one for the sweep axis are usage errors."""
     entry = SCENARIOS[args.scenario]
     params = {}
     for name in _flag_names(SCENARIOS.values()):
@@ -91,6 +83,11 @@ def _scenario_params(args, axis: str | None = None) -> dict:
 
 def _dump(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _warn(traj) -> None:
+    for line in traj.warnings:
+        print(f"warning: {line}", file=sys.stderr)
 
 
 def _verdict_text(verdict: disc.DiscriminationVerdict) -> str:
@@ -157,6 +154,7 @@ def _cmd_evolve(args) -> str:
                           method=Method(args.method),
                           record_stride=args.stride)
     traj = evolve(rho0, H, rates, cfg)
+    _warn(traj)
     if args.json:
         return _dump(trajectory_to_json(traj, ("here", "there")))
     return trajectory_to_csv(traj, ("here", "there"))
@@ -196,25 +194,34 @@ def _cmd_curve(args) -> str:
         t_end = 5.0 * verdict.tau
     traj = curve_trajectory(verdict, t_end, dt=args.dt,
                             record_stride=args.stride)
+    _warn(traj)
     if args.json:
         return _dump(trajectory_to_json(traj, ("here", "there")))
     return curve_to_csv(traj.times, traj.visibility("here", "there"))
 
 
-def _add_scenario_commands(p: argparse.ArgumentParser, handler,
-                           curve: bool = False) -> None:
-    """One subcommand per SCENARIOS entry, taking exactly its flags."""
-    kinds = p.add_subparsers(dest="scenario", required=True)
-    for entry in SCENARIOS.values():
-        q = kinds.add_parser(entry.name)
-        _scenario_flags(q, entry.params)
-        _scenario_flags(q, entry.optional, required=False)
-        if curve:
-            q.add_argument("--t-end", dest="t_end", type=_quantity_arg)
-            q.add_argument("--dt", type=_quantity_arg)
-            q.add_argument("--stride", type=int, default=1)
-        _add_common(q)
-        q.set_defaults(handler=handler)
+def _scenario_command(sub, command: str, summary: str, entries,
+                      handler) -> argparse.ArgumentParser:
+    """`command <scenario>` over the given SCENARIOS entries, taking the flags
+    of them all; its help lists each scenario's own flags."""
+    helps = {
+        "M": "mass", "v": "speed", "D": "separation",
+        "L": "source-to-plate distance", "d": "slit width",
+        "E": "energy gap override", "omega0": "angular frequency",
+        "gap": "resonant energy gap", "n": "oscillator quantum number",
+    }
+    lines = ["scenario flags:"] + [
+        " ".join([f"  {e.name}:"] + [f"--{n}" for n in e.params]
+                 + [f"[--{n}]" for n in e.optional]) for e in entries]
+    p = sub.add_parser(command, help=summary, epilog="\n".join(lines),
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("scenario", choices=[e.name for e in entries])
+    for name in _flag_names(entries):
+        p.add_argument(f"--{name}", type=int if name == "n" else _quantity_arg,
+                       help=helps.get(name, name))
+    _add_common(p)
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"mass output unit (default {DEFAULT_MASS_UNIT})")
     p.set_defaults(handler=_cmd_boundary)
 
-    p = sub.add_parser("tau", help="discrimination verdict for one setup")
-    _add_scenario_commands(p, _cmd_tau)
+    _scenario_command(sub, "tau", "discrimination verdict for one setup",
+                      SCENARIOS.values(), _cmd_tau)
 
     p = sub.add_parser("evolve", help="two-level decay trajectory")
     p.add_argument("--rate", type=_quantity_arg, required=True,
@@ -251,21 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="write output to PATH")
     p.set_defaults(handler=_cmd_evolve)
 
-    p = sub.add_parser("sweep", help="one-axis grid scan")
-    p.add_argument("scenario", choices=[s.value for s in Scenario])
+    p = _scenario_command(sub, "sweep", "one-axis grid scan",
+                          [SCENARIOS[s] for s in Scenario], _cmd_sweep)
     p.add_argument("--axis", required=True)
     p.add_argument("--min", type=_quantity_arg, required=True)
     p.add_argument("--max", type=_quantity_arg, required=True)
     p.add_argument("--count", type=int, default=21)
     p.add_argument("--spacing", choices=["geometric", "linear"],
                    default="geometric")
-    _scenario_flags(p, _flag_names(SCENARIOS[s] for s in Scenario),
-                    required=False)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("curve", help="visibility decay curve")
-    _add_scenario_commands(p, _cmd_curve, curve=True)
+    p = _scenario_command(sub, "curve", "visibility decay curve",
+                          SCENARIOS.values(), _cmd_curve)
+    p.add_argument("--t-end", dest="t_end", type=_quantity_arg)
+    p.add_argument("--dt", type=_quantity_arg)
+    p.add_argument("--stride", type=int, default=1)
 
     return parser
 

@@ -141,7 +141,7 @@ class TrappedPairSpec:
     """Particle held in one of two identical traps separated by D.
 
     energy_gap overrides the default estimate E = M v^2 for the trap's
-    level spacing.  margin (eta >= 1) tightens both probe constraints.
+    level spacing.  margin (finite eta >= 1) tightens both probe constraints.
     """
 
     mass: Quantity
@@ -157,6 +157,8 @@ class TrappedPairSpec:
         if self.energy_gap is not None:
             _require_positive(self.energy_gap, ENERGY, "energy_gap")
         _require(self.margin >= 1.0, f"margin must be >= 1, got {self.margin}")
+        _require(math.isfinite(self.margin),
+                 f"margin must be finite, got {self.margin}")
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,7 @@ def trapped_critical_mass(v: Quantity, D: Quantity, eta: float = 1.0) -> Quantit
     _require_positive(v, SPEED, "v")
     _require_positive(D, LENGTH, "D")
     _require(eta >= 1.0, f"eta must be >= 1, got {eta}")
+    _require(math.isfinite(eta), f"eta must be finite, got {eta}")
     return 4.0 * PI * HBAR * C * eta / (D * v ** 2)
 
 

@@ -9,6 +9,9 @@ string.
 from __future__ import annotations
 
 from .boundary import Scenario
+from .discrimination import Reason, Regime
+
+_REGIME = {"enum": [r.value for r in Regime]}
 
 _QUANTITY = {
     "type": "object",
@@ -60,9 +63,8 @@ VERDICT_SCHEMA = {
         "schema": {"const": "verdict/1"},
         "infinite": {"type": "boolean"},
         "tau": _QUANTITY,
-        "regime": {"enum": ["classical", "quantum", "marginal"]},
-        "reason": {"enum": ["window_closed", "photon_flight_time",
-                            "rabi_probe_destroys", "discriminable"]},
+        "regime": _REGIME,
+        "reason": {"enum": [r.value for r in Reason]},
         "derivation": {
             "type": "array",
             "items": {
@@ -125,7 +127,7 @@ REPORT_SCHEMA = {
                     "value": {"type": "number"},
                     "unit": {"type": "string"},
                     "tau": _QUANTITY,
-                    "regime": {"enum": ["classical", "quantum", "marginal"]},
+                    "regime": _REGIME,
                     "digest": {"type": "string"},
                 },
                 "required": ["value", "unit", "tau", "regime"],

@@ -8,13 +8,13 @@ import collapsim.boundary as boundary_mod
 from collapsim.boundary import (MAX_SWEEP_POINTS, SCENARIOS, Scenario,
                                 SweepError, SweepSpec, curve_trajectory,
                                 scenario_verdict, sweep, visibility_curve)
-from collapsim.discrimination import (FreeFlightSpec, OscillatorSpec, Regime,
-                                      TrappedPairSpec, ValidationError,
+from collapsim.discrimination import (FreeFlightSpec, OscillatorSpec, Reason,
+                                      Regime, TrappedPairSpec, ValidationError,
                                       free_flight_critical_mass,
                                       free_flight_tau, oscillator_verdict,
                                       photon_tau, rabi_tau,
                                       trapped_critical_mass, trapped_tau)
-from collapsim.schemas import REPORT_SCHEMA
+from collapsim.schemas import REPORT_SCHEMA, VERDICT_SCHEMA
 from collapsim.units import Quantity, quantity
 
 HBAR_V = 1.054571817e-34
@@ -282,6 +282,13 @@ class TestReportJson:
     def test_schema_scenarios_come_from_the_table(self):
         assert REPORT_SCHEMA["properties"]["scenario"]["enum"] == \
             [s.value for s in Scenario]
+
+    def test_schema_enums_are_the_enum_values(self):
+        verdict = VERDICT_SCHEMA["properties"]
+        row = REPORT_SCHEMA["properties"]["rows"]["items"]["properties"]
+        for prop, enum in [(verdict["regime"], Regime),
+                           (verdict["reason"], Reason), (row["regime"], Regime)]:
+            assert prop["enum"] == [member.value for member in enum]
 
     def test_no_flip_serializes_null(self):
         doc = sweep(trapped_sweep(count=5, v=1e-6)).to_json()

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import io
 import json
@@ -11,7 +10,8 @@ import jsonschema
 import pytest
 
 from collapsim.boundary import SCENARIOS
-from collapsim.cli import build_parser, main
+from collapsim import cli
+from collapsim.cli import main
 from collapsim.schemas import (REPORT_SCHEMA, TRAJECTORY_SCHEMA,
                                VERDICT_SCHEMA)
 from collapsim.units import parse_quantity
@@ -318,6 +318,39 @@ class TestUsageErrors:
         assert code == 2
         assert "slit_width" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["tau", "trapped", "--M", "2000 GeV/c2", "--v", "100 m/s",
+         "--D", "10 um", "--eta", "inf"],
+        ["boundary", "trapped", "--v", "100 m/s", "--D", "10 um",
+         "--eta", "inf"],
+    ], ids=lambda argv: argv[0])
+    def test_infinite_eta_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: margin must be finite, got inf\n"
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("argv, worst", [
+        # Euler with a gap and no decay grows the coherence every step.
+        (["evolve", "--rate", "0 1/s", "--gap", "1e-15 eV", "--method",
+          "euler", "--dt", "0.1 s", "--t-end", "10 s"], "-1.065e+00"),
+        # dt = 2.96 tau is beyond the RK4 stability limit of 2.79 tau.
+        (["curve", "trapped", "--M", "1e6 GeV/c2", "--v", "100 m/s",
+          "--D", "10 um", "--dt", "2.2e-16 s", "--t-end", "2.2e-15 s"],
+         "-6.177e+00"),
+    ], ids=["evolve", "curve"])
+    def test_health_warnings_go_to_stderr(self, capsys, argv, worst):
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert err == f"warning: min eigenvalue {worst} below floor -1.0e-10\n"
+        assert out.startswith("time_s,")
+
+    def test_healthy_run_prints_no_warning(self, capsys):
+        code, _, err = run(capsys, "evolve", "--rate", "1 1/s",
+                           "--t-end", "1 s")
+        assert (code, err) == (0, "")
+
 
 @pytest.mark.parametrize("name", sorted(README_EXAMPLES))
 def test_readme_example_output_is_unchanged(capsys, name):
@@ -326,23 +359,67 @@ def test_readme_example_output_is_unchanged(capsys, name):
     assert out == (GOLDEN / f"{name}.txt").read_bytes().decode()
 
 
-def subcommands(parser: argparse.ArgumentParser) -> dict:
-    action = next(a for a in parser._actions
-                  if isinstance(a, argparse._SubParsersAction))
-    return action.choices
+# A valid value for every scenario flag in the table.
+FLAG_VALUES = {"M": "2000 GeV/c2", "v": "100 m/s", "D": "10 um", "E": "1 eV",
+               "L": "1 m", "d": "1 um", "gap": "1 eV",
+               "omega0": "6.283 rad/s", "n": "0"}
+SWEEP_GRID = ["--axis", "M", "--min", "1 GeV/c2", "--max", "1e6 GeV/c2"]
 
 
-@pytest.mark.parametrize("command", ["tau", "curve"])
-def test_scenario_subcommands_take_exactly_the_table_flags(command):
-    common = {"-h", "--help", "--json", "--out", "--eta"}
-    if command == "curve":
-        common |= {"--t-end", "--dt", "--stride"}
-    kinds = subcommands(subcommands(build_parser())[command])
-    assert list(kinds) == list(SCENARIOS)
-    for name, entry in SCENARIOS.items():
-        flags = {s for a in kinds[name]._actions for s in a.option_strings}
-        names = entry.params + entry.optional
-        assert flags - common == {f"--{n}" for n in names}
+def command_entries(command: str) -> list:
+    """The SCENARIOS entries a scenario command covers."""
+    return [e for e in SCENARIOS.values()
+            if e.has_boundary or command != "sweep"]
+
+
+def scenario_argv(command: str, entry, omit: str | None = None) -> list:
+    """`command <scenario>` with every required flag of the scenario but
+    omit (and, for sweep, but the axis M)."""
+    argv = [command, entry.name] + (SWEEP_GRID if command == "sweep" else [])
+    for name in entry.params:
+        if name != omit and not (command == "sweep" and name == "M"):
+            argv += [f"--{name}", FLAG_VALUES[name]]
+    return argv
+
+
+@pytest.mark.parametrize("command, entry", [
+    (command, entry) for command in ("tau", "curve", "sweep")
+    for entry in command_entries(command)],
+    ids=lambda v: v if isinstance(v, str) else v.name)
+def test_scenario_takes_exactly_its_table_flags(capsys, command, entry):
+    own = entry.params + entry.optional
+    others = {n for e in command_entries(command) for n in e.params + e.optional}
+    for name in sorted(others - set(own)):
+        code, out, err = run(capsys, *scenario_argv(command, entry),
+                             f"--{name}", FLAG_VALUES[name])
+        assert (code, out, err) == (
+            2, "", f"error: {entry.name} does not take --{name}\n")
+    for name in entry.params:
+        if command == "sweep" and name == "M":
+            continue
+        code, out, err = run(capsys, *scenario_argv(command, entry, omit=name))
+        assert (code, out, err) == (
+            2, "", f"error: missing --{name} for {entry.name}\n")
+
+
+@pytest.mark.parametrize("command", ["tau", "curve", "sweep"])
+def test_help_lists_each_scenario_flags(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    listed = {}
+    for line in out.split("scenario flags:\n")[1].splitlines():
+        name, _, flags = line.partition(":")
+        listed[name.strip()] = flags.split()
+    assert listed == {
+        e.name: [f"--{n}" for n in e.params] + [f"[--{n}]" for n in e.optional]
+        for e in command_entries(command)}
+
+
+def test_traced_names_stay_bound_in_cli():
+    # perfbench's tracer wraps these where collapsim.cli looks them up.
+    for name in ("build_parser", "parse_quantity", "sweep", "evolve",
+                 "trajectory_to_csv", "curve_to_csv"):
+        assert callable(getattr(cli, name)), name
 
 
 def test_blow_up_prints_one_error_line():

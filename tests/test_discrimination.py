@@ -50,6 +50,15 @@ class TestNonFinite:
                            angular_frequency=quantity(6.283, "rad/s"),
                            quantum_number=math.inf)
 
+    def test_infinite_margin_rejected(self):
+        with pytest.raises(ValidationError, match="margin must be finite"):
+            trapped(2000.0, margin=math.inf)
+
+    def test_infinite_critical_mass_eta_rejected(self):
+        with pytest.raises(ValidationError, match="eta must be finite"):
+            trapped_critical_mass(quantity(100, "m/s"), quantity(10, "um"),
+                                  math.inf)
+
 
 class TestTrapped:
     def test_boundary_case_tau_is_separation_over_c(self):
