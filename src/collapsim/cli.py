@@ -11,7 +11,8 @@ The scenario is a positional argument; `collapsim tau --help` (and `sweep`,
 `curve`) lists the flags each scenario takes.  Quantity flags take
 '<number> <unit>' strings ('100 m/s', '10 um', '2.5 GeV/c2').  Exit codes:
 0 success, 2 usage error (bad, missing or unused flags, unknown units,
-invalid parameters; one `error:` line on stderr), 1 computation error.
+invalid parameters, an `--out` path that cannot be written; one `error:`
+line on stderr), 1 computation error.
 Trajectory health warnings go to stderr as `warning:` lines.
 """
 
@@ -291,7 +292,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

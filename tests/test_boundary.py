@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import collapsim.boundary as boundary_mod
-from collapsim.boundary import (MAX_SWEEP_POINTS, SCENARIOS, Scenario,
-                                SweepError, SweepSpec, curve_trajectory,
-                                scenario_verdict, sweep, visibility_curve)
+from collapsim.boundary import (BISECTION_REL_TOL, MAX_SWEEP_POINTS,
+                                SCENARIOS, Scenario, SweepError, SweepSpec,
+                                curve_trajectory, scenario_verdict, sweep,
+                                visibility_curve)
 from collapsim.discrimination import (FreeFlightSpec, OscillatorSpec, Reason,
                                       Regime, TrappedPairSpec, ValidationError,
                                       free_flight_critical_mass,
@@ -106,6 +107,21 @@ class TestTrappedSweep:
         a = json.dumps(sweep(trapped_sweep()).to_json(), sort_keys=True)
         b = json.dumps(sweep(trapped_sweep()).to_json(), sort_keys=True)
         assert a == b
+
+    def test_linear_velocity_sweep_matches_closed_form(self):
+        M, D = quantity(1e4, "GeV/c2"), quantity(10, "um")
+        v_ref = quantity(100, "m/s")
+        spec = SweepSpec(Scenario.TRAPPED, "v", quantity(1, "m/s"),
+                         quantity(200, "m/s"), count=21, spacing="linear",
+                         fixed={"M": M, "D": D})
+        report = sweep(spec)
+        assert ([row.value.value for row in report.rows]
+                == np.linspace(1.0, 200.0, 21).tolist())
+        # M* scales as 1/v^2, so the flip speed is v_ref sqrt(M*(v_ref) / M).
+        closed = v_ref.value * math.sqrt(
+            trapped_critical_mass(v_ref, D).value / M.value)
+        assert report.critical_value.value == pytest.approx(
+            closed, rel=BISECTION_REL_TOL)
 
 
 class TestFreeFlightSweep:

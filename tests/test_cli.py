@@ -184,6 +184,14 @@ class TestSweepAndCurve:
         assert doc["critical_value"]["value"] == pytest.approx(
             3.97289171186359e-24, rel=1e-5)
 
+    def test_sweep_linear_spacing(self, capsys):
+        code, out, _ = run(capsys, "sweep", "trapped", "--spacing", "linear",
+                           "--axis", "v", "--min", "1 m/s", "--max", "200 m/s",
+                           "--count", "5", "--M", "1e4 GeV/c2", "--D", "10 um")
+        assert code == 0
+        assert "  50.75 m/s  " in out
+        assert out.endswith("critical: 47.208363 m/s\n")
+
     def test_sweep_missing_fixed_param(self, capsys):
         code, _, err = run(capsys, "sweep", "trapped", "--axis", "M",
                            "--min", "1 GeV/c2", "--max", "1e6 GeV/c2",
@@ -328,6 +336,16 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "error: margin must be finite, got inf\n"
+
+    # A file in a directory that does not exist, and a directory.
+    @pytest.mark.parametrize("name", ["missing/out.txt", "."])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, name):
+        target = tmp_path / name
+        code, out, err = run(capsys, "tau", "photon", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write --out {target}: ")
+        assert err.count("\n") == 1
 
 
 class TestWarnings:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,14 @@ def test_visibility_curves_writes_three_csv_files(tmp_path):
         lines = (tmp_path / name).read_bytes().decode().split("\r\n")
         assert lines[0] == "time_s,visibility"
         assert len(lines) > 3
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    traj = namespace["traj"]
+    assert len(traj.min_eigenvalue) == len(traj.times) > 1
+    assert traj.warnings == ()
