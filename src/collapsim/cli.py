@@ -13,12 +13,14 @@ The scenario is a positional argument; `collapsim tau --help` (and `sweep`,
 0 success, 2 usage error (bad, missing or unused flags, unknown units,
 invalid parameters, an `--out` path that cannot be written; one `error:`
 line on stderr), 1 computation error.
-Trajectory health warnings go to stderr as `warning:` lines.
+Trajectory health warnings go to stderr as `warning:` lines.  The argument
+parser is built once per process, on the first call to `main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -30,8 +32,9 @@ from .boundary import (SCENARIOS, BoundaryReport, Scenario, SweepError,
 from .discrimination import ValidationError
 from .evolution import (EvolutionConfig, IntegrationError, Method, evolve,
                         trajectory_to_csv, trajectory_to_json, two_level_decay)
-from .units import (ENERGY, PER_SECOND, DimensionError, Quantity, UnitError,
-                    format_quantity, parse_quantity, preferred_unit, quantity)
+from .units import (ENERGY, MASS, PER_SECOND, UNITS, DimensionError, Quantity,
+                    UnitError, format_quantity, parse_quantity, preferred_unit,
+                    quantity)
 
 DEFAULT_MASS_UNIT = "GeV/c2"
 
@@ -225,7 +228,10 @@ def _scenario_command(sub, command: str, summary: str, entries,
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="collapsim",
         description="Pairwise spontaneous-collapse timescales, master-equation "
@@ -239,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=None,
                    help="trajectory angle (free-flight)")
     _add_common(p)
-    p.add_argument("--unit", metavar="U", default=DEFAULT_MASS_UNIT,
+    p.add_argument("--unit", default=DEFAULT_MASS_UNIT,
+                   choices=[u for u, (_, dim) in UNITS.items() if dim == MASS],
                    help=f"mass output unit (default {DEFAULT_MASS_UNIT})")
     p.set_defaults(handler=_cmd_boundary)
 

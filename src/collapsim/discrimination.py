@@ -74,15 +74,20 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+# These two run on every spec a sweep builds, so their messages are
+# formatted only when a check fails.
 def _require_dim(q: Quantity, dim, name: str) -> None:
-    _require(q.dim == dim, f"{name} must have dimension {dim.si_name()}, "
-                           f"got {q.dim.si_name()}")
+    if q.dim != dim:
+        raise ValidationError(f"{name} must have dimension {dim.si_name()}, "
+                              f"got {q.dim.si_name()}")
 
 
 def _require_positive(q: Quantity, dim, name: str) -> None:
     _require_dim(q, dim, name)
-    _require(q.value > 0.0, f"{name} must be positive, got {q.value!r}")
-    _require(q.is_finite, f"{name} must be finite, got {q.value!r}")
+    if not q.value > 0.0:
+        raise ValidationError(f"{name} must be positive, got {q.value!r}")
+    if not q.is_finite:
+        raise ValidationError(f"{name} must be finite, got {q.value!r}")
 
 
 @dataclass(frozen=True)

@@ -239,4 +239,5 @@ _PREFERRED_UNIT: dict[Dimension, str] = {
 
 def preferred_unit(dim: Dimension) -> str:
     """Canonical unit string for a dimension (composed SI name if exotic)."""
-    return _PREFERRED_UNIT.get(dim, dim.si_name())
+    unit = _PREFERRED_UNIT.get(dim)
+    return dim.si_name() if unit is None else unit

@@ -9,12 +9,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from collapsim.boundary import SCENARIOS
-from collapsim import cli
+from collapsim.boundary import (SCENARIOS, Scenario, SweepSpec,
+                                scenario_verdict, sweep)
+from collapsim import cli, units
 from collapsim.cli import main
 from collapsim.schemas import (REPORT_SCHEMA, TRAJECTORY_SCHEMA,
                                VERDICT_SCHEMA)
-from collapsim.units import parse_quantity
+from collapsim.units import Quantity, parse_quantity, quantity
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -292,7 +293,20 @@ class TestUsageErrors:
         code, out, err = run(capsys, "boundary", "trapped", "--v", "100 m/s",
                              "--D", "10 um", "--unit", "m")
         assert (code, out) == (2, "")
-        assert err == "error: cannot format kg as 'm' (m)\n"
+        assert err.endswith(
+            "collapsim boundary: error: argument --unit: invalid choice: 'm' "
+            "(choose from 'kg', 'GeV/c2', 'MeV/c2')\n")
+
+    @pytest.mark.parametrize("flags", [["--unit", "m"],
+                                       ["--json", "--unit", "foo"]],
+                             ids=["non-mass", "unknown-json"])
+    def test_unit_is_checked_before_the_sweep(self, capsys, monkeypatch,
+                                              flags):
+        monkeypatch.setattr(cli, "sweep", lambda spec: pytest.fail("swept"))
+        code, out, err = run(capsys, "boundary", "trapped", "--v", "100 m/s",
+                             "--D", "10 um", *flags)
+        assert (code, out) == (2, "")
+        assert "argument --unit: invalid choice" in err
 
     def test_run_over_the_step_budget_exits_2(self, capsys):
         code, out, err = run(capsys, "evolve", "--rate", "1 1/s",
@@ -431,6 +445,45 @@ def test_help_lists_each_scenario_flags(capsys, command):
     assert listed == {
         e.name: [f"--{n}" for n in e.params] + [f"[--{n}]" for n in e.optional]
         for e in command_entries(command)}
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    golden = {name: (GOLDEN / f"{name}.txt").read_bytes().decode()
+              for name in ("tau_trapped_json", "boundary_free_flight",
+                           "evolve")}
+    assert run(capsys, *README_EXAMPLES["tau_trapped_json"]) == \
+        (0, golden["tau_trapped_json"], "")
+    assert run(capsys, *README_EXAMPLES["boundary_free_flight"]) == \
+        (0, golden["boundary_free_flight"], "")
+    assert run(capsys, "tau", "trapped", "--v", "100 m/s", "--D", "10 um") == \
+        (2, "", "error: missing --M for trapped\n")
+    code, help_text, _ = run(capsys, "tau", "--help")
+    assert code == 0 and "scenario flags:" in help_text
+    assert run(capsys, "tau", "--help") == (0, help_text, "")
+    assert run(capsys, *README_EXAMPLES["evolve"]) == (0, golden["evolve"], "")
+    assert run(capsys, *README_EXAMPLES["tau_trapped_json"]) == \
+        (0, golden["tau_trapped_json"], "")
+
+
+def test_passing_checks_format_no_dimension_names(capsys, monkeypatch):
+    # Every dimension in the trapped and oscillator derivations has a
+    # preferred unit, so si_name() is needed only for an error message.
+    calls = []
+    si_name = units.Dimension.si_name
+    monkeypatch.setattr(units.Dimension, "si_name",
+                        lambda self: calls.append(self) or si_name(self))
+    for _ in range(2):
+        assert run(capsys, *README_EXAMPLES["boundary_trapped"])[0] == 0
+    report = sweep(SweepSpec(
+        Scenario.TRAPPED, "M", quantity(1, "GeV/c2"), quantity(1e6, "GeV/c2"),
+        count=13, fixed={"v": quantity(100, "m/s"), "D": quantity(10, "um")}))
+    assert report.critical_value is not None
+    for n in (0, 1e20):
+        scenario_verdict("oscillator", {"M": quantity(40, "kg"),
+                                        "omega0": quantity(6.283, "rad/s"),
+                                        "n": Quantity(n)})
+    assert calls == []
 
 
 def test_traced_names_stay_bound_in_cli():

@@ -35,6 +35,45 @@ def free_flight(mass_gev, v=1e3, D=1e-5, L=1.0, d=1e-6):
                           slit_width=quantity(d, "m"))
 
 
+# A valid spec of each class; one field at a time is replaced below.
+VALID_SPECS = {
+    TrappedPairSpec: dict(mass=quantity(1, "kg"),
+                          mean_velocity=quantity(100, "m/s"),
+                          separation=quantity(10, "um"),
+                          energy_gap=quantity(1, "eV")),
+    FreeFlightSpec: dict(mass=quantity(1, "kg"), speed=quantity(1e3, "m/s"),
+                         slit_separation=quantity(10, "um"),
+                         source_distance=quantity(1, "m"),
+                         slit_width=quantity(1, "um")),
+    OscillatorSpec: dict(mass=quantity(40, "kg"),
+                         angular_frequency=quantity(6.283, "rad/s"),
+                         quantum_number=0),
+}
+
+
+@pytest.mark.parametrize("cls, field, unit, si_name", [
+    (TrappedPairSpec, "mass", "kg", "kg"),
+    (TrappedPairSpec, "mean_velocity", "m/s", "m s^-1"),
+    (TrappedPairSpec, "separation", "m", "m"),
+    (TrappedPairSpec, "energy_gap", "J", "kg m^2 s^-2"),
+    (FreeFlightSpec, "speed", "m/s", "m s^-1"),
+    (OscillatorSpec, "angular_frequency", "rad/s", "s^-1"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else v)
+def test_validation_messages_are_exact(cls, field, unit, si_name):
+    wrong = "s" if unit == "m" else "m"
+    cases = [
+        (quantity(1, wrong),
+         f"{field} must have dimension {si_name}, got {wrong}"),
+        (quantity(0, unit), f"{field} must be positive, got 0.0"),
+        (quantity(-1, unit), f"{field} must be positive, got -1.0"),
+        (quantity(math.inf, unit), f"{field} must be finite, got inf"),
+    ]
+    for value, message in cases:
+        with pytest.raises(ValidationError) as info:
+            cls(**{**VALID_SPECS[cls], field: value})
+        assert str(info.value) == message
+
+
 class TestNonFinite:
     def test_infinite_mass_rejected(self):
         with pytest.raises(ValidationError, match="mass must be finite"):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collapsim.units import (C, DIMENSIONLESS, ENERGY, HBAR, LENGTH, MASS,
-                             PER_SECOND, SPEED, TIME, Dimension,
+                             MOMENTUM, PER_SECOND, SPEED, TIME, Dimension,
                              DimensionError, Quantity, UnitError, UNITS,
-                             format_quantity, parse_quantity, quantity)
+                             format_quantity, parse_quantity, preferred_unit,
+                             quantity)
 
 GEV = 1.78266192e-27
 
@@ -119,6 +120,11 @@ class TestQuantityArithmetic:
 
     def test_to_converts(self):
         assert quantity(2.5, "GeV/c2").to("MeV/c2") == pytest.approx(2500.0)
+
+
+def test_preferred_unit_falls_back_to_the_si_name():
+    assert preferred_unit(MASS) == "kg"
+    assert preferred_unit(MOMENTUM) == "kg m s^-1"
 
 
 class TestConstants:
