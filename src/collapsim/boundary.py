@@ -44,8 +44,10 @@ class SweepError(RuntimeError):
 class ScenarioEntry:
     """One scenario: required and optional parameter names, and its verdict.
 
-    verdict(params, eta) evaluates a {name: Quantity} map.  Only a scenario
-    that uses_eta accepts eta != 1; sweeps scan those with has_boundary.
+    verdict(params, eta) evaluates a {name: Quantity} map holding every name
+    in params, any of optional and nothing else; _check_params enforces
+    that before any verdict runs.  Only a scenario that uses_eta accepts
+    eta != 1; sweeps scan those with has_boundary.
     """
 
     name: str
@@ -92,8 +94,11 @@ class SweepSpec:
     """One-axis scan of a scenario: grid plus fixed remaining parameters.
 
     Quantities throughout; the oscillator's n is a dimensionless Quantity
-    and is rounded to an integer at grid points.  eta is the margin, which
-    only a scenario that uses it accepts != 1.
+    and is rounded to an integer at grid points.  fixed holds every
+    parameter of the scenario but the axis, any of its optional ones and
+    nothing else; a missing, unused, axis or non-Quantity entry raises
+    ValidationError.  eta is the margin, which only a scenario that uses it
+    accepts != 1.
     """
 
     scenario: Scenario
@@ -127,14 +132,17 @@ class SweepSpec:
             raise ValidationError(f"unknown spacing '{self.spacing}'")
         if self.spacing == "geometric" and self.minimum.value <= 0.0:
             raise ValidationError("geometric spacing needs minimum > 0")
+        _check_params(SCENARIOS[self.scenario], self.fixed, self.axis)
 
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One grid point; to_json formats the verdict's derivation."""
+
     value: Quantity
     tau: Quantity
     regime: Regime
-    digest: str
+    derivation: tuple
 
 
 @dataclass(frozen=True)
@@ -156,7 +164,7 @@ class BoundaryReport:
                     "tau": {"value": None if not row.tau.is_finite else row.tau.value,
                             "unit": "s"},
                     "regime": row.regime.value,
-                    "digest": row.digest,
+                    "digest": _derivation_digest(row.derivation),
                 }
                 for row in self.rows
             ],
@@ -167,38 +175,60 @@ class BoundaryReport:
         }
 
 
-def _derivation_digest(verdict: DiscriminationVerdict) -> str:
+def _derivation_digest(derivation: tuple) -> str:
     parts = [f"{sym}={q.value:.6g} {preferred_unit(q.dim)}"
-             for sym, q in verdict.derivation]
+             for sym, q in derivation]
     return "; ".join(parts)
+
+
+def _check_params(entry: ScenarioEntry, params: dict,
+                  axis: str | None = None) -> None:
+    """The one check of a parameter map: every name of entry.params but the
+    sweep axis, any of entry.optional, nothing else, and only Quantities."""
+    for name in entry.params:
+        if name != axis and name not in params:
+            raise ValidationError(f"missing {name} for {entry.name}")
+    for name, value in params.items():
+        if name == axis:
+            raise ValidationError(f"{name} is the sweep axis")
+        if name not in entry.params and name not in entry.optional:
+            raise ValidationError(f"{entry.name} does not take {name}")
+        if not isinstance(value, Quantity):
+            raise ValidationError(f"{name} must be a Quantity, "
+                                  f"got {type(value).__name__}")
 
 
 def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
                      ) -> DiscriminationVerdict:
-    """Evaluate one SCENARIOS entry from a {name: Quantity} parameter map."""
+    """Evaluate one SCENARIOS entry from a {name: Quantity} parameter map.
+
+    An unknown scenario, an eta != 1 it does not use, and a missing, unused
+    or non-Quantity parameter raise ValidationError.
+    """
     entry = SCENARIOS.get(scenario)
     if entry is None:
         raise ValidationError(
             f"unknown scenario '{scenario}' (one of {list(SCENARIOS)})")
     if eta != 1.0 and not entry.uses_eta:
         raise ValidationError(f"{entry.name} takes no margin eta, got {eta}")
+    _check_params(entry, params)
     return entry.verdict(params, eta)
 
 
-def _is_finite_at(spec: SweepSpec, x: float) -> bool:
-    """Finite-tau classifier at axis value x (SI scale; n may be real)."""
+def _verdict_at(spec: SweepSpec, x: float) -> DiscriminationVerdict:
+    """The verdict at axis value x (SI scale; n may be real)."""
     params = dict(spec.fixed)
     params[spec.axis] = Quantity(x, spec.minimum.dim)
-    return not scenario_verdict(spec.scenario, params, spec.eta).is_infinite
+    return scenario_verdict(spec.scenario, params, spec.eta)
 
 
 def _bisect(spec: SweepSpec, lo: float, hi: float) -> float:
     """Refine a flip bracket to BISECTION_REL_TOL relative width."""
-    lo_finite = _is_finite_at(spec, lo)
+    lo_infinite = _verdict_at(spec, lo).is_infinite
     geometric = spec.spacing == "geometric"
     while (hi - lo) > BISECTION_REL_TOL * lo:
         mid = math.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
-        if _is_finite_at(spec, mid) == lo_finite:
+        if _verdict_at(spec, mid).is_infinite == lo_infinite:
             lo = mid
         else:
             hi = mid
@@ -220,13 +250,12 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
     rows = []
     finite_flags = []
     for x in grid:
+        x = float(x)
         if spec.scenario is Scenario.OSCILLATOR and spec.axis == "n":
             x = float(round(x))
-        params = dict(spec.fixed)
-        params[spec.axis] = Quantity(float(x), spec.minimum.dim)
-        verdict = scenario_verdict(spec.scenario, params, spec.eta)
-        rows.append(SweepRow(Quantity(float(x), spec.minimum.dim), verdict.tau,
-                             verdict.regime, _derivation_digest(verdict)))
+        verdict = _verdict_at(spec, x)
+        rows.append(SweepRow(Quantity(x, spec.minimum.dim), verdict.tau,
+                             verdict.regime, verdict.derivation))
         finite_flags.append(not verdict.is_infinite)
 
     flips = [i for i in range(len(grid) - 1)

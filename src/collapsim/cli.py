@@ -12,7 +12,9 @@ The scenario is a positional argument; `collapsim tau --help` (and `sweep`,
 '<number> <unit>' strings ('100 m/s', '10 um', '2.5 GeV/c2').  Exit codes:
 0 success, 2 usage error (bad, missing or unused flags, unknown units,
 invalid parameters, an `--out` path that cannot be written; one `error:`
-line on stderr), 1 computation error.
+line on stderr), 1 computation error.  The scenario flags a command was
+given are checked by `boundary` against its scenario table, so those
+errors name the parameter without its `--`.
 Trajectory health warnings go to stderr as `warning:` lines.  The argument
 parser is built once per process, on the first call to `main`.
 """
@@ -64,23 +66,13 @@ def _flag_names(entries) -> tuple[str, ...]:
                                for name in entry.params + entry.optional))
 
 
-def _scenario_params(args, axis: str | None = None) -> dict:
-    """{name: Quantity} for args.scenario from its flags but a sweep axis.
-
-    The one check of scenario flags: a missing required flag, one the
-    scenario does not use and one for the sweep axis are usage errors."""
-    entry = SCENARIOS[args.scenario]
+def _scenario_params(args) -> dict:
+    """{name: Quantity} of the scenario flags that were given, n wrapped as
+    a dimensionless Quantity; boundary checks the map against the table."""
     params = {}
     for name in _flag_names(SCENARIOS.values()):
         value = getattr(args, name, None)
-        if value is None:
-            if name in entry.params and name != axis:
-                raise ValidationError(f"missing --{name} for {entry.name}")
-        elif name == axis:
-            raise ValidationError(f"--{name} is the sweep axis")
-        elif name not in entry.params + entry.optional:
-            raise ValidationError(f"{entry.name} does not take --{name}")
-        else:
+        if value is not None:
             params[name] = Quantity(value) if name == "n" else value
     return params
 
@@ -167,7 +159,7 @@ def _cmd_evolve(args) -> str:
 def _cmd_sweep(args) -> str:
     spec = SweepSpec(Scenario(args.scenario), args.axis, args.min, args.max,
                      count=args.count, spacing=args.spacing,
-                     fixed=_scenario_params(args, args.axis), eta=args.eta)
+                     fixed=_scenario_params(args), eta=args.eta)
     report = sweep(spec)
     if args.json:
         return _dump(report.to_json())

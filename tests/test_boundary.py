@@ -3,14 +3,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import collapsim.boundary as boundary_mod
 from collapsim.boundary import (BISECTION_REL_TOL, MAX_SWEEP_POINTS,
                                 SCENARIOS, Scenario, SweepError, SweepSpec,
                                 curve_trajectory, scenario_verdict, sweep,
                                 visibility_curve)
-from collapsim.discrimination import (FreeFlightSpec, OscillatorSpec, Reason,
-                                      Regime, TrappedPairSpec, ValidationError,
+from collapsim.discrimination import (DiscriminationVerdict, FreeFlightSpec,
+                                      OscillatorSpec, Reason, Regime,
+                                      TrappedPairSpec, ValidationError,
                                       free_flight_critical_mass,
                                       free_flight_tau, oscillator_verdict,
                                       photon_tau, rabi_tau,
@@ -33,6 +35,10 @@ def trapped_sweep(count=25, v=100.0, eta=1.0):
 def free_flight_fixed():
     return {"v": quantity(1e3, "m/s"), "D": quantity(10, "um"),
             "L": quantity(1, "m"), "d": quantity(1, "um")}
+
+
+def raises_exactly(message):
+    return pytest.raises(ValidationError, match=f"^{re.escape(message)}$")
 
 
 class TestSweepSpec:
@@ -64,8 +70,27 @@ class TestSweepSpec:
 
     def test_scenario_name_becomes_a_member(self):
         spec = SweepSpec("trapped", "M", quantity(1, "kg"), quantity(2, "kg"),
-                         count=5, fixed={})
+                         count=5, fixed={"v": quantity(100, "m/s"),
+                                         "D": quantity(10, "um")})
         assert spec.scenario is Scenario.TRAPPED
+
+    @pytest.mark.parametrize("fixed, message", [
+        ({"v": quantity(100, "m/s"), "D": quantity(10, "um"),
+          "L": quantity(1, "m")}, "trapped does not take L"),
+        ({"v": quantity(100, "m/s"), "D": quantity(10, "um"),
+          "M": quantity(3, "kg")}, "M is the sweep axis"),
+        ({"v": quantity(100, "m/s")}, "missing D for trapped"),
+    ], ids=["unused", "axis", "missing"])
+    def test_fixed_holds_exactly_the_other_parameters(self, fixed, message):
+        with raises_exactly(message):
+            SweepSpec(Scenario.TRAPPED, "M", quantity(1, "kg"),
+                      quantity(2, "kg"), count=5, fixed=fixed)
+
+    def test_fixed_values_must_be_quantities(self):
+        with raises_exactly("n must be a Quantity, got int"):
+            SweepSpec(Scenario.OSCILLATOR, "M", quantity(1e-30, "kg"),
+                      quantity(1e-10, "kg"), count=5,
+                      fixed={"omega0": quantity(1e5, "rad/s"), "n": 3})
 
     def test_geometric_needs_positive_minimum(self):
         with pytest.raises(ValidationError, match="geometric"):
@@ -238,11 +263,49 @@ class TestScenarioVerdict:
                            match=re.escape(f"one of {list(SCENARIOS)}")):
             scenario_verdict("bogus", {})
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("trapped", {"M": quantity(1, "kg")}, "missing v for trapped"),
+        ("trapped", {**DIRECT_CALLS["trapped"][0], "L": quantity(1, "m")},
+         "trapped does not take L"),
+        ("photon", {"gap": quantity(1, "eV")}, "photon does not take gap"),
+        ("trapped", {**DIRECT_CALLS["trapped"][0], "M": 2000.0},
+         "M must be a Quantity, got float"),
+        ("oscillator", {**DIRECT_CALLS["oscillator"][0], "n": 3},
+         "n must be a Quantity, got int"),
+    ], ids=["missing", "unused", "unused-photon", "float", "int-n"])
+    def test_parameter_map_checked_against_the_table(self, name, params,
+                                                      message):
+        with raises_exactly(message):
+            scenario_verdict(name, params)
+
     def test_energy_override_passthrough(self):
         params = {"M": quantity(1, "GeV/c2"), "v": quantity(1, "m/s"),
                   "D": quantity(10, "um"), "E": quantity(1e-15, "J")}
         verdict = scenario_verdict(Scenario.TRAPPED, params)
         assert not verdict.is_infinite
+
+
+# A valid value for every table parameter, and theta, which none takes.
+PARAM_VALUES = {"M": quantity(2000, "GeV/c2"), "v": quantity(100, "m/s"),
+                "D": quantity(10, "um"), "E": quantity(1, "eV"),
+                "L": quantity(1, "m"), "d": quantity(1, "um"),
+                "gap": quantity(1, "eV"), "omega0": quantity(6.283, "rad/s"),
+                "n": Quantity(0.0), "theta": Quantity(1e-5)}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+@given(drop=st.sets(st.sampled_from(sorted(PARAM_VALUES))),
+       add=st.sets(st.sampled_from(sorted(PARAM_VALUES))))
+def test_verdict_exactly_when_the_map_fits_the_table(name, drop, add):
+    entry = SCENARIOS[name]
+    names = (set(entry.params + entry.optional) - drop) | add
+    params = {n: PARAM_VALUES[n] for n in names}
+    if set(entry.params) <= names <= set(entry.params + entry.optional):
+        assert isinstance(scenario_verdict(name, params),
+                          DiscriminationVerdict)
+    else:
+        with pytest.raises(ValidationError):
+            scenario_verdict(name, params)
 
 
 class TestVisibilityCurve:
@@ -305,6 +368,19 @@ class TestReportJson:
         for prop, enum in [(verdict["regime"], Regime),
                            (verdict["reason"], Reason), (row["regime"], Regime)]:
             assert prop["enum"] == [member.value for member in enum]
+
+    def test_digests_formatted_only_by_to_json(self, monkeypatch):
+        calls = []
+        real = boundary_mod._derivation_digest
+        monkeypatch.setattr(boundary_mod, "_derivation_digest",
+                            lambda derivation: calls.append(derivation)
+                            or real(derivation))
+        report = sweep(trapped_sweep(count=9))
+        assert calls == []
+        doc = report.to_json()
+        assert len(calls) == len(report.rows) == 9
+        assert [row["digest"] for row in doc["rows"]] == \
+            [real(row.derivation) for row in report.rows]
 
     def test_no_flip_serializes_null(self):
         doc = sweep(trapped_sweep(count=5, v=1e-6)).to_json()

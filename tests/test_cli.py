@@ -198,7 +198,7 @@ class TestSweepAndCurve:
                            "--min", "1 GeV/c2", "--max", "1e6 GeV/c2",
                            "--v", "100 m/s")
         assert code == 2
-        assert "--D" in err
+        assert err == "error: missing D for trapped\n"
 
     def test_curve_photon_flat(self, capsys):
         code, out, _ = run(capsys, "curve", "photon", "--t-end", "1 s",
@@ -249,13 +249,14 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, flag", [
         (["sweep", "free-flight", "--axis", "M", "--min", "1 GeV/c2",
           "--max", "1e3 GeV/c2", "--v", "1e3 m/s", "--D", "10 um",
-          "--L", "1 m", "--d", "1 um", "--E", "1 eV"], "--E"),
+          "--L", "1 m", "--d", "1 um", "--E", "1 eV"],
+         "error: free-flight does not take E\n"),
         (["sweep", "trapped", "--axis", "M", "--min", "1 GeV/c2",
           "--max", "1e6 GeV/c2", "--v", "100 m/s", "--D", "10 um",
-          "--L", "1 m"], "--L"),
+          "--L", "1 m"], "error: trapped does not take L\n"),
         (["sweep", "trapped", "--axis", "M", "--min", "1 GeV/c2",
           "--max", "1e6 GeV/c2", "--v", "100 m/s", "--D", "10 um",
-          "--M", "1 kg"], "--M is the sweep axis"),
+          "--M", "1 kg"], "error: M is the sweep axis\n"),
         (["boundary", "trapped", "--v", "100 m/s", "--D", "10 um",
           "--theta", "1e-5"], "--theta"),
         (["evolve", "--rate", "1 1/s", "--t-end", "1 s", "--eta", "2"],
@@ -391,6 +392,20 @@ def test_readme_example_output_is_unchanged(capsys, name):
     assert out == (GOLDEN / f"{name}.txt").read_bytes().decode()
 
 
+# report/1 documents of README examples, keyed by tests/golden/<key>.txt.
+REPORT_EXAMPLES = {
+    "sweep_trapped_json": README_EXAMPLES["sweep_trapped"] + ["--json"],
+    "boundary_free_flight_json": README_EXAMPLES["boundary_free_flight"]
+    + ["--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_EXAMPLES))
+def test_report_json_is_unchanged(capsys, name):
+    assert run(capsys, *REPORT_EXAMPLES[name]) == \
+        (0, (GOLDEN / f"{name}.txt").read_bytes().decode(), "")
+
+
 # A valid value for every scenario flag in the table.
 FLAG_VALUES = {"M": "2000 GeV/c2", "v": "100 m/s", "D": "10 um", "E": "1 eV",
                "L": "1 m", "d": "1 um", "gap": "1 eV",
@@ -425,13 +440,13 @@ def test_scenario_takes_exactly_its_table_flags(capsys, command, entry):
         code, out, err = run(capsys, *scenario_argv(command, entry),
                              f"--{name}", FLAG_VALUES[name])
         assert (code, out, err) == (
-            2, "", f"error: {entry.name} does not take --{name}\n")
+            2, "", f"error: {entry.name} does not take {name}\n")
     for name in entry.params:
         if command == "sweep" and name == "M":
             continue
         code, out, err = run(capsys, *scenario_argv(command, entry, omit=name))
         assert (code, out, err) == (
-            2, "", f"error: missing --{name} for {entry.name}\n")
+            2, "", f"error: missing {name} for {entry.name}\n")
 
 
 @pytest.mark.parametrize("command", ["tau", "curve", "sweep"])
@@ -457,7 +472,7 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert run(capsys, *README_EXAMPLES["boundary_free_flight"]) == \
         (0, golden["boundary_free_flight"], "")
     assert run(capsys, "tau", "trapped", "--v", "100 m/s", "--D", "10 um") == \
-        (2, "", "error: missing --M for trapped\n")
+        (2, "", "error: missing M for trapped\n")
     code, help_text, _ = run(capsys, "tau", "--help")
     assert code == 0 and "scenario flags:" in help_text
     assert run(capsys, "tau", "--help") == (0, help_text, "")
