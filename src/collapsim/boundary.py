@@ -25,7 +25,7 @@ from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
                              ValidationError)
 from .evolution import (EvolutionConfig, Trajectory, csv_text, evolve,
                         two_level_decay)
-from .units import Quantity, preferred_unit
+from .units import DIMENSIONLESS, Quantity, preferred_unit
 
 REPORT_SCHEMA_ID = "report/1"
 
@@ -58,6 +58,14 @@ class ScenarioEntry:
     has_boundary: bool = True
 
 
+def _oscillator_verdict(p: dict, eta: float) -> DiscriminationVerdict:
+    """The oscillator verdict; n must be a dimensionless Quantity."""
+    disc._require_dim(p["n"], DIMENSIONLESS, "n")
+    return disc.oscillator_verdict(OscillatorSpec(
+        mass=p["M"], angular_frequency=p["omega0"],
+        quantum_number=p["n"].value))
+
+
 # Verdicts look up disc.<fn> when called, so wrapping it later (tracing,
 # profiling) still sees every dispatch through this table.
 SCENARIOS: dict[str, ScenarioEntry] = {entry.name: entry for entry in (
@@ -75,11 +83,8 @@ SCENARIOS: dict[str, ScenarioEntry] = {entry.name: entry for entry in (
                   has_boundary=False),
     ScenarioEntry("rabi", ("gap",), has_boundary=False,
                   verdict=lambda p, eta: disc.rabi_tau(p["gap"])),
-    ScenarioEntry(
-        "oscillator", ("M", "omega0", "n"),
-        verdict=lambda p, eta: disc.oscillator_verdict(OscillatorSpec(
-            mass=p["M"], angular_frequency=p["omega0"],
-            quantum_number=p["n"].value))),
+    ScenarioEntry("oscillator", ("M", "omega0", "n"),
+                  verdict=_oscillator_verdict),
 )}
 
 # The scenarios a sweep can scan, e.g. Scenario.FREE_FLIGHT == "free-flight".

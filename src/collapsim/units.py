@@ -4,14 +4,21 @@ Values are stored at SI base scale (kg, m, s); the unit tokens in UNITS are
 pure I/O conversions.  Arithmetic across mismatched dimensions raises
 DimensionError rather than silently coercing.  Integer dimension exponents
 suffice for every formula in this package; square roots are only ever taken
-of quantities with even exponents.
+of quantities with even exponents, and a non-integer power of a dimensional
+quantity raises DimensionError.
+
+Both classes are immutable values built for the verdict hot path, where a
+sweep does thousands of operations.  Dimension is interned: there is one
+instance per exponent triple, so comparing two dimensions compares
+pointers.  Quantity is a slotted pair (value, dim) that is built without
+going through its own frozen __setattr__.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 
 class UnitError(ValueError):
@@ -22,23 +29,68 @@ class DimensionError(TypeError):
     """Operation attempted across incompatible dimensions."""
 
 
-@dataclass(frozen=True)
-class Dimension:
-    """Exponents of mass, length, and time.  Exact integer arithmetic."""
+class _Frozen:
+    """Assignment and deletion raise FrozenInstanceError, as on a frozen
+    dataclass; constructors set their slots through object.__setattr__ or
+    the slot descriptors."""
 
-    mass: int = 0
-    length: int = 0
-    time: int = 0
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# Every Dimension ever built, by exponent triple.
+_DIMENSIONS: dict[tuple, "Dimension"] = {}
+
+
+class Dimension(_Frozen):
+    """Exponents of mass, length, and time.  Exact integer arithmetic.
+
+    Dimension(mass, length, time) returns the one instance for that triple,
+    so == and hashing are by identity.
+    """
+
+    __slots__ = ("mass", "length", "time")
+
+    def __new__(cls, mass: int = 0, length: int = 0, time: int = 0):
+        key = (mass, length, time)
+        self = _DIMENSIONS.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "mass", mass)
+            object.__setattr__(self, "length", length)
+            object.__setattr__(self, "time", time)
+            self = _DIMENSIONS.setdefault(key, self)
+        return self
+
+    def __reduce__(self):
+        return Dimension, (self.mass, self.length, self.time)
+
+    def __repr__(self) -> str:
+        return (f"Dimension(mass={self.mass!r}, length={self.length!r}, "
+                f"time={self.time!r})")
 
     def __mul__(self, other: "Dimension") -> "Dimension":
-        return Dimension(self.mass + other.mass, self.length + other.length,
-                         self.time + other.time)
+        key = (self.mass + other.mass, self.length + other.length,
+               self.time + other.time)
+        return _DIMENSIONS.get(key) or Dimension(*key)
 
     def __truediv__(self, other: "Dimension") -> "Dimension":
-        return Dimension(self.mass - other.mass, self.length - other.length,
-                         self.time - other.time)
+        key = (self.mass - other.mass, self.length - other.length,
+               self.time - other.time)
+        return _DIMENSIONS.get(key) or Dimension(*key)
 
     def __pow__(self, n: int) -> "Dimension":
+        if self is DIMENSIONLESS:
+            return self
+        if not float(n).is_integer():
+            raise DimensionError(
+                f"cannot raise {self.si_name()} to the non-integer power {n!r}")
+        n = int(n)
         return Dimension(self.mass * n, self.length * n, self.time * n)
 
     def sqrt(self) -> "Dimension":
@@ -48,7 +100,7 @@ class Dimension:
 
     @property
     def is_dimensionless(self) -> bool:
-        return self.mass == 0 and self.length == 0 and self.time == 0
+        return self is DIMENSIONLESS
 
     def si_name(self) -> str:
         """Composed SI name like 'kg m s^-2'; 'dimensionless' at the origin."""
@@ -74,52 +126,71 @@ MOMENTUM = MASS * LENGTH / TIME
 ACTION = ENERGY * TIME
 
 
-@dataclass(frozen=True)
-class Quantity:
-    """A real value at SI base scale, tagged with its Dimension."""
+class Quantity(_Frozen):
+    """A real value at SI base scale, tagged with its Dimension.
 
-    value: float
-    dim: Dimension = DIMENSIONLESS
+    Equal to another Quantity with equal value and dim, and to nothing else.
+    """
+
+    __slots__ = ("value", "dim")
+
+    def __init__(self, value: float, dim: Dimension = DIMENSIONLESS):
+        _set_value(self, value)
+        _set_dim(self, dim)
+
+    def __reduce__(self):
+        return Quantity, (self.value, self.dim)
+
+    def __repr__(self) -> str:
+        return f"Quantity(value={self.value!r}, dim={self.dim!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value, self.dim) == (other.value, other.dim)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.dim))
 
     def _require(self, other: "Quantity", op: str) -> None:
-        if self.dim != other.dim:
+        if self.dim is not other.dim:
             raise DimensionError(
                 f"cannot {op} {self.dim.si_name()} and {other.dim.si_name()}")
 
     def __add__(self, other: "Quantity") -> "Quantity":
         self._require(other, "add")
-        return Quantity(self.value + other.value, self.dim)
+        return _quantity(self.value + other.value, self.dim)
 
     def __sub__(self, other: "Quantity") -> "Quantity":
         self._require(other, "subtract")
-        return Quantity(self.value - other.value, self.dim)
+        return _quantity(self.value - other.value, self.dim)
 
     def __neg__(self) -> "Quantity":
-        return Quantity(-self.value, self.dim)
+        return _quantity(-self.value, self.dim)
 
     def __abs__(self) -> "Quantity":
-        return Quantity(abs(self.value), self.dim)
+        return _quantity(abs(self.value), self.dim)
 
     def __mul__(self, other):
         if isinstance(other, Quantity):
-            return Quantity(self.value * other.value, self.dim * other.dim)
-        return Quantity(self.value * float(other), self.dim)
+            return _quantity(self.value * other.value, self.dim * other.dim)
+        return _quantity(self.value * float(other), self.dim)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Quantity):
-            return Quantity(self.value / other.value, self.dim / other.dim)
-        return Quantity(self.value / float(other), self.dim)
+            return _quantity(self.value / other.value, self.dim / other.dim)
+        return _quantity(self.value / float(other), self.dim)
 
     def __rtruediv__(self, other) -> "Quantity":
-        return Quantity(float(other) / self.value, DIMENSIONLESS / self.dim)
+        return _quantity(float(other) / self.value, DIMENSIONLESS / self.dim)
 
     def __pow__(self, n: int) -> "Quantity":
-        return Quantity(self.value ** n, self.dim ** n)
+        return _quantity(self.value ** n, self.dim ** n)
 
     def sqrt(self) -> "Quantity":
-        return Quantity(math.sqrt(self.value), self.dim.sqrt())
+        return _quantity(math.sqrt(self.value), self.dim.sqrt())
 
     def __lt__(self, other: "Quantity") -> bool:
         self._require(other, "compare")
@@ -148,6 +219,18 @@ class Quantity:
             raise DimensionError(
                 f"cannot express {self.dim.si_name()} in '{unit}' ({dim.si_name()})")
         return self.value / scale
+
+
+_set_value = Quantity.value.__set__
+_set_dim = Quantity.dim.__set__
+
+
+def _quantity(value: float, dim: Dimension) -> Quantity:
+    """Quantity(value, dim) for the arithmetic, without the __init__ call."""
+    q = object.__new__(Quantity)
+    _set_value(q, value)
+    _set_dim(q, dim)
+    return q
 
 
 PI = math.pi

@@ -203,6 +203,22 @@ class TestOscillatorSweep:
             n_star = (4 * math.pi * 2.99792458e8 / v0) ** (2 / 3)
             assert report.critical_value.value == pytest.approx(n_star, rel=1e-5)
 
+    def test_quantum_number_axis_in_metres_rejected(self):
+        fixed = {"M": quantity(1e-24, "kg"), "omega0": quantity(1e5, "rad/s")}
+        spec = SweepSpec(Scenario.OSCILLATOR, "n",
+                         quantity(1, "m"), quantity(1e12, "m"),
+                         count=13, fixed=fixed)
+        with raises_exactly("n must have dimension dimensionless, got m"):
+            sweep(spec)
+
+    def test_fixed_quantum_number_in_metres_rejected(self):
+        fixed = {"omega0": quantity(1e5, "rad/s"), "n": quantity(1e7, "m")}
+        spec = SweepSpec(Scenario.OSCILLATOR, "M",
+                         quantity(1e-30, "kg"), quantity(1e-10, "kg"),
+                         count=21, fixed=fixed)
+        with raises_exactly("n must have dimension dimensionless, got m"):
+            sweep(spec)
+
 
 def test_multiple_flips_rejected(monkeypatch):
     # No physical axis produces two flips, so punch holes into the finite
@@ -277,6 +293,11 @@ class TestScenarioVerdict:
                                                       message):
         with raises_exactly(message):
             scenario_verdict(name, params)
+
+    def test_oscillator_n_must_be_dimensionless(self):
+        params = {**DIRECT_CALLS["oscillator"][0], "n": quantity(1, "m")}
+        with raises_exactly("n must have dimension dimensionless, got m"):
+            scenario_verdict("oscillator", params)
 
     def test_energy_override_passthrough(self):
         params = {"M": quantity(1, "GeV/c2"), "v": quantity(1, "m/s"),

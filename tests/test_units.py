@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
 
-from collapsim.units import (C, DIMENSIONLESS, ENERGY, HBAR, LENGTH, MASS,
-                             MOMENTUM, PER_SECOND, SPEED, TIME, Dimension,
+from collapsim.units import (ACTION, C, DIMENSIONLESS, ENERGY, HBAR, LENGTH,
+                             MASS, MOMENTUM, PER_SECOND, SPEED, TIME, Dimension,
                              DimensionError, Quantity, UnitError, UNITS,
                              format_quantity, parse_quantity, preferred_unit,
                              quantity)
@@ -170,3 +173,114 @@ class TestFormulaDimensions:
         M = Quantity(1.0, MASS)
         omega0 = Quantity(1.0, PER_SECOND)
         assert (HBAR / (2 * M * omega0)).sqrt().dim == LENGTH
+
+
+class TestValueSemantics:
+    """Behaviour the Dimension and Quantity classes must keep as values."""
+
+    def test_repr(self):
+        assert repr(HBAR) == ("Quantity(value=1.054571817e-34, "
+                              "dim=Dimension(mass=1, length=2, time=-1))")
+        assert repr(MASS) == "Dimension(mass=1, length=0, time=0)"
+
+    def test_quantity_is_immutable(self):
+        with pytest.raises(FrozenInstanceError):
+            HBAR.value = 1
+
+    def test_dimension_is_immutable(self):
+        with pytest.raises(FrozenInstanceError):
+            MASS.mass = 2
+
+    def test_equal_values_compare_and_hash_equal(self):
+        assert Quantity(1.0, MASS) == Quantity(1, MASS)
+        assert hash(Quantity(1.0, MASS)) == hash(Quantity(1, MASS))
+        assert Quantity(1.0, MASS) != Quantity(1.0, LENGTH)
+
+    def test_quantity_equals_only_quantities(self):
+        assert Quantity(1.0) != 1.0
+        assert Quantity(1.0, MASS) != (1.0, MASS)
+
+    def test_dimension_is_a_dict_key(self):
+        assert {MASS: 1}[Dimension(mass=1)] == 1
+
+    @pytest.mark.parametrize("value", [HBAR, MASS, Quantity(2.5)],
+                             ids=["HBAR", "MASS", "dimensionless"])
+    def test_copies_and_pickles_compare_equal(self, value):
+        assert copy.copy(value) == value
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+class TestInterning:
+    """One Dimension instance per exponent triple."""
+
+    def test_constructor_returns_the_constant(self):
+        assert Dimension(1, 0, 0) is MASS
+        assert Dimension(mass=1) is MASS
+
+    def test_arithmetic_returns_the_constant(self):
+        assert (C * C / C).dim is SPEED
+
+    def test_pickle_and_copy_return_the_constant(self):
+        assert pickle.loads(pickle.dumps(HBAR)).dim is ACTION
+        assert copy.deepcopy(MASS) is MASS
+
+
+class TestPowers:
+    def test_fractional_power_of_a_dimension_rejected(self):
+        with pytest.raises(DimensionError, match="non-integer power"):
+            quantity(4, "m") ** 0.5
+
+    def test_integral_float_power_gives_integer_exponents(self):
+        assert (quantity(4, "m") ** 2.0).dim is LENGTH ** 2
+
+    def test_dimensionless_base_takes_any_real_power(self):
+        q = Quantity(4.0) ** 0.5
+        assert q == Quantity(2.0)
+        assert q.dim is DIMENSIONLESS
+
+
+# At most six steps, each a factor in 1e-3..1e3 or a power |n| <= 2, keep
+# every value within 1e-192..1e192: no step overflows or underflows.
+exponents = st.integers(min_value=-3, max_value=3)
+dimension_triples = st.tuples(exponents, exponents, exponents)
+operand_values = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def operation_chains(draw):
+    start = (draw(operand_values), draw(dimension_triples))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(["*", "/"]), operand_values,
+                  dimension_triples),
+        st.tuples(st.just("**"), st.integers(min_value=-2, max_value=2)),
+        st.just(("sqrt",))), max_size=6))
+    return start, ops
+
+
+@given(operation_chains())
+def test_chains_match_plain_float_and_tuple_arithmetic(chain):
+    (value, exps), ops = chain
+    q = Quantity(value, Dimension(*exps))
+    for op in ops:
+        if op[0] == "*":
+            q = q * Quantity(op[1], Dimension(*op[2]))
+            value *= op[1]
+            exps = tuple(a + b for a, b in zip(exps, op[2]))
+        elif op[0] == "/":
+            q = q / Quantity(op[1], Dimension(*op[2]))
+            value /= op[1]
+            exps = tuple(a - b for a, b in zip(exps, op[2]))
+        elif op[0] == "**":
+            q = q ** op[1]
+            value **= op[1]
+            exps = tuple(a * op[1] for a in exps)
+        elif all(a % 2 == 0 for a in exps):
+            q = q.sqrt()
+            value = math.sqrt(value)
+            exps = tuple(a // 2 for a in exps)
+        else:
+            with pytest.raises(DimensionError):
+                q.sqrt()
+        assert q.value == value
+        assert q.dim is Dimension(*exps)
