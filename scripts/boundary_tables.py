@@ -12,27 +12,18 @@ from collapsim.units import format_quantity, quantity
 
 
 def trapped_row(v_mps, d_um):
-    v = quantity(v_mps, "m/s")
-    D = quantity(d_um, "um")
+    v, D = quantity(v_mps, "m/s"), quantity(d_um, "um")
     closed = cs.trapped_critical_mass(v, D)
-    spec = cs.SweepSpec(cs.Scenario.TRAPPED, "M",
-                        quantity(1e-3, "GeV/c2"), quantity(1e12, "GeV/c2"),
-                        count=31, fixed={"v": v, "D": D})
-    bisected = cs.sweep(spec).critical_value
+    bisected = cs.mass_boundary("trapped", v, D).critical_value
     print(f"trapped pair     v={v_mps:>6g} m/s  D={d_um:g} um   "
           f"M* = {format_quantity(closed, 'GeV/c2'):>18}   "
           f"(bisected {format_quantity(bisected, 'GeV/c2')})")
 
 
 def free_flight_row(v_mps, theta, d_um):
-    v = quantity(v_mps, "m/s")
-    D = quantity(d_um, "um")
+    v, D = quantity(v_mps, "m/s"), quantity(d_um, "um")
     closed = cs.free_flight_critical_mass(v, theta, D)
-    spec = cs.SweepSpec(cs.Scenario.FREE_FLIGHT, "M",
-                        quantity(1e-3, "GeV/c2"), quantity(1e12, "GeV/c2"),
-                        count=31,
-                        fixed={"v": v, "D": D, "L": D / theta, "d": D / 10})
-    bisected = cs.sweep(spec).critical_value
+    bisected = cs.mass_boundary("free-flight", v, D, theta).critical_value
     print(f"free flight      v={v_mps:>6g} m/s  theta={theta:g}  D={d_um:g} um  "
           f"M* = {format_quantity(closed, 'GeV/c2'):>18}   "
           f"(bisected {format_quantity(bisected, 'GeV/c2')})")

@@ -15,7 +15,7 @@ from collapsim.boundary import curve_to_csv
 from collapsim.units import quantity
 
 
-def write(path, verdict, t_end):
+def write(path, verdict, t_end=None):
     times, vis = cs.visibility_curve(verdict, t_end, record_stride=8)
     path.write_text(curve_to_csv(times, vis))
     print(f"{path}  final visibility {vis[-1]:.6f}")
@@ -39,9 +39,9 @@ def main():
     trapped = cs.trapped_tau(cs.TrappedPairSpec(
         mass=cs.trapped_critical_mass(quantity(100, "m/s"), D) * 100.0,
         mean_velocity=quantity(100, "m/s"), separation=D))
-    write(outdir / "trapped_classical.csv", trapped, 5.0 * trapped.tau)
+    write(outdir / "trapped_classical.csv", trapped)
 
-    write(outdir / "photon.csv", cs.photon_tau(), quantity(1, "s"))
+    write(outdir / "photon.csv", cs.photon_tau())
 
 
 if __name__ == "__main__":

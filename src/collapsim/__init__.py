@@ -13,8 +13,8 @@ boundary (parameter sweeps and visibility curves), cli (command line).
 """
 
 from .boundary import (BoundaryReport, Scenario, SweepError, SweepSpec,
-                       curve_trajectory, scenario_verdict, sweep,
-                       visibility_curve)
+                       curve_trajectory, mass_boundary, scenario_verdict,
+                       sweep, visibility_curve)
 from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
                              OscillatorSpec, Reason, Regime, TrappedPairSpec,
                              ValidationError, build_rate_matrix,

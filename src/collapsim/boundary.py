@@ -7,13 +7,16 @@ finite collapse time and an everlasting superposition.  Sweeps evaluate the
 verdict on a grid along one axis and then bisect the flip interval on the
 verdict itself (not on an inverted formula), so they stay correct if the
 discrimination margins change; the closed-form critical-mass operations
-remain available as cross-checks.
+remain available as cross-checks.  `SweepSpec` checks a sweep once, so
+its points run the table's verdict unchecked; `mass_boundary` is the mass
+scan behind `collapsim boundary`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,7 +28,7 @@ from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
                              ValidationError)
 from .evolution import (EvolutionConfig, Trajectory, csv_text, evolve,
                         two_level_decay)
-from .units import DIMENSIONLESS, Quantity, preferred_unit
+from .units import DIMENSIONLESS, Quantity, preferred_unit, quantity
 
 REPORT_SCHEMA_ID = "report/1"
 
@@ -103,7 +106,7 @@ class SweepSpec:
     parameter of the scenario but the axis, any of its optional ones and
     nothing else; a missing, unused, axis or non-Quantity entry raises
     ValidationError.  eta is the margin, which only a scenario that uses it
-    accepts != 1.
+    accepts != 1.  The spec keeps its own copy of fixed.
     """
 
     scenario: Scenario
@@ -121,14 +124,19 @@ class SweepSpec:
             raise ValidationError(
                 f"cannot sweep scenario '{self.scenario}' (one of {valid})")
         object.__setattr__(self, "scenario", Scenario(self.scenario))
-        params = SCENARIOS[self.scenario].params
-        if self.axis not in params:
+        object.__setattr__(self, "fixed", dict(self.fixed))
+        entry = SCENARIOS[self.scenario]
+        if self.axis not in entry.params:
             raise ValidationError(
-                f"axis '{self.axis}' is not a {self.scenario.value} parameter "
-                f"(one of {params})")
-        if not 2 <= self.count <= MAX_SWEEP_POINTS:
-            raise ValidationError(f"count must be between 2 and "
-                                  f"{MAX_SWEEP_POINTS}, got {self.count}")
+                f"axis '{self.axis}' is not a {entry.name} parameter "
+                f"(one of {entry.params})")
+        try:
+            if not 2 <= operator.index(self.count) <= MAX_SWEEP_POINTS:
+                raise ValidationError(f"count must be between 2 and "
+                                      f"{MAX_SWEEP_POINTS}, got {self.count}")
+        except TypeError:
+            raise ValidationError(
+                f"count must be an integer, got {self.count!r}") from None
         if self.minimum.dim != self.maximum.dim:
             raise ValidationError("grid endpoints must share a dimension")
         if not self.minimum.value < self.maximum.value:
@@ -137,7 +145,7 @@ class SweepSpec:
             raise ValidationError(f"unknown spacing '{self.spacing}'")
         if self.spacing == "geometric" and self.minimum.value <= 0.0:
             raise ValidationError("geometric spacing needs minimum > 0")
-        _check_params(SCENARIOS[self.scenario], self.fixed, self.axis)
+        _check_params(entry, self.fixed, self.eta, self.axis)
 
 
 @dataclass(frozen=True)
@@ -186,10 +194,13 @@ def _derivation_digest(derivation: tuple) -> str:
     return "; ".join(parts)
 
 
-def _check_params(entry: ScenarioEntry, params: dict,
+def _check_params(entry: ScenarioEntry, params: dict, eta: float,
                   axis: str | None = None) -> None:
-    """The one check of a parameter map: every name of entry.params but the
-    sweep axis, any of entry.optional, nothing else, and only Quantities."""
+    """The one check of a parameter map and margin: every name of
+    entry.params but the sweep axis, any of entry.optional, nothing else,
+    only Quantities, and eta == 1 unless the scenario uses it."""
+    if eta != 1.0 and not entry.uses_eta:
+        raise ValidationError(f"{entry.name} takes no margin eta, got {eta}")
     for name in entry.params:
         if name != axis and name not in params:
             raise ValidationError(f"missing {name} for {entry.name}")
@@ -214,17 +225,15 @@ def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
     if entry is None:
         raise ValidationError(
             f"unknown scenario '{scenario}' (one of {list(SCENARIOS)})")
-    if eta != 1.0 and not entry.uses_eta:
-        raise ValidationError(f"{entry.name} takes no margin eta, got {eta}")
-    _check_params(entry, params)
+    _check_params(entry, params, eta)
     return entry.verdict(params, eta)
 
 
 def _verdict_at(spec: SweepSpec, x: float) -> DiscriminationVerdict:
-    """The verdict at axis value x (SI scale; n may be real)."""
-    params = dict(spec.fixed)
+    """The verdict at axis value x (SI scale; n may be real); unchecked."""
+    params = spec.fixed.copy()
     params[spec.axis] = Quantity(x, spec.minimum.dim)
-    return scenario_verdict(spec.scenario, params, spec.eta)
+    return SCENARIOS[spec.scenario].verdict(params, spec.eta)
 
 
 def _bisect(spec: SweepSpec, lo: float, hi: float) -> float:
@@ -247,13 +256,10 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
     critical_value at None; more than one raises SweepError naming the
     offending interval.  Output is deterministic for identical specs.
     """
-    if spec.spacing == "geometric":
-        grid = np.geomspace(spec.minimum.value, spec.maximum.value, spec.count)
-    else:
-        grid = np.linspace(spec.minimum.value, spec.maximum.value, spec.count)
+    space = np.geomspace if spec.spacing == "geometric" else np.linspace
+    grid = space(spec.minimum.value, spec.maximum.value, spec.count)
 
     rows = []
-    finite_flags = []
     for x in grid:
         x = float(x)
         if spec.scenario is Scenario.OSCILLATOR and spec.axis == "n":
@@ -261,10 +267,9 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
         verdict = _verdict_at(spec, x)
         rows.append(SweepRow(Quantity(x, spec.minimum.dim), verdict.tau,
                              verdict.regime, verdict.derivation))
-        finite_flags.append(not verdict.is_infinite)
 
     flips = [i for i in range(len(grid) - 1)
-             if finite_flags[i] != finite_flags[i + 1]]
+             if rows[i].tau.is_finite != rows[i + 1].tau.is_finite]
     if len(flips) > 1:
         i, j = flips[0], flips[1]
         raise SweepError(
@@ -279,23 +284,51 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
     return BoundaryReport(spec.scenario, spec.axis, tuple(rows), critical)
 
 
-def curve_trajectory(verdict: DiscriminationVerdict, t_end: Quantity, *,
+def mass_boundary(scenario: Scenario | str, v: Quantity, D: Quantity,
+                  theta: float | None = None, eta: float = 1.0
+                  ) -> BoundaryReport:
+    """Sweep 31 geometric masses over 1e-3..1e12 GeV/c2, wide enough for any
+    desk-scale geometry; no flip raises SweepError.  A free flight needs an
+    angle theta in (0, 1): L = D/theta, slit width d = D/10."""
+    fixed = {"v": v, "D": D}
+    if scenario == Scenario.TRAPPED and theta is not None:
+        raise ValidationError("trapped boundary does not take theta")
+    if scenario == Scenario.FREE_FLIGHT:
+        if theta is None:
+            raise ValidationError("free-flight boundary needs theta")
+        if not 0.0 < theta < 1.0:
+            raise ValidationError(f"theta must be in (0, 1), got {theta}")
+        fixed.update(L=D / theta, d=D / 10.0)
+    report = sweep(SweepSpec(scenario, "M", quantity(1e-3, "GeV/c2"),
+                             quantity(1e12, "GeV/c2"), count=31, fixed=fixed,
+                             eta=eta))
+    if report.critical_value is None:
+        raise SweepError("no regime flip for masses in [1e-3, 1e12] GeV/c2")
+    return report
+
+
+def curve_trajectory(verdict: DiscriminationVerdict,
+                     t_end: Quantity | None = None, *,
                      dt: Quantity | None = None,
                      record_stride: int = 1) -> Trajectory:
     """Trajectory of an equal two-state superposition decaying at the
     verdict's rate (rate 0, hence constant, for an infinite tau).
 
+    The default horizon is five decay times, or 1 s for an infinite tau.
     The default step is t_end/512, an exact divisor, so the last sample
     lands on t_end itself rather than on the next whole step past it.
     """
-    rho0, H, rates = two_level_decay(verdict.rate.value)
+    rho0, H, rates = two_level_decay(verdict.rate)
+    if t_end is None:
+        t_end = quantity(1.0, "s") if verdict.is_infinite else 5.0 * verdict.tau
     if dt is None:
         dt = t_end / 512.0
     cfg = EvolutionConfig(t_end=t_end, dt=dt, record_stride=record_stride)
     return evolve(rho0, H, rates, cfg)
 
 
-def visibility_curve(verdict: DiscriminationVerdict, t_end: Quantity, *,
+def visibility_curve(verdict: DiscriminationVerdict,
+                     t_end: Quantity | None = None, *,
                      dt: Quantity | None = None,
                      record_stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Visibility 2|rho_01|(t) of an equal two-state superposition decaying

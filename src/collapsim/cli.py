@@ -12,9 +12,9 @@ The scenario is a positional argument; `collapsim tau --help` (and `sweep`,
 '<number> <unit>' strings ('100 m/s', '10 um', '2.5 GeV/c2').  Exit codes:
 0 success, 2 usage error (bad, missing or unused flags, unknown units,
 invalid parameters, an `--out` path that cannot be written; one `error:`
-line on stderr), 1 computation error.  The scenario flags a command was
-given are checked by `boundary` against its scenario table, so those
-errors name the parameter without its `--`.
+line on stderr), 1 computation error.  Handlers only parse, route and
+print; the library checks every input, `--theta` and `evolve`'s rate and
+gap included, so its errors name a parameter without its `--`.
 Trajectory health warnings go to stderr as `warning:` lines.  The argument
 parser is built once per process, on the first call to `main`.
 """
@@ -30,19 +30,13 @@ from pathlib import Path
 from . import discrimination as disc
 from .boundary import (SCENARIOS, BoundaryReport, Scenario, SweepError,
                        SweepSpec, curve_to_csv, curve_trajectory,
-                       scenario_verdict, sweep)
-from .discrimination import ValidationError
+                       mass_boundary, scenario_verdict, sweep)
 from .evolution import (EvolutionConfig, IntegrationError, Method, evolve,
                         trajectory_to_csv, trajectory_to_json, two_level_decay)
-from .units import (ENERGY, MASS, PER_SECOND, UNITS, DimensionError, Quantity,
-                    UnitError, format_quantity, parse_quantity, preferred_unit,
-                    quantity)
+from .units import (MASS, UNITS, DimensionError, Quantity, UnitError,
+                    format_quantity, parse_quantity, preferred_unit)
 
 DEFAULT_MASS_UNIT = "GeV/c2"
-
-# Default geometric mass grid for `boundary`; wide enough for any geometry
-# the verdicts distinguish at desk scale.
-BOUNDARY_GRID = ("1e-3", "1e12", 31)
 
 
 def _quantity_arg(text: str) -> Quantity:
@@ -102,26 +96,7 @@ def _verdict_text(verdict: disc.DiscriminationVerdict) -> str:
 
 
 def _cmd_boundary(args) -> str:
-    scenario = Scenario(args.scenario)
-    fixed = {"v": args.v, "D": args.D}
-    theta = args.theta
-    if scenario is Scenario.TRAPPED:
-        if theta is not None:
-            raise ValidationError("trapped boundary does not take --theta")
-    elif theta is None:
-        raise ValidationError("free-flight boundary needs --theta")
-    elif not 0.0 < theta < 1.0:
-        raise ValidationError(f"--theta must be in (0, 1), got {theta}")
-    else:
-        fixed.update(L=args.D / theta, d=args.D / 10.0)
-    lo, hi, count = BOUNDARY_GRID
-    spec = SweepSpec(scenario, "M", quantity(float(lo), DEFAULT_MASS_UNIT),
-                     quantity(float(hi), DEFAULT_MASS_UNIT), count=count,
-                     spacing="geometric", fixed=fixed, eta=args.eta)
-    report = sweep(spec)
-    if report.critical_value is None:
-        raise SweepError(
-            f"no regime flip for masses in [{lo}, {hi}] {DEFAULT_MASS_UNIT}")
+    report = mass_boundary(args.scenario, args.v, args.D, args.theta, args.eta)
     if args.json:
         return _dump(report.to_json())
     mass = format_quantity(report.critical_value, args.unit)
@@ -136,16 +111,7 @@ def _cmd_tau(args) -> str:
 
 
 def _cmd_evolve(args) -> str:
-    if args.rate.dim != PER_SECOND:
-        raise ValidationError(
-            f"--rate must be a rate (1/s), got {args.rate.dim.si_name()}")
-    if args.rate.value < 0.0:
-        raise ValidationError("--rate must be nonnegative")
-    if args.gap is not None and args.gap.dim != ENERGY:
-        raise ValidationError(
-            f"--gap must be an energy, got {args.gap.dim.si_name()}")
-    rho0, H, rates = two_level_decay(
-        args.rate.value, 0.0 if args.gap is None else args.gap.value)
+    rho0, H, rates = two_level_decay(args.rate, args.gap)
     cfg = EvolutionConfig(t_end=args.t_end, dt=args.dt,
                           method=Method(args.method),
                           record_stride=args.stride)
@@ -182,13 +148,7 @@ def _report_text(report: BoundaryReport) -> str:
 
 def _cmd_curve(args) -> str:
     verdict = scenario_verdict(args.scenario, _scenario_params(args), args.eta)
-    if args.t_end is not None:
-        t_end = args.t_end
-    elif verdict.is_infinite:
-        t_end = quantity(1.0, "s")
-    else:
-        t_end = 5.0 * verdict.tau
-    traj = curve_trajectory(verdict, t_end, dt=args.dt,
+    traj = curve_trajectory(verdict, args.t_end, dt=args.dt,
                             record_stride=args.stride)
     _warn(traj)
     if args.json:

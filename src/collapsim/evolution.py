@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,8 @@ import numpy as np
 from .states import (PSD_TOL, BasisLabel, CollapseRateMatrix, DensityMatrix,
                      Hamiltonian, basis_names, index_of, invariants,
                      make_basis, pure_state, validate)
-from .units import HBAR, TIME, Quantity
+from .units import (ENERGY, HBAR, PER_SECOND, TIME, DimensionError,
+                    Quantity)
 
 TRAJECTORY_SCHEMA_ID = "trajectory/1"
 
@@ -90,8 +92,12 @@ class EvolutionConfig:
         if self.dt is not None and (self.dt.dim != TIME
                                     or not 0.0 < self.dt.value < math.inf):
             raise ValueError("dt must be a positive finite time")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        try:
+            if operator.index(self.record_stride) < 1:
+                raise ValueError("record_stride must be >= 1")
+        except TypeError:
+            raise ValueError(f"record_stride must be an integer, got "
+                             f"{self.record_stride!r}") from None
 
 
 @dataclass(frozen=True)
@@ -278,14 +284,21 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
                       lo, tuple(warnings))
 
 
-def two_level_decay(rate: float, gap: float = 0.0) -> tuple[
+def two_level_decay(rate: Quantity, gap: Quantity | None = None) -> tuple[
         DensityMatrix, Hamiltonian, CollapseRateMatrix]:
-    """The here/there problem: an equal superposition, H = diag(0, gap) in
-    joules and the pair decay rate in 1/s, as (rho0, H, rates)."""
+    """The here/there problem: an equal superposition, H = diag(0, gap) and
+    the pair decay rate (1/s, DimensionError otherwise), as (rho0, H, rates)."""
+    if rate.dim != PER_SECOND:
+        raise DimensionError(
+            f"rate must be a rate (1/s), got {rate.dim.si_name()}")
+    if gap is not None and gap.dim != ENERGY:
+        raise DimensionError(
+            f"gap must be an energy, got {gap.dim.si_name()}")
     basis = make_basis("here", "there")
+    E = 0.0 if gap is None else gap.value
     return (pure_state([1.0, 1.0], basis),
-            Hamiltonian(basis, [[0.0, 0.0], [0.0, complex(gap)]]),
-            CollapseRateMatrix(basis, [[0.0, rate], [rate, 0.0]]))
+            Hamiltonian(basis, [[0.0, 0.0], [0.0, complex(E)]]),
+            CollapseRateMatrix(basis, [[0.0, rate.value], [rate.value, 0.0]]))
 
 
 def analytic_isolated(rho0: DensityMatrix, rates: CollapseRateMatrix,
@@ -316,7 +329,7 @@ def convergence_order(method: Method = Method.RK4, *,
     closed form, from dt = 0.05 s halved `refinements` times; returns the
     mean log2(error ratio).  Expect about 4 for RK4 and 1 for Euler.
     """
-    rho0, H, rates = two_level_decay(1.0)
+    rho0, H, rates = two_level_decay(Quantity(1.0, PER_SECOND))
     t_end = Quantity(1.0, TIME)
     exact = analytic_isolated(rho0, rates, t_end).elements
 

@@ -51,7 +51,8 @@ class Dimension(_Frozen):
     """Exponents of mass, length, and time.  Exact integer arithmetic.
 
     Dimension(mass, length, time) returns the one instance for that triple,
-    so == and hashing are by identity.
+    so == and hashing are by identity.  An integral float exponent is stored
+    as an int; any other non-integer raises DimensionError.
     """
 
     __slots__ = ("mass", "length", "time")
@@ -61,9 +62,11 @@ class Dimension(_Frozen):
         self = _DIMENSIONS.get(key)
         if self is None:
             self = object.__new__(cls)
-            object.__setattr__(self, "mass", mass)
-            object.__setattr__(self, "length", length)
-            object.__setattr__(self, "time", time)
+            for name, exp in zip(cls.__slots__, key):
+                if not float(exp).is_integer():
+                    raise DimensionError(
+                        f"{name} exponent must be an integer, got {exp!r}")
+                object.__setattr__(self, name, int(exp))
             self = _DIMENSIONS.setdefault(key, self)
         return self
 
@@ -90,7 +93,6 @@ class Dimension(_Frozen):
         if not float(n).is_integer():
             raise DimensionError(
                 f"cannot raise {self.si_name()} to the non-integer power {n!r}")
-        n = int(n)
         return Dimension(self.mass * n, self.length * n, self.time * n)
 
     def sqrt(self) -> "Dimension":

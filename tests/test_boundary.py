@@ -1,4 +1,7 @@
+import copy
+import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -8,8 +11,8 @@ from hypothesis import given, strategies as st
 import collapsim.boundary as boundary_mod
 from collapsim.boundary import (BISECTION_REL_TOL, MAX_SWEEP_POINTS,
                                 SCENARIOS, Scenario, SweepError, SweepSpec,
-                                curve_trajectory, scenario_verdict, sweep,
-                                visibility_curve)
+                                curve_to_csv, curve_trajectory, mass_boundary,
+                                scenario_verdict, sweep, visibility_curve)
 from collapsim.discrimination import (DiscriminationVerdict, FreeFlightSpec,
                                       OscillatorSpec, Reason, Regime,
                                       TrappedPairSpec, ValidationError,
@@ -17,6 +20,8 @@ from collapsim.discrimination import (DiscriminationVerdict, FreeFlightSpec,
                                       free_flight_tau, oscillator_verdict,
                                       photon_tau, rabi_tau,
                                       trapped_critical_mass, trapped_tau)
+from collapsim.cli import main
+from collapsim.evolution import trajectory_to_csv
 from collapsim.schemas import REPORT_SCHEMA, VERDICT_SCHEMA
 from collapsim.units import Quantity, quantity
 
@@ -96,6 +101,43 @@ class TestSweepSpec:
         with pytest.raises(ValidationError, match="geometric"):
             SweepSpec(Scenario.TRAPPED, "M", Quantity(-1.0, quantity(1, "kg").dim),
                       quantity(1, "kg"), count=5, fixed={})
+
+    @pytest.mark.parametrize("count", [2.5, 30.0, "9"])
+    def test_count_must_be_an_integer(self, count):
+        with raises_exactly(f"count must be an integer, got {count!r}"):
+            trapped_sweep(count=count)
+
+    def test_numpy_integer_count_accepted(self):
+        assert len(sweep(trapped_sweep(count=np.int64(9))).rows) == 9
+
+    def test_eta_refused_where_unused(self):
+        with raises_exactly("free-flight takes no margin eta, got 2.0"):
+            SweepSpec(Scenario.FREE_FLIGHT, "M", quantity(0.1, "GeV/c2"),
+                      quantity(1e4, "GeV/c2"), count=5,
+                      fixed=free_flight_fixed(), eta=2.0)
+
+    def test_later_edits_to_fixed_do_not_reach_the_sweep(self):
+        fixed = {"v": quantity(100, "m/s"), "D": quantity(10, "um")}
+        spec = SweepSpec(Scenario.TRAPPED, "M", quantity(1, "GeV/c2"),
+                         quantity(1e6, "GeV/c2"), count=9, fixed=fixed)
+        fixed["v"] = quantity(1e-6, "m/s")
+        fixed["L"] = quantity(1, "m")
+        assert sweep(spec).to_json() == sweep(trapped_sweep(count=9)).to_json()
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        spec = trapped_sweep(count=9)
+        for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert clone == spec
+            assert sweep(clone).to_json() == sweep(spec).to_json()
+
+    def test_sweep_checks_no_parameter_map(self, monkeypatch):
+        spec = trapped_sweep(count=9)
+        calls = []
+        real = boundary_mod._check_params
+        monkeypatch.setattr(boundary_mod, "_check_params",
+                            lambda *args: calls.append(args) or real(*args))
+        assert sweep(spec).critical_value is not None
+        assert calls == []
 
 
 class TestTrappedSweep:
@@ -220,20 +262,56 @@ class TestOscillatorSweep:
             sweep(spec)
 
 
+# A base value for every parameter of each sweepable scenario, each near
+# its flip; a sweep below spans up to 10**0.9 either side of it, where
+# every spec stays valid (free flight keeps d < D < L).
+SWEEP_BASES = {
+    "trapped": {"M": quantity(2000, "GeV/c2"), "v": quantity(100, "m/s"),
+                "D": quantity(10, "um")},
+    "free-flight": {"M": quantity(5, "GeV/c2"), **free_flight_fixed()},
+    "oscillator": {"M": quantity(4e-28, "kg"),
+                   "omega0": quantity(1e5, "rad/s"), "n": Quantity(1e7)},
+}
+
+
+def test_sweep_bases_cover_every_sweepable_scenario():
+    assert set(SWEEP_BASES) == {s.value for s in Scenario}
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+@given(data=st.data(),
+       tenths=st.lists(st.integers(min_value=-9, max_value=9), min_size=2,
+                       max_size=2, unique=True).map(sorted),
+       count=st.integers(min_value=2, max_value=9),
+       spacing=st.sampled_from(["geometric", "linear"]))
+def test_sweep_rows_equal_single_verdicts(scenario, data, tenths, count,
+                                          spacing):
+    base = SWEEP_BASES[scenario.value]
+    axis = data.draw(st.sampled_from(SCENARIOS[scenario].params))
+    fixed = {name: q for name, q in base.items() if name != axis}
+    lo, hi = (base[axis] * 10 ** (k / 10) for k in tenths)
+    spec = SweepSpec(scenario, axis, lo, hi, count=count,
+                     spacing=spacing, fixed=fixed)
+    for row in sweep(spec).rows:
+        verdict = scenario_verdict(scenario, {**fixed, axis: row.value})
+        assert repr((row.tau, row.regime, row.derivation)) == \
+            repr((verdict.tau, verdict.regime, verdict.derivation))
+
+
 def test_multiple_flips_rejected(monkeypatch):
     # No physical axis produces two flips, so punch holes into the finite
     # side of the grid to fake a non-monotone pattern.
     spec = trapped_sweep(count=9)
     calls = {"i": -1}
-    real = boundary_mod.scenario_verdict
+    real = boundary_mod._verdict_at
 
-    def flappy(scenario, params, eta=1.0):
+    def flappy(spec, x):
         calls["i"] += 1
         if calls["i"] in (6, 7):
             return photon_tau()
-        return real(scenario, params, eta)
+        return real(spec, x)
 
-    monkeypatch.setattr(boundary_mod, "scenario_verdict", flappy)
+    monkeypatch.setattr(boundary_mod, "_verdict_at", flappy)
     with pytest.raises(SweepError, match="more than once"):
         sweep(spec)
 
@@ -329,6 +407,56 @@ def test_verdict_exactly_when_the_map_fits_the_table(name, drop, add):
             scenario_verdict(name, params)
 
 
+class TestMassBoundary:
+    @pytest.mark.parametrize("v, D", [(100, 10), (1, 10)])
+    def test_trapped_matches_closed_form(self, v, D):
+        v, D = quantity(v, "m/s"), quantity(D, "um")
+        report = mass_boundary("trapped", v, D)
+        assert report.critical_value.value == pytest.approx(
+            trapped_critical_mass(v, D).value, rel=BISECTION_REL_TOL)
+
+    def test_free_flight_matches_closed_form(self):
+        v, D = quantity(1e3, "m/s"), quantity(10, "um")
+        report = mass_boundary(Scenario.FREE_FLIGHT, v, D, 1e-5)
+        assert report.critical_value.value == pytest.approx(
+            free_flight_critical_mass(v, 1e-5, D).value,
+            rel=BISECTION_REL_TOL)
+
+    def test_margin_moves_the_trapped_boundary(self):
+        v, D = quantity(100, "m/s"), quantity(10, "um")
+        report = mass_boundary("trapped", v, D, eta=3.0)
+        assert report.critical_value.value == pytest.approx(
+            trapped_critical_mass(v, D, 3.0).value, rel=BISECTION_REL_TOL)
+
+    @pytest.mark.parametrize("argv, args", [
+        (["trapped", "--v", "100 m/s", "--D", "10 um"],
+         ("trapped", quantity(100, "m/s"), quantity(10, "um"))),
+        (["free-flight", "--v", "1e3 m/s", "--theta", "1e-5", "--D", "10 um"],
+         ("free-flight", quantity(1e3, "m/s"), quantity(10, "um"), 1e-5)),
+    ], ids=["trapped", "free-flight"])
+    def test_json_is_the_cli_report(self, capsys, argv, args):
+        assert main(["boundary", *argv, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == \
+            mass_boundary(*args).to_json()
+
+    @pytest.mark.parametrize("scenario, theta, message", [
+        ("trapped", 1e-5, "trapped boundary does not take theta"),
+        ("free-flight", None, "free-flight boundary needs theta"),
+        ("free-flight", 1.5, "theta must be in (0, 1), got 1.5"),
+        ("free-flight", 0.0, "theta must be in (0, 1), got 0.0"),
+    ], ids=["trapped", "missing", "above-one", "zero"])
+    def test_theta_rules(self, scenario, theta, message):
+        with raises_exactly(message):
+            mass_boundary(scenario, quantity(1e3, "m/s"), quantity(10, "um"),
+                          theta)
+
+    def test_no_flip_on_the_grid(self):
+        with pytest.raises(SweepError, match="^" + re.escape(
+                "no regime flip for masses in [1e-3, 1e12] GeV/c2") + "$"):
+            mass_boundary("trapped", quantity(1e-6, "m/s"),
+                          quantity(10, "um"))
+
+
 class TestVisibilityCurve:
     def boundary_verdict(self):
         m_star = free_flight_critical_mass(quantity(1e3, "m/s"), 1e-5,
@@ -360,6 +488,20 @@ class TestVisibilityCurve:
         t_end = 5.0 * verdict.tau
         _, vis = visibility_curve(verdict, t_end, record_stride=512)
         assert vis[-1] < 0.01
+
+    @pytest.mark.parametrize("verdict, t_end", [
+        (trapped_tau(TrappedPairSpec(mass=quantity(1e6, "GeV/c2"),
+                                     mean_velocity=quantity(100, "m/s"),
+                                     separation=quantity(10, "um"))), None),
+        (photon_tau(), quantity(1, "s")),
+    ], ids=["five-decay-times", "photon-one-second"])
+    def test_default_horizon(self, verdict, t_end):
+        t_end = 5.0 * verdict.tau if t_end is None else t_end
+        assert trajectory_to_csv(curve_trajectory(verdict, record_stride=64)) \
+            == trajectory_to_csv(curve_trajectory(verdict, t_end,
+                                                  record_stride=64))
+        assert curve_to_csv(*visibility_curve(verdict, record_stride=64)) == \
+            curve_to_csv(*visibility_curve(verdict, t_end, record_stride=64))
 
     def test_curve_trajectory_exposes_states(self):
         traj = curve_trajectory(photon_tau(), quantity(1, "s"),

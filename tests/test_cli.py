@@ -11,7 +11,7 @@ import pytest
 
 from collapsim.boundary import (SCENARIOS, Scenario, SweepSpec,
                                 scenario_verdict, sweep)
-from collapsim import cli, units
+from collapsim import boundary, cli, units
 from collapsim.cli import main
 from collapsim.schemas import (REPORT_SCHEMA, TRAJECTORY_SCHEMA,
                                VERDICT_SCHEMA)
@@ -258,7 +258,8 @@ class TestUsageErrors:
           "--max", "1e6 GeV/c2", "--v", "100 m/s", "--D", "10 um",
           "--M", "1 kg"], "error: M is the sweep axis\n"),
         (["boundary", "trapped", "--v", "100 m/s", "--D", "10 um",
-          "--theta", "1e-5"], "--theta"),
+          "--theta", "1e-5"],
+         "error: trapped boundary does not take theta\n"),
         (["evolve", "--rate", "1 1/s", "--t-end", "1 s", "--eta", "2"],
          "unrecognized arguments: --eta"),
         (["evolve", "--rate", "1 1/s", "--t-end", "1 s", "--unit", "kg"],
@@ -303,7 +304,8 @@ class TestUsageErrors:
                              ids=["non-mass", "unknown-json"])
     def test_unit_is_checked_before_the_sweep(self, capsys, monkeypatch,
                                               flags):
-        monkeypatch.setattr(cli, "sweep", lambda spec: pytest.fail("swept"))
+        monkeypatch.setattr(boundary, "sweep",
+                            lambda spec: pytest.fail("swept"))
         code, out, err = run(capsys, "boundary", "trapped", "--v", "100 m/s",
                              "--D", "10 um", *flags)
         assert (code, out) == (2, "")

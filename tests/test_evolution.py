@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,11 +13,12 @@ from collapsim.evolution import (AUTO_STEP_DIVISOR, EvolutionConfig,
                                  IntegrationError, Method, analytic_isolated,
                                  convergence_order, derivative, evolve,
                                  trajectory_to_csv, trajectory_to_json,
-                                 unitary_baseline)
+                                 two_level_decay, unitary_baseline)
 from collapsim.states import (PSD_TOL, CollapseRateMatrix, DensityMatrix,
                               Hamiltonian, coherence_visibility, make_basis,
                               pure_state)
-from collapsim.units import HBAR, quantity
+from collapsim import units
+from collapsim.units import HBAR, DimensionError, quantity
 
 BASIS = make_basis("here", "there")
 
@@ -298,6 +300,50 @@ class TestStepBudget:
         assert len(run(1.1, 2).times) == 7
         with pytest.raises(ValueError, match="^12 recorded samples"):
             run(1.1, 1)
+
+
+class TestRecordStride:
+    @pytest.mark.parametrize("stride", [2.5, 30.0, "2"])
+    def test_non_integer_stride_refused_when_built(self, stride):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"record_stride must be an integer, got {stride!r}") + "$"):
+            EvolutionConfig(t_end=quantity(1, "s"), record_stride=stride)
+
+    def test_numpy_integer_stride_accepted(self):
+        cfg = EvolutionConfig(t_end=quantity(1, "s"), dt=quantity(0.1, "s"),
+                              record_stride=np.int64(5))
+        traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
+                      rate_matrix(1.0), cfg)
+        assert traj.times.tolist() == pytest.approx([0.0, 0.5, 1.0])
+
+
+class TestTwoLevelDecay:
+    def test_builds_the_here_there_problem(self):
+        rho0, H, rates = two_level_decay(quantity(2, "1/s"),
+                                         quantity(1, "eV"))
+        assert rates.rates.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        assert H.elements.tolist() == [[0, 0], [0, quantity(1, "eV").value]]
+        assert np.allclose(rho0.elements, 0.5, rtol=0, atol=1e-15)
+        _, H, _ = two_level_decay(quantity(2, "1/s"))
+        assert not H.elements.any()
+
+    @pytest.mark.parametrize("rate, gap, message", [
+        (quantity(1, "m/s"), None, "rate must be a rate (1/s), got m s^-1"),
+        (quantity(1, "1/s"), quantity(1, "m"), "gap must be an energy, got m"),
+    ], ids=["rate", "gap"])
+    def test_dimensions_checked(self, rate, gap, message):
+        with pytest.raises(DimensionError,
+                           match="^" + re.escape(message) + "$"):
+            two_level_decay(rate, gap)
+
+    def test_negative_rate_refused_by_the_rate_matrix(self):
+        with pytest.raises(ValueError, match="^rates must be nonnegative$"):
+            two_level_decay(quantity(-1, "1/s"))
+
+    def test_passing_checks_format_no_dimension_names(self, monkeypatch):
+        monkeypatch.setattr(units.Dimension, "si_name",
+                            lambda self: pytest.fail("formatted"))
+        two_level_decay(quantity(1, "1/s"), quantity(1, "eV"))
 
 
 class TestAutoStep:

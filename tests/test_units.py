@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -224,6 +225,27 @@ class TestInterning:
     def test_pickle_and_copy_return_the_constant(self):
         assert pickle.loads(pickle.dumps(HBAR)).dim is ACTION
         assert copy.deepcopy(MASS) is MASS
+
+
+class TestDimensionExponents:
+    def test_integral_float_exponents_are_stored_as_ints(self):
+        assert Dimension(mass=2.0) is MASS ** 2
+        # A triple nothing else builds, so the constructor misses its cache.
+        dim = Dimension(mass=37.0, length=-41.0, time=43.0)
+        assert repr(dim) == "Dimension(mass=37, length=-41, time=43)"
+        assert dim is Dimension(37, -41, 43)
+
+    @pytest.mark.parametrize("exponents, message", [
+        ({"mass": 0.5}, "mass exponent must be an integer, got 0.5"),
+        ({"length": 2, "time": -1.5},
+         "time exponent must be an integer, got -1.5"),
+        ({"time": math.nan}, "time exponent must be an integer, got nan"),
+        ({"length": math.inf}, "length exponent must be an integer, got inf"),
+    ], ids=["half", "second", "nan", "inf"])
+    def test_non_integral_exponent_rejected(self, exponents, message):
+        with pytest.raises(DimensionError,
+                           match="^" + re.escape(message) + "$"):
+            Dimension(**exponents)
 
 
 class TestPowers:
