@@ -236,12 +236,14 @@ def _verdict_at(spec: SweepSpec, x: float) -> DiscriminationVerdict:
     return SCENARIOS[spec.scenario].verdict(params, spec.eta)
 
 
-def _bisect(spec: SweepSpec, lo: float, hi: float) -> float:
-    """Refine a flip bracket to BISECTION_REL_TOL relative width."""
-    lo_infinite = _verdict_at(spec, lo).is_infinite
+def _bisect(spec: SweepSpec, below: SweepRow, above: SweepRow) -> float:
+    """Refine the flip between two adjacent rows to BISECTION_REL_TOL (of
+    the upper row's value while the lower end is a rounded n = 0)."""
+    lo, hi = below.value.value, above.value.value
+    lo_infinite = not below.tau.is_finite
     geometric = spec.spacing == "geometric"
-    while (hi - lo) > BISECTION_REL_TOL * lo:
-        mid = math.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
+    while (hi - lo) > BISECTION_REL_TOL * (lo or above.value.value):
+        mid = math.sqrt(lo * hi) if geometric and lo else 0.5 * (lo + hi)
         if _verdict_at(spec, mid).is_infinite == lo_infinite:
             lo = mid
         else:
@@ -279,8 +281,7 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
     critical = None
     if flips:
         i = flips[0]
-        critical = Quantity(_bisect(spec, float(grid[i]), float(grid[i + 1])),
-                            spec.minimum.dim)
+        critical = Quantity(_bisect(spec, *rows[i:i + 2]), spec.minimum.dim)
     return BoundaryReport(spec.scenario, spec.axis, tuple(rows), critical)
 
 

@@ -20,11 +20,12 @@ n^2 x n^2 matrix acting on the row-major vec rho.  Where it costs less
 than stepping the matrix (`_operator_pays`), a run builds that operator
 once, by stepping the n^2 basis matrices, and jumps from one recorded
 sample to the next with its powers; otherwise it steps the matrix
-directly.  Either way each recorded interval is advanced in one jump and
-checked for finiteness once; an interval that ends non-finite is replayed
-one step at a time, so a blow-up is reported at its first non-finite
-step.  Runs over MAX_STEPS steps or MAX_RECORDED_ENTRIES recorded entries
-are refused before the first step.
+directly.  Either way the loop only jumps, into the (samples, n, n) array
+the trajectory keeps, and stops at the first jump that overflows; one pass
+after it checks that array for finiteness, and from the first non-finite
+sample on the run is stepped one step at a time, so a blow-up is reported
+at its first non-finite step.  Runs over MAX_STEPS steps or
+MAX_RECORDED_ENTRIES recorded entries are refused at the start.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .states import (PSD_TOL, BasisLabel, CollapseRateMatrix, DensityMatrix,
                      Hamiltonian, basis_names, index_of, invariants,
-                     make_basis, pure_state, validate)
+                     make_basis, pure_state, validate, visibility)
 from .units import (ENERGY, HBAR, PER_SECOND, TIME, DimensionError,
                     Quantity)
 
@@ -103,10 +104,11 @@ class EvolutionConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded samples and their health, one array entry per sample;
-    warnings has one line per tolerance that any sample exceeded."""
+    warnings has one line per tolerance that any sample exceeded (or NaN)."""
 
     basis: tuple[BasisLabel, ...]
     times: np.ndarray            # seconds, strictly increasing
+    elements: np.ndarray         # (samples, n, n) record, read-only
     states: list[DensityMatrix]
     trace_drift: np.ndarray
     hermiticity_defect: np.ndarray
@@ -116,19 +118,10 @@ class Trajectory:
     def final_state(self) -> DensityMatrix:
         return self.states[-1]
 
-    @property
-    def elements(self) -> np.ndarray:
-        """The recorded states stacked into one (samples, n, n) array."""
-        return np.stack([state.elements for state in self.states])
-
     def visibility(self, i: BasisLabel | str | int,
                    j: BasisLabel | str | int) -> np.ndarray:
         """Interference contrast 2|rho_ij| of the (i, j) coherence per sample."""
-        ii, jj = index_of(self.basis, i), index_of(self.basis, j)
-        if ii == jj:
-            raise ValueError(f"visibility needs two distinct labels, got '{i}' twice")
-        z = self.elements[:, ii, jj]
-        return 2.0 * np.hypot(z.real, z.imag)
+        return visibility(self.basis, self.elements, i, j)
 
 
 def _check_shared_basis(*objs) -> tuple[BasisLabel, ...]:
@@ -159,10 +152,6 @@ def _step(rhs, dt: float, method: Method):
         k4 = rhs(y + dt * k3)
         return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return rk4
-
-
-def _finite(y: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(y.view(np.float64))))
 
 
 def _operator_pays(n: int, method: Method, gaps: list[int]) -> bool:
@@ -244,8 +233,8 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
                          f"budget of {MAX_RECORDED_ENTRIES} entries; raise "
                          f"record_stride")
 
-    marks = [*range(cfg.record_stride, n_steps, cfg.record_stride), n_steps]
-    gaps = [stop - start for start, stop in zip([0] + marks, marks)]
+    marks = [*range(0, n_steps, cfg.record_stride), n_steps]
+    gaps = [stop - start for start, stop in zip(marks, marks[1:])]
     step = _step(_rhs(H, rates), dt, cfg.method)
     if _operator_pays(n, cfg.method, gaps):
         op = step(np.eye(n * n, dtype=np.complex128).reshape(-1, n, n))
@@ -260,28 +249,37 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
 
     elements = np.empty((samples, n, n), dtype=np.complex128)
     elements[0] = rho0.elements
-    for i, (start, stop) in enumerate(zip([0] + marks, marks), 1):
-        y = jump(elements[i - 1], stop - start)
-        if not _finite(y):
-            # Replay one step at a time to report the first non-finite one.
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for i, k in enumerate(gaps, 1):
+                elements[i] = jump(elements[i - 1], k)
+        except FloatingPointError:
+            elements[i:] = np.nan  # stop jumping at the first overflow
+
+    # One check of the record, also for an overflow numpy did not flag.
+    finite = np.isfinite(elements).all(axis=(1, 2))
+    if not finite.all():
+        # Step on one step at a time from the last finite sample.
+        for i in range(int(finite.argmin()), samples):
             y = elements[i - 1]
-            for s in range(start + 1, stop + 1):
+            for s in range(marks[i - 1] + 1, marks[i] + 1):
                 y = jump(y, 1)
-                if not _finite(y):
+                if not np.isfinite(y).all():
                     raise IntegrationError(
                         f"non-finite state at t = {s * dt!r} s", s * dt)
-        elements[i] = y
+            elements[i] = y
+    elements.setflags(write=False)
 
     drift, herm, lo = invariants(elements)
     worst = {"trace drift": drift.max(), "hermiticity defect": herm.max()}
     warnings = [f"{name} {value:.3e}" for name, value in worst.items()
-                if value > TRAJECTORY_DRIFT_TOL]
-    if lo.min() < -PSD_TOL:
+                if not value <= TRAJECTORY_DRIFT_TOL]
+    if not lo.min() >= -PSD_TOL:
         warnings.append(f"min eigenvalue {lo.min():.3e} below floor "
                         f"{-PSD_TOL:.1e}")
     states = [rho0] + [DensityMatrix(basis, e) for e in elements[1:]]
-    return Trajectory(basis, np.array([0, *marks]) * dt, states, drift, herm,
-                      lo, tuple(warnings))
+    return Trajectory(basis, np.array(marks) * dt, elements, states, drift,
+                      herm, lo, tuple(warnings))
 
 
 def two_level_decay(rate: Quantity, gap: Quantity | None = None) -> tuple[

@@ -2,10 +2,11 @@
 labeled finite basis.
 
 All three matrix types are immutable value objects: arrays are copied on
-construction and marked read-only, so instances are safe to share across
-threads.  DensityMatrix deliberately does not enforce its physical
-invariants at construction; `validate` reports defects so that integrators
-can monitor drifting states instead of crashing on them.
+construction (a read-only view into a read-only array is shared) and
+marked read-only, so instances are safe to share across threads.
+DensityMatrix deliberately does not enforce its physical invariants at
+construction; `validate` reports defects so that integrators can monitor
+drifting states instead of crashing on them.
 """
 
 from __future__ import annotations
@@ -58,7 +59,11 @@ def index_of(basis: tuple[BasisLabel, ...], label: BasisLabel | str | int) -> in
 
 
 def _frozen(matrix, dtype) -> np.ndarray:
-    arr = np.array(matrix, dtype=dtype)
+    # A read-only view into a read-only array (a trajectory row) is shared.
+    base = getattr(matrix, "base", None)
+    shared = (isinstance(base, np.ndarray) and not base.flags.writeable
+              and not matrix.flags.writeable and matrix.dtype == dtype)
+    arr = matrix if shared else np.array(matrix, dtype=dtype)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -202,15 +207,15 @@ def validate(rho: DensityMatrix) -> list:
     """Measure the three density-matrix invariants; one entry per violation.
 
     Diagnostic only: accepts any square complex matrix with a basis and
-    never raises.
+    never raises; a NaN measurement counts as a violation.
     """
     trace, herm, lo = map(float, invariants(rho.elements))
     violations = []
-    if herm > HERMITICITY_TOL:
+    if not herm <= HERMITICITY_TOL:
         violations.append(HermiticityDefect(herm))
-    if trace > TRACE_TOL:
+    if not trace <= TRACE_TOL:
         violations.append(TraceDefect(trace))
-    if lo < -PSD_TOL:
+    if not lo >= -PSD_TOL:
         violations.append(PositivityDefect(lo))
     return violations
 
@@ -228,13 +233,21 @@ def pure_state(amplitudes, basis: tuple[BasisLabel, ...]) -> DensityMatrix:
     return DensityMatrix(basis, np.outer(psi, psi.conj()))
 
 
+def visibility(basis: tuple[BasisLabel, ...], m: np.ndarray,
+               i: BasisLabel | str | int, j: BasisLabel | str | int) -> np.ndarray:
+    """2|m_ij| of one matrix or each of a stack (..., n, n); inf on overflow."""
+    ii, jj = index_of(basis, i), index_of(basis, j)
+    if ii == jj:
+        raise ValueError(f"visibility needs two distinct labels, got '{i}' twice")
+    z = m[..., ii, jj]
+    with np.errstate(over="ignore"):
+        return 2.0 * np.hypot(z.real, z.imag)
+
+
 def coherence_visibility(rho: DensityMatrix, i: BasisLabel | str | int,
                          j: BasisLabel | str | int) -> float:
     """Interference contrast 2|rho_ij| of the (i, j) coherence."""
-    ii, jj = index_of(rho.basis, i), index_of(rho.basis, j)
-    if ii == jj:
-        raise ValueError(f"visibility needs two distinct labels, got '{i}' twice")
-    return 2.0 * float(abs(rho.elements[ii, jj]))
+    return float(visibility(rho.basis, rho.elements, i, j))
 
 
 def _complex_to_pairs(matrix: np.ndarray) -> list:

@@ -245,6 +245,44 @@ class TestOscillatorSweep:
             n_star = (4 * math.pi * 2.99792458e8 / v0) ** (2 / 3)
             assert report.critical_value.value == pytest.approx(n_star, rel=1e-5)
 
+    def test_quantum_number_axis_bisects_between_its_rounded_rows(self):
+        # n* = 10.2 here; the grid ends 10.4 and 20.4 round to the rows
+        # n = 10 (quantum) and n = 20 (marginal), which bracket it.
+        fixed = {"M": quantity(3.942625681831795e-46, "kg"),
+                 "omega0": quantity(1e5, "rad/s")}
+        spec = SweepSpec(Scenario.OSCILLATOR, "n", Quantity(10.4),
+                         Quantity(20.4), count=2, spacing="linear",
+                         fixed=fixed)
+        report = sweep(spec)
+        assert [row.value.value for row in report.rows] == [10.0, 20.0]
+        assert [row.regime for row in report.rows] == [Regime.QUANTUM,
+                                                       Regime.MARGINAL]
+        assert report.critical_value.value == pytest.approx(10.2, rel=1e-6)
+
+    @pytest.mark.parametrize("mass", [1e-50, 1e-60])
+    def test_quantum_number_axis_bisects_up_from_zero(self, monkeypatch,
+                                                      mass):
+        # The geometric grid 0.1..10 rounds to the rows 0, 0, 1, 3, 10, and
+        # n* < 1, so the flip's lower row is n = 0, where no geometric
+        # midpoint moves.  A bound on the verdict calls stands in for a hang.
+        calls, real = [], boundary_mod._verdict_at
+
+        def bounded(spec, x):
+            calls.append(x)
+            assert len(calls) < 100, "bisection does not converge"
+            return real(spec, x)
+
+        monkeypatch.setattr(boundary_mod, "_verdict_at", bounded)
+        fixed = {"M": quantity(mass, "kg"), "omega0": quantity(1e5, "rad/s")}
+        spec = SweepSpec(Scenario.OSCILLATOR, "n", Quantity(0.1),
+                         Quantity(10.0), count=5, fixed=fixed)
+        report = sweep(spec)
+        assert [row.value.value for row in report.rows] == [0, 0, 1, 3, 10]
+        v0 = math.sqrt(HBAR_V * 1e5 / (2 * mass))
+        n_star = (4 * math.pi * 2.99792458e8 / v0) ** (2 / 3)
+        assert n_star < 1
+        assert report.critical_value.value == pytest.approx(n_star, rel=1e-5)
+
     def test_quantum_number_axis_in_metres_rejected(self):
         fixed = {"M": quantity(1e-24, "kg"), "omega0": quantity(1e5, "rad/s")}
         spec = SweepSpec(Scenario.OSCILLATOR, "n",
@@ -421,6 +459,20 @@ class TestMassBoundary:
         assert report.critical_value.value == pytest.approx(
             free_flight_critical_mass(v, 1e-5, D).value,
             rel=BISECTION_REL_TOL)
+
+    def test_bisection_reuses_the_bracketing_rows(self, monkeypatch):
+        # 31 grid points plus 21 bisection midpoints; the lower end of the
+        # bracket is a grid row already, so it is not evaluated again.
+        calls, real = [], boundary_mod._verdict_at
+
+        def counted(spec, x):
+            calls.append(x)
+            return real(spec, x)
+
+        monkeypatch.setattr(boundary_mod, "_verdict_at", counted)
+        mass_boundary("trapped", quantity(100, "m/s"), quantity(10, "um"))
+        assert len(calls) == 52
+        assert len(set(calls)) == 52
 
     def test_margin_moves_the_trapped_boundary(self):
         v, D = quantity(100, "m/s"), quantity(10, "um")

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -380,6 +381,21 @@ class TestWarnings:
         assert code == 0
         assert err == f"warning: min eigenvalue {worst} below floor -1.0e-10\n"
         assert out.startswith("time_s,")
+
+    def test_nan_health_is_a_warning_and_overflow_no_numpy_warning(
+            self, capsys):
+        # Two steps that leave the coherence at 1.46e308: its visibility
+        # overflows to inf, and its eigenvalues come out NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "evolve", "--rate", "1 1/s",
+                                 "--t-end", "1.6e39 s", "--dt", "8e38 s",
+                                 "--stride", "2")
+        assert code == 0
+        assert err == "warning: min eigenvalue nan below floor -1.0e-10\n"
+        last = list(csv.reader(io.StringIO(out)))[-1]
+        assert last[3] == "1.456355555555555e+308"
+        assert last[-2:] == ["inf", "nan"]
 
     def test_healthy_run_prints_no_warning(self, capsys):
         code, _, err = run(capsys, "evolve", "--rate", "1 1/s",

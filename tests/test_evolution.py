@@ -151,19 +151,59 @@ class TestEvolve:
                        rate_matrix(1.0), cfg)
         assert err.value.time == 30000.0
 
-    @pytest.mark.parametrize("path", ["direct", "operator"])
-    def test_blow_up_between_samples_reports_its_first_step(self, monkeypatch,
-                                                            path):
-        # Samples at steps 28 and 35 straddle the first non-finite step, 30.
+    @pytest.mark.parametrize("path, t_end, stride", [
+        pytest.param(path, t_end, stride, id=path + where)
+        for path in ("direct", "operator")
+        for where, (t_end, stride) in {
+            "": (1e5, 7), "-first-interval": (1e5, 40),
+            "-last-interval": (3.5e4, 29), "-one-interval": (1e5, 100),
+            "-every-step": (1e5, 1)}.items()])
+    def test_blow_up_between_samples_reports_its_first_step(
+            self, monkeypatch, path, t_end, stride):
+        # Step 30 is the first non-finite one, whichever interval holds it:
+        # with stride 7 the samples at steps 28 and 35 straddle it.
         monkeypatch.setattr(evolution, "_operator_pays",
                             lambda *args: path == "operator")
-        cfg = EvolutionConfig(t_end=quantity(1e5, "s"), dt=quantity(1e3, "s"),
-                              record_stride=7)
-        with pytest.raises(IntegrationError) as err:
-            evolve(equal_superposition(), Hamiltonian.zero(BASIS),
-                   rate_matrix(1.0), cfg)
+        cfg = EvolutionConfig(t_end=quantity(t_end, "s"),
+                              dt=quantity(1e3, "s"), record_stride=stride)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError) as err:
+                evolve(equal_superposition(), Hamiltonian.zero(BASIS),
+                       rate_matrix(1.0), cfg)
         assert err.value.time == 30000.0
         assert str(err.value) == "non-finite state at t = 30000.0 s"
+
+    def test_blow_up_stops_jumping_at_its_first_overflow(self, monkeypatch):
+        # 10^5 planned steps; step 30 is the first non-finite one.
+        steps, real = [], evolution._step
+
+        def counted(*args):
+            step = real(*args)
+            return lambda y: steps.append(1) or step(y)
+
+        monkeypatch.setattr(evolution, "_step", counted)
+        monkeypatch.setattr(evolution, "_operator_pays", lambda *args: False)
+        cfg = EvolutionConfig(t_end=quantity(1e8, "s"), dt=quantity(1e3, "s"),
+                              record_stride=7)
+        with pytest.raises(IntegrationError, match="t = 30000.0 s"):
+            evolve(equal_superposition(), Hamiltonian.zero(BASIS),
+                   rate_matrix(1.0), cfg)
+        assert len(steps) < 100
+
+    @pytest.mark.parametrize("path", ["direct", "operator"])
+    def test_overflowing_power_keeps_the_single_steps(self, monkeypatch,
+                                                      path):
+        # The second power of this step operator overflows, but two single
+        # steps of the coherence stay just under the largest double.
+        monkeypatch.setattr(evolution, "_operator_pays",
+                            lambda *args: path == "operator")
+        cfg = EvolutionConfig(t_end=quantity(1.6e39, "s"),
+                              dt=quantity(8e38, "s"), record_stride=2)
+        traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
+                      rate_matrix(1.0), cfg)
+        assert traj.elements[-1, 0, 1] == 1.456355555555555e+308
+        assert traj.final_state().elements[0, 1] == 1.456355555555555e+308
 
 
 def reference_run(rho0, H, rates, dt, n_steps, method):
@@ -534,6 +574,21 @@ def test_health_and_visibility_arrays_match_each_state(n, stride):
         assert vis[k] == coherence_visibility(state, 0, n - 1)
     with pytest.raises(ValueError, match="distinct"):
         traj.visibility(1, 1)
+
+
+def test_elements_are_the_one_read_only_record():
+    rho0, H, rates = random_system(3, seed=3)
+    cfg = EvolutionConfig(t_end=quantity(0.5, "s"), dt=quantity(0.01, "s"),
+                          record_stride=7)
+    traj = evolve(rho0, H, rates, cfg)
+    assert traj.elements is traj.elements
+    assert not traj.elements.flags.writeable
+    stacked = np.stack([state.elements for state in traj.states])
+    assert traj.elements.tobytes() == stacked.tobytes()
+    assert all(state.elements.base is traj.elements
+               for state in traj.states[1:])
+    with pytest.raises(ValueError, match="read-only"):
+        traj.elements[0, 0, 0] = 0.0
 
 
 class TestExports:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,7 +7,8 @@ from hypothesis import given, strategies as st
 from collapsim.states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
                               HermiticityDefect, PositivityDefect, TraceDefect,
                               basis_names, coherence_visibility, from_json,
-                              invariants, make_basis, pure_state, validate)
+                              invariants, make_basis, pure_state, validate,
+                              visibility)
 
 
 @pytest.fixture
@@ -74,6 +77,25 @@ class TestVisibility:
         with pytest.raises(ValueError, match="elsewhere"):
             coherence_visibility(rho, "here", "elsewhere")
 
+    def test_stack_and_single_matrix_agree_bit_for_bit(self, two_basis):
+        # Entries over 600 decades, so hypot's scaling is exercised too.
+        rng = np.random.default_rng(11)
+        scale = 10.0 ** rng.uniform(-300, 300, size=(2000, 2, 2))
+        stack = (rng.normal(size=(2000, 2, 2))
+                 + 1j * rng.normal(size=(2000, 2, 2))) * scale
+        batched = visibility(two_basis, stack, "here", "there")
+        single = [coherence_visibility(DensityMatrix(two_basis, m), 0, 1)
+                  for m in stack]
+        assert batched.tolist() == single
+        assert single == [2.0 * abs(complex(m[0, 1])) for m in stack]
+
+    def test_overflow_is_infinite_without_a_warning(self, two_basis):
+        m = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert coherence_visibility(DensityMatrix(two_basis, m),
+                                        "here", "there") == np.inf
+
 
 class TestValidate:
     def test_valid_state_is_clean(self, two_basis):
@@ -99,6 +121,12 @@ class TestValidate:
         batched = invariants(stack)
         for k, m in enumerate(stack):
             assert tuple(a[k] for a in batched) == invariants(m)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_nan_entry_is_a_violation(self, two_basis, entry):
+        m = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        m[entry] = np.nan
+        assert validate(DensityMatrix(two_basis, m)) != []
 
     def test_negative_eigenvalue_measured(self, two_basis):
         m = np.array([[0.0, 0.5], [0.5, 1.0]], dtype=complex)
@@ -217,3 +245,19 @@ class TestImmutability:
         rho = pure_state([1, 0], two_basis)
         with pytest.raises(ValueError):
             rho.elements[0, 0] = 0.0
+
+    def test_writable_source_is_copied(self, two_basis):
+        stack = np.eye(2, dtype=complex)[None].repeat(2, axis=0)
+        row = stack[1]
+        row.setflags(write=False)  # read-only view of a writable array
+        for source in (stack[0], row):
+            rho = DensityMatrix(two_basis, source)
+            stack[:] = 0.0
+            assert rho.elements.tolist() == np.eye(2).tolist()
+            stack[:] = np.eye(2)
+
+    def test_read_only_record_row_is_shared(self, two_basis):
+        stack = np.eye(2, dtype=complex)[None].repeat(2, axis=0)
+        stack.setflags(write=False)
+        rho = DensityMatrix(two_basis, stack[1])
+        assert rho.elements.base is stack
