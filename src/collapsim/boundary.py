@@ -7,9 +7,10 @@ finite collapse time and an everlasting superposition.  Sweeps evaluate the
 verdict on a grid along one axis and then bisect the flip interval on the
 verdict itself (not on an inverted formula), so they stay correct if the
 discrimination margins change; the closed-form critical-mass operations
-remain available as cross-checks.  `SweepSpec` checks a sweep once, so
-its points run the table's verdict unchecked; `mass_boundary` is the mass
-scan behind `collapsim boundary`.
+remain available as cross-checks.  `SweepSpec` checks a sweep's names,
+eta, count and grid when it is built; each point's values are checked by
+the scenario's spec when its verdict runs, so a bad value raises from
+`sweep`.  `mass_boundary` is the mass scan behind `collapsim boundary`.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
 
 
 def _verdict_at(spec: SweepSpec, x: float) -> DiscriminationVerdict:
-    """The verdict at axis value x (SI scale; n may be real); unchecked."""
+    """The verdict at axis value x (SI scale; n may be real)."""
     params = spec.fixed.copy()
     params[spec.axis] = Quantity(x, spec.minimum.dim)
     return SCENARIOS[spec.scenario].verdict(params, spec.eta)
@@ -339,7 +340,7 @@ def visibility_curve(verdict: DiscriminationVerdict,
     """
     traj = curve_trajectory(verdict, t_end, dt=dt,
                             record_stride=record_stride)
-    return traj.times, traj.visibility("here", "there")
+    return traj.times, traj.visibility(0, 1)
 
 
 def curve_to_csv(times: np.ndarray, visibilities: np.ndarray) -> str:

@@ -118,8 +118,8 @@ def _cmd_evolve(args) -> str:
     traj = evolve(rho0, H, rates, cfg)
     _warn(traj)
     if args.json:
-        return _dump(trajectory_to_json(traj, ("here", "there")))
-    return trajectory_to_csv(traj, ("here", "there"))
+        return _dump(trajectory_to_json(traj))
+    return trajectory_to_csv(traj)
 
 
 def _cmd_sweep(args) -> str:
@@ -152,8 +152,8 @@ def _cmd_curve(args) -> str:
                             record_stride=args.stride)
     _warn(traj)
     if args.json:
-        return _dump(trajectory_to_json(traj, ("here", "there")))
-    return curve_to_csv(traj.times, traj.visibility("here", "there"))
+        return _dump(trajectory_to_json(traj))
+    return curve_to_csv(traj.times, traj.visibility(0, 1))
 
 
 def _scenario_command(sub, command: str, summary: str, entries,

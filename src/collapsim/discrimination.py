@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import BasisLabel, CollapseRateMatrix, index_of
+from .states import CollapseRateMatrix, index_of
 from .units import (C, ENERGY, HBAR, LENGTH, MASS, PER_SECOND, PI, SPEED,
                     TIME, Quantity, preferred_unit)
 
@@ -158,6 +158,7 @@ class TrappedPairSpec:
     def __post_init__(self):
         _require_positive(self.mass, MASS, "mass")
         _require_positive(self.mean_velocity, SPEED, "mean_velocity")
+        _require(self.mean_velocity < C, "mean_velocity must be below c")
         _require_positive(self.separation, LENGTH, "separation")
         if self.energy_gap is not None:
             _require_positive(self.energy_gap, ENERGY, "energy_gap")
@@ -248,6 +249,7 @@ def trapped_critical_mass(v: Quantity, D: Quantity, eta: float = 1.0) -> Quantit
     At M*, the gap estimate E = M v^2 satisfies E*D = 4 pi hbar c eta.
     """
     _require_positive(v, SPEED, "v")
+    _require(v < C, "v must be below c")
     _require_positive(D, LENGTH, "D")
     _require(eta >= 1.0, f"eta must be >= 1, got {eta}")
     _require(math.isfinite(eta), f"eta must be finite, got {eta}")
@@ -320,6 +322,7 @@ def free_flight_tau(spec: FreeFlightSpec) -> DiscriminationVerdict:
 def free_flight_critical_mass(v: Quantity, theta: float, D: Quantity) -> Quantity:
     """Mass at which the speed-meter window just opens: M* = 8 hbar / (v theta D)."""
     _require_positive(v, SPEED, "v")
+    _require(v < C, "v must be below c")
     _require(0.0 < theta < 1.0, f"theta must be in (0, 1), got {theta}")
     _require_positive(D, LENGTH, "D")
     return 8.0 * HBAR / (v * theta * D)
@@ -385,11 +388,11 @@ def entangled_tau(subsystem_verdicts) -> DiscriminationVerdict:
     return min(verdicts, key=lambda v: v.tau.value)
 
 
-def build_rate_matrix(basis: tuple[BasisLabel, ...],
+def build_rate_matrix(basis: tuple[str, ...],
                       pair_verdicts: dict) -> CollapseRateMatrix:
     """Assemble 1/tau_ij from per-pair verdicts; unlisted pairs stay at 0.
 
-    Keys are (i, j) pairs of labels or names with i != j; each unordered
+    Keys are (i, j) pairs of names or indices with i != j; each unordered
     pair may appear once.
     """
     n = len(basis)

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (PSD_TOL, BasisLabel, CollapseRateMatrix, DensityMatrix,
-                     Hamiltonian, basis_names, index_of, invariants,
-                     make_basis, pure_state, validate, visibility)
+from .states import (PSD_TOL, CollapseRateMatrix, DensityMatrix, Hamiltonian,
+                     _complex_to_pairs, index_of, invariants, make_basis,
+                     pure_state, validate, visibility)
 from .units import (ENERGY, HBAR, PER_SECOND, TIME, DimensionError,
                     Quantity)
 
@@ -106,7 +106,7 @@ class Trajectory:
     """Recorded samples and their health, one array entry per sample;
     warnings has one line per tolerance that any sample exceeded (or NaN)."""
 
-    basis: tuple[BasisLabel, ...]
+    basis: tuple[str, ...]
     times: np.ndarray            # seconds, strictly increasing
     elements: np.ndarray         # (samples, n, n) record, read-only
     states: list[DensityMatrix]
@@ -118,17 +118,16 @@ class Trajectory:
     def final_state(self) -> DensityMatrix:
         return self.states[-1]
 
-    def visibility(self, i: BasisLabel | str | int,
-                   j: BasisLabel | str | int) -> np.ndarray:
+    def visibility(self, i: str | int, j: str | int) -> np.ndarray:
         """Interference contrast 2|rho_ij| of the (i, j) coherence per sample."""
         return visibility(self.basis, self.elements, i, j)
 
 
-def _check_shared_basis(*objs) -> tuple[BasisLabel, ...]:
-    names = [tuple(basis_names(o.basis)) for o in objs]
-    if len(set(names)) != 1:
-        raise ValueError(f"basis mismatch: {names}")
-    return objs[0].basis
+def _check_shared_basis(*objs) -> tuple[str, ...]:
+    bases = [o.basis for o in objs]
+    if any(basis != bases[0] for basis in bases):
+        raise ValueError(f"basis mismatch: {bases}")
+    return bases[0]
 
 
 def _rhs(H: Hamiltonian, rates: CollapseRateMatrix):
@@ -372,17 +371,16 @@ def csv_text(header: list[str], *columns: np.ndarray) -> str:
 
 def trajectory_to_json(traj: Trajectory, pair: tuple = (0, 1)) -> dict:
     i, j = (index_of(traj.basis, pair[0]), index_of(traj.basis, pair[1]))
-    n = len(traj.basis)
-    rho = traj.elements.view(np.float64).reshape(len(traj.times), n, n, 2)
     samples = [
         {"time": {"value": t, "unit": "s"}, "rho": r, "visibility": vis,
          "min_eigenvalue": lo, "trace_drift": drift}
         for t, r, vis, lo, drift in zip(
-            traj.times.tolist(), rho.tolist(), traj.visibility(i, j).tolist(),
-            traj.min_eigenvalue.tolist(), traj.trace_drift.tolist())]
+            traj.times.tolist(), _complex_to_pairs(traj.elements),
+            traj.visibility(i, j).tolist(), traj.min_eigenvalue.tolist(),
+            traj.trace_drift.tolist())]
     return {
         "schema": TRAJECTORY_SCHEMA_ID,
-        "basis": basis_names(traj.basis),
-        "pair": [traj.basis[i].name, traj.basis[j].name],
+        "basis": list(traj.basis),
+        "pair": [traj.basis[i], traj.basis[j]],
         "samples": samples,
     }

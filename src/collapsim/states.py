@@ -1,6 +1,10 @@
 """Density matrices, Hamiltonians, and pairwise collapse-rate matrices over a
 labeled finite basis.
 
+A basis is the tuple of its unique state names, as `make_basis` returns
+it; a name's index is its position, and wherever a state is addressed it
+may be given by name or by raw index.
+
 All three matrix types are immutable value objects: arrays are copied on
 construction (a read-only view into a read-only array is shared) and
 marked read-only, so instances are safe to share across threads.
@@ -24,56 +28,44 @@ PSD_TOL = 1e-10           # smallest eigenvalue >= -PSD_TOL
 STATEKIT_SCHEMA_ID = "statekit/1"
 
 
-@dataclass(frozen=True)
-class BasisLabel:
-    name: str
-    index: int
-
-
-def make_basis(*names: str) -> tuple[BasisLabel, ...]:
-    """Basis labels with contiguous indices 0..N-1; names must be unique."""
+def make_basis(*names: str) -> tuple[str, ...]:
+    """A basis: its unique state names, each name's index its position."""
     if not names:
         raise ValueError("basis needs at least one label")
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"basis names must be strings, got {name!r}")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate basis names in {names}")
-    return tuple(BasisLabel(name, i) for i, name in enumerate(names))
+    return names
 
 
-def basis_names(basis: tuple[BasisLabel, ...]) -> list[str]:
-    return [label.name for label in basis]
-
-
-def index_of(basis: tuple[BasisLabel, ...], label: BasisLabel | str | int) -> int:
-    """Resolve a label, name, or raw index against a basis."""
-    if isinstance(label, BasisLabel):
-        label = label.name
+def index_of(basis: tuple[str, ...], label: str | int) -> int:
+    """Resolve a name or a raw index against a basis."""
     if isinstance(label, str):
-        for entry in basis:
-            if entry.name == label:
-                return entry.index
-        raise ValueError(f"label '{label}' not in basis {basis_names(basis)}")
+        if label not in basis:
+            raise ValueError(f"label '{label}' not in basis {list(basis)}")
+        return basis.index(label)
     idx = int(label)
     if not 0 <= idx < len(basis):
         raise ValueError(f"index {idx} out of range for basis of size {len(basis)}")
     return idx
 
 
-def _frozen(matrix, dtype) -> np.ndarray:
-    # A read-only view into a read-only array (a trajectory row) is shared.
+def _matrix(basis: tuple[str, ...], matrix, dtype) -> np.ndarray:
+    """A read-only square dtype array over the basis; a read-only view into
+    a read-only array (a trajectory row) is shared, anything else copied."""
     base = getattr(matrix, "base", None)
     shared = (isinstance(base, np.ndarray) and not base.flags.writeable
               and not matrix.flags.writeable and matrix.dtype == dtype)
     arr = matrix if shared else np.array(matrix, dtype=dtype)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if len(basis) != arr.shape[0]:
+        raise ValueError(
+            f"basis size {len(basis)} does not match matrix shape {arr.shape}")
     arr.setflags(write=False)
     return arr
-
-
-def _check_shape(basis, elements) -> None:
-    if len(basis) != elements.shape[0]:
-        raise ValueError(
-            f"basis size {len(basis)} does not match matrix shape {elements.shape}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,25 +73,25 @@ class DensityMatrix:
     """Complex matrix over a labeled basis, nominally Hermitian, unit-trace,
     and positive semidefinite (see `validate`)."""
 
-    basis: tuple[BasisLabel, ...]
+    basis: tuple[str, ...]
     elements: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", _frozen(self.elements, np.complex128))
-        _check_shape(self.basis, self.elements)
+        object.__setattr__(self, "elements",
+                           _matrix(self.basis, self.elements, np.complex128))
 
     @property
     def dim(self) -> int:
         return self.elements.shape[0]
 
-    def element(self, i: BasisLabel | str | int, j: BasisLabel | str | int) -> complex:
+    def element(self, i: str | int, j: str | int) -> complex:
         return complex(self.elements[index_of(self.basis, i), index_of(self.basis, j)])
 
     def to_json(self) -> dict:
         return {
             "schema": STATEKIT_SCHEMA_ID,
             "kind": "density_matrix",
-            "basis": basis_names(self.basis),
+            "basis": list(self.basis),
             "elements": _complex_to_pairs(self.elements),
         }
 
@@ -108,12 +100,12 @@ class DensityMatrix:
 class Hamiltonian:
     """Hermitian matrix over a labeled basis; elements in joules."""
 
-    basis: tuple[BasisLabel, ...]
+    basis: tuple[str, ...]
     elements: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", _frozen(self.elements, np.complex128))
-        _check_shape(self.basis, self.elements)
+        object.__setattr__(self, "elements",
+                           _matrix(self.basis, self.elements, np.complex128))
         if not np.all(np.isfinite(self.elements)):
             raise ValueError("Hamiltonian entries must be finite")
         defect = float(np.max(np.abs(self.elements - self.elements.conj().T)))
@@ -122,14 +114,14 @@ class Hamiltonian:
             raise ValueError(f"Hamiltonian is not Hermitian (defect {defect:.3e})")
 
     @classmethod
-    def zero(cls, basis: tuple[BasisLabel, ...]) -> "Hamiltonian":
+    def zero(cls, basis: tuple[str, ...]) -> "Hamiltonian":
         return cls(basis, np.zeros((len(basis), len(basis)), dtype=np.complex128))
 
     def to_json(self) -> dict:
         return {
             "schema": STATEKIT_SCHEMA_ID,
             "kind": "hamiltonian",
-            "basis": basis_names(self.basis),
+            "basis": list(self.basis),
             "unit": "J",
             "elements": _complex_to_pairs(self.elements),
         }
@@ -144,12 +136,12 @@ class CollapseRateMatrix:
     identically 0 (a state never decoheres against itself).
     """
 
-    basis: tuple[BasisLabel, ...]
+    basis: tuple[str, ...]
     rates: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rates", _frozen(self.rates, np.float64))
-        _check_shape(self.basis, self.rates)
+        object.__setattr__(self, "rates",
+                           _matrix(self.basis, self.rates, np.float64))
         if not np.all(np.isfinite(self.rates)):
             raise ValueError("rates must be finite")
         if not np.array_equal(self.rates, self.rates.T):
@@ -160,7 +152,7 @@ class CollapseRateMatrix:
             raise ValueError("rates must be nonnegative")
 
     @classmethod
-    def zero(cls, basis: tuple[BasisLabel, ...]) -> "CollapseRateMatrix":
+    def zero(cls, basis: tuple[str, ...]) -> "CollapseRateMatrix":
         return cls(basis, np.zeros((len(basis), len(basis))))
 
     @property
@@ -171,7 +163,7 @@ class CollapseRateMatrix:
         return {
             "schema": STATEKIT_SCHEMA_ID,
             "kind": "collapse_rate_matrix",
-            "basis": basis_names(self.basis),
+            "basis": list(self.basis),
             "unit": "1/s",
             "rates": self.rates.tolist(),
         }
@@ -192,6 +184,8 @@ class PositivityDefect:
     min_eigenvalue: float
 
 
+# A non-finite entry measures as NaN or inf, not as numpy warnings.
+@np.errstate(invalid="ignore", over="ignore")
 def invariants(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trace drift |tr(m) - 1|, Hermiticity defect max |m - m^H| and the
     smallest eigenvalue of the Hermitian part (meaningful even when m is
@@ -220,7 +214,7 @@ def validate(rho: DensityMatrix) -> list:
     return violations
 
 
-def pure_state(amplitudes, basis: tuple[BasisLabel, ...]) -> DensityMatrix:
+def pure_state(amplitudes, basis: tuple[str, ...]) -> DensityMatrix:
     """|psi><psi| from amplitudes over the basis, normalizing psi."""
     psi = np.asarray(amplitudes, dtype=np.complex128)
     if psi.ndim != 1 or psi.size != len(basis):
@@ -233,8 +227,8 @@ def pure_state(amplitudes, basis: tuple[BasisLabel, ...]) -> DensityMatrix:
     return DensityMatrix(basis, np.outer(psi, psi.conj()))
 
 
-def visibility(basis: tuple[BasisLabel, ...], m: np.ndarray,
-               i: BasisLabel | str | int, j: BasisLabel | str | int) -> np.ndarray:
+def visibility(basis: tuple[str, ...], m: np.ndarray,
+               i: str | int, j: str | int) -> np.ndarray:
     """2|m_ij| of one matrix or each of a stack (..., n, n); inf on overflow."""
     ii, jj = index_of(basis, i), index_of(basis, j)
     if ii == jj:
@@ -244,14 +238,16 @@ def visibility(basis: tuple[BasisLabel, ...], m: np.ndarray,
         return 2.0 * np.hypot(z.real, z.imag)
 
 
-def coherence_visibility(rho: DensityMatrix, i: BasisLabel | str | int,
-                         j: BasisLabel | str | int) -> float:
+def coherence_visibility(rho: DensityMatrix, i: str | int,
+                         j: str | int) -> float:
     """Interference contrast 2|rho_ij| of the (i, j) coherence."""
     return float(visibility(rho.basis, rho.elements, i, j))
 
 
 def _complex_to_pairs(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+    """Nested [re, im] lists of a complex array of any shape."""
+    return (np.ascontiguousarray(matrix).view(np.float64)
+            .reshape(*matrix.shape, 2).tolist())
 
 
 def _pairs_to_complex(pairs) -> np.ndarray:

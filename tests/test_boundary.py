@@ -97,6 +97,16 @@ class TestSweepSpec:
                       quantity(1e-10, "kg"), count=5,
                       fixed={"omega0": quantity(1e5, "rad/s"), "n": 3})
 
+    def test_endpoints_must_share_a_dimension(self):
+        with raises_exactly("grid endpoints must share a dimension"):
+            SweepSpec(Scenario.TRAPPED, "M", quantity(1, "kg"),
+                      quantity(2, "m"), count=5, fixed={})
+
+    def test_unknown_spacing_refused(self):
+        with raises_exactly("unknown spacing 'cubic'"):
+            SweepSpec(Scenario.TRAPPED, "M", quantity(1, "kg"),
+                      quantity(2, "kg"), count=5, spacing="cubic", fixed={})
+
     def test_geometric_needs_positive_minimum(self):
         with pytest.raises(ValidationError, match="geometric"):
             SweepSpec(Scenario.TRAPPED, "M", Quantity(-1.0, quantity(1, "kg").dim),

@@ -87,6 +87,13 @@ class TestBoundary:
         doc = json.loads(out)
         jsonschema.validate(doc, REPORT_SCHEMA)
 
+    def test_no_flip_exits_1(self, capsys):
+        code, out, err = run(capsys, "boundary", "trapped",
+                             "--v", "1e-9 m/s", "--D", "10 um")
+        assert (code, out) == (1, "")
+        assert err == ("error: no regime flip for masses in [1e-3, 1e12] "
+                       "GeV/c2\n")
+
     def test_missing_theta_is_usage_error(self, capsys):
         code, _, err = run(capsys, "boundary", "free-flight",
                            "--v", "1e3 m/s", "--D", "10 um")
@@ -200,6 +207,15 @@ class TestSweepAndCurve:
                            "--v", "100 m/s")
         assert code == 2
         assert err == "error: missing D for trapped\n"
+
+    def test_curve_json_trajectory_validates(self, capsys):
+        code, out, _ = run(capsys, "curve", "trapped", "--M", "1e6 GeV/c2",
+                           "--v", "100 m/s", "--D", "10 um", "--stride", "128",
+                           "--json")
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, TRAJECTORY_SCHEMA)
+        assert doc["pair"] == ["here", "there"]
 
     def test_curve_photon_flat(self, capsys):
         code, out, _ = run(capsys, "curve", "photon", "--t-end", "1 s",
@@ -336,6 +352,20 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == ("error: count must be between 2 and 10000, "
                        "got 1000000000\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["boundary", "trapped", "--v", "4e8 m/s", "--D", "10 um"],
+         "mean_velocity must be below c"),
+        (["tau", "trapped", "--M", "1 kg", "--v", "1e9 m/s", "--D", "1 m"],
+         "mean_velocity must be below c"),
+        (["tau", "free-flight", "--M", "1 kg", "--v", "299792458 m/s",
+          "--D", "10 um", "--L", "1 m", "--d", "1 um"],
+         "speed must be below c"),
+    ], ids=["boundary", "tau-trapped", "tau-free-flight"])
+    def test_speed_at_or_above_c_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_invalid_geometry_exits_2(self, capsys):
         code, _, err = run(capsys, "tau", "free-flight", "--M", "1 GeV/c2",

@@ -74,6 +74,22 @@ def test_validation_messages_are_exact(cls, field, unit, si_name):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("v", [C_V, 4e8], ids=["c", "above"])
+def test_speed_at_or_above_c_rejected(v):
+    speed, D = quantity(v, "m/s"), quantity(10, "um")
+    cases = [
+        (lambda: trapped(1.0, v=v), "mean_velocity must be below c"),
+        (lambda: free_flight(1.0, v=v), "speed must be below c"),
+        (lambda: trapped_critical_mass(speed, D), "v must be below c"),
+        (lambda: free_flight_critical_mass(speed, 1e-5, D),
+         "v must be below c"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
+
+
 class TestNonFinite:
     def test_infinite_mass_rejected(self):
         with pytest.raises(ValidationError, match="mass must be finite"):

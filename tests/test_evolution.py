@@ -1,11 +1,14 @@
 import csv
 import io
+import json
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
 from collapsim import evolution
@@ -72,7 +75,9 @@ class TestDerivative:
 
     def test_basis_mismatch_rejected(self):
         other = make_basis("a", "b")
-        with pytest.raises(ValueError, match="basis"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "basis mismatch: [('here', 'there'), ('a', 'b'), "
+                "('here', 'there')]") + "$"):
             derivative(equal_superposition(), Hamiltonian.zero(other),
                        rate_matrix(0.0))
 
@@ -349,6 +354,11 @@ class TestRecordStride:
                 f"record_stride must be an integer, got {stride!r}") + "$"):
             EvolutionConfig(t_end=quantity(1, "s"), record_stride=stride)
 
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_stride_below_one_refused(self, stride):
+        with pytest.raises(ValueError, match="^record_stride must be >= 1$"):
+            EvolutionConfig(t_end=quantity(1, "s"), record_stride=stride)
+
     def test_numpy_integer_stride_accepted(self):
         cfg = EvolutionConfig(t_end=quantity(1, "s"), dt=quantity(0.1, "s"),
                               record_stride=np.int64(5))
@@ -610,6 +620,23 @@ class TestExports:
         last = rows[-1]
         assert float(last[0]) == pytest.approx(1.0)
         assert float(last[-2]) == pytest.approx(math.exp(-1.0), rel=1e-6)
+
+    def test_visibility_by_name_is_by_index(self):
+        traj = self.make_trajectory()
+        assert traj.basis == ("here", "there")
+        by_name = traj.visibility(traj.basis[0], traj.basis[1])
+        assert by_name.tobytes() == traj.visibility(0, 1).tobytes()
+
+    def test_json_rho_is_the_float_pairs_of_each_sample(self):
+        traj = self.make_trajectory()
+        m = np.array(traj.elements)
+        m[1, 0, 1] = complex(-0.0, -0.0)
+        m[2, 1, 0] = complex(np.inf, np.nan)
+        doc = trajectory_to_json(replace(traj, elements=m))
+        pairs = [[[[float(z.real), float(z.imag)] for z in row]
+                  for row in sample] for sample in m]
+        assert json.dumps([s["rho"] for s in doc["samples"]]) \
+            == json.dumps(pairs)
 
     def test_csv_is_crlf_terminated(self):
         text = trajectory_to_csv(self.make_trajectory())

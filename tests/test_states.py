@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from collapsim.states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
                               HermiticityDefect, PositivityDefect, TraceDefect,
-                              basis_names, coherence_visibility, from_json,
+                              coherence_visibility, from_json, index_of,
                               invariants, make_basis, pure_state, validate,
                               visibility)
 
@@ -19,8 +21,26 @@ def two_basis():
 class TestBasis:
     def test_indices_contiguous(self):
         basis = make_basis("a", "b", "c")
-        assert [l.index for l in basis] == [0, 1, 2]
-        assert basis_names(basis) == ["a", "b", "c"]
+        assert basis == ("a", "b", "c")
+        assert [index_of(basis, name) for name in basis] == [0, 1, 2]
+
+    @pytest.mark.parametrize("name", [1, None, b"a"])
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"basis names must be strings, got {name!r}") + "$"):
+            make_basis("a", name)
+
+    def test_index_of_names_and_indices(self):
+        basis = make_basis("a", "b", "c")
+        assert [index_of(basis, k) for k in ("c", "a", 1, np.int64(2))] \
+            == [2, 0, 1, 2]
+        with pytest.raises(ValueError,
+                           match=r"^label 'd' not in basis \['a', 'b', 'c'\]$"):
+            index_of(basis, "d")
+        for idx in (3, -1):
+            with pytest.raises(ValueError, match=f"^index {idx} out of range "
+                               f"for basis of size 3$"):
+                index_of(basis, idx)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -29,6 +49,17 @@ class TestBasis:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             make_basis()
+
+
+class TestDensityMatrix:
+    def test_element_by_name_or_index_and_dim(self):
+        rho = DensityMatrix(make_basis("a", "b", "c"),
+                            np.arange(9).reshape(3, 3) * (1 + 1j))
+        assert rho.dim == 3
+        assert rho.element("b", "c") == rho.element(1, 2) == 5 + 5j
+        assert rho.element("c", 0) == 6 + 6j
+        with pytest.raises(ValueError, match="label 'd' not in basis"):
+            rho.element("d", 0)
 
 
 class TestPureState:
@@ -128,6 +159,15 @@ class TestValidate:
         m[entry] = np.nan
         assert validate(DensityMatrix(two_basis, m)) != []
 
+    def test_infinite_entries_measured_without_numpy_warnings(
+            self, two_basis):
+        m = np.array([[0.5, np.inf], [np.inf, 0.5]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            herm, lo = validate(DensityMatrix(two_basis, m))
+        assert isinstance(herm, HermiticityDefect) and np.isnan(herm.defect)
+        assert isinstance(lo, PositivityDefect) and np.isnan(lo.min_eigenvalue)
+
     def test_negative_eigenvalue_measured(self, two_basis):
         m = np.array([[0.0, 0.5], [0.5, 1.0]], dtype=complex)
         violations = validate(DensityMatrix(two_basis, m))
@@ -213,7 +253,7 @@ class TestJson:
         assert doc["schema"] == "statekit/1"
         again = from_json(doc)
         assert np.allclose(again.elements, rho.elements)
-        assert basis_names(again.basis) == ["here", "there"]
+        assert again.basis == ("here", "there")
 
     def test_documents_validate_against_published_schema(self, two_basis):
         import jsonschema
@@ -233,6 +273,21 @@ class TestJson:
         m = CollapseRateMatrix(two_basis, np.array([[0.0, 3.0], [3.0, 0.0]]))
         again = from_json(m.to_json())
         assert np.array_equal(again.rates, m.rates)
+
+    def test_elements_are_the_float_pairs_of_each_entry(self, two_basis):
+        # Signed zeros, infinities and NaNs, in C and in Fortran order.
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.5e-300]
+        for _ in range(50):
+            m = np.empty((2, 2), dtype=complex)
+            m.real = rng.choice(special, size=(2, 2))
+            m.imag = rng.choice(special, size=(2, 2))
+            for source in (m, m.T):
+                rho = DensityMatrix(two_basis, source)
+                pairs = [[[float(z.real), float(z.imag)] for z in row]
+                         for row in source]
+                assert json.dumps(rho.to_json()["elements"]) \
+                    == json.dumps(pairs)
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):

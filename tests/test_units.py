@@ -1,5 +1,6 @@
 import copy
 import math
+import operator
 import pickle
 import re
 from dataclasses import FrozenInstanceError
@@ -116,6 +117,23 @@ class TestQuantityArithmetic:
     def test_compare_mismatched_rejected(self):
         with pytest.raises(DimensionError):
             Quantity(1.0, MASS) < Quantity(2.0, TIME)
+
+    def test_sums_negation_abs_and_order(self):
+        a, b = Quantity(3.0, MASS), Quantity(-5.0, MASS)
+        assert a + b == Quantity(-2.0, MASS)
+        assert a - b == Quantity(8.0, MASS)
+        assert -a == Quantity(-3.0, MASS)
+        assert abs(b) == Quantity(5.0, MASS)
+        assert b <= a and a >= b and a <= a and a >= a
+        assert not a <= b and not b >= a
+
+    @pytest.mark.parametrize("op, verb", [
+        (operator.add, "add"), (operator.sub, "subtract"),
+        (operator.le, "compare"), (operator.ge, "compare")],
+        ids=["add", "sub", "le", "ge"])
+    def test_mismatched_dimensions_name_both(self, op, verb):
+        with pytest.raises(DimensionError, match=f"^cannot {verb} kg and m$"):
+            op(Quantity(1.0, MASS), Quantity(1.0, LENGTH))
 
     def test_scalar_division_inverts_dimension(self):
         q = 1.0 / Quantity(2.0, TIME)
