@@ -312,10 +312,6 @@ def free_flight_tau(spec: FreeFlightSpec) -> DiscriminationVerdict:
     if omega_low > omega_high:
         return _quantum_verdict(Reason.WINDOW_CLOSED, derivation)
     tau = 2.0 * C / (omega_high * spec.speed * theta)
-    # Implied by the open window when theta = D/L exactly; the slack only
-    # absorbs rounding at the threshold.
-    if tau.value > flight_time.value * (1.0 + 1e-12):
-        return _quantum_verdict(Reason.WINDOW_CLOSED, derivation)
     return _finite_verdict(tau, margin, derivation)
 
 

@@ -3,7 +3,8 @@ labeled finite basis.
 
 A basis is the tuple of its unique state names, as `make_basis` returns
 it; a name's index is its position, and wherever a state is addressed it
-may be given by name or by raw index.
+may be given by name or by raw index.  Every matrix type checks its basis
+by `make_basis`'s rules when it is built, and stores a list as a tuple.
 
 All three matrix types are immutable value objects: arrays are copied on
 construction (a read-only view into a read-only array is shared) and
@@ -15,6 +16,7 @@ drifting states instead of crashing on them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,15 +48,28 @@ def index_of(basis: tuple[str, ...], label: str | int) -> int:
         if label not in basis:
             raise ValueError(f"label '{label}' not in basis {list(basis)}")
         return basis.index(label)
-    idx = int(label)
+    try:
+        idx = operator.index(label)
+    except TypeError:
+        raise ValueError("label must be a name or an integer index, "
+                         f"got {label!r}") from None
     if not 0 <= idx < len(basis):
         raise ValueError(f"index {idx} out of range for basis of size {len(basis)}")
     return idx
 
 
-def _matrix(basis: tuple[str, ...], matrix, dtype) -> np.ndarray:
-    """A read-only square dtype array over the basis; a read-only view into
-    a read-only array (a trajectory row) is shared, anything else copied."""
+def _freeze(m, field: str, dtype) -> None:
+    """Store m.basis as a checked tuple (a tuple is kept) and m.<field> as a
+    read-only square dtype array over it; a read-only view into a read-only
+    array (a trajectory row) is shared, anything else copied."""
+    basis = m.basis
+    if isinstance(basis, str):
+        raise ValueError(f"basis must be a sequence of names, got {basis!r}")
+    if not isinstance(basis, tuple):
+        basis = tuple(basis)
+        object.__setattr__(m, "basis", basis)
+    make_basis(*basis)
+    matrix = getattr(m, field)
     base = getattr(matrix, "base", None)
     shared = (isinstance(base, np.ndarray) and not base.flags.writeable
               and not matrix.flags.writeable and matrix.dtype == dtype)
@@ -65,7 +80,13 @@ def _matrix(basis: tuple[str, ...], matrix, dtype) -> np.ndarray:
         raise ValueError(
             f"basis size {len(basis)} does not match matrix shape {arr.shape}")
     arr.setflags(write=False)
-    return arr
+    object.__setattr__(m, field, arr)
+
+
+def _document(m, kind: str, **fields) -> dict:
+    """A statekit/1 document: schema, kind and basis, then the fields."""
+    return {"schema": STATEKIT_SCHEMA_ID, "kind": kind,
+            "basis": list(m.basis), **fields}
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +98,7 @@ class DensityMatrix:
     elements: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "elements",
-                           _matrix(self.basis, self.elements, np.complex128))
+        _freeze(self, "elements", np.complex128)
 
     @property
     def dim(self) -> int:
@@ -88,12 +108,8 @@ class DensityMatrix:
         return complex(self.elements[index_of(self.basis, i), index_of(self.basis, j)])
 
     def to_json(self) -> dict:
-        return {
-            "schema": STATEKIT_SCHEMA_ID,
-            "kind": "density_matrix",
-            "basis": list(self.basis),
-            "elements": _complex_to_pairs(self.elements),
-        }
+        return _document(self, "density_matrix",
+                         elements=_complex_to_pairs(self.elements))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +120,7 @@ class Hamiltonian:
     elements: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "elements",
-                           _matrix(self.basis, self.elements, np.complex128))
+        _freeze(self, "elements", np.complex128)
         if not np.all(np.isfinite(self.elements)):
             raise ValueError("Hamiltonian entries must be finite")
         defect = float(np.max(np.abs(self.elements - self.elements.conj().T)))
@@ -118,13 +133,8 @@ class Hamiltonian:
         return cls(basis, np.zeros((len(basis), len(basis)), dtype=np.complex128))
 
     def to_json(self) -> dict:
-        return {
-            "schema": STATEKIT_SCHEMA_ID,
-            "kind": "hamiltonian",
-            "basis": list(self.basis),
-            "unit": "J",
-            "elements": _complex_to_pairs(self.elements),
-        }
+        return _document(self, "hamiltonian", unit="J",
+                         elements=_complex_to_pairs(self.elements))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +150,7 @@ class CollapseRateMatrix:
     rates: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rates",
-                           _matrix(self.basis, self.rates, np.float64))
+        _freeze(self, "rates", np.float64)
         if not np.all(np.isfinite(self.rates)):
             raise ValueError("rates must be finite")
         if not np.array_equal(self.rates, self.rates.T):
@@ -160,13 +169,8 @@ class CollapseRateMatrix:
         return float(np.max(self.rates)) if self.rates.size else 0.0
 
     def to_json(self) -> dict:
-        return {
-            "schema": STATEKIT_SCHEMA_ID,
-            "kind": "collapse_rate_matrix",
-            "basis": list(self.basis),
-            "unit": "1/s",
-            "rates": self.rates.tolist(),
-        }
+        return _document(self, "collapse_rate_matrix", unit="1/s",
+                         rates=self.rates.tolist())
 
 
 @dataclass(frozen=True)
@@ -259,8 +263,7 @@ def from_json(doc: dict):
     """Rebuild a statekit value from its JSON form."""
     if doc.get("schema") != STATEKIT_SCHEMA_ID:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-    basis = make_basis(*doc["basis"])
-    kind = doc.get("kind")
+    basis, kind = doc["basis"], doc.get("kind")
     if kind == "density_matrix":
         return DensityMatrix(basis, _pairs_to_complex(doc["elements"]))
     if kind == "hamiltonian":

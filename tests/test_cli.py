@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -200,6 +202,13 @@ class TestSweepAndCurve:
         assert code == 0
         assert "  50.75 m/s  " in out
         assert out.endswith("critical: 47.208363 m/s\n")
+
+    def test_sweep_without_a_flip_reports_none(self, capsys):
+        code, out, _ = run(capsys, "sweep", "trapped", "--axis", "M",
+                           "--min", "1 GeV/c2", "--max", "10 GeV/c2",
+                           "--count", "3", "--v", "100 m/s", "--D", "10 um")
+        assert code == 0
+        assert out.endswith("critical: none within grid\n")
 
     def test_sweep_missing_fixed_param(self, capsys):
         code, _, err = run(capsys, "sweep", "trapped", "--axis", "M",
@@ -438,6 +447,16 @@ def test_readme_example_output_is_unchanged(capsys, name):
     code, out, err = run(capsys, *README_EXAMPLES[name])
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.txt").read_bytes().decode()
+
+
+def test_readme_examples_are_the_pinned_commands():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    block = re.search(r"\n```\n(.*?)\n```", section, re.DOTALL).group(1)
+    commands = [shlex.split(line)[1:]
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("collapsim ")]
+    assert sorted(commands) == sorted(README_EXAMPLES.values())
 
 
 # report/1 documents of README examples, keyed by tests/golden/<key>.txt.

@@ -490,6 +490,25 @@ def test_free_flight_finite_iff_criterion(me, ve, de, lscale):
     assert (doppler_window(spec) is not None) == criterion
 
 
+@given(speed_exp, length_exp, st.floats(min_value=0.5, max_value=3.0),
+       st.floats(min_value=-1e-9, max_value=1e-9))
+def test_free_flight_threshold_tau_within_flight_time(ve, de, L, delta):
+    # Within 1e-9 of M* the window opens or stays closed on rounding alone;
+    # an open window by itself keeps tau within the flight time L/v.
+    v, D = 10.0 ** ve, 10.0 ** de
+    assume(D < L)
+    speed, separation = quantity(v, "m/s"), quantity(D, "m")
+    m_star = free_flight_critical_mass(speed, D / L, separation)
+    spec = FreeFlightSpec(mass=m_star * (1.0 + delta), speed=speed,
+                          slit_separation=separation,
+                          source_distance=quantity(L, "m"),
+                          slit_width=quantity(D / 10, "m"))
+    verdict = free_flight_tau(spec)
+    assert verdict.is_infinite == (doppler_window(spec) is None)
+    if not verdict.is_infinite:
+        assert verdict.tau.value <= (L / v) * (1 + 1e-12)
+
+
 @given(mass_exp, speed_exp, length_exp, st.floats(min_value=0.0, max_value=1.0))
 def test_back_action_bounded_in_window(me, ve, de, frac):
     # Eq-(8)-style check: with the photon duration L/(4v) implied by the

@@ -597,6 +597,7 @@ def test_elements_are_the_one_read_only_record():
     assert traj.elements.tobytes() == stacked.tobytes()
     assert all(state.elements.base is traj.elements
                for state in traj.states[1:])
+    assert all(state.basis is traj.basis for state in traj.states)
     with pytest.raises(ValueError, match="read-only"):
         traj.elements[0, 0, 0] = 0.0
 

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from collapsim.evolution import EvolutionConfig, derivative, evolve
 from collapsim.states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
                               HermiticityDefect, PositivityDefect, TraceDefect,
                               coherence_visibility, from_json, index_of,
                               invariants, make_basis, pure_state, validate,
                               visibility)
+from collapsim.units import quantity
 
 
 @pytest.fixture
@@ -41,6 +43,11 @@ class TestBasis:
             with pytest.raises(ValueError, match=f"^index {idx} out of range "
                                f"for basis of size 3$"):
                 index_of(basis, idx)
+        for idx in (1.7, -0.5):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    "label must be a name or an integer index, "
+                    f"got {idx}") + "$"):
+                index_of(basis, idx)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -49,6 +56,45 @@ class TestBasis:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             make_basis()
+
+
+# A valid matrix of each type over a basis of two names.
+MATRICES = {
+    DensityMatrix: np.eye(2) / 2,
+    Hamiltonian: np.array([[0.0, 1.0], [1.0, 2.0]]) * 1e-35,
+    CollapseRateMatrix: np.array([[0.0, 3.0], [3.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("kind", MATRICES, ids=lambda kind: kind.__name__)
+class TestMatrixBasis:
+    @pytest.mark.parametrize("basis, message", [
+        (("a", 1), "basis names must be strings, got 1"),
+        (("a", "a"), "duplicate basis names in ('a', 'a')"),
+        ((), "basis needs at least one label"),
+        ("ab", "basis must be a sequence of names, got 'ab'"),
+    ], ids=["non-string", "duplicate", "empty", "str"])
+    def test_bad_basis_rejected(self, kind, basis, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            kind(basis, MATRICES[kind])
+
+    def test_list_basis_is_stored_as_a_tuple(self, kind, two_basis):
+        system = {k: k(two_basis, m) for k, m in MATRICES.items()}
+        system[kind] = kind(list(two_basis), MATRICES[kind])
+        assert type(system[kind].basis) is tuple
+        assert system[kind].basis == two_basis
+        derivative(*system.values())
+        evolve(*system.values(), EvolutionConfig(t_end=quantity(1, "s"),
+                                                 dt=quantity(0.1, "s")))
+
+    def test_kept_tuple_is_the_callers(self, kind, two_basis):
+        assert kind(two_basis, MATRICES[kind]).basis is two_basis
+
+    def test_from_json_rejects_a_non_string_name(self, kind):
+        doc = kind(("a", "b"), MATRICES[kind]).to_json()
+        with pytest.raises(ValueError, match="^basis names must be strings, "
+                           "got 1$"):
+            from_json({**doc, "basis": [1, 2]})
 
 
 class TestDensityMatrix:
@@ -288,6 +334,24 @@ class TestJson:
                          for row in source]
                 assert json.dumps(rho.to_json()["elements"]) \
                     == json.dumps(pairs)
+
+    @pytest.mark.parametrize("matrix, document", [
+        (DensityMatrix(("a", "b"), [[complex(-0.0, -0.0), 1j],
+                                    [-1j, complex(1.0, -0.0)]]),
+         '{"schema": "statekit/1", "kind": "density_matrix", "basis": '
+         '["a", "b"], "elements": [[[-0.0, -0.0], [0.0, 1.0]], '
+         '[[-0.0, -1.0], [1.0, -0.0]]]}'),
+        (Hamiltonian(("a", "b"), [[-0.0, complex(1, -0.0)],
+                                  [complex(1, 0.0), complex(-0.0, 0)]]),
+         '{"schema": "statekit/1", "kind": "hamiltonian", "basis": '
+         '["a", "b"], "unit": "J", "elements": [[[-0.0, 0.0], [1.0, -0.0]], '
+         '[[1.0, 0.0], [-0.0, 0.0]]]}'),
+        (CollapseRateMatrix(("a", "b"), [[-0.0, 2.5], [2.5, -0.0]]),
+         '{"schema": "statekit/1", "kind": "collapse_rate_matrix", "basis": '
+         '["a", "b"], "unit": "1/s", "rates": [[-0.0, 2.5], [2.5, -0.0]]}'),
+    ], ids=["DensityMatrix", "Hamiltonian", "CollapseRateMatrix"])
+    def test_document_keys_order_and_signed_zeros(self, matrix, document):
+        assert json.dumps(matrix.to_json()) == document
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):
