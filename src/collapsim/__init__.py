@@ -26,7 +26,7 @@ from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
 from .evolution import (EvolutionConfig, IntegrationError, Method, Trajectory,
                         analytic_isolated, convergence_order, derivative,
                         evolve, trajectory_to_csv, trajectory_to_json,
-                        unitary_baseline)
+                        trajectory_to_json_text, unitary_baseline)
 from .states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
                      coherence_visibility, invariants, make_basis, pure_state,
                      validate)

@@ -15,8 +15,11 @@ invalid parameters, an `--out` path that cannot be written; one `error:`
 line on stderr), 1 computation error.  Handlers only parse, route and
 print; the library checks every input, `--theta` and `evolve`'s rate and
 gap included, so its errors name a parameter without its `--`.
-Trajectory health warnings go to stderr as `warning:` lines.  The argument
-parser is built once per process, on the first call to `main`.
+Trajectory health warnings go to stderr as `warning:` lines.  `evolve
+--json` and `curve --json` print `evolution.trajectory_to_json_text`;
+the verdict/1 and report/1 documents go through `json.dumps(indent=2)`.
+The argument parser is built once per process, on the first call to
+`main`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from .boundary import (SCENARIOS, BoundaryReport, Scenario, SweepError,
                        SweepSpec, curve_to_csv, curve_trajectory,
                        mass_boundary, scenario_verdict, sweep)
 from .evolution import (EvolutionConfig, IntegrationError, Method, evolve,
-                        trajectory_to_csv, trajectory_to_json, two_level_decay)
+                        trajectory_to_csv, trajectory_to_json_text,
+                        two_level_decay)
 from .units import (MASS, UNITS, DimensionError, Quantity, UnitError,
                     format_quantity, parse_quantity, preferred_unit)
 
@@ -118,7 +122,7 @@ def _cmd_evolve(args) -> str:
     traj = evolve(rho0, H, rates, cfg)
     _warn(traj)
     if args.json:
-        return _dump(trajectory_to_json(traj))
+        return trajectory_to_json_text(traj)
     return trajectory_to_csv(traj)
 
 
@@ -152,7 +156,7 @@ def _cmd_curve(args) -> str:
                             record_stride=args.stride)
     _warn(traj)
     if args.json:
-        return _dump(trajectory_to_json(traj))
+        return trajectory_to_json_text(traj)
     return curve_to_csv(traj.times, traj.visibility(0, 1))
 
 

@@ -25,13 +25,22 @@ the trajectory keeps, and stops at the first jump that overflows; one pass
 after it checks that array for finiteness, and from the first non-finite
 sample on the run is stepped one step at a time, so a blow-up is reported
 at its first non-finite step.  Runs over MAX_STEPS steps or
-MAX_RECORDED_ENTRIES recorded entries are refused at the start.
+MAX_RECORDED_ENTRIES recorded entries, or whose AUTO step underflows to
+0 s, are refused at the start.
+
+A trajectory is written as CSV (`trajectory_to_csv`), as the trajectory/1
+dict (`trajectory_to_json`) or as that dict's indented JSON text
+(`trajectory_to_json_text`, equal to json.dumps(..., indent=2) + "\\n");
+the CSV and the text share their per-sample columns, and the text fills
+one %r template per sample instead of going through json's pure-Python
+encoder.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -199,7 +208,12 @@ def _resolve_dt(cfg: EvolutionConfig, H: Hamiltonian,
     if not scales:
         # Static problem: any step is exact, pick a round subdivision.
         return cfg.t_end.value / 100.0
-    return min(min(scales) / AUTO_STEP_DIVISOR, cfg.t_end.value)
+    dt = min(min(scales) / AUTO_STEP_DIVISOR, cfg.t_end.value)
+    if dt == 0.0:
+        raise ValueError(f"the AUTO step min(1/max rate, hbar/max|H|)/"
+                         f"{AUTO_STEP_DIVISOR} underflows to 0 s; give an "
+                         f"explicit dt")
+    return dt
 
 
 # A blow-up is reported once, by the finite check, not as numpy warnings.
@@ -347,18 +361,25 @@ def convergence_order(method: Method = Method.RK4, *,
     return float(np.mean(orders))
 
 
+def _sample_columns(traj: Trajectory, pair: tuple) -> tuple[
+        tuple[int, int], list[np.ndarray]]:
+    """The pair's indices and the per-sample columns that the CSV and JSON
+    writers share: time, re/im of each element row-major, visibility of
+    the pair, min_eigenvalue."""
+    i, j = (index_of(traj.basis, pair[0]), index_of(traj.basis, pair[1]))
+    flat = np.ascontiguousarray(traj.elements).view(np.float64)
+    return (i, j), [traj.times, flat.reshape(len(traj.times), -1),
+                    traj.visibility(i, j), traj.min_eigenvalue]
+
+
 def trajectory_to_csv(traj: Trajectory, pair: tuple = (0, 1)) -> str:
     """RFC-4180 CSV: time_s, re/im of each element row-major, visibility of
     the designated pair, min_eigenvalue."""
     n = len(traj.basis)
-    i, j = (index_of(traj.basis, pair[0]), index_of(traj.basis, pair[1]))
     header = (["time_s"] + [f"rho_{a}{b}_{part}" for a in range(n)
                             for b in range(n) for part in ("re", "im")]
               + ["visibility", "min_eigenvalue"])
-    return csv_text(
-        header, traj.times,
-        traj.elements.view(np.float64).reshape(len(traj.times), -1),
-        traj.visibility(i, j), traj.min_eigenvalue)
+    return csv_text(header, *_sample_columns(traj, pair)[1])
 
 
 def csv_text(header: list[str], *columns: np.ndarray) -> str:
@@ -384,3 +405,32 @@ def trajectory_to_json(traj: Trajectory, pair: tuple = (0, 1)) -> dict:
         "pair": [traj.basis[i], traj.basis[j]],
         "samples": samples,
     }
+
+
+def trajectory_to_json_text(traj: Trajectory, pair: tuple = (0, 1)) -> str:
+    """`json.dumps(trajectory_to_json(traj, pair), indent=2) + "\\n"`, byte
+    for byte, without json's pure-Python indenting encoder.
+
+    The header comes from json.dumps, so basis names are escaped as json
+    escapes them.  Each sample is one %r template, json.dumps' own layout
+    of a sample over this basis, filled from one row of the columns; a
+    non-finite value is then respelled as json spells it (the template's
+    fixed text holds no "nan" or "inf").  The trajectory has at least one
+    sample, as every recorded run does.
+    """
+    (i, j), columns = _sample_columns(traj, pair)
+    header = json.dumps({"schema": TRAJECTORY_SCHEMA_ID,
+                         "basis": list(traj.basis),
+                         "pair": [traj.basis[i], traj.basis[j]],
+                         "samples": []}, indent=2)
+    n = len(traj.basis)
+    sample = {"time": {"value": None, "unit": "s"},
+              "rho": [[[None, None]] * n] * n, "visibility": None,
+              "min_eigenvalue": None, "trace_drift": None}
+    template = ("    " + json.dumps(sample, indent=2).replace("\n", "\n    ")
+                ).replace("null", "%r")
+    table = np.column_stack(columns + [traj.trace_drift])
+    body = ",\n".join([template % tuple(row) for row in table.tolist()])
+    if not np.isfinite(table).all():
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    return header.removesuffix("]\n}") + "\n" + body + "\n  ]\n}\n"

@@ -255,19 +255,38 @@ def _complex_to_pairs(matrix: np.ndarray) -> list:
 
 
 def _pairs_to_complex(pairs) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in pairs],
-                    dtype=np.complex128)
+    """A complex matrix from rows of [re, im] pairs; a row of any other
+    shape is refused by its index."""
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"elements must be a list of rows, got {pairs!r}")
+    rows = []
+    for k, row in enumerate(pairs):
+        try:
+            rows.append([complex(re, im) for re, im in row])
+        except (TypeError, ValueError):
+            raise ValueError(f"elements row {k} is not a list of [re, im] "
+                             f"pairs: {row!r}") from None
+    return np.array(rows, dtype=np.complex128)
+
+
+# Each statekit kind: its type and the field holding its matrix.
+_KINDS = {"density_matrix": (DensityMatrix, "elements"),
+          "hamiltonian": (Hamiltonian, "elements"),
+          "collapse_rate_matrix": (CollapseRateMatrix, "rates")}
 
 
 def from_json(doc: dict):
-    """Rebuild a statekit value from its JSON form."""
+    """Rebuild a statekit value from its JSON form; a missing key or a
+    malformed row raises ValueError naming it."""
     if doc.get("schema") != STATEKIT_SCHEMA_ID:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-    basis, kind = doc["basis"], doc.get("kind")
-    if kind == "density_matrix":
-        return DensityMatrix(basis, _pairs_to_complex(doc["elements"]))
-    if kind == "hamiltonian":
-        return Hamiltonian(basis, _pairs_to_complex(doc["elements"]))
-    if kind == "collapse_rate_matrix":
-        return CollapseRateMatrix(basis, np.array(doc["rates"], dtype=np.float64))
-    raise ValueError(f"unknown statekit kind {kind!r}")
+    kind = doc.get("kind")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown statekit kind {kind!r}")
+    cls, field = _KINDS[kind]
+    for key in ("basis", field):
+        if key not in doc:
+            raise ValueError(f"statekit {kind} document has no {key!r}")
+    matrix = (np.array(doc[field], dtype=np.float64) if field == "rates"
+              else _pairs_to_complex(doc[field]))
+    return cls(doc["basis"], matrix)

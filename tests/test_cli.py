@@ -353,6 +353,14 @@ class TestUsageErrors:
         assert err == ("error: 500001 recorded samples of 2x2 exceed the "
                        "budget of 1000000 entries; raise record_stride\n")
 
+    def test_auto_step_that_underflows_exits_2(self, capsys):
+        # hbar / gap underflows, so the AUTO step would be 0 s.
+        code, out, err = run(capsys, "evolve", "--rate", "2.5 1/s",
+                             "--t-end", "3e8 s", "--gap", "1e300 J")
+        assert (code, out) == (2, "")
+        assert err == ("error: the AUTO step min(1/max rate, hbar/max|H|)/64 "
+                       "underflows to 0 s; give an explicit dt\n")
+
     def test_sweep_over_the_point_budget_exits_2(self, capsys):
         code, out, err = run(capsys, "sweep", "trapped", "--axis", "M",
                              "--min", "1 GeV/c2", "--max", "1e6 GeV/c2",

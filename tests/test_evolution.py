@@ -15,7 +15,8 @@ from collapsim import evolution
 from collapsim.evolution import (AUTO_STEP_DIVISOR, EvolutionConfig,
                                  IntegrationError, Method, analytic_isolated,
                                  convergence_order, derivative, evolve,
-                                 trajectory_to_csv, trajectory_to_json,
+                                 Trajectory, trajectory_to_csv,
+                                 trajectory_to_json, trajectory_to_json_text,
                                  two_level_decay, unitary_baseline)
 from collapsim.states import (PSD_TOL, CollapseRateMatrix, DensityMatrix,
                               Hamiltonian, coherence_visibility, make_basis,
@@ -653,3 +654,38 @@ class TestExports:
         assert doc["samples"][0]["time"] == {"value": 0.0, "unit": "s"}
         assert doc["samples"][-1]["visibility"] == pytest.approx(
             math.exp(-1.0), rel=1e-6)
+
+
+# Floats json writes in every spelling: signed zeros, subnormals, NaN, the
+# infinities and whatever else hypothesis draws.
+JSON_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-5, 1e16, 1.5e300,
+                     math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+# Basis names that json escapes or that a template could mistake for its
+# own text: non-ASCII, quotes, backslashes, % and the non-finite spellings.
+JSON_NAMES = st.lists(
+    st.sampled_from(["a", "\u00e9", "\u91cf", "\U0001f600", '"', "\\", "%",
+                     "%r", "nan", "inf", "NaN", "\n", " "]),
+    min_size=1, max_size=3).map("".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_json_text_is_json_dumps(data):
+    # A pair needs two states, so the basis has 2-4; the run has 1-6 samples.
+    n = data.draw(st.integers(2, 4))
+    samples = data.draw(st.integers(1, 6))
+    column = lambda size: np.array(
+        data.draw(st.lists(JSON_FLOATS, min_size=size, max_size=size)))
+    basis = tuple(data.draw(st.lists(JSON_NAMES, min_size=n, max_size=n,
+                                     unique=True)))
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    pair = data.draw(st.sampled_from([(i, j), (basis[i], basis[j])]))
+    elements = column(samples * n * n * 2).view(np.complex128).reshape(
+        samples, n, n)
+    traj = Trajectory(basis, column(samples), elements, [], column(samples),
+                      column(samples), column(samples), ())
+    assert trajectory_to_json_text(traj, pair) == \
+        json.dumps(trajectory_to_json(traj, pair), indent=2) + "\n"

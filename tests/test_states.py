@@ -358,6 +358,31 @@ class TestJson:
             from_json({"schema": "statekit/999", "kind": "density_matrix",
                        "basis": ["a"]})
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "density_matrix"},
+         "statekit density_matrix document has no 'basis'"),
+        ({"kind": "hamiltonian", "basis": ["a"]},
+         "statekit hamiltonian document has no 'elements'"),
+        ({"kind": "collapse_rate_matrix", "basis": ["a"]},
+         "statekit collapse_rate_matrix document has no 'rates'"),
+    ], ids=["basis", "elements", "rates"])
+    def test_missing_key_is_named(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_json({"schema": "statekit/1", **doc})
+
+    @pytest.mark.parametrize("elements, message", [
+        ([[1]], "elements row 0 is not a list of [re, im] pairs: [1]"),
+        ([[[1, 0]], [[1, 0, 5]]],
+         "elements row 1 is not a list of [re, im] pairs: [[1, 0, 5]]"),
+        ([[["1", "0"]]],
+         "elements row 0 is not a list of [re, im] pairs: [['1', '0']]"),
+        (5, "elements must be a list of rows, got 5"),
+    ], ids=["bare-number", "triple", "strings", "not-a-list"])
+    def test_malformed_row_is_named(self, elements, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_json({"schema": "statekit/1", "kind": "density_matrix",
+                       "basis": ["a"], "elements": elements})
+
 
 class TestImmutability:
     def test_elements_are_read_only(self, two_basis):

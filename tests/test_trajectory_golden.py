@@ -12,7 +12,7 @@ import numpy as np
 
 from collapsim.cli import main
 from collapsim.evolution import (EvolutionConfig, evolve, trajectory_to_csv,
-                                 trajectory_to_json)
+                                 trajectory_to_json, trajectory_to_json_text)
 from collapsim.states import (CollapseRateMatrix, Hamiltonian, make_basis,
                               pure_state)
 from collapsim.units import quantity
@@ -32,6 +32,17 @@ def test_evolve_json_with_gap(capsys):
     assert captured.out == golden("evolve_gap_json.txt")
 
 
+def test_curve_json(capsys):
+    # The README's free-flight curve, recorded every 16th step.
+    code = main(["curve", "free-flight", "--M", "4.7326 GeV/c2",
+                 "--v", "1e3 m/s", "--D", "10 um", "--L", "1 m",
+                 "--d", "1 um", "--t-end", "1e-3 s", "--stride", "16",
+                 "--json"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == golden("curve_free_flight_json.txt")
+
+
 def test_three_level_positivity_violation():
     # The trajectory of test_three_level_positivity_violation_is_flagged,
     # recorded every 32nd of its 3200 steps to keep the files near 100 kB.
@@ -45,4 +56,6 @@ def test_three_level_positivity_violation():
     assert trajectory_to_csv(traj, ("a", "b")) == \
         golden("three_level_violation.csv")
     assert json.dumps(doc, indent=2) + "\n" == \
+        golden("three_level_violation.json")
+    assert trajectory_to_json_text(traj, ("a", "b")) == \
         golden("three_level_violation.json")
