@@ -8,9 +8,9 @@ verdict on a grid along one axis and then bisect the flip interval on the
 verdict itself (not on an inverted formula), so they stay correct if the
 discrimination margins change; the closed-form critical-mass operations
 remain available as cross-checks.  `SweepSpec` checks a sweep's names,
-eta, count and grid when it is built; each point's values are checked by
-the scenario's spec when its verdict runs, so a bad value raises from
-`sweep`.  `mass_boundary` is the mass scan behind `collapsim boundary`.
+eta, count, grid and counts when it is built; each point's values are
+checked by its scenario's spec, so a bad value raises from `sweep`.
+`mass_boundary` is the mass scan behind `collapsim boundary`.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class ScenarioEntry:
 
     verdict(params, eta) evaluates a {name: Quantity} map holding every name
     in params, any of optional and nothing else; _check_params enforces
-    that before any verdict runs.  Only a scenario that uses_eta accepts
-    eta != 1; sweeps scan those with has_boundary.
+    that, and checks each count, before any verdict runs.  Only a scenario
+    that uses_eta accepts eta != 1; sweeps scan those with has_boundary.
     """
 
     name: str
@@ -62,13 +62,14 @@ class ScenarioEntry:
     has_boundary: bool = True
 
 
-def _oscillator_verdict(p: dict, eta: float) -> DiscriminationVerdict:
-    """The oscillator verdict; n must be a dimensionless Quantity."""
-    disc._require_dim(p["n"], DIMENSIONLESS, "n")
-    return disc.oscillator_verdict(OscillatorSpec(
-        mass=p["M"], angular_frequency=p["omega0"],
-        quantum_number=p["n"].value))
-
+# What each parameter of SCENARIOS means, in the table's order.  Each is a
+# Quantity; a count is a whole number, a dimensionless Quantity checked once
+# per parameter map, and a count axis is rounded at a sweep's grid points.
+PARAMETERS = {"M": "mass", "v": "speed", "D": "separation",
+              "E": "energy gap override", "L": "source-to-plate distance",
+              "d": "slit width", "gap": "resonant energy gap",
+              "omega0": "angular frequency", "n": "oscillator quantum number"}
+COUNTS = frozenset({"n"})
 
 # Verdicts look up disc.<fn> when called, so wrapping it later (tracing,
 # profiling) still sees every dispatch through this table.
@@ -87,8 +88,11 @@ SCENARIOS: dict[str, ScenarioEntry] = {entry.name: entry for entry in (
                   has_boundary=False),
     ScenarioEntry("rabi", ("gap",), has_boundary=False,
                   verdict=lambda p, eta: disc.rabi_tau(p["gap"])),
-    ScenarioEntry("oscillator", ("M", "omega0", "n"),
-                  verdict=_oscillator_verdict),
+    ScenarioEntry(
+        "oscillator", ("M", "omega0", "n"),
+        verdict=lambda p, eta: disc.oscillator_verdict(OscillatorSpec(
+            mass=p["M"], angular_frequency=p["omega0"],
+            quantum_number=p["n"].value))),
 )}
 
 # The scenarios a sweep can scan, e.g. Scenario.FREE_FLIGHT == "free-flight".
@@ -102,12 +106,12 @@ Scenario = enum.Enum(
 class SweepSpec:
     """One-axis scan of a scenario: grid plus fixed remaining parameters.
 
-    Quantities throughout; the oscillator's n is a dimensionless Quantity
-    and is rounded to an integer at grid points.  fixed holds every
-    parameter of the scenario but the axis, any of its optional ones and
-    nothing else; a missing, unused, axis or non-Quantity entry raises
-    ValidationError.  eta is the margin, which only a scenario that uses it
-    accepts != 1.  The spec keeps its own copy of fixed.
+    Quantities throughout.  fixed holds every parameter of the scenario but
+    the axis, any of its optional ones and nothing else; a missing, unused,
+    axis or non-Quantity entry raises ValidationError, as does a count, in
+    fixed or as the axis, that is not dimensionless.  A count axis is
+    rounded at grid points.  eta is the margin, which only a scenario that
+    uses it accepts != 1.  The spec keeps its own copy of fixed.
     """
 
     scenario: Scenario
@@ -147,6 +151,8 @@ class SweepSpec:
         if self.spacing == "geometric" and self.minimum.value <= 0.0:
             raise ValidationError("geometric spacing needs minimum > 0")
         _check_params(entry, self.fixed, self.eta, self.axis)
+        if self.axis in COUNTS:
+            disc._require_dim(self.minimum, DIMENSIONLESS, self.axis)
 
 
 @dataclass(frozen=True)
@@ -199,7 +205,7 @@ def _check_params(entry: ScenarioEntry, params: dict, eta: float,
                   axis: str | None = None) -> None:
     """The one check of a parameter map and margin: every name of
     entry.params but the sweep axis, any of entry.optional, nothing else,
-    only Quantities, and eta == 1 unless the scenario uses it."""
+    only Quantities, then dimensionless counts, and eta == 1 unless used."""
     if eta != 1.0 and not entry.uses_eta:
         raise ValidationError(f"{entry.name} takes no margin eta, got {eta}")
     for name in entry.params:
@@ -213,6 +219,8 @@ def _check_params(entry: ScenarioEntry, params: dict, eta: float,
         if not isinstance(value, Quantity):
             raise ValidationError(f"{name} must be a Quantity, "
                                   f"got {type(value).__name__}")
+    for name in COUNTS.intersection(params):
+        disc._require_dim(params[name], DIMENSIONLESS, name)
 
 
 def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
@@ -231,7 +239,7 @@ def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
 
 
 def _verdict_at(spec: SweepSpec, x: float) -> DiscriminationVerdict:
-    """The verdict at axis value x (SI scale; n may be real)."""
+    """The verdict at axis value x (SI scale; a count may be real)."""
     params = spec.fixed.copy()
     params[spec.axis] = Quantity(x, spec.minimum.dim)
     return SCENARIOS[spec.scenario].verdict(params, spec.eta)
@@ -239,7 +247,7 @@ def _verdict_at(spec: SweepSpec, x: float) -> DiscriminationVerdict:
 
 def _bisect(spec: SweepSpec, below: SweepRow, above: SweepRow) -> float:
     """Refine the flip between two adjacent rows to BISECTION_REL_TOL (of
-    the upper row's value while the lower end is a rounded n = 0)."""
+    the upper row's value while the lower end is a count rounded to 0)."""
     lo, hi = below.value.value, above.value.value
     lo_infinite = not below.tau.is_finite
     geometric = spec.spacing == "geometric"
@@ -263,9 +271,8 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
     grid = space(spec.minimum.value, spec.maximum.value, spec.count)
 
     rows = []
-    for x in grid:
-        x = float(x)
-        if spec.scenario is Scenario.OSCILLATOR and spec.axis == "n":
+    for x in grid.tolist():
+        if spec.axis in COUNTS:
             x = float(round(x))
         verdict = _verdict_at(spec, x)
         rows.append(SweepRow(Quantity(x, spec.minimum.dim), verdict.tau,

@@ -8,13 +8,16 @@ Subcommands
     curve <scenario>                 visibility-decay curve for a verdict
 
 The scenario is a positional argument; `collapsim tau --help` (and `sweep`,
-`curve`) lists the flags each scenario takes.  Quantity flags take
-'<number> <unit>' strings ('100 m/s', '10 um', '2.5 GeV/c2').  Exit codes:
-0 success, 2 usage error (bad, missing or unused flags, unknown units,
-invalid parameters, an `--out` path that cannot be written; one `error:`
-line on stderr), 1 computation error.  Handlers only parse, route and
-print; the library checks every input, `--theta` and `evolve`'s rate and
-gap included, so its errors name a parameter without its `--`.
+`curve`) lists the flags each scenario takes.  Each scenario flag, its
+help and its kind come from `boundary.PARAMETERS` and `COUNTS`: quantity
+flags take '<number> <unit>' strings ('100 m/s', '10 um', '2.5 GeV/c2'), a
+count takes an integer.  Exit codes: 0 success, 2 usage error (bad,
+missing or unused flags, unknown units, invalid parameters, a derived
+scale that underflows or overflows, an `--out` path that cannot be
+written; one `error:` line on stderr), 1 computation error.  Handlers only
+parse, route and print; the library checks every input, `--theta` and
+`evolve`'s rate and gap included, so its errors name a parameter without
+its `--`.
 Trajectory health warnings go to stderr as `warning:` lines.  `evolve
 --json` and `curve --json` print `evolution.trajectory_to_json_text`;
 the verdict/1 and report/1 documents go through `json.dumps(indent=2)`.
@@ -31,9 +34,10 @@ import sys
 from pathlib import Path
 
 from . import discrimination as disc
-from .boundary import (SCENARIOS, BoundaryReport, Scenario, SweepError,
-                       SweepSpec, curve_to_csv, curve_trajectory,
-                       mass_boundary, scenario_verdict, sweep)
+from .boundary import (COUNTS, PARAMETERS, SCENARIOS, BoundaryReport,
+                       Scenario, SweepError, SweepSpec, curve_to_csv,
+                       curve_trajectory, mass_boundary, scenario_verdict,
+                       sweep)
 from .evolution import (EvolutionConfig, IntegrationError, Method, evolve,
                         trajectory_to_csv, trajectory_to_json_text,
                         two_level_decay)
@@ -58,21 +62,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="margin for the trapped strong inequalities (>= 1)")
 
 
-def _flag_names(entries) -> tuple[str, ...]:
-    """Every parameter flag of the given SCENARIOS entries, in table order."""
-    return tuple(dict.fromkeys(name for entry in entries
-                               for name in entry.params + entry.optional))
-
-
 def _scenario_params(args) -> dict:
-    """{name: Quantity} of the scenario flags that were given, n wrapped as
-    a dimensionless Quantity; boundary checks the map against the table."""
-    params = {}
-    for name in _flag_names(SCENARIOS.values()):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = Quantity(value) if name == "n" else value
-    return params
+    """{name: Quantity} of the scenario flags that were given, a count
+    wrapped as a dimensionless Quantity; boundary checks the map."""
+    return {name: Quantity(value) if name in COUNTS else value
+            for name in PARAMETERS
+            if (value := getattr(args, name, None)) is not None}
 
 
 def _dump(payload) -> str:
@@ -163,22 +158,18 @@ def _cmd_curve(args) -> str:
 def _scenario_command(sub, command: str, summary: str, entries,
                       handler) -> argparse.ArgumentParser:
     """`command <scenario>` over the given SCENARIOS entries, taking the flags
-    of them all; its help lists each scenario's own flags."""
-    helps = {
-        "M": "mass", "v": "speed", "D": "separation",
-        "L": "source-to-plate distance", "d": "slit width",
-        "E": "energy gap override", "omega0": "angular frequency",
-        "gap": "resonant energy gap", "n": "oscillator quantum number",
-    }
+    of them all, each with its PARAMETERS help and a count as an int; its
+    help lists each scenario's own flags."""
     lines = ["scenario flags:"] + [
         " ".join([f"  {e.name}:"] + [f"--{n}" for n in e.params]
                  + [f"[--{n}]" for n in e.optional]) for e in entries]
     p = sub.add_parser(command, help=summary, epilog="\n".join(lines),
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("scenario", choices=[e.name for e in entries])
-    for name in _flag_names(entries):
-        p.add_argument(f"--{name}", type=int if name == "n" else _quantity_arg,
-                       help=helps.get(name, name))
+    taken = {name for e in entries for name in e.params + e.optional}
+    for name in filter(taken.__contains__, PARAMETERS):
+        p.add_argument(f"--{name}", help=PARAMETERS[name],
+                       type=int if name in COUNTS else _quantity_arg)
     _add_common(p)
     p.set_defaults(handler=handler)
     return p

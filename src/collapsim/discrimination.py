@@ -27,6 +27,8 @@ Scenario classes
 
 All comparisons are taken at the stated equalities (a margin factor eta
 lets callers explore conservative readings of the strong inequalities).
+Each verdict refuses a derived scale that underflows to 0 or overflows,
+naming it, before the scale can divide anything.
 Regime is Marginal when the deciding ratio is within a factor of 2 of its
 threshold, reflecting that these are order-of-magnitude criteria.
 """
@@ -90,6 +92,16 @@ def _require_positive(q: Quantity, dim, name: str) -> None:
         raise ValidationError(f"{name} must be finite, got {q.value!r}")
 
 
+def _scale(name: str, q: Quantity) -> Quantity:
+    """q, a scale derived from valid inputs, if it is positive and finite;
+    one that underflows to 0 or overflows raises ValidationError naming it,
+    before it can divide anything."""
+    if 0.0 < q.value < math.inf:
+        return q
+    raise ValidationError(
+        f"{name} {'overflows' if q.value else 'underflows to 0'}")
+
+
 @dataclass(frozen=True)
 class DiscriminationVerdict:
     """Outcome of a discrimination analysis.
@@ -133,7 +145,8 @@ class DiscriminationVerdict:
 
 def _finite_verdict(tau: Quantity, margin: float, derivation) -> DiscriminationVerdict:
     regime = Regime.MARGINAL if margin < MARGINAL_BAND else Regime.CLASSICAL
-    return DiscriminationVerdict(tau, regime, Reason.DISCRIMINABLE, tuple(derivation))
+    return DiscriminationVerdict(_scale("tau", tau), regime,
+                                 Reason.DISCRIMINABLE, tuple(derivation))
 
 
 def _quantum_verdict(reason: Reason, derivation=()) -> DiscriminationVerdict:
@@ -231,10 +244,10 @@ def trapped_tau(spec: TrappedPairSpec) -> DiscriminationVerdict:
     """
     energy = spec.energy_gap
     if energy is None:
-        energy = spec.mass * spec.mean_velocity ** 2
-    omega_max = energy / (HBAR * spec.margin)
-    omega_min = 4.0 * PI * C / spec.separation
-    lam = 2.0 * PI * C / omega_max
+        energy = _scale("E = M v^2", spec.mass * spec.mean_velocity ** 2)
+    omega_max = _scale("omega_max", energy / (HBAR * spec.margin))
+    omega_min = _scale("omega_min", 4.0 * PI * C / spec.separation)
+    lam = _scale("lambda", 2.0 * PI * C / omega_max)
     derivation = [("E", energy), ("omega_min", omega_min),
                   ("omega_max", omega_max), ("lambda", lam)]
     if omega_min > omega_max:
@@ -272,9 +285,10 @@ def doppler_back_action(omega: Quantity, M: Quantity) -> Quantity:
 
 def _doppler_bounds(spec: FreeFlightSpec) -> tuple[Quantity, Quantity]:
     """(omega_low, omega_high) of the speed meter, open window or not."""
-    omega_low = 2.0 * C / spec.slit_separation
-    p = spec.mass * spec.speed
-    omega_high = (p * C ** 2 / (2.0 * HBAR * spec.source_distance)).sqrt()
+    omega_low = _scale("omega_low", 2.0 * C / spec.slit_separation)
+    p = _scale("p = M v", spec.mass * spec.speed)
+    hbar_l = _scale("2 hbar L", 2.0 * HBAR * spec.source_distance)
+    omega_high = _scale("omega_high", (p * C ** 2 / hbar_l).sqrt())
     return omega_low, omega_high
 
 
@@ -300,12 +314,13 @@ def free_flight_tau(spec: FreeFlightSpec) -> DiscriminationVerdict:
     p*theta*D = 8*hbar this equals the flight time L/v exactly, so one
     flight attenuates the coherence by 1/e.
     """
-    p = spec.mass * spec.speed
-    theta = spec.theta
-    flight_time = spec.source_distance / spec.speed
-    margin = (p * spec.slit_separation / (8.0 * HBAR) * theta).value
     omega_low, omega_high = _doppler_bounds(spec)
-    derivation = [("p", p), ("theta", Quantity(theta)),
+    p = spec.mass * spec.speed
+    theta = _scale("theta", Quantity(spec.theta))
+    flight_time = _scale("flight_time", spec.source_distance / spec.speed)
+    margin = _scale("window_margin", p * spec.slit_separation / (8.0 * HBAR)
+                    * theta).value
+    derivation = [("p", p), ("theta", theta),
                   ("omega_low", omega_low), ("omega_high", omega_high),
                   ("flight_time", flight_time),
                   ("window_margin", Quantity(margin))]
@@ -359,17 +374,19 @@ def oscillator_verdict(spec: OscillatorSpec) -> DiscriminationVerdict:
     minimal send-plus-receive probe time at the gentlest usable frequency
     is tau = 4 pi / (n omega0).
     """
-    r0 = (HBAR / (2.0 * spec.mass * spec.angular_frequency)).sqrt()
-    v0 = r0 * spec.angular_frequency
-    n_star = (4.0 * PI * C / v0).value ** (2.0 / 3.0)
+    two_m_omega = _scale("2 M omega0",
+                         2.0 * spec.mass * spec.angular_frequency)
+    r0 = _scale("r0", (HBAR / two_m_omega).sqrt())
+    v0 = _scale("v0", r0 * spec.angular_frequency)
+    n_star = _scale("n_star",
+                    Quantity((4.0 * PI * C / v0).value ** (2.0 / 3.0)))
     n = spec.quantum_number
     v_n = math.sqrt(n) * v0
-    derivation = [("r0", r0), ("v0", v0), ("n_star", Quantity(n_star)),
-                  ("v_n", v_n)]
-    if n == 0 or n <= n_star:
+    derivation = [("r0", r0), ("v0", v0), ("n_star", n_star), ("v_n", v_n)]
+    if n == 0 or n <= n_star.value:
         return _quantum_verdict(Reason.WINDOW_CLOSED, derivation)
     tau = 4.0 * PI / (n * spec.angular_frequency)
-    return _finite_verdict(tau, n / n_star, derivation)
+    return _finite_verdict(tau, n / n_star.value, derivation)
 
 
 def entangled_tau(subsystem_verdicts) -> DiscriminationVerdict:

@@ -276,8 +276,12 @@ _KINDS = {"density_matrix": (DensityMatrix, "elements"),
 
 
 def from_json(doc: dict):
-    """Rebuild a statekit value from its JSON form; a missing key or a
-    malformed row raises ValueError naming it."""
+    """Rebuild a statekit value from its JSON form; a document that is not
+    an object, a missing key or a malformed row raises ValueError naming
+    it."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"statekit document must be an object, "
+                         f"got {type(doc).__name__}")
     if doc.get("schema") != STATEKIT_SCHEMA_ID:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
     kind = doc.get("kind")

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import collapsim.boundary as boundary_mod
-from collapsim.boundary import (BISECTION_REL_TOL, MAX_SWEEP_POINTS,
-                                SCENARIOS, Scenario, SweepError, SweepSpec,
+from collapsim import discrimination
+from collapsim.boundary import (BISECTION_REL_TOL, COUNTS, MAX_SWEEP_POINTS,
+                                PARAMETERS, SCENARIOS, Scenario, SweepError,
+                                SweepSpec,
                                 curve_to_csv, curve_trajectory, mass_boundary,
                                 scenario_verdict, sweep, visibility_curve)
 from collapsim.discrimination import (DiscriminationVerdict, FreeFlightSpec,
@@ -295,19 +297,38 @@ class TestOscillatorSweep:
 
     def test_quantum_number_axis_in_metres_rejected(self):
         fixed = {"M": quantity(1e-24, "kg"), "omega0": quantity(1e5, "rad/s")}
-        spec = SweepSpec(Scenario.OSCILLATOR, "n",
-                         quantity(1, "m"), quantity(1e12, "m"),
-                         count=13, fixed=fixed)
         with raises_exactly("n must have dimension dimensionless, got m"):
-            sweep(spec)
+            SweepSpec(Scenario.OSCILLATOR, "n",
+                      quantity(1, "m"), quantity(1e12, "m"),
+                      count=13, fixed=fixed)
 
     def test_fixed_quantum_number_in_metres_rejected(self):
         fixed = {"omega0": quantity(1e5, "rad/s"), "n": quantity(1e7, "m")}
-        spec = SweepSpec(Scenario.OSCILLATOR, "M",
-                         quantity(1e-30, "kg"), quantity(1e-10, "kg"),
-                         count=21, fixed=fixed)
         with raises_exactly("n must have dimension dimensionless, got m"):
-            sweep(spec)
+            SweepSpec(Scenario.OSCILLATOR, "M",
+                      quantity(1e-30, "kg"), quantity(1e-10, "kg"),
+                      count=21, fixed=fixed)
+
+    def test_no_sweep_point_rechecks_n(self, monkeypatch):
+        # SweepSpec checks n once; each point's spec still checks M and
+        # omega0, through the same helper.
+        specs = [SweepSpec(Scenario.OSCILLATOR, "n", Quantity(1.0),
+                           Quantity(1e12), count=13,
+                           fixed={"M": quantity(1e-24, "kg"),
+                                  "omega0": quantity(1e5, "rad/s")}),
+                 SweepSpec(Scenario.OSCILLATOR, "M", quantity(1e-30, "kg"),
+                           quantity(1e-10, "kg"), count=21,
+                           fixed={"omega0": quantity(1e5, "rad/s"),
+                                  "n": Quantity(10 ** 7)})]
+        names, real = [], discrimination._require_dim
+        monkeypatch.setattr(discrimination, "_require_dim",
+                            lambda q, dim, name: names.append(name)
+                            or real(q, dim, name))
+        for spec in specs:
+            names.clear()
+            assert sweep(spec).critical_value is not None
+            assert {"mass", "angular_frequency"} <= set(names)
+            assert "n" not in names
 
 
 # A base value for every parameter of each sweepable scenario, each near
@@ -425,11 +446,24 @@ class TestScenarioVerdict:
         with raises_exactly("n must have dimension dimensionless, got m"):
             scenario_verdict("oscillator", params)
 
+    def test_name_faults_come_before_a_count_in_metres(self):
+        # n comes before E in the map, and still E is reported.
+        params = {**DIRECT_CALLS["oscillator"][0], "n": quantity(1, "m"),
+                  "E": quantity(1, "eV")}
+        with raises_exactly("oscillator does not take E"):
+            scenario_verdict("oscillator", params)
+
     def test_energy_override_passthrough(self):
         params = {"M": quantity(1, "GeV/c2"), "v": quantity(1, "m/s"),
                   "D": quantity(10, "um"), "E": quantity(1e-15, "J")}
         verdict = scenario_verdict(Scenario.TRAPPED, params)
         assert not verdict.is_infinite
+
+
+def test_parameters_declare_the_table_names_in_table_order():
+    names = [n for e in SCENARIOS.values() for n in e.params + e.optional]
+    assert list(PARAMETERS) == list(dict.fromkeys(names))
+    assert COUNTS <= PARAMETERS.keys()
 
 
 # A valid value for every table parameter, and theta, which none takes.

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -11,14 +13,15 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from collapsim.boundary import (SCENARIOS, Scenario, SweepSpec,
+from collapsim.boundary import (PARAMETERS, SCENARIOS, Scenario, SweepSpec,
                                 scenario_verdict, sweep)
 from collapsim import boundary, cli, units
 from collapsim.cli import main
 from collapsim.schemas import (REPORT_SCHEMA, TRAJECTORY_SCHEMA,
                                VERDICT_SCHEMA)
-from collapsim.units import Quantity, parse_quantity, quantity
+from collapsim.units import UNITS, Quantity, parse_quantity, quantity
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -384,6 +387,21 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    # A finite input whose derived scale underflows to 0 or overflows.
+    @pytest.mark.parametrize("argv, message", [
+        (["boundary", "trapped", "--v", "1e-300 m/s", "--D", "10 um"],
+         "E = M v^2 underflows to 0"),
+        (["tau", "oscillator", "--M", "1 kg", "--omega0", "1e300 1/s",
+          "--n", "7"], "r0 underflows to 0"),
+        (["boundary", "free-flight", "--v", "2.5 m/s", "--D", "1e-300 nm",
+          "--theta", "1e-5"], "omega_low overflows"),
+        (["curve", "trapped", "--M", "4e8 GeV/c2", "--v", "2.5 m/s",
+          "--D", "7 nm", "--E", "1e300 J"], "omega_max overflows"),
+    ], ids=["boundary-trapped", "tau-oscillator", "boundary-free-flight",
+            "curve-trapped"])
+    def test_derived_scale_out_of_range_exits_2(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_invalid_geometry_exits_2(self, capsys):
         code, _, err = run(capsys, "tau", "free-flight", "--M", "1 GeV/c2",
                            "--v", "1 m/s", "--D", "10 um", "--L", "1 m",
@@ -600,3 +618,72 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "critical_mass" in proc.stdout
+
+
+# Edge numbers for every numeric flag, mostly positive ones, the unit of
+# each quantity flag's dimension (FLAG_VALUES', and seconds for a time), and
+# each verdict command's JSON schema.
+EDGE_NUMBERS = ["1", "2.5", "1e300", "1e-300"] * 3 + ["0", "-1"]
+RIGHT_UNITS = {**{name: value.split()[1] for name, value in FLAG_VALUES.items()
+                  if " " in value}, "t_end": "s", "dt": "s"}
+VERDICT_COMMANDS = {"tau": VERDICT_SCHEMA, "boundary": REPORT_SCHEMA,
+                    "curve": TRAJECTORY_SCHEMA}
+
+
+def subparser(command: str) -> argparse.ArgumentParser:
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return commands.choices[command]
+
+
+@st.composite
+def verdict_argv(draw) -> list:
+    """A tau, boundary or curve argv: the scenario's own flags, any of the
+    command's other options but --out, and sometimes one unused flag."""
+    command = draw(st.sampled_from(sorted(VERDICT_COMMANDS)))
+    actions = subparser(command)._actions
+    (scenario,) = [a for a in actions if a.dest == "scenario"]
+    name = draw(st.sampled_from(scenario.choices))
+    entry = SCENARIOS[name] if command != "boundary" else None
+    unused = [a.dest for a in actions if entry and a.dest in PARAMETERS
+              and a.dest not in entry.params + entry.optional]
+    # One unused flag in about one argv of five.
+    extra = draw(st.sampled_from([None] * 4 * len(unused) + unused or [None]))
+    argv = [command, name]
+    for action in actions:
+        if not action.option_strings or action.dest in ("help", "out"):
+            continue
+        if entry and action.dest in PARAMETERS:
+            wanted = (action.dest in entry.params or action.dest == extra
+                      or action.dest in entry.optional and draw(st.booleans()))
+        else:
+            wanted = action.required or draw(st.booleans())
+        if not wanted:
+            continue
+        argv.append(action.option_strings[0])
+        if action.nargs == 0:
+            continue
+        if action.choices:
+            argv.append(draw(st.sampled_from(action.choices)))
+        elif action.type is cli._quantity_arg:
+            unit = draw(st.sampled_from([RIGHT_UNITS[action.dest]]
+                                        * 4 * len(UNITS) + sorted(UNITS)))
+            argv.append(f"{draw(st.sampled_from(EDGE_NUMBERS))} {unit}")
+        else:
+            argv.append(draw(st.sampled_from(EDGE_NUMBERS)))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=verdict_argv())
+def test_verdict_commands_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert sum("error:" in line for line in lines) == 1, lines
+    elif "--json" in argv:
+        jsonschema.validate(json.loads(out.getvalue()),
+                            VERDICT_COMMANDS[argv[0]])

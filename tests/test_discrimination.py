@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from collapsim.discrimination import (DiscriminationVerdict, FreeFlightSpec,
                                       photon_tau, rabi_tau,
                                       trapped_critical_mass, trapped_tau)
 from collapsim.states import make_basis
-from collapsim.units import PI, Quantity, parse_quantity, quantity
+from collapsim.units import (ENERGY, LENGTH, MASS, PER_SECOND, PI, SPEED,
+                            Quantity, parse_quantity, quantity)
 
 HBAR_V = 1.054571817e-34
 C_V = 2.99792458e8
@@ -113,6 +115,71 @@ class TestNonFinite:
         with pytest.raises(ValidationError, match="eta must be finite"):
             trapped_critical_mass(quantity(100, "m/s"), quantity(10, "um"),
                                   math.inf)
+
+
+# Valid inputs whose derived scale underflows to 0 or overflows; each is
+# refused by name before it can divide anything.
+SCALE_CASES = [
+    (lambda: trapped_tau(trapped(1.0, v=1e-300)), "E = M v^2 underflows to 0"),
+    (lambda: trapped_tau(trapped(1.0, energy_gap=quantity(1e300, "J"))),
+     "omega_max overflows"),
+    (lambda: trapped_tau(trapped(1.0, energy_gap=quantity(1e-300, "J"),
+                                 margin=1e300)),
+     "omega_max underflows to 0"),
+    (lambda: trapped_tau(trapped(1.0, D=1e-300)), "omega_min overflows"),
+    (lambda: free_flight_tau(free_flight(1.0, D=1e-310, d=1e-311)),
+     "omega_low overflows"),
+    (lambda: free_flight_tau(free_flight(1.0, D=1e-299, L=2e-299,
+                                         d=1e-300)),
+     "2 hbar L underflows to 0"),
+    (lambda: free_flight_tau(FreeFlightSpec(
+        Quantity(1e300, MASS), Quantity(1e-300, SPEED),
+        Quantity(1e5, LENGTH), Quantity(1e10, LENGTH), Quantity(1.0, LENGTH))),
+     "flight_time overflows"),
+    (lambda: oscillator_verdict(OscillatorSpec(
+        quantity(1e-300, "kg"), quantity(1e-300, "rad/s"), 7)),
+     "2 M omega0 underflows to 0"),
+    (lambda: oscillator_verdict(OscillatorSpec(
+        quantity(1, "kg"), quantity(1e300, "rad/s"), 7)),
+     "r0 underflows to 0"),
+    (lambda: oscillator_verdict(OscillatorSpec(
+        quantity(1, "kg"), quantity(1e10, "rad/s"), 1e300)),
+     "tau underflows to 0"),
+]
+
+
+@pytest.mark.parametrize("verdict, message", SCALE_CASES,
+                         ids=[message for _, message in SCALE_CASES])
+def test_derived_scale_out_of_range_is_named(verdict, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        verdict()
+
+
+decade = st.floats(min_value=-323, max_value=308)
+
+
+@given(st.sampled_from(["trapped", "free-flight", "oscillator"]),
+       st.lists(decade, min_size=5, max_size=5))
+def test_valid_inputs_give_finite_scales_or_a_validation_error(kind, exps):
+    m, v, x, y, z = (10.0 ** e for e in exps)
+    try:
+        mass, speed = Quantity(m, MASS), Quantity(min(v, 2e8), SPEED)
+        if kind == "trapped":
+            verdict = trapped_tau(TrappedPairSpec(
+                mass, speed, Quantity(x, LENGTH), Quantity(y, ENERGY),
+                margin=1.0 + z))
+        elif kind == "free-flight":
+            d, D, L = (Quantity(w, LENGTH) for w in sorted((x, y, z)))
+            verdict = free_flight_tau(FreeFlightSpec(mass, speed, D, L, d))
+        else:
+            verdict = oscillator_verdict(OscillatorSpec(
+                mass, Quantity(v, PER_SECOND), x))
+    except ValidationError:
+        return
+    assert verdict.tau.value > 0.0 and verdict.rate.is_finite
+    for symbol, q in verdict.derivation:
+        assert math.isfinite(q.value), symbol
+        assert q.value > 0.0 or symbol == "v_n", symbol
 
 
 class TestTrapped:

@@ -358,6 +358,14 @@ class TestJson:
             from_json({"schema": "statekit/999", "kind": "density_matrix",
                        "basis": ["a"]})
 
+    @pytest.mark.parametrize("doc, name", [([], "list"), ("x", "str"),
+                                           (None, "NoneType")],
+                             ids=["list", "str", "None"])
+    def test_document_that_is_not_an_object_rejected(self, doc, name):
+        message = f"statekit document must be an object, got {name}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_json(doc)
+
     @pytest.mark.parametrize("doc, message", [
         ({"kind": "density_matrix"},
          "statekit density_matrix document has no 'basis'"),
