@@ -144,12 +144,17 @@ class SweepSpec:
                 f"count must be an integer, got {self.count!r}") from None
         if self.minimum.dim != self.maximum.dim:
             raise ValidationError("grid endpoints must share a dimension")
+        if not (self.minimum.is_finite and self.maximum.is_finite):
+            raise ValidationError("grid endpoints must be finite")
         if not self.minimum.value < self.maximum.value:
             raise ValidationError("grid needs minimum < maximum")
         if self.spacing not in ("geometric", "linear"):
             raise ValidationError(f"unknown spacing '{self.spacing}'")
         if self.spacing == "geometric" and self.minimum.value <= 0.0:
             raise ValidationError("geometric spacing needs minimum > 0")
+        if not math.isfinite(self.maximum.value - self.minimum.value):
+            raise ValidationError("linear grid width maximum - minimum "
+                                  "overflows")
         _check_params(entry, self.fixed, self.eta, self.axis)
         if self.axis in COUNTS:
             disc._require_dim(self.minimum, DIMENSIONLESS, self.axis)

@@ -27,8 +27,8 @@ Scenario classes
 
 All comparisons are taken at the stated equalities (a margin factor eta
 lets callers explore conservative readings of the strong inequalities).
-Each verdict refuses a derived scale that underflows to 0 or overflows,
-naming it, before the scale can divide anything.
+Each verdict and closed form refuses a derived scale that underflows to 0
+or overflows, naming it, before the scale can divide anything.
 Regime is Marginal when the deciding ratio is within a factor of 2 of its
 threshold, reflecting that these are order-of-magnitude criteria.
 """
@@ -125,8 +125,14 @@ class DiscriminationVerdict:
 
     @property
     def rate(self) -> Quantity:
-        """Decay rate 1/tau in 1/s; exactly 0 for an infinite tau."""
-        return Quantity(0.0, PER_SECOND) if self.is_infinite else 1.0 / self.tau
+        """Decay rate 1/tau in 1/s; exactly 0 for an infinite tau.  A finite
+        tau that is not positive, or whose rate overflows, raises
+        ValidationError."""
+        if self.is_infinite:
+            return Quantity(0.0, PER_SECOND)
+        _require(self.tau.value > 0.0,
+                 f"tau must be positive, got {self.tau.value!r}")
+        return _scale("1/tau", 1.0 / self.tau)
 
     def to_json(self) -> dict:
         return {
@@ -266,21 +272,23 @@ def trapped_critical_mass(v: Quantity, D: Quantity, eta: float = 1.0) -> Quantit
     _require_positive(D, LENGTH, "D")
     _require(eta >= 1.0, f"eta must be >= 1, got {eta}")
     _require(math.isfinite(eta), f"eta must be finite, got {eta}")
-    return 4.0 * PI * HBAR * C * eta / (D * v ** 2)
+    return _scale("M*",
+                  4.0 * PI * HBAR * C * eta / _scale("D v^2", D * v ** 2))
 
 
 def doppler_error(omega: Quantity, tau_photon: Quantity) -> Quantity:
     """Transverse-velocity resolution of a Doppler speed meter, c/(2 omega tau)."""
     _require_positive(omega, PER_SECOND, "omega")
     _require_positive(tau_photon, TIME, "tau_photon")
-    return C / (2.0 * omega * tau_photon)
+    return _scale("doppler error",
+                  C / _scale("2 omega tau", 2.0 * omega * tau_photon))
 
 
 def doppler_back_action(omega: Quantity, M: Quantity) -> Quantity:
     """Velocity kick from one scattered probe photon, 2 hbar omega / (c M)."""
     _require_positive(omega, PER_SECOND, "omega")
     _require_positive(M, MASS, "M")
-    return 2.0 * HBAR * omega / (C * M)
+    return _scale("back-action", 2.0 * HBAR * omega / _scale("c M", C * M))
 
 
 def _doppler_bounds(spec: FreeFlightSpec) -> tuple[Quantity, Quantity]:
@@ -336,7 +344,7 @@ def free_flight_critical_mass(v: Quantity, theta: float, D: Quantity) -> Quantit
     _require(v < C, "v must be below c")
     _require(0.0 < theta < 1.0, f"theta must be in (0, 1), got {theta}")
     _require_positive(D, LENGTH, "D")
-    return 8.0 * HBAR / (v * theta * D)
+    return _scale("M*", 8.0 * HBAR / _scale("v theta D", v * theta * D))
 
 
 def photon_tau() -> DiscriminationVerdict:

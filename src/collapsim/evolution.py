@@ -30,10 +30,11 @@ MAX_RECORDED_ENTRIES recorded entries, or whose AUTO step underflows to
 
 A trajectory is written as CSV (`trajectory_to_csv`), as the trajectory/1
 dict (`trajectory_to_json`) or as that dict's indented JSON text
-(`trajectory_to_json_text`, equal to json.dumps(..., indent=2) + "\\n");
-the CSV and the text share their per-sample columns, and the text fills
-one %r template per sample instead of going through json's pure-Python
-encoder.
+(`trajectory_to_json_text`, equal to json.dumps(..., indent=2) + "\\n").
+All three read one table of per-sample columns (`_sample_columns`), the
+trajectory/1 layout is written once (`_document`), and the text fills one
+%r template per sample, cut from json.dumps of a one-sample document,
+instead of going through json's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -312,6 +313,8 @@ def two_level_decay(rate: Quantity, gap: Quantity | None = None) -> tuple[
             CollapseRateMatrix(basis, [[0.0, rate.value], [rate.value, 0.0]]))
 
 
+# An exponent t * rate that overflows decays its coherence to exactly 0.
+@np.errstate(over="ignore")
 def analytic_isolated(rho0: DensityMatrix, rates: CollapseRateMatrix,
                       t: Quantity) -> DensityMatrix:
     """Closed-form state for H = 0: rho_ij(0) * exp(-t * rate_ij).
@@ -320,8 +323,8 @@ def analytic_isolated(rho0: DensityMatrix, rates: CollapseRateMatrix,
     the commuting case; the caller asserts [H, rho] = 0.
     """
     _check_shared_basis(rho0, rates)
-    if t.dim != TIME or t.value < 0.0:
-        raise ValueError(f"t must be a nonnegative time, got {t!r}")
+    if t.dim != TIME or not 0.0 <= t.value < math.inf:
+        raise ValueError(f"t must be a nonnegative finite time, got {t!r}")
     decay = np.exp(-t.value * rates.rates)
     return DensityMatrix(rho0.basis, rho0.elements * decay)
 
@@ -363,13 +366,24 @@ def convergence_order(method: Method = Method.RK4, *,
 
 def _sample_columns(traj: Trajectory, pair: tuple) -> tuple[
         tuple[int, int], list[np.ndarray]]:
-    """The pair's indices and the per-sample columns that the CSV and JSON
-    writers share: time, re/im of each element row-major, visibility of
-    the pair, min_eigenvalue."""
+    """The pair's indices and the per-sample columns of every trajectory
+    writer: time, rho's [re, im] pairs row-major, visibility of the pair,
+    min_eigenvalue and trace_drift."""
     i, j = (index_of(traj.basis, pair[0]), index_of(traj.basis, pair[1]))
-    flat = np.ascontiguousarray(traj.elements).view(np.float64)
-    return (i, j), [traj.times, flat.reshape(len(traj.times), -1),
-                    traj.visibility(i, j), traj.min_eigenvalue]
+    rho = _complex_to_pairs(traj.elements).reshape(len(traj.times), -1)
+    return (i, j), [traj.times, rho, traj.visibility(i, j),
+                    traj.min_eigenvalue, traj.trace_drift]
+
+
+def _document(basis: tuple[str, ...], pair: tuple[int, int], rows) -> dict:
+    """The trajectory/1 document over the basis and the pair's indices, one
+    sample per row of the columns' values."""
+    return {"schema": TRAJECTORY_SCHEMA_ID, "basis": list(basis),
+            "pair": [basis[pair[0]], basis[pair[1]]],
+            "samples": [{"time": {"value": t, "unit": "s"}, "rho": rho,
+                         "visibility": vis, "min_eigenvalue": lo,
+                         "trace_drift": drift}
+                        for t, rho, vis, lo, drift in rows]}
 
 
 def trajectory_to_csv(traj: Trajectory, pair: tuple = (0, 1)) -> str:
@@ -379,7 +393,7 @@ def trajectory_to_csv(traj: Trajectory, pair: tuple = (0, 1)) -> str:
     header = (["time_s"] + [f"rho_{a}{b}_{part}" for a in range(n)
                             for b in range(n) for part in ("re", "im")]
               + ["visibility", "min_eigenvalue"])
-    return csv_text(header, *_sample_columns(traj, pair)[1])
+    return csv_text(header, *_sample_columns(traj, pair)[1][:4])
 
 
 def csv_text(header: list[str], *columns: np.ndarray) -> str:
@@ -391,46 +405,31 @@ def csv_text(header: list[str], *columns: np.ndarray) -> str:
 
 
 def trajectory_to_json(traj: Trajectory, pair: tuple = (0, 1)) -> dict:
-    i, j = (index_of(traj.basis, pair[0]), index_of(traj.basis, pair[1]))
-    samples = [
-        {"time": {"value": t, "unit": "s"}, "rho": r, "visibility": vis,
-         "min_eigenvalue": lo, "trace_drift": drift}
-        for t, r, vis, lo, drift in zip(
-            traj.times.tolist(), _complex_to_pairs(traj.elements),
-            traj.visibility(i, j).tolist(), traj.min_eigenvalue.tolist(),
-            traj.trace_drift.tolist())]
-    return {
-        "schema": TRAJECTORY_SCHEMA_ID,
-        "basis": list(traj.basis),
-        "pair": [traj.basis[i], traj.basis[j]],
-        "samples": samples,
-    }
+    pair, columns = _sample_columns(traj, pair)
+    columns[1] = columns[1].reshape(*traj.elements.shape, 2)
+    return _document(traj.basis, pair, zip(*[c.tolist() for c in columns]))
 
 
 def trajectory_to_json_text(traj: Trajectory, pair: tuple = (0, 1)) -> str:
     """`json.dumps(trajectory_to_json(traj, pair), indent=2) + "\\n"`, byte
     for byte, without json's pure-Python indenting encoder.
 
-    The header comes from json.dumps, so basis names are escaped as json
-    escapes them.  Each sample is one %r template, json.dumps' own layout
-    of a sample over this basis, filled from one row of the columns; a
+    The header and a %r sample template are json.dumps of the one-sample
+    `_document` over this basis, split at the sample's opening brace (the
+    first "{" indented by four spaces: the basis and pair hold strings).
+    Each sample fills the template from one row of the columns; a
     non-finite value is then respelled as json spells it (the template's
     fixed text holds no "nan" or "inf").  The trajectory has at least one
     sample, as every recorded run does.
     """
-    (i, j), columns = _sample_columns(traj, pair)
-    header = json.dumps({"schema": TRAJECTORY_SCHEMA_ID,
-                         "basis": list(traj.basis),
-                         "pair": [traj.basis[i], traj.basis[j]],
-                         "samples": []}, indent=2)
+    pair, columns = _sample_columns(traj, pair)
     n = len(traj.basis)
-    sample = {"time": {"value": None, "unit": "s"},
-              "rho": [[[None, None]] * n] * n, "visibility": None,
-              "min_eigenvalue": None, "trace_drift": None}
-    template = ("    " + json.dumps(sample, indent=2).replace("\n", "\n    ")
-                ).replace("null", "%r")
-    table = np.column_stack(columns + [traj.trace_drift])
+    blank = (None, [[[None, None]] * n] * n, None, None, None)
+    text = json.dumps(_document(traj.basis, pair, [blank]), indent=2)
+    header, _, sample = text.removesuffix("\n  ]\n}").partition("\n    {")
+    template = ("    {" + sample).replace("null", "%r")
+    table = np.column_stack(columns)
     body = ",\n".join([template % tuple(row) for row in table.tolist()])
     if not np.isfinite(table).all():
         body = body.replace("nan", "NaN").replace("inf", "Infinity")
-    return header.removesuffix("]\n}") + "\n" + body + "\n  ]\n}\n"
+    return header + "\n" + body + "\n  ]\n}\n"

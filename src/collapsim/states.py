@@ -12,6 +12,9 @@ marked read-only, so instances are safe to share across threads.
 DensityMatrix deliberately does not enforce its physical invariants at
 construction; `validate` reports defects so that integrators can monitor
 drifting states instead of crashing on them.
+
+A complex array becomes [re, im] pairs through one conversion,
+`_complex_to_pairs`, for statekit/1 and for the trajectory writers.
 """
 
 from __future__ import annotations
@@ -63,9 +66,10 @@ def _freeze(m, field: str, dtype) -> None:
     read-only square dtype array over it; a read-only view into a read-only
     array (a trajectory row) is shared, anything else copied."""
     basis = m.basis
-    if isinstance(basis, str):
-        raise ValueError(f"basis must be a sequence of names, got {basis!r}")
     if not isinstance(basis, tuple):
+        if isinstance(basis, str) or not np.iterable(basis):
+            raise ValueError(
+                f"basis must be a sequence of names, got {basis!r}")
         basis = tuple(basis)
         object.__setattr__(m, "basis", basis)
     make_basis(*basis)
@@ -109,7 +113,7 @@ class DensityMatrix:
 
     def to_json(self) -> dict:
         return _document(self, "density_matrix",
-                         elements=_complex_to_pairs(self.elements))
+                         elements=_complex_to_pairs(self.elements).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +123,8 @@ class Hamiltonian:
     basis: tuple[str, ...]
     elements: np.ndarray
 
+    # A defect that overflows measures as inf, not as a numpy warning.
+    @np.errstate(over="ignore")
     def __post_init__(self):
         _freeze(self, "elements", np.complex128)
         if not np.all(np.isfinite(self.elements)):
@@ -134,7 +140,7 @@ class Hamiltonian:
 
     def to_json(self) -> dict:
         return _document(self, "hamiltonian", unit="J",
-                         elements=_complex_to_pairs(self.elements))
+                         elements=_complex_to_pairs(self.elements).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,10 +254,10 @@ def coherence_visibility(rho: DensityMatrix, i: str | int,
     return float(visibility(rho.basis, rho.elements, i, j))
 
 
-def _complex_to_pairs(matrix: np.ndarray) -> list:
-    """Nested [re, im] lists of a complex array of any shape."""
+def _complex_to_pairs(matrix: np.ndarray) -> np.ndarray:
+    """The float64 (..., 2) array of [re, im] pairs of a complex array."""
     return (np.ascontiguousarray(matrix).view(np.float64)
-            .reshape(*matrix.shape, 2).tolist())
+            .reshape(*matrix.shape, 2))
 
 
 def _pairs_to_complex(pairs) -> np.ndarray:
@@ -263,7 +269,7 @@ def _pairs_to_complex(pairs) -> np.ndarray:
     for k, row in enumerate(pairs):
         try:
             rows.append([complex(re, im) for re, im in row])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"elements row {k} is not a list of [re, im] "
                              f"pairs: {row!r}") from None
     return np.array(rows, dtype=np.complex128)
@@ -277,20 +283,26 @@ _KINDS = {"density_matrix": (DensityMatrix, "elements"),
 
 def from_json(doc: dict):
     """Rebuild a statekit value from its JSON form; a document that is not
-    an object, a missing key or a malformed row raises ValueError naming
-    it."""
+    an object, an unknown kind, a missing key, a basis that is not a
+    sequence of names, a malformed row or rates that are not rows of
+    numbers raise ValueError naming it."""
     if not isinstance(doc, dict):
         raise ValueError(f"statekit document must be an object, "
                          f"got {type(doc).__name__}")
     if doc.get("schema") != STATEKIT_SCHEMA_ID:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
     kind = doc.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown statekit kind {kind!r}")
     cls, field = _KINDS[kind]
     for key in ("basis", field):
         if key not in doc:
             raise ValueError(f"statekit {kind} document has no {key!r}")
-    matrix = (np.array(doc[field], dtype=np.float64) if field == "rates"
-              else _pairs_to_complex(doc[field]))
-    return cls(doc["basis"], matrix)
+    if field == "elements":
+        return cls(doc["basis"], _pairs_to_complex(doc[field]))
+    try:
+        rates = np.array(doc[field], dtype=np.float64)
+    except (TypeError, OverflowError):
+        raise ValueError(f"rates must be rows of numbers, "
+                         f"got {doc[field]!r}") from None
+    return cls(doc["basis"], rates)

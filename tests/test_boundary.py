@@ -104,6 +104,22 @@ class TestSweepSpec:
             SweepSpec(Scenario.TRAPPED, "M", quantity(1, "kg"),
                       quantity(2, "m"), count=5, fixed={})
 
+    @pytest.mark.parametrize("minimum, maximum", [
+        (1.0, math.inf), (-math.inf, 1.0)], ids=["max", "min"])
+    def test_infinite_endpoint_refused(self, minimum, maximum):
+        with raises_exactly("grid endpoints must be finite"):
+            SweepSpec(Scenario.TRAPPED, "M", quantity(minimum, "kg"),
+                      quantity(maximum, "kg"), count=5, spacing="linear",
+                      fixed={"v": quantity(100, "m/s"),
+                             "D": quantity(10, "um")})
+
+    def test_linear_grid_whose_width_overflows_refused(self):
+        with raises_exactly("linear grid width maximum - minimum overflows"):
+            SweepSpec(Scenario.TRAPPED, "M", quantity(-1e308, "kg"),
+                      quantity(1e308, "kg"), count=5, spacing="linear",
+                      fixed={"v": quantity(100, "m/s"),
+                             "D": quantity(10, "um")})
+
     def test_unknown_spacing_refused(self):
         with raises_exactly("unknown spacing 'cubic'"):
             SweepSpec(Scenario.TRAPPED, "M", quantity(1, "kg"),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collapsim.boundary import (PARAMETERS, SCENARIOS, Scenario, SweepSpec,
                                 scenario_verdict, sweep)
@@ -611,6 +611,18 @@ def test_blow_up_prints_one_error_line():
     assert proc.stderr == "error: non-finite state at t = 30000.0 s\n"
 
 
+def test_linear_sweep_whose_width_overflows_prints_one_error_line():
+    # The whole stderr: the refusal comes before numpy can warn on the grid.
+    proc = subprocess.run(
+        [sys.executable, "-m", "collapsim", "sweep", "trapped", "--axis", "M",
+         "--min", "-1e308 kg", "--max", "1e308 kg", "--spacing", "linear",
+         "--count", "5", "--v", "100 m/s", "--D", "10 um"],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == \
+        "error: linear grid width maximum - minimum overflows\n"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "collapsim", "boundary", "trapped",
@@ -621,13 +633,16 @@ def test_console_entry_point_runs():
 
 
 # Edge numbers for every numeric flag, mostly positive ones, the unit of
-# each quantity flag's dimension (FLAG_VALUES', and seconds for a time), and
-# each verdict command's JSON schema.
-EDGE_NUMBERS = ["1", "2.5", "1e300", "1e-300"] * 3 + ["0", "-1"]
+# each quantity flag's dimension (FLAG_VALUES', seconds for a time, and
+# dimensionless for a sweep along n), each verdict command's JSON schema,
+# and the counts of a sweep grid.
+EDGE_NUMBERS = ["1", "2.5", "1e300", "1e-300"] * 3 + ["0", "-1", "1e308"]
 RIGHT_UNITS = {**{name: value.split()[1] for name, value in FLAG_VALUES.items()
-                  if " " in value}, "t_end": "s", "dt": "s"}
+                  if " " in value}, "t_end": "s", "dt": "s",
+               "n": "dimensionless"}
 VERDICT_COMMANDS = {"tau": VERDICT_SCHEMA, "boundary": REPORT_SCHEMA,
-                    "curve": TRAJECTORY_SCHEMA}
+                    "curve": TRAJECTORY_SCHEMA, "sweep": REPORT_SCHEMA}
+SWEEP_COUNTS = ["2", "5", "21"]
 
 
 def subparser(command: str) -> argparse.ArgumentParser:
@@ -638,13 +653,16 @@ def subparser(command: str) -> argparse.ArgumentParser:
 
 @st.composite
 def verdict_argv(draw) -> list:
-    """A tau, boundary or curve argv: the scenario's own flags, any of the
-    command's other options but --out, and sometimes one unused flag."""
+    """A tau, boundary, curve or sweep argv: the scenario's own flags but a
+    sweep's axis, any of the command's other options but --out, and
+    sometimes one unused flag.  A sweep's --min and --max are edge numbers
+    (either sign) in the axis' unit, mostly."""
     command = draw(st.sampled_from(sorted(VERDICT_COMMANDS)))
     actions = subparser(command)._actions
     (scenario,) = [a for a in actions if a.dest == "scenario"]
     name = draw(st.sampled_from(scenario.choices))
     entry = SCENARIOS[name] if command != "boundary" else None
+    axis = draw(st.sampled_from(entry.params)) if command == "sweep" else None
     unused = [a.dest for a in actions if entry and a.dest in PARAMETERS
               and a.dest not in entry.params + entry.optional]
     # One unused flag in about one argv of five.
@@ -654,7 +672,8 @@ def verdict_argv(draw) -> list:
         if not action.option_strings or action.dest in ("help", "out"):
             continue
         if entry and action.dest in PARAMETERS:
-            wanted = (action.dest in entry.params or action.dest == extra
+            wanted = (action.dest in entry.params and action.dest != axis
+                      or action.dest == extra
                       or action.dest in entry.optional and draw(st.booleans()))
         else:
             wanted = action.required or draw(st.booleans())
@@ -663,8 +682,17 @@ def verdict_argv(draw) -> list:
         argv.append(action.option_strings[0])
         if action.nargs == 0:
             continue
-        if action.choices:
+        if action.dest == "axis":
+            argv.append(axis)
+        elif action.dest == "count":
+            argv.append(draw(st.sampled_from(SWEEP_COUNTS)))
+        elif action.choices:
             argv.append(draw(st.sampled_from(action.choices)))
+        elif action.dest in ("min", "max"):
+            unit = draw(st.sampled_from([RIGHT_UNITS[axis]] * 4 * len(UNITS)
+                                        + sorted(UNITS)))
+            sign = draw(st.sampled_from(["", "", "-"]))
+            argv.append(f"{sign}{draw(st.sampled_from(EDGE_NUMBERS))} {unit}")
         elif action.type is cli._quantity_arg:
             unit = draw(st.sampled_from([RIGHT_UNITS[action.dest]]
                                         * 4 * len(UNITS) + sorted(UNITS)))
@@ -674,11 +702,17 @@ def verdict_argv(draw) -> list:
     return argv
 
 
+# A linear grid whose width overflows, too rare among the draws to be met.
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(argv=verdict_argv())
+@example(argv=["sweep", "trapped", "--axis", "M", "--min", "-1e308 kg",
+               "--max", "1e308 kg", "--spacing", "linear", "--count", "5",
+               "--v", "100 m/s", "--D", "10 um"])
 def test_verdict_commands_exit_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(argv)
     assert code in (0, 1, 2)
     if code:

@@ -16,7 +16,7 @@ from collapsim.discrimination import (DiscriminationVerdict, FreeFlightSpec,
                                       trapped_critical_mass, trapped_tau)
 from collapsim.states import make_basis
 from collapsim.units import (ENERGY, LENGTH, MASS, PER_SECOND, PI, SPEED,
-                            Quantity, parse_quantity, quantity)
+                            TIME, Quantity, parse_quantity, quantity)
 
 HBAR_V = 1.054571817e-34
 C_V = 2.99792458e8
@@ -153,6 +153,48 @@ SCALE_CASES = [
 def test_derived_scale_out_of_range_is_named(verdict, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         verdict()
+
+
+# Closed forms whose divisor or result underflows to 0 or overflows, and
+# the rate of a verdict built with a finite tau out of range; each is
+# refused by name instead of dividing by zero or returning inf.
+CLOSED_FORM_CASES = [
+    (lambda: trapped_critical_mass(quantity(1e-300, "m/s"),
+                                   quantity(10, "um")),
+     "D v^2 underflows to 0"),
+    (lambda: trapped_critical_mass(quantity(1e-150, "m/s"),
+                                   quantity(1, "m"), 1e300),
+     "M* overflows"),
+    (lambda: free_flight_critical_mass(quantity(1e-300, "m/s"), 1e-300,
+                                       quantity(1e-300, "m")),
+     "v theta D underflows to 0"),
+    (lambda: free_flight_critical_mass(quantity(1e8, "m/s"), 0.5,
+                                       quantity(1e300, "m")),
+     "M* underflows to 0"),
+    (lambda: doppler_error(quantity(1e-300, "1/s"), quantity(1e-300, "s")),
+     "2 omega tau underflows to 0"),
+    (lambda: doppler_error(quantity(1e-160, "1/s"), quantity(1e-160, "s")),
+     "doppler error overflows"),
+    (lambda: doppler_back_action(quantity(1e300, "1/s"),
+                                 quantity(1e-300, "kg")),
+     "back-action overflows"),
+    (lambda: DiscriminationVerdict(Quantity(0.0, TIME), Regime.CLASSICAL,
+                                   Reason.DISCRIMINABLE).rate,
+     "tau must be positive, got 0.0"),
+    (lambda: DiscriminationVerdict(Quantity(-1.0, TIME), Regime.CLASSICAL,
+                                   Reason.DISCRIMINABLE).rate,
+     "tau must be positive, got -1.0"),
+    (lambda: DiscriminationVerdict(Quantity(1e-320, TIME), Regime.CLASSICAL,
+                                   Reason.DISCRIMINABLE).rate,
+     "1/tau overflows"),
+]
+
+
+@pytest.mark.parametrize("value, message", CLOSED_FORM_CASES,
+                         ids=[message for _, message in CLOSED_FORM_CASES])
+def test_closed_form_scale_out_of_range_is_named(value, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        value()
 
 
 decade = st.floats(min_value=-323, max_value=308)
@@ -468,6 +510,15 @@ class TestEntangled:
             entangled_tau([])
 
 
+@pytest.mark.parametrize("tau, regime", [
+    (Quantity(math.inf, TIME), Regime.CLASSICAL),
+    (Quantity(1.0, TIME), Regime.QUANTUM)], ids=["infinite", "finite"])
+def test_verdict_tau_must_match_its_regime(tau, regime):
+    with pytest.raises(ValidationError, match="^tau is infinite iff regime "
+                       "is quantum$"):
+        DiscriminationVerdict(tau, regime, Reason.WINDOW_CLOSED)
+
+
 class TestRateMatrixBuilder:
     def test_two_level(self):
         basis = make_basis("here", "there")
@@ -488,6 +539,13 @@ class TestRateMatrixBuilder:
         m = build_rate_matrix(basis, {("a", "c"): verdict})
         assert m.rates[0, 2] == m.rates[2, 0] == 2.0
         assert np.count_nonzero(m.rates) == 2
+
+    def test_duplicate_pair_rejected(self):
+        basis = make_basis("a", "b")
+        with pytest.raises(ValidationError, match=r"^duplicate verdict for "
+                           r"pair \(0, 1\)$"):
+            build_rate_matrix(basis, {("a", "b"): photon_tau(),
+                                      (1, "a"): photon_tau()})
 
     def test_diagonal_pair_rejected(self):
         basis = make_basis("a", "b")

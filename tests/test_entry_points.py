@@ -1,0 +1,135 @@
+"""The library's entry points under edge values.
+
+Each call returns a value or refuses its input as ValueError,
+DimensionError or SweepError, never another exception and never a numpy
+warning (warnings are raised as errors here).  `evolve` is left to its own
+tests.
+"""
+
+import math
+import warnings
+
+from hypothesis import given, settings, strategies as st
+
+from collapsim.boundary import (SCENARIOS, Scenario, SweepError, SweepSpec,
+                                scenario_verdict, sweep)
+from collapsim.discrimination import (doppler_back_action, doppler_error,
+                                      free_flight_critical_mass,
+                                      trapped_critical_mass)
+from collapsim.evolution import analytic_isolated
+from collapsim.states import CollapseRateMatrix, from_json, pure_state
+from collapsim.units import (DIMENSIONLESS, ENERGY, LENGTH, MASS, PER_SECOND,
+                             SPEED, TIME, DimensionError, Quantity)
+
+EDGES = [1.0, 2.5, 1e300, 1e-300, 1e308, 1e-320, 0.0, -1.0, -1e308,
+         math.inf, -math.inf, math.nan]
+DIMENSIONS = [MASS, LENGTH, TIME, SPEED, ENERGY, PER_SECOND, DIMENSIONLESS]
+# The dimension of each scenario parameter.
+RIGHT = {"M": MASS, "v": SPEED, "D": LENGTH, "E": ENERGY, "L": LENGTH,
+         "d": LENGTH, "gap": ENERGY, "omega0": PER_SECOND,
+         "n": DIMENSIONLESS}
+
+edge = st.sampled_from(EDGES)
+
+
+def quantities(dim):
+    """An edge value, mostly in the given dimension."""
+    return st.builds(Quantity, edge, st.sampled_from([dim] * 3 + DIMENSIONS))
+
+
+@st.composite
+def scenario_params(draw, entry, axis=None):
+    """Each parameter of the entry but the axis, and any optional one."""
+    names = [name for name in entry.params if name != axis]
+    names += [name for name in entry.optional if draw(st.booleans())]
+    return {name: draw(quantities(RIGHT[name])) for name in names}
+
+
+@st.composite
+def verdict_calls(draw):
+    entry = draw(st.sampled_from(list(SCENARIOS.values())))
+    return scenario_verdict, (entry.name, draw(scenario_params(entry)),
+                              draw(edge))
+
+
+def sweep_of(*args, **kwargs):
+    return sweep(SweepSpec(*args, **kwargs))
+
+
+@st.composite
+def sweep_calls(draw):
+    scenario = draw(st.sampled_from(list(Scenario)))
+    entry = SCENARIOS[scenario]
+    axis = draw(st.sampled_from(entry.params))
+    dim = RIGHT[axis]
+    return sweep_of, (scenario, axis, draw(quantities(dim)),
+                      draw(quantities(dim)),
+                      draw(st.sampled_from([2, 3, 5])),
+                      draw(st.sampled_from(["geometric", "linear"])),
+                      draw(scenario_params(entry, axis)), draw(edge))
+
+
+def closed_form_calls():
+    return st.one_of(
+        st.tuples(st.just(trapped_critical_mass),
+                  st.tuples(quantities(SPEED), quantities(LENGTH), edge)),
+        st.tuples(st.just(free_flight_critical_mass),
+                  st.tuples(quantities(SPEED), edge, quantities(LENGTH))),
+        st.tuples(st.just(doppler_error),
+                  st.tuples(quantities(PER_SECOND), quantities(TIME))),
+        st.tuples(st.just(doppler_back_action),
+                  st.tuples(quantities(PER_SECOND), quantities(MASS))))
+
+
+def decay_of(rate, t):
+    """The closed-form decay of an equal superposition at a pair rate."""
+    basis = ("here", "there")
+    rates = CollapseRateMatrix(basis, [[0.0, rate], [rate, 0.0]])
+    return analytic_isolated(pure_state([1.0, 1.0], basis), rates, t)
+
+
+def analytic_calls():
+    return st.tuples(st.just(decay_of), st.tuples(edge, quantities(TIME)))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | edge | st.integers() | st.text(max_size=3),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=2), children,
+                                        max_size=2)),
+    max_leaves=12)
+
+
+@st.composite
+def statekit_documents(draw):
+    """A statekit document, mostly well-formed around edge entries."""
+    n = draw(st.integers(1, 3))
+    basis = draw(st.lists(st.text(max_size=2), min_size=n, max_size=n,
+                          unique=True) | json_values)
+    kind = draw(st.sampled_from(["density_matrix", "hamiltonian",
+                                 "collapse_rate_matrix", "spinor"]))
+    entry = (edge if kind == "collapse_rate_matrix"
+             else st.lists(edge, min_size=2, max_size=2))
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+    matrix = draw(rows | json_values)
+    field = "rates" if kind == "collapse_rate_matrix" else "elements"
+    doc = {"schema": draw(st.sampled_from(["statekit/1", "statekit/2"])),
+           "kind": draw(st.sampled_from([kind, kind, []])),
+           "basis": basis, field: matrix}
+    return draw(st.sampled_from([doc, doc, doc, basis]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(call=st.one_of(verdict_calls(), sweep_calls(), closed_form_calls(),
+                      analytic_calls(),
+                      st.tuples(st.just(from_json),
+                                st.tuples(statekit_documents()))))
+def test_entry_points_return_or_refuse(call):
+    function, args = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            function(*args)
+        except (ValueError, DimensionError, SweepError):
+            pass

@@ -435,6 +435,16 @@ class TestAnalyticIsolated:
             analytic_isolated(equal_superposition(), rate_matrix(1.0),
                               quantity(-1, "s"))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        message = (f"t must be a nonnegative finite time, got "
+                   f"{quantity(t, 's')!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                analytic_isolated(equal_superposition(), rate_matrix(1.0),
+                                  quantity(t, "s"))
+
 
 class TestOracleAgreement:
     def test_evolve_matches_analytic_at_ten_lifetimes(self):

@@ -73,7 +73,9 @@ class TestMatrixBasis:
         (("a", "a"), "duplicate basis names in ('a', 'a')"),
         ((), "basis needs at least one label"),
         ("ab", "basis must be a sequence of names, got 'ab'"),
-    ], ids=["non-string", "duplicate", "empty", "str"])
+        (5, "basis must be a sequence of names, got 5"),
+        (None, "basis must be a sequence of names, got None"),
+    ], ids=["non-string", "duplicate", "empty", "str", "int", "None"])
     def test_bad_basis_rejected(self, kind, basis, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             kind(basis, MATRICES[kind])
@@ -89,6 +91,24 @@ class TestMatrixBasis:
 
     def test_kept_tuple_is_the_callers(self, kind, two_basis):
         assert kind(two_basis, MATRICES[kind]).basis is two_basis
+
+    @pytest.mark.parametrize("basis", [5, None])
+    def test_from_json_rejects_a_basis_that_is_not_a_sequence(self, kind,
+                                                              basis):
+        doc = kind(("a", "b"), MATRICES[kind]).to_json()
+        with pytest.raises(ValueError, match="^basis must be a sequence of "
+                           f"names, got {basis!r}$"):
+            from_json({**doc, "basis": basis})
+
+    def test_non_square_matrix_rejected(self, kind):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, "
+                           r"got shape \(2, 3\)$"):
+            kind(("a", "b"), np.zeros((2, 3)))
+
+    def test_basis_of_another_size_rejected(self, kind):
+        with pytest.raises(ValueError, match=r"^basis size 3 does not match "
+                           r"matrix shape \(2, 2\)$"):
+            kind(("a", "b", "c"), MATRICES[kind])
 
     def test_from_json_rejects_a_non_string_name(self, kind):
         doc = kind(("a", "b"), MATRICES[kind]).to_json()
@@ -263,6 +283,14 @@ class TestHamiltonian:
     def test_zero(self, two_basis):
         assert np.all(Hamiltonian.zero(two_basis).elements == 0)
 
+    def test_defect_that_overflows_rejected_without_a_warning(self,
+                                                               two_basis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^Hamiltonian is not "
+                               r"Hermitian \(defect inf\)$"):
+                Hamiltonian(two_basis, [[0.0, 1e308], [-1e308, 0.0]])
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0, np.inf)])
     def test_non_finite_rejected(self, two_basis, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -353,6 +381,22 @@ class TestJson:
     def test_document_keys_order_and_signed_zeros(self, matrix, document):
         assert json.dumps(matrix.to_json()) == document
 
+    @pytest.mark.parametrize("kind", ["spinor", [], None],
+                             ids=["name", "list", "missing"])
+    def test_unknown_kind_rejected(self, kind):
+        message = f"unknown statekit kind {kind!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_json({"schema": "statekit/1", "kind": kind, "basis": ["a"]})
+
+    @pytest.mark.parametrize("rates", [{"a": 1}, [[0, 10 ** 400]]],
+                             ids=["object", "huge-int"])
+    def test_rates_that_are_not_rows_of_numbers_rejected(self, rates):
+        message = f"rates must be rows of numbers, got {rates!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_json({"schema": "statekit/1",
+                       "kind": "collapse_rate_matrix", "basis": ["a", "b"],
+                       "rates": rates})
+
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):
             from_json({"schema": "statekit/999", "kind": "density_matrix",
@@ -385,7 +429,9 @@ class TestJson:
         ([[["1", "0"]]],
          "elements row 0 is not a list of [re, im] pairs: [['1', '0']]"),
         (5, "elements must be a list of rows, got 5"),
-    ], ids=["bare-number", "triple", "strings", "not-a-list"])
+        ([[[10 ** 400, 0]]], "elements row 0 is not a list of [re, im] "
+         f"pairs: [[{10 ** 400}, 0]]"),
+    ], ids=["bare-number", "triple", "strings", "not-a-list", "huge-int"])
     def test_malformed_row_is_named(self, elements, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             from_json({"schema": "statekit/1", "kind": "density_matrix",

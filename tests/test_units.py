@@ -143,6 +143,11 @@ class TestQuantityArithmetic:
     def test_to_converts(self):
         assert quantity(2.5, "GeV/c2").to("MeV/c2") == pytest.approx(2500.0)
 
+    def test_to_another_dimension_rejected(self):
+        with pytest.raises(DimensionError, match=r"^cannot express kg in "
+                           r"'m/s' \(m s\^-1\)$"):
+            quantity(1, "kg").to("m/s")
+
 
 def test_preferred_unit_falls_back_to_the_si_name():
     assert preferred_unit(MASS) == "kg"
@@ -209,6 +214,14 @@ class TestValueSemantics:
     def test_dimension_is_immutable(self):
         with pytest.raises(FrozenInstanceError):
             MASS.mass = 2
+
+    def test_fields_cannot_be_deleted(self):
+        with pytest.raises(FrozenInstanceError,
+                           match="^cannot delete field 'value'$"):
+            del HBAR.value
+        with pytest.raises(FrozenInstanceError,
+                           match="^cannot delete field 'mass'$"):
+            del MASS.mass
 
     def test_equal_values_compare_and_hash_equal(self):
         assert Quantity(1.0, MASS) == Quantity(1, MASS)
