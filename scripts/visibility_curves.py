@@ -16,9 +16,9 @@ from collapsim.units import quantity
 
 
 def write(path, verdict, t_end=None):
-    times, vis = cs.visibility_curve(verdict, t_end, record_stride=8)
-    path.write_text(curve_to_csv(times, vis))
-    print(f"{path}  final visibility {vis[-1]:.6f}")
+    traj = cs.curve_trajectory(verdict, t_end, record_stride=8)
+    path.write_text(curve_to_csv(traj))
+    print(f"{path}  final visibility {traj.visibility(0, 1)[-1]:.6f}")
 
 
 def main():

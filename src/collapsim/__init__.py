@@ -14,7 +14,7 @@ boundary (parameter sweeps and visibility curves), cli (command line).
 
 from .boundary import (BoundaryReport, Scenario, SweepError, SweepSpec,
                        curve_trajectory, mass_boundary, scenario_verdict,
-                       sweep, visibility_curve)
+                       sweep)
 from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
                              OscillatorSpec, Reason, Regime, TrappedPairSpec,
                              ValidationError, build_rate_matrix,

@@ -11,6 +11,9 @@ remain available as cross-checks.  `SweepSpec` checks a sweep's names,
 eta, count, grid and counts when it is built; each point's values are
 checked by its scenario's spec, so a bad value raises from `sweep`.
 `mass_boundary` is the mass scan behind `collapsim boundary`.
+
+A decay curve is one `Trajectory`: `curve_trajectory` runs it from a
+verdict, and `curve_to_csv` reads its times and visibility 2|rho_01|.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -252,17 +256,27 @@ def _verdict_at(spec: SweepSpec, x: float) -> DiscriminationVerdict:
 
 def _bisect(spec: SweepSpec, below: SweepRow, above: SweepRow) -> float:
     """Refine the flip between two adjacent rows to BISECTION_REL_TOL (of
-    the upper row's value while the lower end is a count rounded to 0)."""
+    the upper row's value while the lower end is a count rounded to 0).
+    Each midpoint is a finite double even where lo + hi or lo * hi is not,
+    and the loop ends once no double lies strictly between lo and hi."""
     lo, hi = below.value.value, above.value.value
     lo_infinite = not below.tau.is_finite
     geometric = spec.spacing == "geometric"
     while (hi - lo) > BISECTION_REL_TOL * (lo or above.value.value):
-        mid = math.sqrt(lo * hi) if geometric and lo else 0.5 * (lo + hi)
+        if not (geometric and lo):
+            mid = 0.5 * lo + 0.5 * hi
+        elif sys.float_info.min <= lo * hi < math.inf:
+            mid = math.sqrt(lo * hi)
+        else:
+            # Only here: it may differ from sqrt(lo * hi) in the last bit.
+            mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles (subnormal tolerance)
         if _verdict_at(spec, mid).is_infinite == lo_infinite:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def sweep(spec: SweepSpec) -> BoundaryReport:
@@ -341,19 +355,7 @@ def curve_trajectory(verdict: DiscriminationVerdict,
     return evolve(rho0, H, rates, cfg)
 
 
-def visibility_curve(verdict: DiscriminationVerdict,
-                     t_end: Quantity | None = None, *,
-                     dt: Quantity | None = None,
-                     record_stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Visibility 2|rho_01|(t) of an equal two-state superposition decaying
-    at the verdict's rate; constant 1.0 for an infinite tau.
-
-    Returns (times in seconds, visibilities).
-    """
-    traj = curve_trajectory(verdict, t_end, dt=dt,
-                            record_stride=record_stride)
-    return traj.times, traj.visibility(0, 1)
-
-
-def curve_to_csv(times: np.ndarray, visibilities: np.ndarray) -> str:
-    return csv_text(["time_s", "visibility"], times, visibilities)
+def curve_to_csv(traj: Trajectory) -> str:
+    """The `time_s,visibility` CSV of a run: 2|rho_01| at every sample."""
+    return csv_text(["time_s", "visibility"], traj.times,
+                    traj.visibility(0, 1))

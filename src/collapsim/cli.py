@@ -18,9 +18,9 @@ written; one `error:` line on stderr), 1 computation error.  Handlers only
 parse, route and print; the library checks every input, `--theta` and
 `evolve`'s rate and gap included, so its errors name a parameter without
 its `--`.
-Trajectory health warnings go to stderr as `warning:` lines.  `evolve
---json` and `curve --json` print `evolution.trajectory_to_json_text`;
-the verdict/1 and report/1 documents go through `json.dumps(indent=2)`.
+`evolve` and `curve` print a run one way: its health warnings as `warning:`
+lines on stderr, then `evolution.trajectory_to_json_text` under `--json`,
+else the command's CSV; verdict/1 and report/1 use `json.dumps(indent=2)`.
 The argument parser is built once per process, on the first call to
 `main`.
 """
@@ -74,9 +74,12 @@ def _dump(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _warn(traj) -> None:
+def _run_text(args, traj, to_csv) -> str:
+    """A run's output: one `warning:` line on stderr per health warning,
+    then trajectory/1 under --json, else to_csv(traj)."""
     for line in traj.warnings:
         print(f"warning: {line}", file=sys.stderr)
+    return trajectory_to_json_text(traj) if args.json else to_csv(traj)
 
 
 def _verdict_text(verdict: disc.DiscriminationVerdict) -> str:
@@ -114,11 +117,7 @@ def _cmd_evolve(args) -> str:
     cfg = EvolutionConfig(t_end=args.t_end, dt=args.dt,
                           method=Method(args.method),
                           record_stride=args.stride)
-    traj = evolve(rho0, H, rates, cfg)
-    _warn(traj)
-    if args.json:
-        return trajectory_to_json_text(traj)
-    return trajectory_to_csv(traj)
+    return _run_text(args, evolve(rho0, H, rates, cfg), trajectory_to_csv)
 
 
 def _cmd_sweep(args) -> str:
@@ -149,10 +148,7 @@ def _cmd_curve(args) -> str:
     verdict = scenario_verdict(args.scenario, _scenario_params(args), args.eta)
     traj = curve_trajectory(verdict, args.t_end, dt=args.dt,
                             record_stride=args.stride)
-    _warn(traj)
-    if args.json:
-        return trajectory_to_json_text(traj)
-    return curve_to_csv(traj.times, traj.visibility(0, 1))
+    return _run_text(args, traj, curve_to_csv)
 
 
 def _scenario_command(sub, command: str, summary: str, entries,

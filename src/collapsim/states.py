@@ -260,15 +260,23 @@ def _complex_to_pairs(matrix: np.ndarray) -> np.ndarray:
             .reshape(*matrix.shape, 2))
 
 
+def _number(x):
+    """x if it is a JSON number, an int or float but not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"not a number: {x!r}")
+    return x
+
+
 def _pairs_to_complex(pairs) -> np.ndarray:
-    """A complex matrix from rows of [re, im] pairs; a row of any other
-    shape is refused by its index."""
+    """A complex matrix from rows of [re, im] pairs of numbers; a row of
+    any other shape or entry is refused by its index."""
     if not isinstance(pairs, (list, tuple)):
         raise ValueError(f"elements must be a list of rows, got {pairs!r}")
     rows = []
     for k, row in enumerate(pairs):
         try:
-            rows.append([complex(re, im) for re, im in row])
+            rows.append([complex(_number(re), _number(im))
+                         for re, im in row])
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"elements row {k} is not a list of [re, im] "
                              f"pairs: {row!r}") from None
@@ -285,7 +293,7 @@ def from_json(doc: dict):
     """Rebuild a statekit value from its JSON form; a document that is not
     an object, an unknown kind, a missing key, a basis that is not a
     sequence of names, a malformed row or rates that are not rows of
-    numbers raise ValueError naming it."""
+    numbers (a string or a bool is not one) raise ValueError naming it."""
     if not isinstance(doc, dict):
         raise ValueError(f"statekit document must be an object, "
                          f"got {type(doc).__name__}")
@@ -301,7 +309,8 @@ def from_json(doc: dict):
     if field == "elements":
         return cls(doc["basis"], _pairs_to_complex(doc[field]))
     try:
-        rates = np.array(doc[field], dtype=np.float64)
+        rates = np.array([[_number(x) for x in row] for row in doc[field]],
+                         dtype=np.float64)
     except (TypeError, OverflowError):
         raise ValueError(f"rates must be rows of numbers, "
                          f"got {doc[field]!r}") from None

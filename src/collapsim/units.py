@@ -295,17 +295,13 @@ def parse_quantity(text: str) -> Quantity:
 
 
 def format_quantity(q: Quantity, unit: str, digits: int | None = 5) -> str:
-    """Render q in the given unit, '<number> <unit>'.
+    """Render q in the given unit, '<number> <unit>'; q.to converts it.
 
     digits counts significant figures; digits=None emits the shortest
     representation that parses back to the identical float, which is what
     the lossless round-trip guarantee relies on.
     """
-    scale, dim = _lookup(unit)
-    if dim != q.dim:
-        raise DimensionError(
-            f"cannot format {q.dim.si_name()} as '{unit}' ({dim.si_name()})")
-    num = q.value / scale
+    num = q.to(unit)
     text = repr(num) if digits is None else format(num, f"#.{digits}g")
     return f"{text} {unit}"
 

@@ -100,8 +100,9 @@ def test_criterion_4_boundary_one_over_e_calibration():
           and abs(verdict.tau.value - flight) / flight <= 1e-9,
           f"tau = {verdict.tau.value:.12e} s = flight time within 1e-9")
 
-    times, vis = cs.visibility_curve(verdict, quantity(flight, "s"),
-                                     record_stride=512)
+    traj = cs.curve_trajectory(verdict, quantity(flight, "s"),
+                               record_stride=512)
+    times, vis = traj.times, traj.visibility(0, 1)
     err = abs(vis[-1] - math.exp(-1))
     check("criterion 4 visibility", times[-1] == pytest.approx(flight)
           and err <= 1e-6,

@@ -14,7 +14,7 @@ from collapsim.boundary import (BISECTION_REL_TOL, COUNTS, MAX_SWEEP_POINTS,
                                 PARAMETERS, SCENARIOS, Scenario, SweepError,
                                 SweepSpec,
                                 curve_to_csv, curve_trajectory, mass_boundary,
-                                scenario_verdict, sweep, visibility_curve)
+                                scenario_verdict, sweep)
 from collapsim.discrimination import (DiscriminationVerdict, FreeFlightSpec,
                                       OscillatorSpec, Reason, Regime,
                                       TrappedPairSpec, ValidationError,
@@ -582,14 +582,15 @@ class TestVisibilityCurve:
 
     def test_boundary_flight_decays_to_one_over_e(self):
         verdict = self.boundary_verdict()
-        times, vis = visibility_curve(verdict, quantity(1e-3, "s"),
-                                      record_stride=512)
+        traj = curve_trajectory(verdict, quantity(1e-3, "s"),
+                                record_stride=512)
+        times, vis = traj.times, traj.visibility(0, 1)
         assert times[-1] == pytest.approx(1e-3, rel=1e-12)
         assert vis[-1] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_photon_curve_flat(self):
-        times, vis = visibility_curve(photon_tau(), quantity(1, "s"),
-                                      record_stride=64)
+        vis = curve_trajectory(photon_tau(), quantity(1, "s"),
+                               record_stride=64).visibility(0, 1)
         assert np.allclose(vis, 1.0, atol=1e-12)
 
     def test_deep_classical_curve_nearly_gone_by_five_lifetimes(self):
@@ -598,7 +599,8 @@ class TestVisibilityCurve:
             mass=m_star * 100.0, mean_velocity=quantity(100, "m/s"),
             separation=quantity(10, "um")))
         t_end = 5.0 * verdict.tau
-        _, vis = visibility_curve(verdict, t_end, record_stride=512)
+        vis = curve_trajectory(verdict, t_end,
+                               record_stride=512).visibility(0, 1)
         assert vis[-1] < 0.01
 
     @pytest.mark.parametrize("verdict, t_end", [
@@ -612,8 +614,8 @@ class TestVisibilityCurve:
         assert trajectory_to_csv(curve_trajectory(verdict, record_stride=64)) \
             == trajectory_to_csv(curve_trajectory(verdict, t_end,
                                                   record_stride=64))
-        assert curve_to_csv(*visibility_curve(verdict, record_stride=64)) == \
-            curve_to_csv(*visibility_curve(verdict, t_end, record_stride=64))
+        assert curve_to_csv(curve_trajectory(verdict, record_stride=64)) == \
+            curve_to_csv(curve_trajectory(verdict, t_end, record_stride=64))
 
     def test_curve_trajectory_exposes_states(self):
         traj = curve_trajectory(photon_tau(), quantity(1, "s"),

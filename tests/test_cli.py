@@ -213,6 +213,36 @@ class TestSweepAndCurve:
         assert code == 0
         assert out.endswith("critical: none within grid\n")
 
+    # Every grid point is valid; the bisection's midpoints must be too:
+    # lo * hi underflows (1) or overflows (2), lo + hi overflows (3, 4),
+    # the tolerance is subnormal so lo and hi end adjacent (5, 6).
+    FREE_FLIGHT_NEAR_MAX = ["sweep", "free-flight", "--axis", "L",
+                            "--min", "9e307 m", "--max", "1.7e308 m",
+                            "--count", "3", "--M", "1e-10 kg", "--v", "1 m/s",
+                            "--D", "3.18181e142 m", "--d", "3.18181e141 m"]
+    TRAPPED_SUBNORMAL = ["sweep", "trapped", "--axis", "M",
+                         "--min", "1e-320 kg", "--max", "1e-318 kg",
+                         "--count", "5", "--v", "1e8 m/s", "--D", "4e278 m"]
+
+    @pytest.mark.parametrize("argv, critical", [
+        (["sweep", "trapped", "--axis", "M", "--min", "1e-210 kg",
+          "--max", "1e-190 kg", "--count", "5", "--v", "1e8 m/s",
+          "--D", "1e159 m"], "3.9728915e-200 kg"),
+        (["sweep", "trapped", "--axis", "M", "--min", "1e180 kg",
+          "--max", "1e190 kg", "--count", "5", "--v", "1e-100 m/s",
+          "--D", "1e-10 m"], "3.9728915e+185 kg"),
+        (FREE_FLIGHT_NEAR_MAX + ["--spacing", "linear"], "1.2000027e+308 m"),
+        (FREE_FLIGHT_NEAR_MAX, "1.2000032e+308 m"),
+        (TRAPPED_SUBNORMAL, "9.9326957e-320 kg"),
+        (TRAPPED_SUBNORMAL + ["--spacing", "linear"], "9.9326957e-320 kg"),
+    ], ids=["product-underflows", "product-overflows", "sum-overflows-linear",
+            "sum-overflows-geometric", "subnormal-geometric",
+            "subnormal-linear"])
+    def test_bisection_stays_within_the_doubles(self, capsys, argv, critical):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.endswith(f"critical: {critical}\n")
+
     def test_sweep_missing_fixed_param(self, capsys):
         code, _, err = run(capsys, "sweep", "trapped", "--axis", "M",
                            "--min", "1 GeV/c2", "--max", "1e6 GeV/c2",
@@ -633,16 +663,18 @@ def test_console_entry_point_runs():
 
 
 # Edge numbers for every numeric flag, mostly positive ones, the unit of
-# each quantity flag's dimension (FLAG_VALUES', seconds for a time, and
-# dimensionless for a sweep along n), each verdict command's JSON schema,
-# and the counts of a sweep grid.
+# each quantity flag's dimension (FLAG_VALUES', seconds for a time, 1/s for
+# evolve's rate, and dimensionless for a sweep along n), each command's
+# JSON schema, the counts of a sweep grid and the strides of a run.
 EDGE_NUMBERS = ["1", "2.5", "1e300", "1e-300"] * 3 + ["0", "-1", "1e308"]
 RIGHT_UNITS = {**{name: value.split()[1] for name, value in FLAG_VALUES.items()
-                  if " " in value}, "t_end": "s", "dt": "s",
+                  if " " in value}, "t_end": "s", "dt": "s", "rate": "1/s",
                "n": "dimensionless"}
 VERDICT_COMMANDS = {"tau": VERDICT_SCHEMA, "boundary": REPORT_SCHEMA,
-                    "curve": TRAJECTORY_SCHEMA, "sweep": REPORT_SCHEMA}
+                    "curve": TRAJECTORY_SCHEMA, "sweep": REPORT_SCHEMA,
+                    "evolve": TRAJECTORY_SCHEMA}
 SWEEP_COUNTS = ["2", "5", "21"]
+STRIDES = ["1", "7", "1000000000", "0", "-1", "2.5"]
 
 
 def subparser(command: str) -> argparse.ArgumentParser:
@@ -653,21 +685,26 @@ def subparser(command: str) -> argparse.ArgumentParser:
 
 @st.composite
 def verdict_argv(draw) -> list:
-    """A tau, boundary, curve or sweep argv: the scenario's own flags but a
-    sweep's axis, any of the command's other options but --out, and
-    sometimes one unused flag.  A sweep's --min and --max are edge numbers
-    (either sign) in the axis' unit, mostly."""
+    """A tau, boundary, curve, sweep or evolve argv: the scenario's own
+    flags but a sweep's axis, any of the command's other options but --out,
+    and sometimes one unused flag.  A sweep's --min and --max are edge
+    numbers (either sign) in the axis' unit, mostly."""
     command = draw(st.sampled_from(sorted(VERDICT_COMMANDS)))
     actions = subparser(command)._actions
-    (scenario,) = [a for a in actions if a.dest == "scenario"]
-    name = draw(st.sampled_from(scenario.choices))
-    entry = SCENARIOS[name] if command != "boundary" else None
-    axis = draw(st.sampled_from(entry.params)) if command == "sweep" else None
-    unused = [a.dest for a in actions if entry and a.dest in PARAMETERS
-              and a.dest not in entry.params + entry.optional]
-    # One unused flag in about one argv of five.
-    extra = draw(st.sampled_from([None] * 4 * len(unused) + unused or [None]))
-    argv = [command, name]
+    argv, entry, axis, extra = [command], None, None, None
+    if command != "evolve":
+        (scenario,) = [a for a in actions if a.dest == "scenario"]
+        name = draw(st.sampled_from(scenario.choices))
+        argv.append(name)
+        entry = SCENARIOS[name] if command != "boundary" else None
+    if command == "sweep":
+        axis = draw(st.sampled_from(entry.params))
+    if entry:
+        unused = [a.dest for a in actions if a.dest in PARAMETERS
+                  and a.dest not in entry.params + entry.optional]
+        # One unused flag in about one argv of five.
+        extra = draw(st.sampled_from([None] * 4 * len(unused) + unused
+                                     or [None]))
     for action in actions:
         if not action.option_strings or action.dest in ("help", "out"):
             continue
@@ -686,6 +723,8 @@ def verdict_argv(draw) -> list:
             argv.append(axis)
         elif action.dest == "count":
             argv.append(draw(st.sampled_from(SWEEP_COUNTS)))
+        elif action.dest == "stride":
+            argv.append(draw(st.sampled_from(STRIDES)))
         elif action.choices:
             argv.append(draw(st.sampled_from(action.choices)))
         elif action.dest in ("min", "max"):
@@ -702,12 +741,15 @@ def verdict_argv(draw) -> list:
     return argv
 
 
-# A linear grid whose width overflows, too rare among the draws to be met.
-@settings(derandomize=True, deadline=None, max_examples=300)
+# A linear grid whose width overflows, too rare among the draws to be met,
+# and an evolve run whose --json must validate.
+@settings(derandomize=True, deadline=None, max_examples=500)
 @given(argv=verdict_argv())
 @example(argv=["sweep", "trapped", "--axis", "M", "--min", "-1e308 kg",
                "--max", "1e308 kg", "--spacing", "linear", "--count", "5",
                "--v", "100 m/s", "--D", "10 um"])
+@example(argv=["evolve", "--rate", "2.5 1/s", "--t-end", "1 s", "--gap",
+               "1e-300 eV", "--method", "euler", "--stride", "7", "--json"])
 def test_verdict_commands_exit_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

@@ -1,25 +1,30 @@
 """The library's entry points under edge values.
 
 Each call returns a value or refuses its input as ValueError,
-DimensionError or SweepError, never another exception and never a numpy
-warning (warnings are raised as errors here).  `evolve` is left to its own
-tests.
+DimensionError, SweepError or IntegrationError (a run that blows up, which
+the CLI reports as exit 1), never another exception and never a numpy
+warning (warnings are raised as errors here).  `evolve` runs from
+`two_level_decay` and from a random three-level system, with both methods
+and strides 1, 7 and 1e9.
 """
 
 import math
 import warnings
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collapsim.boundary import (SCENARIOS, Scenario, SweepError, SweepSpec,
                                 scenario_verdict, sweep)
 from collapsim.discrimination import (doppler_back_action, doppler_error,
                                       free_flight_critical_mass,
                                       trapped_critical_mass)
-from collapsim.evolution import analytic_isolated
-from collapsim.states import CollapseRateMatrix, from_json, pure_state
-from collapsim.units import (DIMENSIONLESS, ENERGY, LENGTH, MASS, PER_SECOND,
-                             SPEED, TIME, DimensionError, Quantity)
+from collapsim.evolution import (EvolutionConfig, IntegrationError, Method,
+                                  analytic_isolated, evolve, two_level_decay)
+from collapsim.states import (CollapseRateMatrix, Hamiltonian, from_json,
+                              pure_state)
+from collapsim.units import (DIMENSIONLESS, ENERGY, HBAR, LENGTH, MASS,
+                             PER_SECOND, SPEED, TIME, DimensionError,
+                             Quantity)
 
 EDGES = [1.0, 2.5, 1e300, 1e-300, 1e308, 1e-320, 0.0, -1.0, -1e308,
          math.inf, -math.inf, math.nan]
@@ -92,6 +97,53 @@ def analytic_calls():
     return st.tuples(st.just(decay_of), st.tuples(edge, quantities(TIME)))
 
 
+def run(rho0, H, rates, t_end, dt, method, stride):
+    return evolve(rho0, H, rates, EvolutionConfig(t_end, dt, method, stride))
+
+
+def two_level_run(rate, gap, *cfg):
+    return run(*two_level_decay(rate, gap), *cfg)
+
+
+def three_level_run(amplitudes, energies, coupling, rates, *cfg):
+    """A pure state, a Hermitian H of two level energies and one real or
+    imaginary coupling (each hbar times a frequency in 1/s), and a
+    symmetric rate matrix of three pair rates."""
+    basis = ("a", "b", "c")
+    (e1, e2), (g, phase), (r01, r02, r12) = energies, coupling, rates
+    hbar = HBAR.value
+    H = Hamiltonian(basis, [[0, hbar * g * phase, 0],
+                            [hbar * g * phase.conjugate(), hbar * e1, 0],
+                            [0, 0, hbar * e2]])
+    R = CollapseRateMatrix(basis, [[0, r01, r02], [r01, 0, r12],
+                                   [r02, r12, 0]])
+    return run(pure_state(amplitudes, basis), H, R, *cfg)
+
+
+def run_config(time):
+    """t_end, dt (None for the AUTO step), method and record_stride."""
+    return (time, st.none() | time, st.sampled_from(list(Method)),
+            st.sampled_from([1, 7, 10 ** 9]))
+
+
+# Mostly values a run can take, so that most three-level draws integrate.
+runnable = st.sampled_from([0.0, 1.0, 2.5] * 4 + EDGES)
+
+
+def evolve_calls():
+    seconds = st.builds(Quantity, runnable, st.just(TIME))
+    return st.one_of(
+        st.tuples(st.just(two_level_run), st.tuples(
+            quantities(PER_SECOND), st.none() | quantities(ENERGY),
+            *run_config(quantities(TIME)))),
+        st.tuples(st.just(three_level_run), st.tuples(
+            st.tuples(*[st.sampled_from([0.0, 1.0, -1.0, 2.5])] * 3),
+            st.tuples(runnable, runnable),
+            st.tuples(runnable, st.sampled_from([1, 1j])),
+            st.tuples(runnable, runnable, runnable),
+            *run_config(seconds))))
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | edge | st.integers() | st.text(max_size=3),
     lambda children: (st.lists(children, max_size=3)
@@ -122,14 +174,18 @@ def statekit_documents(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=600)
 @given(call=st.one_of(verdict_calls(), sweep_calls(), closed_form_calls(),
-                      analytic_calls(),
+                      analytic_calls(), evolve_calls(),
                       st.tuples(st.just(from_json),
                                 st.tuples(statekit_documents()))))
+# A run that blows up at t = 30000 s, which no edge value reaches.
+@example(call=(two_level_run, (Quantity(1.0, PER_SECOND), None,
+                               Quantity(1e5, TIME), Quantity(1e3, TIME),
+                               Method.RK4, 7)))
 def test_entry_points_return_or_refuse(call):
     function, args = call
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             function(*args)
-        except (ValueError, DimensionError, SweepError):
+        except (ValueError, DimensionError, SweepError, IntegrationError):
             pass

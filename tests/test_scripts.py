@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -42,3 +43,20 @@ def test_readme_library_example_runs():
     traj = namespace["traj"]
     assert len(traj.min_eigenvalue) == len(traj.times) > 1
     assert traj.warnings == ()
+
+
+def test_readme_names_only_what_exists():
+    # Each backticked `<module>.<name>` of the prose (a `.py` file name
+    # aside) and each `cs.<name>` must be bound in collapsim.
+    readme = (ROOT / "README.md").read_text()
+    prose = re.sub(r"```.*?```", "", readme, flags=re.DOTALL)
+    modules = "|".join(["units", "states", "discrimination", "evolution",
+                        "boundary", "cli", "schemas"])
+    names = {(module, name) for span in re.findall(r"`([^`]+)`", prose)
+             for module, name in re.findall(rf"\b({modules})\.(\w+)", span)
+             if name != "py"}
+    names |= {(None, name) for name in re.findall(r"\bcs\.(\w+)", readme)}
+    assert len(names) >= 10
+    for module, name in names:
+        package = f"collapsim.{module}" if module else "collapsim"
+        assert hasattr(importlib.import_module(package), name), (module, name)

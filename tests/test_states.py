@@ -388,8 +388,10 @@ class TestJson:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             from_json({"schema": "statekit/1", "kind": kind, "basis": ["a"]})
 
-    @pytest.mark.parametrize("rates", [{"a": 1}, [[0, 10 ** 400]]],
-                             ids=["object", "huge-int"])
+    @pytest.mark.parametrize("rates", [
+        {"a": 1}, [[0, 10 ** 400]], [["0", "2.5"], ["2.5", False]],
+        [[0, True], [True, 0]]],
+        ids=["object", "huge-int", "strings", "booleans"])
     def test_rates_that_are_not_rows_of_numbers_rejected(self, rates):
         message = f"rates must be rows of numbers, got {rates!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -431,7 +433,10 @@ class TestJson:
         (5, "elements must be a list of rows, got 5"),
         ([[[10 ** 400, 0]]], "elements row 0 is not a list of [re, im] "
          f"pairs: [[{10 ** 400}, 0]]"),
-    ], ids=["bare-number", "triple", "strings", "not-a-list", "huge-int"])
+        ([[[True, False]]],
+         "elements row 0 is not a list of [re, im] pairs: [[True, False]]"),
+    ], ids=["bare-number", "triple", "strings", "not-a-list", "huge-int",
+            "booleans"])
     def test_malformed_row_is_named(self, elements, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             from_json({"schema": "statekit/1", "kind": "density_matrix",
