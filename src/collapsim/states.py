@@ -19,6 +19,7 @@ A complex array becomes [re, im] pairs through one conversion,
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -230,10 +231,14 @@ def pure_state(amplitudes, basis: tuple[str, ...]) -> DensityMatrix:
     if psi.ndim != 1 or psi.size != len(basis):
         raise ValueError(
             f"expected {len(basis)} amplitudes, got shape {psi.shape}")
-    norm = float(np.linalg.norm(psi))
-    if norm == 0.0:
+    # Scaled by a power of two, which is exact, so that the squares in the
+    # norm neither overflow nor underflow.
+    pairs = _complex_to_pairs(psi)
+    largest = float(np.max(np.abs(pairs), initial=0.0))
+    if largest == 0.0:
         raise ValueError("amplitudes must not all be zero")
-    psi = psi / norm
+    psi = np.ldexp(pairs, -math.frexp(largest)[1]).view(np.complex128)[:, 0]
+    psi = psi / float(np.linalg.norm(psi))
     return DensityMatrix(basis, np.outer(psi, psi.conj()))
 
 
@@ -293,7 +298,8 @@ def from_json(doc: dict):
     """Rebuild a statekit value from its JSON form; a document that is not
     an object, an unknown kind, a missing key, a basis that is not a
     sequence of names, a malformed row or rates that are not rows of
-    numbers (a string or a bool is not one) raise ValueError naming it."""
+    numbers of one length (a string or a bool is not a number) raise
+    ValueError naming it."""
     if not isinstance(doc, dict):
         raise ValueError(f"statekit document must be an object, "
                          f"got {type(doc).__name__}")
@@ -311,7 +317,7 @@ def from_json(doc: dict):
     try:
         rates = np.array([[_number(x) for x in row] for row in doc[field]],
                          dtype=np.float64)
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"rates must be rows of numbers, "
                          f"got {doc[field]!r}") from None
     return cls(doc["basis"], rates)

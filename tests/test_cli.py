@@ -741,8 +741,33 @@ def verdict_argv(draw) -> list:
     return argv
 
 
+# Sweeps that run to their report, which no draw reaches: the README's, a
+# free-flight speed sweep and an oscillator sweep along n.
+FREE_FLIGHT_SPEED_SWEEP = ["sweep", "free-flight", "--axis", "v",
+                           "--min", "1 m/s", "--max", "1e4 m/s", "--count",
+                           "5", "--M", "4.7326 GeV/c2", "--D", "10 um",
+                           "--L", "1 m", "--d", "1 um"]
+OSCILLATOR_N_SWEEP = ["sweep", "oscillator", "--axis", "n",
+                      "--min", "10.4 dimensionless",
+                      "--max", "20.4 dimensionless", "--count", "2",
+                      "--spacing", "linear", "--M", "3.942625681831795e-46 kg",
+                      "--omega0", "1e5 rad/s"]
+
+
+@pytest.mark.parametrize("argv, critical", [
+    (README_EXAMPLES["sweep_trapped"], "3.9728926e-24 kg"),
+    (FREE_FLIGHT_SPEED_SWEEP, "999.99369 m/s"),
+    (OSCILLATOR_N_SWEEP, "10.2 dimensionless")],
+    ids=["readme-trapped", "free-flight-v", "oscillator-n"])
+def test_fuzz_examples_sweep_to_a_report(capsys, argv, critical):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"critical: {critical}\n")
+
+
 # A linear grid whose width overflows, too rare among the draws to be met,
-# and an evolve run whose --json must validate.
+# an evolve run whose --json must validate, and sweeps that exit 0, each
+# with and without --json.
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(argv=verdict_argv())
 @example(argv=["sweep", "trapped", "--axis", "M", "--min", "-1e308 kg",
@@ -750,6 +775,12 @@ def verdict_argv(draw) -> list:
                "--v", "100 m/s", "--D", "10 um"])
 @example(argv=["evolve", "--rate", "2.5 1/s", "--t-end", "1 s", "--gap",
                "1e-300 eV", "--method", "euler", "--stride", "7", "--json"])
+@example(argv=README_EXAMPLES["sweep_trapped"])
+@example(argv=README_EXAMPLES["sweep_trapped"] + ["--json"])
+@example(argv=FREE_FLIGHT_SPEED_SWEEP)
+@example(argv=FREE_FLIGHT_SPEED_SWEEP + ["--json"])
+@example(argv=OSCILLATOR_N_SWEEP)
+@example(argv=OSCILLATOR_N_SWEEP + ["--json"])
 def test_verdict_commands_exit_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from collapsim import evolution
 from collapsim.evolution import (AUTO_STEP_DIVISOR, EvolutionConfig,
                                  IntegrationError, Method, analytic_isolated,
-                                 convergence_order, derivative, evolve,
-                                 Trajectory, trajectory_to_csv,
+                                 convergence_order, csv_text, derivative,
+                                 evolve, Trajectory, trajectory_to_csv,
                                  trajectory_to_json, trajectory_to_json_text,
                                  two_level_decay, unitary_baseline)
 from collapsim.states import (PSD_TOL, CollapseRateMatrix, DensityMatrix,
@@ -666,12 +666,33 @@ class TestExports:
             math.exp(-1.0), rel=1e-6)
 
 
-# Floats json writes in every spelling: signed zeros, subnormals, NaN, the
-# infinities and whatever else hypothesis draws.
-JSON_FLOATS = st.one_of(
+# Floats the writers spell in every way: signed zeros, subnormals, NaN of
+# either sign, the infinities and whatever else hypothesis draws, and a few
+# magnitudes shared by one example, each drawn with either sign, so that a
+# table repeats a magnitude with both signs as rho_ji = conj(rho_ij) does.
+SHARED_MAGNITUDES = st.shared(
+    st.lists(st.floats(min_value=0.0, allow_subnormal=True), min_size=1,
+             max_size=3), key="magnitudes")
+TABLE_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-5, 1e16, 1.5e300,
-                     math.nan, math.inf, -math.inf]),
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+                     math.nan, -math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.tuples(SHARED_MAGNITUDES.flatmap(st.sampled_from),
+              st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_csv_text_is_the_repr_of_every_float(data):
+    rows, width = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
+    columns = [np.array(data.draw(st.lists(TABLE_FLOATS, min_size=rows,
+                                           max_size=rows)))
+               for _ in range(width)]
+    header = [f"c{k}" for k in range(width)]
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row
+                                  in np.column_stack(columns).tolist()]
+    assert csv_text(header, *columns) == "\r\n".join(lines) + "\r\n"
+
 
 # Basis names that json escapes or that a template could mistake for its
 # own text: non-ASCII, quotes, backslashes, % and the non-finite spellings.
@@ -688,7 +709,7 @@ def test_json_text_is_json_dumps(data):
     n = data.draw(st.integers(2, 4))
     samples = data.draw(st.integers(1, 6))
     column = lambda size: np.array(
-        data.draw(st.lists(JSON_FLOATS, min_size=size, max_size=size)))
+        data.draw(st.lists(TABLE_FLOATS, min_size=size, max_size=size)))
     basis = tuple(data.draw(st.lists(JSON_NAMES, min_size=n, max_size=n,
                                      unique=True)))
     i, j = data.draw(st.permutations(range(n)))[:2]

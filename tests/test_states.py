@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from collapsim.evolution import EvolutionConfig, derivative, evolve
 from collapsim.states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
@@ -148,6 +148,36 @@ class TestPureState:
     def test_length_mismatch_rejected(self, two_basis):
         with pytest.raises(ValueError):
             pure_state([1, 0, 0], two_basis)
+
+    # Squared, the first amplitudes overflow and the last underflow.  Powers
+    # of two normalize to the same bits as their ordinary counterparts.
+    @pytest.mark.parametrize("amplitudes, same_as, same_bits", [
+        ([1e200, 1e200], [1, 1], False), ([-1e300j, 1e300], [-1j, 1], False),
+        ([2.0 ** 1000, 2.0 ** 1000 * 1j], [1, 1j], True),
+        ([1e-320, 0], [1, 0], False), ([5e-324, -5e-324j], [1, -1j], True)],
+        ids=["huge", "huge-complex", "huge-power-of-two", "subnormal",
+             "smallest-subnormal"])
+    def test_extreme_amplitudes_normalize(self, two_basis, amplitudes,
+                                          same_as, same_bits):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = pure_state(amplitudes, two_basis)
+        expected = pure_state(same_as, two_basis).elements
+        assert np.allclose(rho.elements, expected, rtol=1e-15, atol=0.0)
+        assert (rho.elements.tobytes() == expected.tobytes()) or not same_bits
+        assert validate(rho) == []
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                       allow_infinity=False),
+                    min_size=2, max_size=2).filter(any))
+    def test_ordinary_amplitudes_keep_their_bits(self, amplitudes):
+        psi = np.asarray(amplitudes, dtype=np.complex128)
+        if not np.linalg.norm(psi) > 1e-100:
+            return  # its squares underflow: the case the scaling is for
+        psi = psi / float(np.linalg.norm(psi))
+        rho = pure_state(amplitudes, make_basis("a", "b"))
+        assert rho.elements.tobytes() == np.outer(psi, psi.conj()).tobytes()
 
 
 class TestVisibility:
@@ -390,8 +420,8 @@ class TestJson:
 
     @pytest.mark.parametrize("rates", [
         {"a": 1}, [[0, 10 ** 400]], [["0", "2.5"], ["2.5", False]],
-        [[0, True], [True, 0]]],
-        ids=["object", "huge-int", "strings", "booleans"])
+        [[0, True], [True, 0]], [[0, 1], [1]]],
+        ids=["object", "huge-int", "strings", "booleans", "ragged"])
     def test_rates_that_are_not_rows_of_numbers_rejected(self, rates):
         message = f"rates must be rows of numbers, got {rates!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
