@@ -16,15 +16,27 @@ and makes the convergence order directly measurable; the dynamics is
 non-stiff at the scales this package targets.
 
 The equation is linear and time-invariant, so one step is a fixed
-n^2 x n^2 matrix acting on the row-major vec rho.  Where it costs less
-than stepping the matrix (`_operator_pays`), a run builds that operator
-once, by stepping the n^2 basis matrices, and jumps from one recorded
-sample to the next with its powers; otherwise it steps the matrix
-directly.  Either way the loop only jumps, into the (samples, n, n) array
-the trajectory keeps, and stops at the first jump that overflows; one pass
-after it checks that array for finiteness, and from the first non-finite
-sample on the run is stepped one step at a time, so a blow-up is reported
-at its first non-finite step.  Runs over MAX_STEPS steps or
+n^2 x n^2 matrix acting on the row-major vec rho, and a run takes one of
+three paths into the (samples, n, n) array the trajectory keeps:
+
+- diagonal: where H has no nonzero entry off its diagonal (every CLI run),
+  each entry decouples, d rho_ij/dt = (-i(E_i - E_j)/hbar - rate_ij)
+  rho_ij, and a step multiplies it by its amplification g = step(ones),
+  the operator's diagonal.  g**gap is built in np.linalg.matrix_power's
+  binary order, and one np.multiply.accumulate fills the whole record;
+- operator: where it costs less than stepping the matrix
+  (`_operator_pays`), the operator is built once, by stepping the n^2
+  basis matrices, and each recorded interval is one jump by its power;
+- direct: otherwise the matrix is stepped one step at a time.
+
+On the diagonal path each product of two complex numbers is rounded as
+(ac - bd) + i(ad + bc), so its bits do not depend on the CPU: numpy's
+contiguous complex `*` fuses ac - bd into one FMA where the CPU has one
+(`_entry_product`, and accumulate's scalar loop); a real g (H = 0) makes
+`*` exact.  The other two paths stop at the first jump that overflows.
+One pass then checks the record for finiteness, and from the first
+non-finite sample on the run is stepped one step at a time, so a blow-up
+is reported at its first non-finite step.  Runs over MAX_STEPS steps or
 MAX_RECORDED_ENTRIES recorded entries, or whose AUTO step underflows to
 0 s, are refused at the start.
 
@@ -168,6 +180,28 @@ def _step(rhs, dt: float, method: Method):
     return rk4
 
 
+def _is_diagonal(h: np.ndarray) -> bool:
+    """Whether h has no nonzero entry off its diagonal."""
+    return np.count_nonzero(h) == np.count_nonzero(np.diagonal(h))
+
+
+def _entry_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b entry by entry, with bits that do not depend on the CPU.
+
+    A real factor makes `*` exact.  Two complex factors are multiplied as
+    (ac - bd) + i(ad + bc) in float64 ufuncs: numpy's contiguous complex
+    `*` fuses ac - bd into one FMA where the CPU has one, and so rounds
+    differently from one host to the next.
+    """
+    if a.dtype.kind == "f" or b.dtype.kind == "f":
+        return a * b
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    out = np.empty(a.shape, dtype=np.complex128)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
+    return out
+
+
 def _operator_pays(n: int, method: Method, gaps: list[int]) -> bool:
     """Whether building the step operator and jumping `gaps` steps at a
     time costs less than stepping an n x n matrix sum(gaps) times.
@@ -255,25 +289,53 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
     marks = [*range(0, n_steps, cfg.record_stride), n_steps]
     gaps = [stop - start for start, stop in zip(marks, marks[1:])]
     step = _step(_rhs(H, rates), dt, cfg.method)
-    if _operator_pays(n, cfg.method, gaps):
-        op = step(np.eye(n * n, dtype=np.complex128).reshape(-1, n, n))
-        op = op.reshape(n * n, n * n).T
-        power = functools.cache(lambda k: np.linalg.matrix_power(op, k))
-        jump = lambda y, k: (power(k) @ y.ravel()).reshape(n, n)
-    else:
-        def jump(y, k):
-            for _ in range(k):
-                y = step(y)
-            return y
-
     elements = np.empty((samples, n, n), dtype=np.complex128)
     elements[0] = rho0.elements
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            for i, k in enumerate(gaps, 1):
-                elements[i] = jump(elements[i - 1], k)
-        except FloatingPointError:
-            elements[i:] = np.nan  # stop jumping at the first overflow
+    if _is_diagonal(H.elements):
+        # Each entry decouples: a step multiplies it by its amplification
+        # g (real where H = 0), and k steps by g**k, built in the binary
+        # order of np.linalg.matrix_power from squares shared by all gaps.
+        g = step(np.ones((n, n)))
+
+        @functools.cache
+        def square(b):  # g**(2**b)
+            return g if b == 0 else _entry_product(square(b - 1),
+                                                   square(b - 1))
+
+        @functools.cache
+        def power(k):
+            bits = [b for b in range(k.bit_length()) if k >> b & 1]
+            return functools.reduce(_entry_product, map(square, bits))
+
+        jump = lambda y, k: _entry_product(y, power(k))
+        if samples == 2:
+            elements[1] = jump(elements[0], gaps[0])
+        else:
+            # Every gap but the last is the stride.  One cumulative product
+            # fills the record: numpy's accumulate takes its scalar loop,
+            # unfused like _entry_product, because each product reads the
+            # one before it (a lone product would take the fused loop).
+            elements[1:] = power(gaps[0])
+            elements[-1] = power(gaps[-1])
+            np.multiply.accumulate(elements, axis=0, out=elements)
+    else:
+        if _operator_pays(n, cfg.method, gaps):
+            op = step(np.eye(n * n, dtype=np.complex128).reshape(-1, n, n))
+            op = op.reshape(n * n, n * n).T
+            power = functools.cache(lambda k: np.linalg.matrix_power(op, k))
+            jump = lambda y, k: (power(k) @ y.ravel()).reshape(n, n)
+        else:
+            def jump(y, k):
+                for _ in range(k):
+                    y = step(y)
+                return y
+
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                for i, k in enumerate(gaps, 1):
+                    elements[i] = jump(elements[i - 1], k)
+            except FloatingPointError:
+                elements[i:] = np.nan  # stop jumping at the first overflow
 
     # One check of the record, also for an overflow numpy did not flag.
     finite = np.isfinite(elements).all(axis=(1, 2))

@@ -237,9 +237,16 @@ def pure_state(amplitudes, basis: tuple[str, ...]) -> DensityMatrix:
     largest = float(np.max(np.abs(pairs), initial=0.0))
     if largest == 0.0:
         raise ValueError("amplitudes must not all be zero")
-    psi = np.ldexp(pairs, -math.frexp(largest)[1]).view(np.complex128)[:, 0]
-    psi = psi / float(np.linalg.norm(psi))
-    return DensityMatrix(basis, np.outer(psi, psi.conj()))
+    pairs = np.ldexp(pairs, -math.frexp(largest)[1])
+    # Each float divided by the norm is correctly rounded (numpy divides a
+    # complex by a real through its reciprocal), and rho is built from
+    # float products, not numpy's complex `*`, which fuses ac - bd into one
+    # FMA on some CPUs.  So rho is Hermitian bit for bit on any CPU.
+    re, im = (pairs / float(np.linalg.norm(pairs.view(np.complex128)))).T
+    rho = np.empty((psi.size, psi.size), dtype=np.complex128)
+    rho.real = np.outer(re, re) + np.outer(im, im)
+    rho.imag = np.outer(im, re) - np.outer(re, im)
+    return DensityMatrix(basis, rho)
 
 
 def visibility(basis: tuple[str, ...], m: np.ndarray,

@@ -767,8 +767,8 @@ def test_fuzz_examples_sweep_to_a_report(capsys, argv, critical):
 
 # A linear grid whose width overflows, too rare among the draws to be met,
 # an evolve run whose --json must validate, and sweeps that exit 0, each
-# with and without --json.
-@settings(derandomize=True, deadline=None, max_examples=500)
+# with and without --json.  No call may take longer than 5 s.
+@settings(derandomize=True, deadline=5000, max_examples=500)
 @given(argv=verdict_argv())
 @example(argv=["sweep", "trapped", "--axis", "M", "--min", "-1e308 kg",
                "--max", "1e308 kg", "--spacing", "linear", "--count", "5",

@@ -172,7 +172,8 @@ def statekit_documents(draw):
     return draw(st.sampled_from([doc, doc, doc, basis]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=600)
+# No call may take longer than 5 s.
+@settings(derandomize=True, deadline=5000, max_examples=600)
 @given(call=st.one_of(verdict_calls(), sweep_calls(), closed_form_calls(),
                       analytic_calls(), evolve_calls(),
                       st.tuples(st.just(from_json),

@@ -38,6 +38,30 @@ def equal_superposition(basis=BASIS):
     return pure_state(np.ones(len(basis)), basis)
 
 
+def use_path(monkeypatch, path):
+    """Make evolve take the named path.  A diagonal H takes the diagonal
+    path by itself: the cost rule of the other two is then never asked."""
+    def pays(*args):
+        assert path != "diagonal", "a diagonal H was stepped as a matrix"
+        return path == "operator"
+
+    if path != "diagonal":
+        monkeypatch.setattr(evolution, "_is_diagonal", lambda h: False)
+    monkeypatch.setattr(evolution, "_operator_pays", pays)
+
+
+def diagonal_part(H):
+    return Hamiltonian(H.basis, np.diag(np.diagonal(H.elements)))
+
+
+def closed_form(rho0, H, rates, t):
+    """rho_ij(0) exp(lambda_ij t), lambda_ij = -i(E_i - E_j)/hbar - rate_ij:
+    the exact state at time t for a diagonal H."""
+    e = np.diagonal(H.elements).real / HBAR.value
+    lam = -1j * (e[:, None] - e[None, :]) - rates.rates
+    return rho0.elements * np.exp(lam * t)
+
+
 def random_system(n, seed, h_scale=1.0, rate_scale=1.0):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -133,6 +157,13 @@ class TestEvolve:
             evolve(bad, Hamiltonian.zero(BASIS), rate_matrix(0.0), cfg)
 
     @pytest.mark.parametrize("field", ["t_end", "dt"])
+    def test_zero_time_rejected(self, field):
+        times = {"t_end": quantity(1, "s"), field: quantity(0, "s")}
+        with pytest.raises(ValueError, match=f"^{field} must be a positive "
+                           f"finite time$"):
+            EvolutionConfig(**times)
+
+    @pytest.mark.parametrize("field", ["t_end", "dt"])
     def test_non_finite_time_rejected(self, field):
         times = {"t_end": quantity(1, "s"), field: quantity(math.inf, "s")}
         with pytest.raises(ValueError, match=f"{field} must be a positive finite"):
@@ -159,7 +190,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("path, t_end, stride", [
         pytest.param(path, t_end, stride, id=path + where)
-        for path in ("direct", "operator")
+        for path in ("direct", "operator", "diagonal")
         for where, (t_end, stride) in {
             "": (1e5, 7), "-first-interval": (1e5, 40),
             "-last-interval": (3.5e4, 29), "-one-interval": (1e5, 100),
@@ -168,8 +199,7 @@ class TestEvolve:
             self, monkeypatch, path, t_end, stride):
         # Step 30 is the first non-finite one, whichever interval holds it:
         # with stride 7 the samples at steps 28 and 35 straddle it.
-        monkeypatch.setattr(evolution, "_operator_pays",
-                            lambda *args: path == "operator")
+        use_path(monkeypatch, path)
         cfg = EvolutionConfig(t_end=quantity(t_end, "s"),
                               dt=quantity(1e3, "s"), record_stride=stride)
         with warnings.catch_warnings():
@@ -189,7 +219,7 @@ class TestEvolve:
             return lambda y: steps.append(1) or step(y)
 
         monkeypatch.setattr(evolution, "_step", counted)
-        monkeypatch.setattr(evolution, "_operator_pays", lambda *args: False)
+        use_path(monkeypatch, "direct")
         cfg = EvolutionConfig(t_end=quantity(1e8, "s"), dt=quantity(1e3, "s"),
                               record_stride=7)
         with pytest.raises(IntegrationError, match="t = 30000.0 s"):
@@ -197,13 +227,27 @@ class TestEvolve:
                    rate_matrix(1.0), cfg)
         assert len(steps) < 100
 
-    @pytest.mark.parametrize("path", ["direct", "operator"])
+    def test_diagonal_blow_up_replays_only_its_first_steps(self, monkeypatch):
+        # The diagonal path fills all 14287 samples in one cumulative
+        # product.  Then g**7 and g**5 have taken 5 entry products, and the
+        # replay from the sample at step 28 takes two more, to step 30.
+        products, real = [], evolution._entry_product
+        monkeypatch.setattr(evolution, "_entry_product",
+                            lambda a, b: products.append(1) or real(a, b))
+        use_path(monkeypatch, "diagonal")
+        cfg = EvolutionConfig(t_end=quantity(1e8, "s"), dt=quantity(1e3, "s"),
+                              record_stride=7)
+        with pytest.raises(IntegrationError, match="t = 30000.0 s"):
+            evolve(equal_superposition(), Hamiltonian.zero(BASIS),
+                   rate_matrix(1.0), cfg)
+        assert len(products) == 7
+
+    @pytest.mark.parametrize("path", ["direct", "operator", "diagonal"])
     def test_overflowing_power_keeps_the_single_steps(self, monkeypatch,
                                                       path):
         # The second power of this step operator overflows, but two single
         # steps of the coherence stay just under the largest double.
-        monkeypatch.setattr(evolution, "_operator_pays",
-                            lambda *args: path == "operator")
+        use_path(monkeypatch, path)
         cfg = EvolutionConfig(t_end=quantity(1.6e39, "s"),
                               dt=quantity(8e38, "s"), record_stride=2)
         traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
@@ -238,14 +282,16 @@ def reference_run(rho0, H, rates, dt, n_steps, method):
                                        (Method.RK4, 5), (Method.EULER, 3)])
 @pytest.mark.parametrize("steps", ["n2-1", "n2", "10n2"])
 @pytest.mark.parametrize("stride", [1, 7, "all"])
-@pytest.mark.parametrize("path", ["direct", "operator"])
+@pytest.mark.parametrize("path", ["direct", "operator", "diagonal"])
 def test_every_sample_matches_a_plain_stepping_loop(monkeypatch, method, n,
                                                     steps, stride, path):
-    monkeypatch.setattr(evolution, "_operator_pays",
-                        lambda *args: path == "operator")
+    # The diagonal path runs the system's diagonal part: a gap per pair.
+    use_path(monkeypatch, path)
     n_steps = {"n2-1": n * n - 1, "n2": n * n, "10n2": 10 * n * n}[steps]
     stride = n_steps if stride == "all" else stride
     rho0, H, rates = random_system(n, seed=10 * n + n_steps)
+    if path == "diagonal":
+        H = diagonal_part(H)
     dt = 1.0 / 64.0
     cfg = EvolutionConfig(t_end=quantity(n_steps * dt, "s"),
                           dt=quantity(dt, "s"), method=method,
@@ -283,6 +329,120 @@ def test_operator_built_only_where_it_pays(monkeypatch, n, steps, stride,
                           dt=quantity(dt, "s"), record_stride=stride)
     evolve(rho0, H, rates, cfg)
     assert any(stacks) is built
+
+
+@pytest.mark.parametrize("n, steps, stride", [
+    (2, 2, 1), (2, 5, 2), (3, 1000, 125), (8, 25, 1), (16, 4096, 4096),
+    (32, 40, 40)])
+def test_diagonal_hamiltonian_steps_no_stack(monkeypatch, n, steps, stride):
+    # Where H is diagonal, one step of a matrix of ones is all the stepping
+    # a run does, on either side of the operator's cost rule.
+    stepped, real = [], evolution._step
+
+    def spy(rhs, dt, method):
+        step = real(rhs, dt, method)
+        return lambda y: stepped.append(y.shape) or step(y)
+
+    monkeypatch.setattr(evolution, "_step", spy)
+    rho0, H, rates = random_system(n, seed=n)
+    dt = 1.0 / 64.0
+    cfg = EvolutionConfig(t_end=quantity(steps * dt, "s"),
+                          dt=quantity(dt, "s"), record_stride=stride)
+    evolve(rho0, diagonal_part(H), rates, cfg)
+    assert stepped == [(n, n)]
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_amplification_is_the_operator_diagonal(method, n):
+    # g = step(ones) is each entry's amplification; stepping the n^2 basis
+    # matrices, as the operator path builds its operator, gives the same
+    # numbers on the operator's diagonal and exact zeros off it.
+    rho0, H, rates = random_system(n, seed=n)
+    step = evolution._step(evolution._rhs(diagonal_part(H), rates), 0.1,
+                           method)
+    g = step(np.ones((n, n)))
+    op = step(np.eye(n * n, dtype=np.complex128).reshape(-1, n, n))
+    op = op.reshape(n * n, n * n)
+    assert np.diagonal(op).tobytes() == g.astype(np.complex128).tobytes()
+    assert not np.any(op - np.diag(np.diagonal(op)))
+
+
+def textbook_record(rho0, g, gaps):
+    """Each sample's entries times g**gap, one Python complex at a time:
+    each product rounded as (ac - bd) + i(ad + bc), each power built in
+    the binary order of np.linalg.matrix_power."""
+    def times(x, y):
+        return complex(x.real * y.real - x.imag * y.imag,
+                       x.real * y.imag + x.imag * y.real)
+
+    def power(z, k):
+        result = None
+        while k:
+            if k & 1:
+                result = z if result is None else times(result, z)
+            k >>= 1
+            if k:
+                z = times(z, z)
+        return result
+
+    y = [complex(x) for x in rho0.ravel()]
+    amplification = [complex(x) for x in g.ravel()]
+    record = [y]
+    for k in gaps:
+        y = [times(x, power(z, k)) for x, z in zip(y, amplification)]
+        record.append(y)
+    return np.array(record).reshape(-1, *rho0.shape)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(n=st.integers(1, 4), seed=st.integers(0, 10 ** 6),
+       gap=st.sampled_from([0.0, 0.3, 1.0]), method=st.sampled_from(Method),
+       steps=st.integers(1, 40), stride=st.integers(1, 45))
+def test_diagonal_record_is_the_textbook_products(n, seed, gap, method,
+                                                  steps, stride):
+    # gap 0 is H = 0, whose amplification is real; stride >= steps records
+    # only the two ends.  Step sizes keep every entry stable.
+    rng = np.random.default_rng(seed)
+    _, H, rates = random_system(n, seed, h_scale=gap)
+    H = diagonal_part(H)
+    rho0 = pure_state(rng.normal(size=n) + 1j * rng.normal(size=n),
+                      H.basis)
+    dt = 0.25 / (1.0 + rates.max_rate + np.max(np.abs(H.elements)) / HBAR.value)
+    cfg = EvolutionConfig(t_end=quantity(steps * dt, "s"),
+                          dt=quantity(dt, "s"), method=method,
+                          record_stride=stride)
+    traj = evolve(rho0, H, rates, cfg)
+    marks = traj.times / dt
+    gaps = np.rint(np.diff(marks)).astype(int).tolist()
+    g = evolution._step(evolution._rhs(H, rates), dt, method)(np.ones((n, n)))
+    assert traj.elements.tobytes() == \
+        textbook_record(rho0.elements, g, gaps).tobytes()
+    assert np.array_equal(traj.elements,
+                          np.swapaxes(traj.elements, 1, 2).conj())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_diagonal_run_follows_the_closed_form(n):
+    # Two decay times of the fastest pair and up to a third of a period of
+    # the fastest phase, in 256 steps: RK4's error stays near 1e-9.
+    rho0, H, rates = random_system(n, seed=40 + n, h_scale=0.5)
+    H = diagonal_part(H)
+    t_end = 2.0 / rates.max_rate
+    cfg = EvolutionConfig(t_end=quantity(t_end, "s"),
+                          dt=quantity(t_end / 256, "s"), record_stride=16)
+    traj = evolve(rho0, H, rates, cfg)
+    for t, state in zip(traj.times, traj.elements):
+        exact = closed_form(rho0, H, rates, t)
+        assert np.max(np.abs(state - exact)) <= 1e-8 * np.max(np.abs(exact))
+
+
+def test_closed_form_is_analytic_isolated_for_h_zero():
+    rho0, _, rates = random_system(3, seed=3)
+    for t in (0.0, 0.3, 2.0):
+        want = analytic_isolated(rho0, rates, quantity(t, "s")).elements
+        assert np.allclose(closed_form(rho0, Hamiltonian.zero(rho0.basis),
+                                       rates, t), want, rtol=1e-15, atol=0)
 
 
 def test_large_operator_never_built():
@@ -404,6 +564,13 @@ class TestAutoStep:
                       rate_matrix(1.0), cfg)
         dt = traj.times[1] - traj.times[0]
         assert dt == pytest.approx(1.0 / AUTO_STEP_DIVISOR)
+
+    def test_static_problem_takes_a_hundredth_of_t_end(self):
+        # With no rate and H = 0 any step is exact.
+        cfg = EvolutionConfig(t_end=quantity(3, "s"))
+        traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
+                      rate_matrix(0.0), cfg)
+        assert traj.times.tolist() == [k * (3 / 100) for k in range(101)]
 
     def test_auto_uses_hamiltonian_scale(self):
         H = Hamiltonian(BASIS, np.diag([0.0, 2.0 * HBAR.value]).astype(complex))

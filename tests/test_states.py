@@ -167,17 +167,37 @@ class TestPureState:
         assert (rho.elements.tobytes() == expected.tobytes()) or not same_bits
         assert validate(rho) == []
 
-    @settings(derandomize=True, max_examples=200)
+    @settings(derandomize=True, max_examples=300)
     @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
                                        allow_infinity=False),
-                    min_size=2, max_size=2).filter(any))
-    def test_ordinary_amplitudes_keep_their_bits(self, amplitudes):
-        psi = np.asarray(amplitudes, dtype=np.complex128)
-        if not np.linalg.norm(psi) > 1e-100:
-            return  # its squares underflow: the case the scaling is for
-        psi = psi / float(np.linalg.norm(psi))
-        rho = pure_state(amplitudes, make_basis("a", "b"))
-        assert rho.elements.tobytes() == np.outer(psi, psi.conj()).tobytes()
+                    min_size=1, max_size=4).filter(any),
+           st.integers(min_value=-900, max_value=900))
+    def test_state_is_hermitian_and_scale_free_bit_for_bit(self, amplitudes,
+                                                           k):
+        basis = make_basis(*"abcd"[:len(amplitudes)])
+        rho = pure_state(amplitudes, basis).elements
+        assert np.array_equal(rho, rho.conj().T)
+        assert not np.signbit(rho.diagonal().imag).any()
+        # Scaling by 2^k changes no bit, where each part scales exactly.
+        scaled = [complex(a.real * 2.0 ** k, a.imag * 2.0 ** k)
+                  for a in amplitudes]
+        if all(s.real / 2.0 ** k == a.real and s.imag / 2.0 ** k == a.imag
+               for s, a in zip(scaled, amplitudes)):
+            assert pure_state(scaled, basis).elements.tobytes() == \
+                rho.tobytes()
+
+    @pytest.mark.parametrize("amplitudes", [
+        [0.98828125, 0], [1e-320, 0], [0, -3.0], [0, 0.7j], [-1e300j, 0]],
+        ids=["0.98828125", "subnormal", "negative", "imaginary",
+             "huge-imaginary"])
+    def test_one_nonzero_amplitude_gives_an_exact_projector(self, two_basis,
+                                                            amplitudes):
+        # Each part is divided by the norm, so it becomes exactly +-1.
+        k = next(i for i, a in enumerate(amplitudes) if a)
+        want = np.zeros((2, 2))
+        want[k, k] = 1.0
+        assert np.array_equal(pure_state(amplitudes, two_basis).elements,
+                              want)
 
 
 class TestVisibility:

@@ -6,6 +6,9 @@ with its powers; against the matrix-form stepping before it, about half of
 their values moved, by at most 7e-16."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,3 +62,43 @@ def test_three_level_positivity_violation():
         golden("three_level_violation.json")
     assert trajectory_to_json_text(traj, ("a", "b")) == \
         golden("three_level_violation.json")
+
+
+def dispatched_cpu_features():
+    """The CPU features that numpy dispatches its loops on and this CPU has:
+    with all of them disabled, numpy runs its baseline loops."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(name)]
+
+
+# Amplitudes whose complex products round differently when fused.
+COMPLEX_AMPLITUDES = [0.6 - 0.3j, 0.2 + 0.7j, -0.1j]
+
+BASELINE_RUN = """
+from collapsim.cli import main
+from collapsim.states import pure_state
+main(["evolve", "--rate", "3 1/s", "--t-end", "2 s", "--gap", "1e-15 eV",
+      "--stride", "16", "--json"])
+print(pure_state(%r, ("a", "b", "c")).elements.tobytes().hex())
+""" % (COMPLEX_AMPLITUDES,)
+
+
+def test_outputs_do_not_depend_on_numpy_cpu_dispatch():
+    # The golden file's run and a complex pure state, in a Python whose
+    # numpy runs only its baseline loops: the same bytes as here.
+    env = dict(os.environ)
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(dispatched_cpu_features())
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent.parent / "src"),
+        env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BASELINE_RUN],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    rho = pure_state(COMPLEX_AMPLITUDES, ("a", "b", "c")).elements
+    assert proc.stdout == golden("evolve_gap_json.txt") + \
+        rho.tobytes().hex() + "\n"
