@@ -19,17 +19,15 @@ from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
                              OscillatorSpec, Reason, Regime, TrappedPairSpec,
                              ValidationError, build_rate_matrix,
                              doppler_back_action, doppler_error,
-                             doppler_window, entangled_tau,
-                             free_flight_critical_mass, free_flight_tau,
-                             oscillator_verdict, photon_tau, rabi_tau,
-                             trapped_critical_mass, trapped_tau)
+                             doppler_window, free_flight_critical_mass,
+                             free_flight_tau, oscillator_verdict, photon_tau,
+                             rabi_tau, trapped_critical_mass, trapped_tau)
 from .evolution import (EvolutionConfig, IntegrationError, Method, Trajectory,
-                        analytic_isolated, convergence_order, derivative,
-                        evolve, trajectory_to_csv, trajectory_to_json,
-                        trajectory_to_json_text, unitary_baseline)
+                        analytic_isolated, convergence_order, evolve,
+                        trajectory_to_csv, trajectory_to_json,
+                        trajectory_to_json_text)
 from .states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
-                     coherence_visibility, invariants, make_basis, pure_state,
-                     validate)
+                     invariants, make_basis, pure_state, validate)
 from .units import (C, HBAR, DimensionError, Quantity, UnitError,
                     format_quantity, parse_quantity, quantity)
 

@@ -397,18 +397,6 @@ def oscillator_verdict(spec: OscillatorSpec) -> DiscriminationVerdict:
     return _finite_verdict(tau, n / n_star.value, derivation)
 
 
-def entangled_tau(subsystem_verdicts) -> DiscriminationVerdict:
-    """Collapse time of an entangled whole: that of its fastest subsystem.
-
-    Returns the verdict with the smallest finite tau; if every subsystem is
-    indiscriminable the whole stays coherent (first verdict returned).
-    """
-    verdicts = list(subsystem_verdicts)
-    if not verdicts:
-        raise ValidationError("entangled_tau needs at least one verdict")
-    return min(verdicts, key=lambda v: v.tau.value)
-
-
 def build_rate_matrix(basis: tuple[str, ...],
                       pair_verdicts: dict) -> CollapseRateMatrix:
     """Assemble 1/tau_ij from per-pair verdicts; unlisted pairs stay at 0.

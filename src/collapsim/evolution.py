@@ -6,8 +6,8 @@ The dynamics integrated here is, elementwise over the labeled basis,
 
 with rate_ij = 1/tau_ij from a CollapseRateMatrix.  Damping acts in the
 fixed basis carried by the rate matrix (no rotation of the damping term).
-With all rates zero this is exactly the von Neumann equation, provided as
-`unitary_baseline`; with H = 0 the closed form is the elementwise decay
+With all rates zero (`CollapseRateMatrix.zero`) this is exactly the von
+Neumann equation; with H = 0 the closed form is the elementwise decay
 rho_ij(t) = rho_ij(0) exp(-t * rate_ij), provided as `analytic_isolated`
 and used as the integrator oracle.
 
@@ -40,6 +40,10 @@ is reported at its first non-finite step.  Runs over MAX_STEPS steps or
 MAX_RECORDED_ENTRIES recorded entries, or whose AUTO step underflows to
 0 s, are refused at the start.
 
+Health is judged by `states.defects`: rho0 is refused before the first
+step if it exceeds a tolerance, and the record, rho0 included, is measured
+once after the run, in one batched pass.
+
 A trajectory is written as CSV (`trajectory_to_csv`), as the trajectory/1
 dict (`trajectory_to_json`) or as that dict's indented JSON text
 (`trajectory_to_json_text`, equal to json.dumps(..., indent=2) + "\\n").
@@ -65,17 +69,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (PSD_TOL, CollapseRateMatrix, DensityMatrix, Hamiltonian,
-                     _complex_to_pairs, index_of, invariants, make_basis,
-                     pure_state, validate, visibility)
+from .states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
+                     _complex_to_pairs, defects, describe, index_of,
+                     invariants, make_basis, pure_state, visibility)
 from .units import (ENERGY, HBAR, PER_SECOND, TIME, DimensionError,
                     Quantity)
 
 TRAJECTORY_SCHEMA_ID = "trajectory/1"
-
-# Trace and Hermiticity drift allowed along a trajectory before it is
-# flagged; sized for 1e4 steps of double-precision accumulation.
-TRAJECTORY_DRIFT_TOL = 1e-10
 
 # Samples per fastest timescale for the AUTO step.  64 keeps the RK4
 # relative error under 1e-8 across ten decay times (50 would land at
@@ -223,17 +223,6 @@ def _operator_pays(n: int, method: Method, gaps: list[int]) -> bool:
     return build + products * (4.0 + 2e-4 * n ** 6) + jumps < sum(gaps) * step
 
 
-def derivative(rho: DensityMatrix, H: Hamiltonian,
-               rates: CollapseRateMatrix) -> np.ndarray:
-    """Right-hand side -(i/hbar)[H, rho] - rates*rho, as a raw matrix.
-
-    For diagonal H the off-diagonal phase convention is
-    [H, rho]_01 = (E0 - E1) rho_01.
-    """
-    _check_shared_basis(rho, H, rates)
-    return _rhs(H, rates)(rho.elements)
-
-
 def _resolve_dt(cfg: EvolutionConfig, H: Hamiltonian,
                 rates: CollapseRateMatrix) -> float:
     if cfg.dt is not None:
@@ -263,14 +252,16 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
     """Integrate from rho0 to at least t_end - dt, sampling every
     record_stride steps (first and last steps always included).
 
-    rho0 must satisfy the density-matrix invariants.  Every recorded sample
-    carries trace drift, Hermiticity defect, and smallest eigenvalue;
-    positivity violations are flagged in warnings, never silently repaired.
+    rho0 must satisfy the density-matrix invariants (`states.defects`
+    empty).  Every recorded sample carries trace drift, Hermiticity defect,
+    and smallest eigenvalue; positivity violations are flagged in warnings,
+    never silently repaired.
     """
     basis = _check_shared_basis(rho0, H, rates)
-    violations = validate(rho0)
-    if violations:
-        raise ValueError(f"initial state is not a valid density matrix: {violations}")
+    found = defects(*invariants(rho0.elements))
+    if found:
+        raise ValueError("initial state is not a valid density matrix: "
+                         + "; ".join(describe(found)))
 
     dt = _resolve_dt(cfg, H, rates)
     planned = cfg.t_end.value / dt - 1e-9
@@ -352,15 +343,9 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
     elements.setflags(write=False)
 
     drift, herm, lo = invariants(elements)
-    worst = {"trace drift": drift.max(), "hermiticity defect": herm.max()}
-    warnings = [f"{name} {value:.3e}" for name, value in worst.items()
-                if not value <= TRAJECTORY_DRIFT_TOL]
-    if not lo.min() >= -PSD_TOL:
-        warnings.append(f"min eigenvalue {lo.min():.3e} below floor "
-                        f"{-PSD_TOL:.1e}")
     states = [rho0] + [DensityMatrix(basis, e) for e in elements[1:]]
     return Trajectory(basis, np.array(marks) * dt, elements, states, drift,
-                      herm, lo, tuple(warnings))
+                      herm, lo, tuple(describe(defects(drift, herm, lo))))
 
 
 def two_level_decay(rate: Quantity, gap: Quantity | None = None) -> tuple[
@@ -394,12 +379,6 @@ def analytic_isolated(rho0: DensityMatrix, rates: CollapseRateMatrix,
         raise ValueError(f"t must be a nonnegative finite time, got {t!r}")
     decay = np.exp(-t.value * rates.rates)
     return DensityMatrix(rho0.basis, rho0.elements * decay)
-
-
-def unitary_baseline(rho0: DensityMatrix, H: Hamiltonian,
-                     cfg: EvolutionConfig) -> Trajectory:
-    """The replaced dynamics: evolve with every decay rate at zero."""
-    return evolve(rho0, H, CollapseRateMatrix.zero(rho0.basis), cfg)
 
 
 def convergence_order(method: Method = Method.RK4, *,

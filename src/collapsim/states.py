@@ -10,8 +10,10 @@ All three matrix types are immutable value objects: arrays are copied on
 construction (a read-only view into a read-only array is shared) and
 marked read-only, so instances are safe to share across threads.
 DensityMatrix deliberately does not enforce its physical invariants at
-construction; `validate` reports defects so that integrators can monitor
-drifting states instead of crashing on them.
+construction, so that integrators can monitor drifting states instead of
+crashing on them: `invariants` measures them for one matrix or a stack,
+and `defects` judges the measurements, one tolerance per invariant, for a
+state (`validate`) and a trajectory alike.
 
 A complex array becomes [re, im] pairs through one conversion,
 `_complex_to_pairs`, for statekit/1 and for the trajectory writers.
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Defect tolerances: roughly 100x double-precision accumulation over the
+# One tolerance per invariant, for a state and for every sample of a
+# trajectory alike: roughly 100x double-precision accumulation over the
 # longest integration exercised by the test suite.
 HERMITICITY_TOL = 1e-12   # absolute, on max |rho - rho^H|
 TRACE_TOL = 1e-10         # absolute, on |tr(rho) - 1|
@@ -180,49 +183,46 @@ class CollapseRateMatrix:
                          rates=self.rates.tolist())
 
 
-@dataclass(frozen=True)
-class TraceDefect:
-    defect: float
-
-
-@dataclass(frozen=True)
-class HermiticityDefect:
-    defect: float
-
-
-@dataclass(frozen=True)
-class PositivityDefect:
-    min_eigenvalue: float
-
-
 # A non-finite entry measures as NaN or inf, not as numpy warnings.
 @np.errstate(invalid="ignore", over="ignore")
 def invariants(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trace drift |tr(m) - 1|, Hermiticity defect max |m - m^H| and the
     smallest eigenvalue of the Hermitian part (meaningful even when m is
     slightly non-Hermitian), for one matrix or each of a stack (..., n, n)."""
-    mh = np.swapaxes(m, -1, -2).conj()
-    trace = np.trace(m, axis1=-2, axis2=-1) - 1.0
+    mh = m.swapaxes(-1, -2).conj()
+    trace = m.trace(axis1=-2, axis2=-1) - 1.0
     return (np.hypot(trace.real, trace.imag),
-            np.max(np.abs(m - mh), axis=(-2, -1)),
-            np.min(np.linalg.eigvalsh((m + mh) / 2.0), axis=-1))
+            np.abs(m - mh).max(axis=(-2, -1)),
+            np.linalg.eigvalsh((m + mh) / 2.0).min(axis=-1))
 
 
-def validate(rho: DensityMatrix) -> list:
-    """Measure the three density-matrix invariants; one entry per violation.
+def defects(drift, herm, lo) -> dict[str, float]:
+    """Each invariant, of one sample or of a stack as `invariants` measures
+    them, that some sample exceeds its tolerance on (NaN exceeds), named as
+    its warning names it, with its worst value over the samples."""
+    if np.ndim(drift):  # a stack: judge its worst sample
+        drift, herm, lo = drift.max(), herm.max(), lo.min()
+    worst = {"trace drift": drift, "hermiticity defect": herm,
+             "min eigenvalue": lo}
+    within = (drift <= TRACE_TOL, herm <= HERMITICITY_TOL, lo >= -PSD_TOL)
+    return {name: float(value) for (name, value), ok
+            in zip(worst.items(), within) if not ok}
+
+
+def describe(found: dict[str, float]) -> list[str]:
+    """One warning line per entry of `defects`."""
+    return [f"{name} {value:.3e}" + (f" below floor {-PSD_TOL:.1e}"
+                                     if name == "min eigenvalue" else "")
+            for name, value in found.items()]
+
+
+def validate(rho: DensityMatrix) -> dict[str, float]:
+    """`defects` of one state: empty when it is a valid density matrix.
 
     Diagnostic only: accepts any square complex matrix with a basis and
-    never raises; a NaN measurement counts as a violation.
+    never raises.
     """
-    trace, herm, lo = map(float, invariants(rho.elements))
-    violations = []
-    if not herm <= HERMITICITY_TOL:
-        violations.append(HermiticityDefect(herm))
-    if not trace <= TRACE_TOL:
-        violations.append(TraceDefect(trace))
-    if not lo >= -PSD_TOL:
-        violations.append(PositivityDefect(lo))
-    return violations
+    return defects(*invariants(rho.elements))
 
 
 def pure_state(amplitudes, basis: tuple[str, ...]) -> DensityMatrix:
@@ -258,12 +258,6 @@ def visibility(basis: tuple[str, ...], m: np.ndarray,
     z = m[..., ii, jj]
     with np.errstate(over="ignore"):
         return 2.0 * np.hypot(z.real, z.imag)
-
-
-def coherence_visibility(rho: DensityMatrix, i: str | int,
-                         j: str | int) -> float:
-    """Interference contrast 2|rho_ij| of the (i, j) coherence."""
-    return float(visibility(rho.basis, rho.elements, i, j))
 
 
 def _complex_to_pairs(matrix: np.ndarray) -> np.ndarray:

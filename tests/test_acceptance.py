@@ -78,7 +78,7 @@ def test_criterion_3_decay_oracle():
     check("criterion 3 elementwise", worst <= 1e-8,
           f"max relative error {worst:.3e} <= 1e-8 (RK4, AUTO step)")
 
-    vis = cs.coherence_visibility(traj.final_state(), "here", "there")
+    vis = traj.visibility("here", "there")[-1]
     rel = abs(vis - math.exp(-10)) / math.exp(-10)
     check("criterion 3 visibility", traj.times[-1] == 10.0 and rel <= 1e-8,
           f"final visibility off e^-10 by {rel:.3e} <= 1e-8")

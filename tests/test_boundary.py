@@ -397,7 +397,12 @@ def test_multiple_flips_rejected(monkeypatch):
         return real(spec, x)
 
     monkeypatch.setattr(boundary_mod, "_verdict_at", flappy)
-    with pytest.raises(SweepError, match="more than once"):
+    # The pair flips between grid points 4 and 5, and the holes add flips
+    # at 5..6 and 7..8: the first two brackets are named.
+    with pytest.raises(SweepError, match="^" + re.escape(
+            "regime flips more than once along the grid: between "
+            "1.78266e-24..1.00246e-23 and 1.00246e-23..5.63727e-23 (kg)")
+            + "$"):
         sweep(spec)
 
 

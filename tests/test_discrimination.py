@@ -3,14 +3,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from collapsim.discrimination import (DiscriminationVerdict, FreeFlightSpec,
-                                      OscillatorSpec, Reason, Regime,
-                                      TrappedPairSpec, ValidationError,
+from collapsim.discrimination import (MARGINAL_BAND, DiscriminationVerdict,
+                                      FreeFlightSpec, OscillatorSpec, Reason,
+                                      Regime, TrappedPairSpec,
+                                      ValidationError,
                                       build_rate_matrix, doppler_back_action,
                                       doppler_error, doppler_window,
-                                      entangled_tau, free_flight_critical_mass,
+                                      free_flight_critical_mass,
                                       free_flight_tau, oscillator_verdict,
                                       photon_tau, rabi_tau,
                                       trapped_critical_mass, trapped_tau)
@@ -35,6 +36,17 @@ def free_flight(mass_gev, v=1e3, D=1e-5, L=1.0, d=1e-6):
                           slit_separation=quantity(D, "m"),
                           source_distance=quantity(L, "m"),
                           slit_width=quantity(d, "m"))
+
+
+def oscillator(mass_kg, omega, n):
+    return oscillator_verdict(OscillatorSpec(
+        mass=quantity(mass_kg, "kg"),
+        angular_frequency=quantity(omega, "rad/s"), quantum_number=n))
+
+
+def oscillator_n_star(mass_kg, omega):
+    """The threshold n* of the oscillator's own derivation."""
+    return dict(oscillator(mass_kg, omega, 0).derivation)["n_star"].value
 
 
 # A valid spec of each class; one field at a time is replaced below.
@@ -481,33 +493,35 @@ class TestOscillator:
                               quantum_number=int(1.5 * n_star))
         assert oscillator_verdict(spec).regime is Regime.MARGINAL
 
+    def test_margin_at_the_band_is_classical(self):
+        # margin = n / n*: exactly MARGINAL_BAND at n = 2 n*, and the next
+        # float below 2 n* falls inside the band.
+        n_star = oscillator_n_star(HBAR_V / 2.0, 1.0)
+        at_band = oscillator(HBAR_V / 2.0, 1.0, MARGINAL_BAND * n_star)
+        assert at_band.regime is Regime.CLASSICAL
+        below = np.nextafter(MARGINAL_BAND * n_star, 0.0)
+        assert oscillator(HBAR_V / 2.0, 1.0, below).regime is Regime.MARGINAL
+
+    @settings(derandomize=True)
+    @given(st.floats(1e-30, 1e3), st.floats(1e-3, 1e6),
+           st.floats(0.5, 2.0))
+    @example(HBAR_V / 2.0, 1.0, 1.0)
+    @example(1.0, 2 * math.pi, 1.0)
+    @example(1e-25, 1e5, 1.0)
+    def test_quantum_up_to_n_star_inclusive(self, mass, omega, factor):
+        # "allowed if E D <= 4 pi hbar c": n = n* itself is still quantum.
+        n_star = oscillator_n_star(mass, omega)
+        n = factor * n_star
+        assert oscillator(mass, omega, n).is_infinite == (n <= n_star)
+        assert oscillator(mass, omega, n_star).is_infinite
+        assert not oscillator(mass, omega,
+                              np.nextafter(n_star, math.inf)).is_infinite
+
     def test_negative_n_rejected(self):
         with pytest.raises(ValidationError):
             OscillatorSpec(mass=quantity(1, "kg"),
                            angular_frequency=quantity(1, "rad/s"),
                            quantum_number=-1)
-
-
-class TestEntangled:
-    def test_fastest_subsystem_wins(self):
-        fast = DiscriminationVerdict(quantity(1e-3, "s"), Regime.CLASSICAL,
-                                     Reason.DISCRIMINABLE)
-        assert entangled_tau([photon_tau(), fast]) is fast
-
-    def test_all_infinite_stays_infinite(self):
-        verdict = entangled_tau([photon_tau(), photon_tau()])
-        assert verdict.is_infinite
-
-    def test_minimum_of_finite(self):
-        v2 = DiscriminationVerdict(quantity(2, "s"), Regime.CLASSICAL,
-                                   Reason.DISCRIMINABLE)
-        v1 = DiscriminationVerdict(quantity(1, "s"), Regime.CLASSICAL,
-                                   Reason.DISCRIMINABLE)
-        assert entangled_tau([v2, v1, photon_tau()]) is v1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            entangled_tau([])
 
 
 @pytest.mark.parametrize("tau, regime", [

@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 from collapsim import evolution
 from collapsim.evolution import (AUTO_STEP_DIVISOR, EvolutionConfig,
                                  IntegrationError, Method, analytic_isolated,
-                                 convergence_order, csv_text, derivative,
-                                 evolve, Trajectory, trajectory_to_csv,
+                                 convergence_order, csv_text, evolve,
+                                 Trajectory, trajectory_to_csv,
                                  trajectory_to_json, trajectory_to_json_text,
-                                 two_level_decay, unitary_baseline)
-from collapsim.states import (PSD_TOL, CollapseRateMatrix, DensityMatrix,
-                              Hamiltonian, coherence_visibility, make_basis,
-                              pure_state)
+                                 two_level_decay)
+from collapsim.states import (HERMITICITY_TOL, PSD_TOL, CollapseRateMatrix,
+                              DensityMatrix, Hamiltonian, make_basis,
+                              pure_state, visibility)
 from collapsim import units
 from collapsim.units import HBAR, DimensionError, quantity
 
@@ -77,17 +77,28 @@ def random_system(n, seed, h_scale=1.0, rate_scale=1.0):
             CollapseRateMatrix(basis, r))
 
 
+def one_euler_step(rho0, H, rates, dt):
+    """The right-hand side at rho0 as evolve steps it: (rho(dt) - rho0)/dt
+    after one Euler step."""
+    cfg = EvolutionConfig(t_end=quantity(dt, "s"), dt=quantity(dt, "s"),
+                          method=Method.EULER)
+    elements = evolve(rho0, H, rates, cfg).elements
+    return (elements[1] - elements[0]) / dt
+
+
 class TestDerivative:
+    """The right-hand side drho/dt, read from evolve's first Euler step."""
+
     def test_static_limit_is_zero(self):
-        rhs = derivative(equal_superposition(), Hamiltonian.zero(BASIS),
-                         rate_matrix(0.0))
-        assert np.allclose(rhs, 0.0)
+        rhs = one_euler_step(equal_superposition(), Hamiltonian.zero(BASIS),
+                             rate_matrix(0.0), 0.1)
+        assert not rhs.any()
 
     def test_pure_damping(self):
-        rhs = derivative(equal_superposition(), Hamiltonian.zero(BASIS),
-                         rate_matrix(2.0))
-        assert rhs[0, 1] == pytest.approx(-2.0 * 0.5)
-        assert rhs[1, 0] == pytest.approx(-2.0 * 0.5)
+        rhs = one_euler_step(equal_superposition(), Hamiltonian.zero(BASIS),
+                             rate_matrix(2.0), 2.0 ** -10)
+        assert rhs[0, 1] == pytest.approx(-2.0 * 0.5, rel=1e-12)
+        assert rhs[1, 0] == pytest.approx(-2.0 * 0.5, rel=1e-12)
         assert rhs[0, 0] == rhs[1, 1] == 0.0
 
     def test_diagonal_hamiltonian_rotates_phase(self):
@@ -95,16 +106,27 @@ class TestDerivative:
         # for H = diag(0, E); the modulus stays constant.
         E = 2e-25
         H = Hamiltonian(BASIS, np.diag([0.0, E]).astype(complex))
-        rhs = derivative(equal_superposition(), H, rate_matrix(0.0))
-        assert rhs[0, 1] == pytest.approx(1j * (E / HBAR.value) * 0.5, rel=1e-12)
+        dt = 1e-3 * HBAR.value / E
+        rhs = one_euler_step(equal_superposition(), H, rate_matrix(0.0), dt)
+        assert rhs[0, 1] == pytest.approx(1j * (E / HBAR.value) * 0.5,
+                                          rel=1e-12)
+        # The whole run follows the closed form rho_01(0) exp(+i E t/hbar).
+        rho0 = equal_superposition()
+        cfg = EvolutionConfig(t_end=quantity(200 * dt, "s"), record_stride=8)
+        traj = evolve(rho0, H, rate_matrix(0.0), cfg)
+        for t, state in zip(traj.times, traj.elements):
+            exact = closed_form(rho0, H, rate_matrix(0.0), t)
+            assert exact[0, 1] == pytest.approx(
+                0.5 * np.exp(1j * E * t / HBAR.value), rel=1e-12)
+            assert np.max(np.abs(state - exact)) <= 1e-9
 
     def test_basis_mismatch_rejected(self):
         other = make_basis("a", "b")
         with pytest.raises(ValueError, match="^" + re.escape(
                 "basis mismatch: [('here', 'there'), ('a', 'b'), "
                 "('here', 'there')]") + "$"):
-            derivative(equal_superposition(), Hamiltonian.zero(other),
-                       rate_matrix(0.0))
+            evolve(equal_superposition(), Hamiltonian.zero(other),
+                   rate_matrix(0.0), EvolutionConfig(t_end=quantity(1, "s")))
 
 
 class TestEvolve:
@@ -119,7 +141,7 @@ class TestEvolve:
         cfg = EvolutionConfig(t_end=quantity(1, "s"))
         traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                       rate_matrix(1.0), cfg)
-        vis = coherence_visibility(traj.final_state(), "here", "there")
+        vis = traj.visibility("here", "there")[-1]
         assert traj.times[-1] == pytest.approx(1.0, rel=1e-12)
         assert vis == pytest.approx(math.exp(-1.0), rel=1e-8)
 
@@ -153,7 +175,8 @@ class TestEvolve:
     def test_invalid_initial_state_rejected(self):
         bad = DensityMatrix(BASIS, np.diag([0.9, 0.3]))
         cfg = EvolutionConfig(t_end=quantity(1, "s"))
-        with pytest.raises(ValueError, match="density"):
+        with pytest.raises(ValueError, match="^initial state is not a valid "
+                           "density matrix: trace drift 2.000e-01$"):
             evolve(bad, Hamiltonian.zero(BASIS), rate_matrix(0.0), cfg)
 
     @pytest.mark.parametrize("field", ["t_end", "dt"])
@@ -660,16 +683,17 @@ class TestOracleAgreement:
 
 
 class TestUnitaryBaseline:
+    """With every rate zero the run is the von Neumann dynamics."""
+
     def test_matches_zero_rates_bit_for_bit(self):
         omega = 2 * math.pi
         H = Hamiltonian(BASIS, (HBAR.value * omega / 2)
                         * np.array([[0, 1], [1, 0]], dtype=complex))
         rho0 = pure_state([1, 0], BASIS)
         cfg = EvolutionConfig(t_end=quantity(1, "s"), dt=quantity(0.01, "s"))
-        baseline = unitary_baseline(rho0, H, cfg)
+        baseline = evolve(rho0, H, CollapseRateMatrix.zero(BASIS), cfg)
         explicit = evolve(rho0, H, rate_matrix(0.0), cfg)
-        for a, b in zip(baseline.states, explicit.states):
-            assert np.array_equal(a.elements, b.elements)
+        assert baseline.elements.tobytes() == explicit.elements.tobytes()
 
     def test_purity_constant(self):
         omega = 2 * math.pi
@@ -678,17 +702,17 @@ class TestUnitaryBaseline:
         rho0 = pure_state([1, 0], BASIS)
         cfg = EvolutionConfig(t_end=quantity(1, "s"), dt=quantity(1 / 512, "s"),
                               record_stride=64)
-        traj = unitary_baseline(rho0, H, cfg)
+        traj = evolve(rho0, H, CollapseRateMatrix.zero(BASIS), cfg)
         for state in traj.states:
             purity = np.trace(state.elements @ state.elements).real
             assert purity == pytest.approx(1.0, abs=1e-10)
 
     def test_coherence_survives_without_rates(self):
         cfg = EvolutionConfig(t_end=quantity(5, "s"))
-        traj = unitary_baseline(equal_superposition(), Hamiltonian.zero(BASIS),
-                                cfg)
-        assert coherence_visibility(traj.final_state(), "here", "there") \
-            == pytest.approx(1.0, rel=1e-12)
+        traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
+                      CollapseRateMatrix.zero(BASIS), cfg)
+        assert traj.visibility("here", "there")[-1] == \
+            pytest.approx(1.0, rel=1e-12)
 
 
 class TestConvergence:
@@ -714,7 +738,8 @@ def test_trace_and_hermiticity_preserved(n, seed):
                           record_stride=100)
     traj = evolve(rho0, H, rates, cfg)
     assert np.all(traj.trace_drift <= 1e-10)
-    assert np.all(traj.hermiticity_defect <= 1e-10)
+    # A record is judged by a state's Hermiticity tolerance, 1e-12.
+    assert np.all(traj.hermiticity_defect <= HERMITICITY_TOL)
 
 
 def test_two_level_positivity_never_below_floor():
@@ -759,7 +784,7 @@ def test_health_and_visibility_arrays_match_each_state(n, stride):
         assert traj.hermiticity_defect[k] == np.max(np.abs(m - m.conj().T))
         assert traj.min_eigenvalue[k] == \
             np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
-        assert vis[k] == coherence_visibility(state, 0, n - 1)
+        assert vis[k] == visibility(traj.basis, state.elements, 0, n - 1)
     with pytest.raises(ValueError, match="distinct"):
         traj.visibility(1, 1)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collapsim.evolution import EvolutionConfig, derivative, evolve
-from collapsim.states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
-                              HermiticityDefect, PositivityDefect, TraceDefect,
-                              coherence_visibility, from_json, index_of,
+from collapsim.evolution import EvolutionConfig, evolve
+from collapsim.states import (HERMITICITY_TOL, PSD_TOL, TRACE_TOL,
+                              CollapseRateMatrix, DensityMatrix, Hamiltonian,
+                              defects, describe, from_json, index_of,
                               invariants, make_basis, pure_state, validate,
                               visibility)
 from collapsim.units import quantity
@@ -85,7 +86,6 @@ class TestMatrixBasis:
         system[kind] = kind(list(two_basis), MATRICES[kind])
         assert type(system[kind].basis) is tuple
         assert system[kind].basis == two_basis
-        derivative(*system.values())
         evolve(*system.values(), EvolutionConfig(t_end=quantity(1, "s"),
                                                  dt=quantity(0.1, "s")))
 
@@ -149,6 +149,13 @@ class TestPureState:
         with pytest.raises(ValueError):
             pure_state([1, 0, 0], two_basis)
 
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2)], ids=["2x1", "1x2"])
+    def test_two_dimensional_amplitudes_of_the_right_size_rejected(
+            self, two_basis, shape):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"expected 2 amplitudes, got shape {shape}") + "$"):
+            pure_state(np.ones(shape), two_basis)
+
     # Squared, the first amplitudes overflow and the last underflow.  Powers
     # of two normalize to the same bits as their ordinary counterparts.
     @pytest.mark.parametrize("amplitudes, same_as, same_bits", [
@@ -165,7 +172,7 @@ class TestPureState:
         expected = pure_state(same_as, two_basis).elements
         assert np.allclose(rho.elements, expected, rtol=1e-15, atol=0.0)
         assert (rho.elements.tobytes() == expected.tobytes()) or not same_bits
-        assert validate(rho) == []
+        assert validate(rho) == {}
 
     @settings(derandomize=True, max_examples=300)
     @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
@@ -203,26 +210,28 @@ class TestPureState:
 class TestVisibility:
     def test_equal_superposition_is_one(self, two_basis):
         rho = pure_state([1, 1], two_basis)
-        assert coherence_visibility(rho, "here", "there") == pytest.approx(1.0)
+        assert visibility(two_basis, rho.elements, "here", "there") \
+            == pytest.approx(1.0)
 
     def test_fully_mixed_is_zero(self, two_basis):
-        rho = DensityMatrix(two_basis, np.diag([0.5, 0.5]))
-        assert coherence_visibility(rho, "here", "there") == 0.0
+        assert visibility(two_basis, np.diag([0.5, 0.5]), "here",
+                          "there") == 0.0
 
     def test_twice_the_coherence(self, two_basis):
         m = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
-        rho = DensityMatrix(two_basis, m)
-        assert coherence_visibility(rho, "here", "there") == pytest.approx(0.5)
+        assert visibility(two_basis, m, "here", "there") == \
+            pytest.approx(0.5)
 
     def test_same_label_rejected(self, two_basis):
         rho = pure_state([1, 1], two_basis)
-        with pytest.raises(ValueError):
-            coherence_visibility(rho, "here", "here")
+        with pytest.raises(ValueError, match="^visibility needs two distinct "
+                           "labels, got 'here' twice$"):
+            visibility(two_basis, rho.elements, "here", "here")
 
     def test_unknown_label_rejected(self, two_basis):
         rho = pure_state([1, 1], two_basis)
         with pytest.raises(ValueError, match="elsewhere"):
-            coherence_visibility(rho, "here", "elsewhere")
+            visibility(two_basis, rho.elements, "here", "elsewhere")
 
     def test_stack_and_single_matrix_agree_bit_for_bit(self, two_basis):
         # Entries over 600 decades, so hypot's scaling is exercised too.
@@ -231,8 +240,7 @@ class TestVisibility:
         stack = (rng.normal(size=(2000, 2, 2))
                  + 1j * rng.normal(size=(2000, 2, 2))) * scale
         batched = visibility(two_basis, stack, "here", "there")
-        single = [coherence_visibility(DensityMatrix(two_basis, m), 0, 1)
-                  for m in stack]
+        single = [float(visibility(two_basis, m, 0, 1)) for m in stack]
         assert batched.tolist() == single
         assert single == [2.0 * abs(complex(m[0, 1])) for m in stack]
 
@@ -240,26 +248,21 @@ class TestVisibility:
         m = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert coherence_visibility(DensityMatrix(two_basis, m),
-                                        "here", "there") == np.inf
+            assert visibility(two_basis, m, "here", "there") == np.inf
 
 
 class TestValidate:
     def test_valid_state_is_clean(self, two_basis):
-        assert validate(pure_state([1, 1j], two_basis)) == []
+        assert validate(pure_state([1, 1j], two_basis)) == {}
 
     def test_trace_defect_measured(self, two_basis):
         rho = DensityMatrix(two_basis, np.diag([0.6, 0.5]))
-        (violation,) = validate(rho)
-        assert isinstance(violation, TraceDefect)
-        assert violation.defect == pytest.approx(0.1)
+        assert validate(rho) == pytest.approx({"trace drift": 0.1})
 
     def test_hermiticity_defect_measured(self, two_basis):
         m = np.array([[0.5, 0.5 + 1e-6], [0.5, 0.5]], dtype=complex)
-        violations = validate(DensityMatrix(two_basis, m))
-        defects = [v for v in violations if isinstance(v, HermiticityDefect)]
-        assert len(defects) == 1
-        assert defects[0].defect == pytest.approx(1e-6, rel=1e-3)
+        found = validate(DensityMatrix(two_basis, m))
+        assert found["hermiticity defect"] == pytest.approx(1e-6, rel=1e-3)
 
     def test_invariants_of_a_stack_match_each_matrix(self):
         rng = np.random.default_rng(7)
@@ -273,22 +276,108 @@ class TestValidate:
     def test_nan_entry_is_a_violation(self, two_basis, entry):
         m = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         m[entry] = np.nan
-        assert validate(DensityMatrix(two_basis, m)) != []
+        assert validate(DensityMatrix(two_basis, m)) != {}
 
     def test_infinite_entries_measured_without_numpy_warnings(
             self, two_basis):
         m = np.array([[0.5, np.inf], [np.inf, 0.5]], dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            herm, lo = validate(DensityMatrix(two_basis, m))
-        assert isinstance(herm, HermiticityDefect) and np.isnan(herm.defect)
-        assert isinstance(lo, PositivityDefect) and np.isnan(lo.min_eigenvalue)
+            found = validate(DensityMatrix(two_basis, m))
+        assert list(found) == ["hermiticity defect", "min eigenvalue"]
+        assert all(math.isnan(value) for value in found.values())
 
     def test_negative_eigenvalue_measured(self, two_basis):
         m = np.array([[0.0, 0.5], [0.5, 1.0]], dtype=complex)
-        violations = validate(DensityMatrix(two_basis, m))
-        assert any(isinstance(v, PositivityDefect) and v.min_eigenvalue < -0.1
-                   for v in violations)
+        assert validate(DensityMatrix(two_basis, m))["min eigenvalue"] < -0.1
+
+
+# Each invariant: the worst measurement still within its tolerance, and the
+# next float beyond it.
+EDGES = {"trace drift": (TRACE_TOL, np.nextafter(TRACE_TOL, 1.0)),
+         "hermiticity defect": (HERMITICITY_TOL,
+                                np.nextafter(HERMITICITY_TOL, 1.0)),
+         "min eigenvalue": (-PSD_TOL, np.nextafter(-PSD_TOL, -1.0))}
+# A state's measurement just inside and just outside each tolerance: the
+# edges themselves, but 1% off the trace's, as 1 + drift rounds.
+STATE_EDGES = {**EDGES, "trace drift": (0.99 * TRACE_TOL, 1.01 * TRACE_TOL)}
+# The warning line of a sample just beyond each edge, and of a NaN one.
+LINES = {"trace drift": ("trace drift 1.000e-10", "trace drift nan"),
+         "hermiticity defect": ("hermiticity defect 1.000e-12",
+                                "hermiticity defect nan"),
+         "min eigenvalue": ("min eigenvalue -1.000e-10 below floor -1.0e-10",
+                            "min eigenvalue nan below floor -1.0e-10")}
+
+
+def measured(name, value, samples=None):
+    """Clean measurements (drift 0, defect 0, smallest eigenvalue 0.5) of
+    one sample, or of a stack whose sample 2 measures value for name."""
+    clean = {"trace drift": 0.0, "hermiticity defect": 0.0,
+             "min eigenvalue": 0.5}
+    if samples is None:
+        return [value if key == name else v for key, v in clean.items()]
+    columns = {key: np.full(samples, v) for key, v in clean.items()}
+    columns[name][2] = value
+    return list(columns.values())
+
+
+def state_measuring(name, value):
+    """A 2x2 state that measures value for name (a trace drift up to the
+    rounding of 1 + value, the others exactly), and no defect else: a
+    diagonal off unit trace, an entry above the diagonal whose mirror is
+    0, or a diagonal eigenvalue."""
+    m = np.diag([0.5, 0.5]).astype(complex)
+    if name == "trace drift":
+        m = np.diag([1.0 + value, 0.0]).astype(complex)
+    elif name == "hermiticity defect":
+        m[0, 1] = value
+    else:
+        m = np.diag([1.0 - value, value]).astype(complex)
+    return DensityMatrix(make_basis("here", "there"), m)
+
+
+@pytest.mark.parametrize("name", EDGES)
+class TestOneJudgement:
+    """`defects` judges a state (`validate`) and every sample of a record
+    (`evolve`'s warnings) by one tolerance per invariant."""
+
+    def test_the_edge_is_within_and_the_next_float_beyond(self, name):
+        edge, beyond = EDGES[name]
+        assert defects(*measured(name, edge)) == {}
+        assert defects(*measured(name, beyond)) == {name: beyond}
+
+    def test_nan_exceeds(self, name):
+        found = defects(*measured(name, math.nan))
+        assert list(found) == [name] and math.isnan(found[name])
+
+    def test_a_state_just_inside_is_valid_and_just_outside_is_not(self,
+                                                                  name):
+        inside, outside = (state_measuring(name, v)
+                           for v in STATE_EDGES[name])
+        assert validate(inside) == {}
+        assert list(validate(outside)) == [name]
+        cfg = EvolutionConfig(t_end=quantity(1, "s"), dt=quantity(0.5, "s"))
+        zero = (Hamiltonian.zero(inside.basis),
+                CollapseRateMatrix.zero(inside.basis))
+        evolve(inside, *zero, cfg)
+        with pytest.raises(ValueError, match="^initial state is not a valid "
+                           f"density matrix: {name} "):
+            evolve(outside, *zero, cfg)
+
+    @pytest.mark.parametrize("which", ["beyond", "nan"])
+    def test_one_bad_sample_of_a_record_gives_its_warning_line(self, name,
+                                                               which):
+        value = EDGES[name][1] if which == "beyond" else math.nan
+        line = LINES[name][which == "nan"]
+        assert describe(defects(*measured(name, value, samples=5))) == [line]
+
+    def test_one_bad_state_of_a_stack_is_its_worst(self, name):
+        beyond = STATE_EDGES[name][1]
+        stack = np.stack([state_measuring(name, v).elements
+                          for v in (0.0, 0.0, beyond, 0.0)])
+        found = defects(*invariants(stack))
+        assert found == validate(state_measuring(name, beyond))
+        assert list(found) == [name]
 
 
 def random_density(n, seed):
@@ -305,7 +394,7 @@ def test_pure_random_states_validate_clean(n, seed):
     if np.linalg.norm(amps) == 0.0:
         amps[0] = 1.0
     basis = make_basis(*(f"s{i}" for i in range(n)))
-    assert validate(pure_state(amps, basis)) == []
+    assert validate(pure_state(amps, basis)) == {}
 
 
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10 ** 6))
@@ -316,7 +405,7 @@ def test_visibility_cauchy_schwarz(n, seed):
     dm = DensityMatrix(basis, rho)
     for i in range(n):
         for j in range(i + 1, n):
-            vis = coherence_visibility(dm, i, j)
+            vis = visibility(dm.basis, dm.elements, i, j)
             bound = 2.0 * np.sqrt(rho[i, i].real * rho[j, j].real)
             assert vis <= bound * (1 + 1e-12)
             assert bound <= 1.0 + 1e-12
