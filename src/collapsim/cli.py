@@ -115,7 +115,7 @@ def _cmd_tau(args) -> str:
 def _cmd_evolve(args) -> str:
     rho0, H, rates = two_level_decay(args.rate, args.gap)
     cfg = EvolutionConfig(t_end=args.t_end, dt=args.dt,
-                          method=Method(args.method),
+                          method=args.method,
                           record_stride=args.stride)
     return _run_text(args, evolve(rho0, H, rates, cfg), trajectory_to_csv)
 

@@ -1,7 +1,7 @@
 """Published JSON Schemas for the serialized outputs.
 
-Schema ids: statekit/1 (matrix values), verdict/1 (discrimination
-verdicts), trajectory/1 (evolution samples), report/1 (boundary sweeps).
+Schema ids: verdict/1 (discrimination verdicts), trajectory/1 (evolution
+samples), report/1 (boundary sweeps).
 Every numeric field that carries a physical scale is paired with a unit
 string.
 """
@@ -37,23 +37,6 @@ _COMPLEX_MATRIX = {
 }
 
 _BASIS = {"type": "array", "items": {"type": "string"}, "minItems": 1}
-
-STATEKIT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "statekit/1",
-    "type": "object",
-    "properties": {
-        "schema": {"const": "statekit/1"},
-        "kind": {"enum": ["density_matrix", "hamiltonian",
-                          "collapse_rate_matrix"]},
-        "basis": _BASIS,
-        "unit": {"type": "string"},
-        "elements": _COMPLEX_MATRIX,
-        "rates": {"type": "array",
-                  "items": {"type": "array", "items": {"type": "number"}}},
-    },
-    "required": ["schema", "kind", "basis"],
-}
 
 VERDICT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",

@@ -16,7 +16,7 @@ and `defects` judges the measurements, one tolerance per invariant, for a
 state (`validate`) and a trajectory alike.
 
 A complex array becomes [re, im] pairs through one conversion,
-`_complex_to_pairs`, for statekit/1 and for the trajectory writers.
+`_complex_to_pairs`, for the trajectory writers and `pure_state`.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-12   # absolute, on max |rho - rho^H|
 TRACE_TOL = 1e-10         # absolute, on |tr(rho) - 1|
 PSD_TOL = 1e-10           # smallest eigenvalue >= -PSD_TOL
-
-STATEKIT_SCHEMA_ID = "statekit/1"
 
 
 def make_basis(*names: str) -> tuple[str, ...]:
@@ -91,12 +89,6 @@ def _freeze(m, field: str, dtype) -> None:
     object.__setattr__(m, field, arr)
 
 
-def _document(m, kind: str, **fields) -> dict:
-    """A statekit/1 document: schema, kind and basis, then the fields."""
-    return {"schema": STATEKIT_SCHEMA_ID, "kind": kind,
-            "basis": list(m.basis), **fields}
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Complex matrix over a labeled basis, nominally Hermitian, unit-trace,
@@ -107,17 +99,6 @@ class DensityMatrix:
 
     def __post_init__(self):
         _freeze(self, "elements", np.complex128)
-
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[0]
-
-    def element(self, i: str | int, j: str | int) -> complex:
-        return complex(self.elements[index_of(self.basis, i), index_of(self.basis, j)])
-
-    def to_json(self) -> dict:
-        return _document(self, "density_matrix",
-                         elements=_complex_to_pairs(self.elements).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +122,6 @@ class Hamiltonian:
     @classmethod
     def zero(cls, basis: tuple[str, ...]) -> "Hamiltonian":
         return cls(basis, np.zeros((len(basis), len(basis)), dtype=np.complex128))
-
-    def to_json(self) -> dict:
-        return _document(self, "hamiltonian", unit="J",
-                         elements=_complex_to_pairs(self.elements).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +154,6 @@ class CollapseRateMatrix:
     @property
     def max_rate(self) -> float:
         return float(np.max(self.rates)) if self.rates.size else 0.0
-
-    def to_json(self) -> dict:
-        return _document(self, "collapse_rate_matrix", unit="1/s",
-                         rates=self.rates.tolist())
 
 
 # A non-finite entry measures as NaN or inf, not as numpy warnings.
@@ -264,61 +237,3 @@ def _complex_to_pairs(matrix: np.ndarray) -> np.ndarray:
     """The float64 (..., 2) array of [re, im] pairs of a complex array."""
     return (np.ascontiguousarray(matrix).view(np.float64)
             .reshape(*matrix.shape, 2))
-
-
-def _number(x):
-    """x if it is a JSON number, an int or float but not a bool."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise TypeError(f"not a number: {x!r}")
-    return x
-
-
-def _pairs_to_complex(pairs) -> np.ndarray:
-    """A complex matrix from rows of [re, im] pairs of numbers; a row of
-    any other shape or entry is refused by its index."""
-    if not isinstance(pairs, (list, tuple)):
-        raise ValueError(f"elements must be a list of rows, got {pairs!r}")
-    rows = []
-    for k, row in enumerate(pairs):
-        try:
-            rows.append([complex(_number(re), _number(im))
-                         for re, im in row])
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"elements row {k} is not a list of [re, im] "
-                             f"pairs: {row!r}") from None
-    return np.array(rows, dtype=np.complex128)
-
-
-# Each statekit kind: its type and the field holding its matrix.
-_KINDS = {"density_matrix": (DensityMatrix, "elements"),
-          "hamiltonian": (Hamiltonian, "elements"),
-          "collapse_rate_matrix": (CollapseRateMatrix, "rates")}
-
-
-def from_json(doc: dict):
-    """Rebuild a statekit value from its JSON form; a document that is not
-    an object, an unknown kind, a missing key, a basis that is not a
-    sequence of names, a malformed row or rates that are not rows of
-    numbers of one length (a string or a bool is not a number) raise
-    ValueError naming it."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"statekit document must be an object, "
-                         f"got {type(doc).__name__}")
-    if doc.get("schema") != STATEKIT_SCHEMA_ID:
-        raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-    kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise ValueError(f"unknown statekit kind {kind!r}")
-    cls, field = _KINDS[kind]
-    for key in ("basis", field):
-        if key not in doc:
-            raise ValueError(f"statekit {kind} document has no {key!r}")
-    if field == "elements":
-        return cls(doc["basis"], _pairs_to_complex(doc[field]))
-    try:
-        rates = np.array([[_number(x) for x in row] for row in doc[field]],
-                         dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"rates must be rows of numbers, "
-                         f"got {doc[field]!r}") from None
-    return cls(doc["basis"], rates)

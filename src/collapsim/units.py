@@ -100,13 +100,9 @@ class Dimension(_Frozen):
             raise DimensionError(f"square root of odd dimension {self.si_name()}")
         return Dimension(self.mass // 2, self.length // 2, self.time // 2)
 
-    @property
-    def is_dimensionless(self) -> bool:
-        return self is DIMENSIONLESS
-
     def si_name(self) -> str:
         """Composed SI name like 'kg m s^-2'; 'dimensionless' at the origin."""
-        if self.is_dimensionless:
+        if self is DIMENSIONLESS:
             return "dimensionless"
         parts = []
         for sym, exp in (("kg", self.mass), ("m", self.length), ("s", self.time)):
@@ -124,7 +120,6 @@ TIME = Dimension(time=1)
 SPEED = LENGTH / TIME
 ENERGY = MASS * LENGTH ** 2 / TIME ** 2
 PER_SECOND = DIMENSIONLESS / TIME
-MOMENTUM = MASS * LENGTH / TIME
 ACTION = ENERGY * TIME
 
 

@@ -20,8 +20,7 @@ from collapsim.discrimination import (doppler_back_action, doppler_error,
                                       trapped_critical_mass)
 from collapsim.evolution import (EvolutionConfig, IntegrationError, Method,
                                   analytic_isolated, evolve, two_level_decay)
-from collapsim.states import (CollapseRateMatrix, Hamiltonian, from_json,
-                              pure_state)
+from collapsim.states import CollapseRateMatrix, Hamiltonian, pure_state
 from collapsim.units import (DIMENSIONLESS, ENERGY, HBAR, LENGTH, MASS,
                              PER_SECOND, SPEED, TIME, DimensionError,
                              Quantity)
@@ -144,40 +143,10 @@ def evolve_calls():
             *run_config(seconds))))
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | edge | st.integers() | st.text(max_size=3),
-    lambda children: (st.lists(children, max_size=3)
-                      | st.dictionaries(st.text(max_size=2), children,
-                                        max_size=2)),
-    max_leaves=12)
-
-
-@st.composite
-def statekit_documents(draw):
-    """A statekit document, mostly well-formed around edge entries."""
-    n = draw(st.integers(1, 3))
-    basis = draw(st.lists(st.text(max_size=2), min_size=n, max_size=n,
-                          unique=True) | json_values)
-    kind = draw(st.sampled_from(["density_matrix", "hamiltonian",
-                                 "collapse_rate_matrix", "spinor"]))
-    entry = (edge if kind == "collapse_rate_matrix"
-             else st.lists(edge, min_size=2, max_size=2))
-    rows = st.lists(st.lists(entry, min_size=n, max_size=n),
-                    min_size=n, max_size=n)
-    matrix = draw(rows | json_values)
-    field = "rates" if kind == "collapse_rate_matrix" else "elements"
-    doc = {"schema": draw(st.sampled_from(["statekit/1", "statekit/2"])),
-           "kind": draw(st.sampled_from([kind, kind, []])),
-           "basis": basis, field: matrix}
-    return draw(st.sampled_from([doc, doc, doc, basis]))
-
-
 # No call may take longer than 5 s.
 @settings(derandomize=True, deadline=5000, max_examples=600)
 @given(call=st.one_of(verdict_calls(), sweep_calls(), closed_form_calls(),
-                      analytic_calls(), evolve_calls(),
-                      st.tuples(st.just(from_json),
-                                st.tuples(statekit_documents()))))
+                      analytic_calls(), evolve_calls()))
 # A run that blows up at t = 30000 s, which no edge value reaches.
 @example(call=(two_level_run, (Quantity(1.0, PER_SECOND), None,
                                Quantity(1e5, TIME), Quantity(1e3, TIME),

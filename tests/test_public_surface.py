@@ -1,21 +1,33 @@
-"""Every name the package exports has a use beyond its own unit tests.
+"""Every public name of the package has a use beyond its own unit tests.
 
-A name imported into `collapsim/__init__.py` counts as used where it is
-read in another module of the package, in `scripts/`, in `perfbench/` or
-in `tests/test_acceptance.py` (as a Python identifier: a name, an
-attribute or an imported name, not a word in a comment, docstring or
-string), or where README mentions it.  A name that only its own tests
-call is surface with no caller; drop it, or give it one.
+A name counts as used where it is read in a package module, in
+`scripts/`, in `perfbench/` or in `tests/test_acceptance.py` (as a Python
+identifier: a loaded name, an attribute or an imported name, not a word in
+a comment, docstring or string), or where README mentions it.
+`__init__.py`'s re-exports are not uses.  A name that only its own tests
+call is surface with no caller; drop it, or give it one.  README's Library
+example is run here too, so that what it shows is a use that works.
+
+Two rules apply it.  A name `collapsim/__init__.py` exports must be used
+outside the module that defines it.  Every public top-level function,
+class and constant of a package module must be used somewhere other than
+its own definition.  Methods and properties are not covered: an
+attribute is matched by its name alone, and names such as `to_json`, `dim`
+and `zero` each collide across classes, so a read of one would vouch for
+all of them.
 """
 
 import ast
+import functools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "collapsim"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
 def exports() -> dict[str, str]:
@@ -27,23 +39,38 @@ def exports() -> dict[str, str]:
             for alias in node.names}
 
 
-def identifiers(path: Path) -> set[str]:
+def definitions(path: Path) -> list[str]:
+    """The public functions, classes and constants a module defines at its
+    top level."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not name.startswith("_")]
+
+
+@functools.cache
+def identifiers(path: Path) -> frozenset[str]:
     """The names, attributes and imported names a Python file reads."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name)
-    return found
+    return frozenset(found)
 
 
-def users(name: str, module: str) -> list[str]:
-    """The places outside the module and its unit tests that use the name."""
-    sources = [p for p in PACKAGE.glob("*.py")
-               if p.stem not in ("__init__", module)]
+def users(name: str, skip: str | None = None) -> list[str]:
+    """The places that use the name, leaving out the module `skip`."""
+    sources = [p for p in MODULES if p.stem != skip]
     sources += sorted((ROOT / "scripts").glob("*.py"))
     sources += sorted((ROOT / "perfbench").glob("*.py"))
     sources.append(ROOT / "tests" / "test_acceptance.py")
@@ -58,5 +85,27 @@ def test_every_exported_name_has_a_caller():
     names = exports()
     assert {"evolve", "validate", "pure_state"} <= set(names)
     unused = [f"{module}.{name}" for name, module in sorted(names.items())
-              if not users(name, module)]
+              if not users(name, skip=module)]
     assert unused == []
+
+
+def test_every_public_module_name_is_read():
+    names = {path.stem: definitions(path) for path in MODULES}
+    assert {"evolve", "Hamiltonian", "TRACE_TOL"} <= {
+        name for defined in names.values() for name in defined}
+    unread = [f"{module}.{name}" for module, defined in names.items()
+              for name in defined if not users(name)]
+    assert unread == []
+
+
+def test_readme_library_example_runs_without_warnings():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", blocks[0]],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
