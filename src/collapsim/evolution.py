@@ -21,24 +21,22 @@ three paths into the (samples, n, n) array the trajectory keeps:
 
 - diagonal: where H has no nonzero entry off its diagonal (every CLI run),
   each entry decouples, d rho_ij/dt = (-i(E_i - E_j)/hbar - rate_ij)
-  rho_ij, and a step multiplies it by its amplification g = step(ones),
-  the operator's diagonal.  g**gap is built in np.linalg.matrix_power's
-  binary order, and one np.multiply.accumulate fills the whole record;
+  rho_ij, and a step multiplies it by its amplification g = step(ones);
 - operator: where it costs less than stepping the matrix
   (`_operator_pays`), the operator is built once, by stepping the n^2
-  basis matrices, and each recorded interval is one jump by its power;
+  basis matrices;
 - direct: otherwise the matrix is stepped one step at a time.
 
-On the diagonal path each product of two complex numbers is rounded as
-(ac - bd) + i(ad + bc), so its bits do not depend on the CPU: numpy's
-contiguous complex `*` fuses ac - bd into one FMA where the CPU has one
-(`_entry_product`, and accumulate's scalar loop); a real g (H = 0) makes
-`*` exact.  The other two paths stop at the first jump that overflows.
-One pass then checks the record for finiteness, and from the first
-non-finite sample on the run is stepped one step at a time, so a blow-up
-is reported at its first non-finite step.  Runs over MAX_STEPS steps or
-MAX_RECORDED_ENTRIES recorded entries, or whose AUTO step underflows to
-0 s, are refused at the start.
+Each gap's power of g or of the operator comes from one table
+(`_power_table`), and complex entries are multiplied with bits that do
+not depend on the CPU (`states._entry_product`, and accumulate's scalar
+loop).  One np.multiply.accumulate fills a diagonal record of more than
+two samples; every other run jumps from sample to sample, and stops at
+the first jump that overflows.  One pass then checks the record for
+finiteness, and from the first non-finite sample on the run is stepped
+one step at a time, so a blow-up is reported at its first non-finite
+step.  Runs over MAX_STEPS steps or MAX_RECORDED_ENTRIES recorded
+entries, or whose AUTO step underflows to 0 s, are refused at the start.
 
 Health is judged by `states.defects`: rho0 is refused before the first
 step if it exceeds a tolerance, and the record, rho0 included, is measured
@@ -70,8 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
-                     _complex_to_pairs, defects, describe, index_of,
-                     invariants, make_basis, pure_state, visibility)
+                     _complex_to_pairs, _entry_product, defects, describe,
+                     index_of, invariants, make_basis, pure_state, visibility)
 from .units import (ENERGY, HBAR, PER_SECOND, TIME, DimensionError,
                     Quantity)
 
@@ -192,21 +190,24 @@ def _is_diagonal(h: np.ndarray) -> bool:
     return np.count_nonzero(h) == np.count_nonzero(np.diagonal(h))
 
 
-def _entry_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b entry by entry, with bits that do not depend on the CPU.
+def _power_table(base: np.ndarray, product):
+    """k -> base**k, cached, from squares base**(2**b) that every k shares,
+    least significant bit first, as numpy's linalg matrix power for k > 3."""
+    squares = [base]
 
-    A real factor makes `*` exact.  Two complex factors are multiplied as
-    (ac - bd) + i(ad + bc) in float64 ufuncs: numpy's contiguous complex
-    `*` fuses ac - bd into one FMA where the CPU has one, and so rounds
-    differently from one host to the next.
-    """
-    if a.dtype.kind == "f" or b.dtype.kind == "f":
-        return a * b
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    out = np.empty(a.shape, dtype=np.complex128)
-    out.real = ar * br - ai * bi
-    out.imag = ar * bi + ai * br
-    return out
+    @functools.cache
+    def power(k):
+        while len(squares) < k.bit_length():
+            squares.append(product(squares[-1], squares[-1]))
+        bits = [squares[b] for b in range(k.bit_length()) if k >> b & 1]
+        return functools.reduce(product, bits)
+    return power
+
+
+def _products(gaps: list[int]) -> int:
+    """The products `_power_table` takes to build base**k for each gap k."""
+    return max(gaps).bit_length() - 1 + sum(k.bit_count() - 1
+                                            for k in set(gaps))
 
 
 def _operator_pays(n: int, method: Method, gaps: list[int]) -> bool:
@@ -217,15 +218,14 @@ def _operator_pays(n: int, method: Method, gaps: list[int]) -> bool:
     numpy 2.4 at n = 2..32, each within a factor of two: a step of one
     matrix (15 per RHS evaluation plus its matrix products), a step of the
     n^2 basis matrices that builds the operator, one n^2 x n^2 product
-    (`matrix_power(op, k)` takes bit_length(k) + bit_count(k) - 2 of
-    them, once per distinct gap) and one jump.
+    (`_products` of them) and one jump.
     """
     if n ** 4 > MAX_RECORDED_ENTRIES:
         return False
     stages = 1 if method is Method.EULER else 4
     step = stages * (15.0 + 1e-3 * n ** 3)
     build = stages * (15.0 + 2.5e-3 * n ** 5)
-    products = sum(k.bit_length() + k.bit_count() - 2 for k in set(gaps))
+    products = _products(gaps)
     jumps = len(gaps) * (7.0 + 8e-4 * n ** 4)
     return build + products * (4.0 + 2e-4 * n ** 6) + jumps < sum(gaps) * step
 
@@ -289,45 +289,30 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
     step = _step(_rhs(H, rates), dt, cfg.method)
     elements = np.empty((samples, n, n), dtype=np.complex128)
     elements[0] = rho0.elements
-    if _is_diagonal(H.elements):
-        # Each entry decouples: a step multiplies it by its amplification
-        # g (real where H = 0), and k steps by g**k, built in the binary
-        # order of np.linalg.matrix_power from squares shared by all gaps.
-        g = step(np.ones((n, n)))
-
-        @functools.cache
-        def square(b):  # g**(2**b)
-            return g if b == 0 else _entry_product(square(b - 1),
-                                                   square(b - 1))
-
-        @functools.cache
-        def power(k):
-            bits = [b for b in range(k.bit_length()) if k >> b & 1]
-            return functools.reduce(_entry_product, map(square, bits))
-
+    diagonal = _is_diagonal(H.elements)
+    if diagonal:
+        # A step multiplies each entry by its amplification (real if H = 0).
+        power = _power_table(step(np.ones((n, n))), _entry_product)
         jump = lambda y, k: _entry_product(y, power(k))
-        if samples == 2:
-            elements[1] = jump(elements[0], gaps[0])
-        else:
-            # Every gap but the last is the stride.  One cumulative product
-            # fills the record: numpy's accumulate takes its scalar loop,
-            # unfused like _entry_product, because each product reads the
-            # one before it (a lone product would take the fused loop).
-            elements[1:] = power(gaps[0])
-            elements[-1] = power(gaps[-1])
-            np.multiply.accumulate(elements, axis=0, out=elements)
+    elif _operator_pays(n, cfg.method, gaps):
+        op = step(np.eye(n * n, dtype=np.complex128).reshape(-1, n, n))
+        power = _power_table(op.reshape(n * n, n * n).T, np.matmul)
+        jump = lambda y, k: (power(k) @ y.ravel()).reshape(n, n)
     else:
-        if _operator_pays(n, cfg.method, gaps):
-            op = step(np.eye(n * n, dtype=np.complex128).reshape(-1, n, n))
-            op = op.reshape(n * n, n * n).T
-            power = functools.cache(lambda k: np.linalg.matrix_power(op, k))
-            jump = lambda y, k: (power(k) @ y.ravel()).reshape(n, n)
-        else:
-            def jump(y, k):
-                for _ in range(k):
-                    y = step(y)
-                return y
+        def jump(y, k):
+            for _ in range(k):
+                y = step(y)
+            return y
 
+    if diagonal and samples > 2:
+        # Every gap but the last is the stride.  One cumulative product
+        # fills the record: numpy's accumulate takes its scalar loop,
+        # unfused like _entry_product, because each product reads the one
+        # before it (a lone product would take the fused loop).
+        elements[1:] = power(gaps[0])
+        elements[-1] = power(gaps[-1])
+        np.multiply.accumulate(elements, axis=0, out=elements)
+    else:
         with np.errstate(over="raise", invalid="raise"):
             try:
                 for i, k in enumerate(gaps, 1):

@@ -16,7 +16,8 @@ and `defects` judges the measurements, one tolerance per invariant, for a
 state (`validate`) and a trajectory alike.
 
 A complex array becomes [re, im] pairs through one conversion,
-`_complex_to_pairs`, for the trajectory writers and `pure_state`.
+`_complex_to_pairs`, and two are multiplied entry by entry through one
+product whose bits do not depend on the CPU, `_entry_product`.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class CollapseRateMatrix:
 
     @property
     def max_rate(self) -> float:
-        return float(np.max(self.rates)) if self.rates.size else 0.0
+        return float(self.rates.max())
 
 
 # A non-finite entry measures as NaN or inf, not as numpy warnings.
@@ -212,14 +213,12 @@ def pure_state(amplitudes, basis: tuple[str, ...]) -> DensityMatrix:
         raise ValueError("amplitudes must not all be zero")
     pairs = np.ldexp(pairs, -math.frexp(largest)[1])
     # Each float divided by the norm is correctly rounded (numpy divides a
-    # complex by a real through its reciprocal), and rho is built from
-    # float products, not numpy's complex `*`, which fuses ac - bd into one
-    # FMA on some CPUs.  So rho is Hermitian bit for bit on any CPU.
-    re, im = (pairs / float(np.linalg.norm(pairs.view(np.complex128)))).T
-    rho = np.empty((psi.size, psi.size), dtype=np.complex128)
-    rho.real = np.outer(re, re) + np.outer(im, im)
-    rho.imag = np.outer(im, re) - np.outer(re, im)
-    return DensityMatrix(basis, rho)
+    # complex by a real through its reciprocal).  rho_ij = psi_i conj(psi_j)
+    # by `_entry_product`: negation is exact and + commutes, so rho is
+    # Hermitian bit for bit on any CPU, each diagonal imaginary part +0.0.
+    norm = float(np.linalg.norm(pairs.view(np.complex128)))
+    psi = (pairs / norm).view(np.complex128)[:, 0]
+    return DensityMatrix(basis, _entry_product(psi[:, None], psi.conj()))
 
 
 def visibility(basis: tuple[str, ...], m: np.ndarray,
@@ -237,3 +236,18 @@ def _complex_to_pairs(matrix: np.ndarray) -> np.ndarray:
     """The float64 (..., 2) array of [re, im] pairs of a complex array."""
     return (np.ascontiguousarray(matrix).view(np.float64)
             .reshape(*matrix.shape, 2))
+
+
+def _entry_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b entry by entry, broadcast, rounded as (ac - bd) + i(ad + bc) in
+    float64 ufuncs where both are complex (a real factor makes `*` exact):
+    numpy's contiguous complex `*` fuses ac - bd into one FMA where the CPU
+    has one, and so rounds differently from one host to the next."""
+    if a.dtype.kind == "f" or b.dtype.kind == "f":
+        return a * b
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    re = ar * br - ai * bi
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = ar * bi + ai * br
+    return out

@@ -198,6 +198,13 @@ class TestSweepAndCurve:
         assert doc["critical_value"]["value"] == pytest.approx(
             3.97289171186359e-24, rel=1e-5)
 
+    def test_sweep_takes_21_points_by_default(self, capsys):
+        code, out, _ = run(capsys, "sweep", "trapped", "--axis", "M",
+                           "--min", "1 GeV/c2", "--max", "1e6 GeV/c2",
+                           "--v", "100 m/s", "--D", "10 um", "--json")
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 21
+
     def test_sweep_linear_spacing(self, capsys):
         code, out, _ = run(capsys, "sweep", "trapped", "--spacing", "linear",
                            "--axis", "v", "--min", "1 m/s", "--max", "200 m/s",
@@ -289,6 +296,24 @@ class TestUsageErrors:
 
     def test_no_command_exits_2(self, capsys):
         assert run(capsys, )[0] == 2
+
+    SWEEP = ["sweep", "trapped", "--v", "100 m/s", "--D", "10 um"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["boundary", "trapped", "--D", "10 um"], "--v"),
+        (["boundary", "trapped", "--v", "100 m/s"], "--D"),
+        (["evolve", "--t-end", "1 s"], "--rate"),
+        (["evolve", "--rate", "1 1/s"], "--t-end"),
+        (SWEEP + ["--min", "1 kg", "--max", "2 kg"], "--axis"),
+        (SWEEP + ["--axis", "M", "--max", "2 kg"], "--min"),
+        (SWEEP + ["--axis", "M", "--min", "1 kg"], "--max")],
+        ids=["boundary-v", "boundary-D", "evolve-rate", "evolve-t-end",
+             "sweep-axis", "sweep-min", "sweep-max"])
+    def test_missing_required_flag_exits_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"collapsim {argv[0]}: error: the following "
+                            f"arguments are required: {flag}\n")
 
     @pytest.mark.parametrize("argv", [
         ["boundary", "free-flight", "--v", "1e3 m/s", "--theta", "1e-5",

@@ -375,6 +375,36 @@ def test_operator_built_only_where_it_pays(monkeypatch, n, steps, stride,
     assert any(stacks) is built
 
 
+def test_operator_powers_share_their_squares(monkeypatch):
+    # Gaps of 125 (eight of them) and 3.  The squares op**2 .. op**64 take
+    # 6 products, 125 = 1 + 4 + 8 + 16 + 32 + 64 takes 5 more and 3 = 1 + 2
+    # one: 12, where building each power on its own would take 11 + 2.
+    products, real = [], evolution._step
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            arrays = [np.asarray(x) for x in inputs]
+            if ufunc is np.matmul and all(a.ndim == 2 for a in arrays):
+                products.append(1)
+            return getattr(ufunc, method)(*arrays, **kwargs).view(Counted)
+
+    def spy(rhs, dt, method):
+        step = real(rhs, dt, method)
+        return lambda y: step(y).view(Counted) if y.ndim == 3 else step(y)
+
+    monkeypatch.setattr(evolution, "_step", spy)
+    use_path(monkeypatch, "operator")
+    rho0, H, rates = random_system(3, seed=3)
+    dt = 1.0 / 64.0
+    cfg = EvolutionConfig(t_end=quantity(1003 * dt, "s"),
+                          dt=quantity(dt, "s"), record_stride=125)
+    traj = evolve(rho0, H, rates, cfg)
+    gaps = np.diff(np.rint(traj.times / dt).astype(int)).tolist()
+    assert gaps == [125] * 8 + [3]
+    assert len(products) == 12
+    assert evolution._products(gaps) == 12
+
+
 @pytest.mark.parametrize("n, steps, stride", [
     (2, 2, 1), (2, 5, 2), (3, 1000, 125), (8, 25, 1), (16, 4096, 4096),
     (32, 40, 40)])

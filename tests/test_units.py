@@ -4,6 +4,7 @@ import operator
 import pickle
 import re
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -126,6 +127,8 @@ class TestQuantityArithmetic:
         assert abs(b) == Quantity(5.0, MASS)
         assert b <= a and a >= b and a <= a and a >= a
         assert not a <= b and not b >= a
+        assert b < a and a > b
+        assert not a < a and not a > a and not a < b and not b > a
 
     @pytest.mark.parametrize("op, verb", [
         (operator.add, "add"), (operator.sub, "subtract"),
@@ -159,6 +162,37 @@ class TestConstants:
         assert HBAR.value == 1.054571817e-34
         assert C.value == 2.99792458e8
         assert UNITS["GeV/c2"][0] == 1.78266192e-27
+
+
+# README's unit tokens, each with its SI scale and its (mass, length, time)
+# exponents, written out here rather than read from UNITS.
+README_UNITS = {
+    "kg": (1.0, (1, 0, 0)), "GeV/c2": (GEV, (1, 0, 0)),
+    "MeV/c2": (GEV / 1e3, (1, 0, 0)),
+    "m": (1.0, (0, 1, 0)), "um": (1e-6, (0, 1, 0)), "nm": (1e-9, (0, 1, 0)),
+    "s": (1.0, (0, 0, 1)), "us": (1e-6, (0, 0, 1)), "ns": (1e-9, (0, 0, 1)),
+    "m/s": (1.0, (0, 1, -1)),
+    "J": (1.0, (1, 2, -2)), "eV": (1.602176634e-19, (1, 2, -2)),
+    "rad": (1.0, (0, 0, 0)), "dimensionless": (1.0, (0, 0, 0)),
+    "Hz": (1.0, (0, 0, -1)), "rad/s": (1.0, (0, 0, -1)),
+    "1/s": (1.0, (0, 0, -1)),
+}
+
+
+def test_readme_lists_every_unit_token():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Unit tokens", 1)[1].split("(exact", 1)[0]
+    listed = re.findall(r"`([^`]+)`", section)
+    assert sorted(listed) == sorted(README_UNITS) == sorted(UNITS)
+    assert "`1 GeV/c2 = 1.78266192e-27 kg`" in " ".join(readme.split())
+
+
+@pytest.mark.parametrize("token", sorted(README_UNITS))
+def test_unit_token_scale_and_dimension(token):
+    scale, exponents = README_UNITS[token]
+    q = parse_quantity(f"1 {token}")
+    assert math.isclose(q.value, scale, rel_tol=1e-15)
+    assert (q.dim.mass, q.dim.length, q.dim.time) == exponents
 
 
 class TestFormulaDimensions:
