@@ -16,8 +16,8 @@ missing or unused flags, unknown units, invalid parameters, a derived
 scale that underflows or overflows, an `--out` path that cannot be
 written; one `error:` line on stderr), 1 computation error.  Handlers only
 parse, route and print; the library checks every input, `--theta` and
-`evolve`'s rate and gap included, so its errors name a parameter without
-its `--`.
+`evolve`'s rate and gap included.  Its errors name a bad value by its field
+(`mean_velocity must be below c`), a missing or unused flag without `--`.
 `evolve` and `curve` print a run one way: its health warnings as `warning:`
 lines on stderr, then `evolution.trajectory_to_json_text` under `--json`,
 else the command's CSV; verdict/1 and report/1 use `json.dumps(indent=2)`.

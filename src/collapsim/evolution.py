@@ -6,10 +6,10 @@ The dynamics integrated here is, elementwise over the labeled basis,
 
 with rate_ij = 1/tau_ij from a CollapseRateMatrix.  Damping acts in the
 fixed basis carried by the rate matrix (no rotation of the damping term).
-With all rates zero (`CollapseRateMatrix.zero`) this is exactly the von
-Neumann equation; with H = 0 the closed form is the elementwise decay
-rho_ij(t) = rho_ij(0) exp(-t * rate_ij), provided as `analytic_isolated`
-and used as the integrator oracle.
+With all rates zero this is exactly the von Neumann equation; with H = 0
+the closed form is the elementwise decay rho_ij(t) = rho_ij(0)
+exp(-t * rate_ij), provided as `analytic_isolated` and used as the
+integrator oracle.
 
 A fixed-step classic RK4 (Euler selectable) keeps trajectories reproducible
 and makes the convergence order directly measurable; the dynamics is
@@ -39,8 +39,8 @@ step.  Runs over MAX_STEPS steps or MAX_RECORDED_ENTRIES recorded
 entries, or whose AUTO step underflows to 0 s, are refused at the start.
 
 Health is judged by `states.defects`: rho0 is refused before the first
-step if it exceeds a tolerance, and the record, rho0 included, is measured
-once after the run, in one batched pass.
+step unless `states.validate` finds it valid, and the record, rho0
+included, is measured once after the run, in one batched pass.
 
 A trajectory is written as CSV (`trajectory_to_csv`), as the trajectory/1
 dict (`trajectory_to_json`) or as that dict's indented JSON text
@@ -69,7 +69,8 @@ import numpy as np
 
 from .states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
                      _complex_to_pairs, _entry_product, defects, describe,
-                     index_of, invariants, make_basis, pure_state, visibility)
+                     index_of, invariants, make_basis, pure_state, validate,
+                     visibility)
 from .units import (ENERGY, HBAR, PER_SECOND, TIME, DimensionError,
                     Quantity)
 
@@ -259,13 +260,13 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
     """Integrate from rho0 to at least t_end - dt, sampling every
     record_stride steps (first and last steps always included).
 
-    rho0 must satisfy the density-matrix invariants (`states.defects`
-    empty).  Every recorded sample carries trace drift, Hermiticity defect,
-    and smallest eigenvalue; positivity violations are flagged in warnings,
-    never silently repaired.
+    rho0 must be a valid density matrix (`states.validate` empty), judged
+    once before the first step.  Every recorded sample carries trace drift,
+    Hermiticity defect, and smallest eigenvalue; positivity violations are
+    flagged in warnings, never silently repaired.
     """
     basis = _check_shared_basis(rho0, H, rates)
-    found = defects(*invariants(rho0.elements))
+    found = validate(rho0)
     if found:
         raise ValueError("initial state is not a valid density matrix: "
                          + "; ".join(describe(found)))

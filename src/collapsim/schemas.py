@@ -8,8 +8,9 @@ string.
 
 from __future__ import annotations
 
-from .boundary import Scenario
-from .discrimination import Reason, Regime
+from .boundary import REPORT_SCHEMA_ID, Scenario
+from .discrimination import VERDICT_SCHEMA_ID, Reason, Regime
+from .evolution import TRAJECTORY_SCHEMA_ID
 
 _REGIME = {"enum": [r.value for r in Regime]}
 
@@ -40,10 +41,10 @@ _BASIS = {"type": "array", "items": {"type": "string"}, "minItems": 1}
 
 VERDICT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "verdict/1",
+    "title": VERDICT_SCHEMA_ID,
     "type": "object",
     "properties": {
-        "schema": {"const": "verdict/1"},
+        "schema": {"const": VERDICT_SCHEMA_ID},
         "infinite": {"type": "boolean"},
         "tau": _QUANTITY,
         "regime": _REGIME,
@@ -68,10 +69,10 @@ VERDICT_SCHEMA = {
 
 TRAJECTORY_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "trajectory/1",
+    "title": TRAJECTORY_SCHEMA_ID,
     "type": "object",
     "properties": {
-        "schema": {"const": "trajectory/1"},
+        "schema": {"const": TRAJECTORY_SCHEMA_ID},
         "basis": _BASIS,
         "pair": {"type": "array", "items": {"type": "string"},
                  "minItems": 2, "maxItems": 2},
@@ -96,10 +97,10 @@ TRAJECTORY_SCHEMA = {
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "report/1",
+    "title": REPORT_SCHEMA_ID,
     "type": "object",
     "properties": {
-        "schema": {"const": "report/1"},
+        "schema": {"const": REPORT_SCHEMA_ID},
         "scenario": {"enum": [s.value for s in Scenario]},
         "axis": {"type": "string"},
         "rows": {

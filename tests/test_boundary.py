@@ -174,7 +174,7 @@ class TestTrappedSweep:
         closed = trapped_critical_mass(quantity(100, "m/s"), quantity(10, "um"))
         assert report.critical_value is not None
         assert report.critical_value.value == pytest.approx(closed.value,
-                                                            rel=1e-6)
+                                                            rel=1e-6, abs=0)
 
     def test_rows_ordered_and_regimes_split(self):
         report = sweep(trapped_sweep())
@@ -195,7 +195,7 @@ class TestTrappedSweep:
         closed = trapped_critical_mass(quantity(100, "m/s"), quantity(10, "um"),
                                        eta)
         assert report.critical_value.value == pytest.approx(closed.value,
-                                                            rel=1e-6)
+                                                            rel=1e-6, abs=0)
 
     def test_deterministic_byte_identical(self):
         import json
@@ -216,7 +216,7 @@ class TestTrappedSweep:
         closed = v_ref.value * math.sqrt(
             trapped_critical_mass(v_ref, D).value / M.value)
         assert report.critical_value.value == pytest.approx(
-            closed, rel=BISECTION_REL_TOL)
+            closed, rel=BISECTION_REL_TOL, abs=0)
 
 
 class TestFreeFlightSweep:
@@ -228,7 +228,7 @@ class TestFreeFlightSweep:
         closed = free_flight_critical_mass(quantity(1e3, "m/s"), 1e-5,
                                            quantity(10, "um"))
         assert report.critical_value.value == pytest.approx(closed.value,
-                                                            rel=1e-6)
+                                                            rel=1e-6, abs=0)
 
     def test_velocity_axis_also_flips(self):
         fixed = free_flight_fixed()
@@ -240,7 +240,8 @@ class TestFreeFlightSweep:
         report = sweep(spec)
         # 8 hbar / (M theta D) at theta = 1e-5, D = 10 um, M = 5 GeV
         expected = 8 * HBAR_V / (5 * GEV * 1e-5 * 1e-5)
-        assert report.critical_value.value == pytest.approx(expected, rel=1e-6)
+        assert report.critical_value.value == pytest.approx(expected,
+                                                            rel=1e-6, abs=0)
 
 
 class TestOscillatorSweep:
@@ -258,7 +259,7 @@ class TestOscillatorSweep:
         m = report.critical_value.value
         v0 = math.sqrt(HBAR_V * 1e5 / (2 * m))
         n_star = (4 * math.pi * 2.99792458e8 / v0) ** (2 / 3)
-        assert n_star == pytest.approx(1e7, rel=1e-5)
+        assert n_star == pytest.approx(1e7, rel=1e-5, abs=0)
 
     def test_quantum_number_axis_uses_integer_grid(self):
         fixed = {"M": quantity(1e-24, "kg"), "omega0": quantity(1e5, "rad/s")}
@@ -271,7 +272,8 @@ class TestOscillatorSweep:
         if report.critical_value is not None:
             v0 = math.sqrt(HBAR_V * 1e5 / (2 * 1e-24))
             n_star = (4 * math.pi * 2.99792458e8 / v0) ** (2 / 3)
-            assert report.critical_value.value == pytest.approx(n_star, rel=1e-5)
+            assert report.critical_value.value == pytest.approx(
+                n_star, rel=1e-5, abs=0)
 
     def test_quantum_number_axis_bisects_between_its_rounded_rows(self):
         # n* = 10.2 here; the grid ends 10.4 and 20.4 round to the rows
@@ -285,7 +287,8 @@ class TestOscillatorSweep:
         assert [row.value.value for row in report.rows] == [10.0, 20.0]
         assert [row.regime for row in report.rows] == [Regime.QUANTUM,
                                                        Regime.MARGINAL]
-        assert report.critical_value.value == pytest.approx(10.2, rel=1e-6)
+        assert report.critical_value.value == pytest.approx(10.2,
+                                                            rel=1e-6, abs=0)
 
     @pytest.mark.parametrize("mass", [1e-50, 1e-60])
     def test_quantum_number_axis_bisects_up_from_zero(self, monkeypatch,
@@ -309,7 +312,8 @@ class TestOscillatorSweep:
         v0 = math.sqrt(HBAR_V * 1e5 / (2 * mass))
         n_star = (4 * math.pi * 2.99792458e8 / v0) ** (2 / 3)
         assert n_star < 1
-        assert report.critical_value.value == pytest.approx(n_star, rel=1e-5)
+        assert report.critical_value.value == pytest.approx(n_star,
+                                                            rel=1e-5, abs=0)
 
     def test_quantum_number_axis_in_metres_rejected(self):
         fixed = {"M": quantity(1e-24, "kg"), "omega0": quantity(1e5, "rad/s")}
@@ -516,14 +520,14 @@ class TestMassBoundary:
         v, D = quantity(v, "m/s"), quantity(D, "um")
         report = mass_boundary("trapped", v, D)
         assert report.critical_value.value == pytest.approx(
-            trapped_critical_mass(v, D).value, rel=BISECTION_REL_TOL)
+            trapped_critical_mass(v, D).value, rel=BISECTION_REL_TOL, abs=0)
 
     def test_free_flight_matches_closed_form(self):
         v, D = quantity(1e3, "m/s"), quantity(10, "um")
         report = mass_boundary(Scenario.FREE_FLIGHT, v, D, 1e-5)
         assert report.critical_value.value == pytest.approx(
             free_flight_critical_mass(v, 1e-5, D).value,
-            rel=BISECTION_REL_TOL)
+            rel=BISECTION_REL_TOL, abs=0)
 
     def test_bisection_reuses_the_bracketing_rows(self, monkeypatch):
         # 31 grid points plus 21 bisection midpoints; the lower end of the
@@ -543,7 +547,8 @@ class TestMassBoundary:
         v, D = quantity(100, "m/s"), quantity(10, "um")
         report = mass_boundary("trapped", v, D, eta=3.0)
         assert report.critical_value.value == pytest.approx(
-            trapped_critical_mass(v, D, 3.0).value, rel=BISECTION_REL_TOL)
+            trapped_critical_mass(v, D, 3.0).value, rel=BISECTION_REL_TOL,
+            abs=0)
 
     @pytest.mark.parametrize("argv, args", [
         (["trapped", "--v", "100 m/s", "--D", "10 um"],
@@ -590,7 +595,7 @@ class TestVisibilityCurve:
         traj = curve_trajectory(verdict, quantity(1e-3, "s"),
                                 record_stride=512)
         times, vis = traj.times, traj.visibility(0, 1)
-        assert times[-1] == pytest.approx(1e-3, rel=1e-12)
+        assert times[-1] == pytest.approx(1e-3, rel=1e-12, abs=0)
         assert vis[-1] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_photon_curve_flat(self):

@@ -162,7 +162,7 @@ class TestEvolve:
         assert rows[0][0] == "time_s"
         vis_col = rows[0].index("visibility")
         assert float(rows[-1][vis_col]) == pytest.approx(math.exp(-1),
-                                                         rel=1e-6)
+                                                         rel=1e-6, abs=0)
 
     def test_json_trajectory_validates(self, capsys):
         code, out, _ = run(capsys, "evolve", "--rate", "2 1/s",
@@ -196,7 +196,7 @@ class TestSweepAndCurve:
         doc = json.loads(out)
         jsonschema.validate(doc, REPORT_SCHEMA)
         assert doc["critical_value"]["value"] == pytest.approx(
-            3.97289171186359e-24, rel=1e-5)
+            3.97289171186359e-24, rel=1e-5, abs=0)
 
     def test_sweep_takes_21_points_by_default(self, capsys):
         code, out, _ = run(capsys, "sweep", "trapped", "--axis", "M",
@@ -279,7 +279,8 @@ class TestSweepAndCurve:
                            "--v", "100 m/s", "--D", "10 um", "--stride", "512")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
-        assert float(rows[-1][1]) == pytest.approx(math.exp(-5), rel=1e-6)
+        assert float(rows[-1][1]) == pytest.approx(math.exp(-5),
+                                                   rel=1e-6, abs=0)
 
 
 class TestUsageErrors:

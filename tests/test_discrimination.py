@@ -242,8 +242,8 @@ class TestTrapped:
         # branch expressions coincide: tau = 4 pi / omega_max = D / c.
         m_star = trapped_critical_mass(quantity(100, "m/s"), quantity(10, "um"))
         verdict = trapped_tau(trapped(m_star.to("GeV/c2") * (1 + 1e-12)))
-        assert verdict.tau.value == pytest.approx(1e-5 / C_V, rel=1e-9)
-        assert verdict.tau.value == pytest.approx(3.3356e-14, rel=1e-4)
+        assert verdict.tau.value == pytest.approx(1e-5 / C_V, rel=1e-9, abs=0)
+        assert verdict.tau.value == pytest.approx(3.3356e-14, rel=1e-4, abs=0)
         assert verdict.regime is Regime.MARGINAL
         assert verdict.reason is Reason.DISCRIMINABLE
 
@@ -253,7 +253,8 @@ class TestTrapped:
         assert verdict.is_infinite
         assert verdict.regime is Regime.QUANTUM
         derived = dict(verdict.derivation)
-        assert derived["E"].value == pytest.approx(1.7826619200000001e-23, rel=1e-12)
+        assert derived["E"].value == pytest.approx(1.7826619200000001e-23,
+                                                   rel=1e-12, abs=0)
         assert derived["E"].value * 1e-5 < 4 * PI * HBAR_V * C_V
 
     def test_slow_heavy_mass_stays_quantum(self):
@@ -294,18 +295,20 @@ class TestTrapped:
 class TestTrappedCriticalMass:
     def test_fast_trap_boundary(self):
         m = trapped_critical_mass(quantity(100, "m/s"), quantity(10, "um"))
-        assert m.to("GeV/c2") == pytest.approx(2228.628809137063, rel=1e-12)
+        assert m.to("GeV/c2") == pytest.approx(2228.628809137063,
+                                               rel=1e-12, abs=0)
         assert 2.0e3 <= m.to("GeV/c2") <= 2.5e3
 
     def test_slow_trap_boundary(self):
         m = trapped_critical_mass(quantity(1, "m/s"), quantity(10, "um"))
-        assert m.to("GeV/c2") == pytest.approx(2.2286288091370627e7, rel=1e-12)
+        assert m.to("GeV/c2") == pytest.approx(2.2286288091370627e7,
+                                               rel=1e-12, abs=0)
         assert 2.0e7 <= m.to("GeV/c2") <= 2.5e7
 
     def test_inverse_square_velocity_scaling(self):
         m100 = trapped_critical_mass(quantity(100, "m/s"), quantity(10, "um"))
         m200 = trapped_critical_mass(quantity(200, "m/s"), quantity(10, "um"))
-        assert m200.value == pytest.approx(m100.value / 4.0, rel=1e-12)
+        assert m200.value == pytest.approx(m100.value / 4.0, rel=1e-12, abs=0)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValidationError):
@@ -316,8 +319,8 @@ class TestDoppler:
     def test_error_direct_arithmetic(self):
         # c / (2 * 1e15 * 1e-6) = c / 2e9
         err = doppler_error(quantity(1e15, "rad/s"), quantity(1e-6, "s"))
-        assert err.value == pytest.approx(C_V / 2e9, rel=1e-12)
-        assert err.value == pytest.approx(0.149896229, rel=1e-9)
+        assert err.value == pytest.approx(C_V / 2e9, rel=1e-12, abs=0)
+        assert err.value == pytest.approx(0.149896229, rel=1e-9, abs=0)
 
     def test_error_scaling(self):
         base = doppler_error(quantity(1e15, "rad/s"), quantity(1e-6, "s"))
@@ -328,8 +331,9 @@ class TestDoppler:
 
     def test_back_action_direct_arithmetic(self):
         kick = doppler_back_action(quantity(1e15, "rad/s"), quantity(1, "GeV/c2"))
-        assert kick.value == pytest.approx(2 * HBAR_V * 1e15 / (C_V * GEV), rel=1e-12)
-        assert kick.value == pytest.approx(0.3947, rel=1e-3)
+        assert kick.value == pytest.approx(2 * HBAR_V * 1e15 / (C_V * GEV),
+                                           rel=1e-12, abs=0)
+        assert kick.value == pytest.approx(0.3947, rel=1e-3, abs=0)
 
     def test_back_action_scaling(self):
         base = doppler_back_action(quantity(1e15, "rad/s"), quantity(1, "GeV/c2"))
@@ -354,8 +358,8 @@ class TestDopplerWindow:
                                            quantity(10, "um"))
         spec = free_flight(m_star.to("GeV/c2") * (1 + 1e-12))
         low, high = doppler_window(spec)
-        assert low.value == pytest.approx(2 * C_V / 1e-5, rel=1e-12)
-        assert high.value == pytest.approx(low.value, rel=1e-6)
+        assert low.value == pytest.approx(2 * C_V / 1e-5, rel=1e-12, abs=0)
+        assert high.value == pytest.approx(low.value, rel=1e-6, abs=0)
 
     def test_light_mass_closed(self):
         assert doppler_window(free_flight(0.5)) is None
@@ -364,7 +368,7 @@ class TestDopplerWindow:
         low1, high1 = doppler_window(free_flight(100.0))
         low4, high4 = doppler_window(free_flight(400.0))
         assert low4.value == low1.value
-        assert high4.value == pytest.approx(2 * high1.value, rel=1e-12)
+        assert high4.value == pytest.approx(2 * high1.value, rel=1e-12, abs=0)
 
 
 class TestFreeFlight:
@@ -372,7 +376,7 @@ class TestFreeFlight:
         m_star = free_flight_critical_mass(quantity(1e3, "m/s"), 1e-5,
                                            quantity(10, "um"))
         verdict = free_flight_tau(free_flight(m_star.to("GeV/c2") * (1 + 1e-12)))
-        assert verdict.tau.value == pytest.approx(1.0 / 1e3, rel=1e-9)
+        assert verdict.tau.value == pytest.approx(1.0 / 1e3, rel=1e-9, abs=0)
         assert verdict.regime is Regime.MARGINAL
 
     def test_heavy_mass_finite_and_classical(self):
@@ -381,14 +385,14 @@ class TestFreeFlight:
         assert verdict.tau.value < 1.0 / 1e3
         assert verdict.regime is Regime.CLASSICAL
         margin = dict(verdict.derivation)["window_margin"].value
-        assert margin == pytest.approx(21.13, rel=1e-3)
+        assert margin == pytest.approx(21.13, rel=1e-3, abs=0)
 
     def test_light_mass_quantum(self):
         verdict = free_flight_tau(free_flight(1.0))
         assert verdict.is_infinite
         assert verdict.reason is Reason.WINDOW_CLOSED
         margin = dict(verdict.derivation)["window_margin"].value
-        assert margin == pytest.approx(0.2113, rel=1e-3)
+        assert margin == pytest.approx(0.2113, rel=1e-3, abs=0)
 
     def test_geometry_invariants_enforced(self):
         with pytest.raises(ValidationError):
@@ -403,7 +407,8 @@ class TestFreeFlightCriticalMass:
     def test_typical_double_slit(self):
         m = free_flight_critical_mass(quantity(1e3, "m/s"), 1e-5,
                                       quantity(10, "um"))
-        assert m.to("GeV/c2") == pytest.approx(4.732571241550949, rel=1e-12)
+        assert m.to("GeV/c2") == pytest.approx(4.732571241550949,
+                                               rel=1e-12, abs=0)
         assert 4.5 <= m.to("GeV/c2") <= 5.0
 
     def test_halving_separation_doubles_mass(self):
@@ -411,14 +416,14 @@ class TestFreeFlightCriticalMass:
                                        quantity(10, "um"))
         m2 = free_flight_critical_mass(quantity(1e3, "m/s"), 1e-5,
                                        quantity(5, "um"))
-        assert m2.value == pytest.approx(2 * m1.value, rel=1e-12)
+        assert m2.value == pytest.approx(2 * m1.value, rel=1e-12, abs=0)
 
     def test_only_theta_times_separation_matters(self):
         m1 = free_flight_critical_mass(quantity(1e3, "m/s"), 1e-5,
                                        quantity(10, "um"))
         m2 = free_flight_critical_mass(quantity(1e3, "m/s"), 2e-5,
                                        quantity(5, "um"))
-        assert m2.value == pytest.approx(m1.value, rel=1e-12)
+        assert m2.value == pytest.approx(m1.value, rel=1e-12, abs=0)
 
 
 class TestPhotonAndRabi:
@@ -461,12 +466,13 @@ class TestOscillator:
                               angular_frequency=quantity(omega0, "rad/s"),
                               quantum_number=0)
         derived = dict(oscillator_verdict(spec).derivation)
-        assert derived["v0"].value == pytest.approx(1.0, rel=1e-12)
+        assert derived["v0"].value == pytest.approx(1.0, rel=1e-12, abs=0)
         n_star = derived["n_star"].value
-        assert n_star == pytest.approx((4 * PI * C_V) ** (2 / 3), rel=1e-12)
-        assert n_star == pytest.approx(2.42e6, rel=1e-2)
+        assert n_star == pytest.approx((4 * PI * C_V) ** (2 / 3),
+                                       rel=1e-12, abs=0)
+        assert n_star == pytest.approx(2.42e6, rel=1e-2, abs=0)
         assert n_star / C_V ** (2 / 3) == pytest.approx((4 * PI) ** (2 / 3),
-                                                        rel=1e-12)
+                                                        rel=1e-12, abs=0)
 
     def test_deep_classical_side(self):
         mass = HBAR_V / 2.0
@@ -480,7 +486,7 @@ class TestOscillator:
         verdict = oscillator_verdict(spec)
         assert verdict.regime is Regime.CLASSICAL
         assert verdict.tau.value == pytest.approx(
-            4 * PI / int(100 * n_star), rel=1e-12)
+            4 * PI / int(100 * n_star), rel=1e-12, abs=0)
 
     def test_marginal_band(self):
         mass = HBAR_V / 2.0
@@ -682,7 +688,8 @@ def test_trapped_critical_mass_constant_product(ve, de, eta):
     v, D = 10.0 ** ve, 10.0 ** de
     m_star = trapped_critical_mass(quantity(v, "m/s"), quantity(D, "m"), eta)
     product = m_star.value * v * v * D
-    assert product == pytest.approx(4 * PI * HBAR_V * C_V * eta, rel=1e-12)
+    assert product == pytest.approx(4 * PI * HBAR_V * C_V * eta,
+                                    rel=1e-12, abs=0)
 
 
 @given(speed_exp, length_exp,
@@ -691,4 +698,5 @@ def test_free_flight_critical_mass_exact_scaling(ve, de, te):
     v, D, theta = 10.0 ** ve, 10.0 ** de, 10.0 ** te
     m_star = free_flight_critical_mass(quantity(v, "m/s"), theta,
                                        quantity(D, "m"))
-    assert m_star.value * v * theta * D == pytest.approx(8 * HBAR_V, rel=1e-12)
+    assert m_star.value * v * theta * D == pytest.approx(8 * HBAR_V,
+                                                         rel=1e-12, abs=0)

@@ -97,8 +97,8 @@ class TestDerivative:
     def test_pure_damping(self):
         rhs = one_euler_step(equal_superposition(), Hamiltonian.zero(BASIS),
                              rate_matrix(2.0), 2.0 ** -10)
-        assert rhs[0, 1] == pytest.approx(-2.0 * 0.5, rel=1e-12)
-        assert rhs[1, 0] == pytest.approx(-2.0 * 0.5, rel=1e-12)
+        assert rhs[0, 1] == pytest.approx(-2.0 * 0.5, rel=1e-12, abs=0)
+        assert rhs[1, 0] == pytest.approx(-2.0 * 0.5, rel=1e-12, abs=0)
         assert rhs[0, 0] == rhs[1, 1] == 0.0
 
     def test_diagonal_hamiltonian_rotates_phase(self):
@@ -109,7 +109,7 @@ class TestDerivative:
         dt = 1e-3 * HBAR.value / E
         rhs = one_euler_step(equal_superposition(), H, rate_matrix(0.0), dt)
         assert rhs[0, 1] == pytest.approx(1j * (E / HBAR.value) * 0.5,
-                                          rel=1e-12)
+                                          rel=1e-12, abs=0)
         # The whole run follows the closed form rho_01(0) exp(+i E t/hbar).
         rho0 = equal_superposition()
         cfg = EvolutionConfig(t_end=quantity(200 * dt, "s"), record_stride=8)
@@ -117,7 +117,7 @@ class TestDerivative:
         for t, state in zip(traj.times, traj.elements):
             exact = closed_form(rho0, H, rate_matrix(0.0), t)
             assert exact[0, 1] == pytest.approx(
-                0.5 * np.exp(1j * E * t / HBAR.value), rel=1e-12)
+                0.5 * np.exp(1j * E * t / HBAR.value), rel=1e-12, abs=0)
             assert np.max(np.abs(state - exact)) <= 1e-9
 
     def test_basis_mismatch_rejected(self):
@@ -142,8 +142,8 @@ class TestEvolve:
         traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                       rate_matrix(1.0), cfg)
         vis = traj.visibility("here", "there")[-1]
-        assert traj.times[-1] == pytest.approx(1.0, rel=1e-12)
-        assert vis == pytest.approx(math.exp(-1.0), rel=1e-8)
+        assert traj.times[-1] == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert vis == pytest.approx(math.exp(-1.0), rel=1e-8, abs=0)
 
     def test_rabi_period_returns_to_start(self):
         omega = 2 * math.pi
@@ -179,6 +179,40 @@ class TestEvolve:
                            "density matrix: trace drift 2.000e-01$"):
             evolve(bad, Hamiltonian.zero(BASIS), rate_matrix(0.0), cfg)
 
+    @pytest.mark.parametrize("path", ["direct", "operator", "diagonal"])
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_rho0_is_judged_once_by_validate_before_any_step(
+            self, monkeypatch, path, valid):
+        calls = []
+        real_validate, real_step = evolution.validate, evolution._step
+
+        def judged(rho):
+            calls.append("validate")
+            return real_validate(rho)
+
+        def spy(rhs, dt, method):
+            step = real_step(rhs, dt, method)
+            return lambda y: calls.append("step") or step(y)
+
+        monkeypatch.setattr(evolution, "validate", judged)
+        monkeypatch.setattr(evolution, "_step", spy)
+        use_path(monkeypatch, path)
+        rho0, H, rates = random_system(2, seed=2)
+        if path == "diagonal":
+            H = diagonal_part(H)
+        cfg = EvolutionConfig(t_end=quantity(10 / 64, "s"),
+                              dt=quantity(1 / 64, "s"), record_stride=3)
+        if valid:
+            evolve(rho0, H, rates, cfg)
+            assert calls[0] == "validate" and "step" in calls
+            assert calls.count("validate") == 1
+        else:
+            bad = DensityMatrix(rho0.basis, 2.0 * rho0.elements)
+            with pytest.raises(ValueError, match="^initial state is not a "
+                               "valid density matrix: trace drift "):
+                evolve(bad, H, rates, cfg)
+            assert calls == ["validate"]
+
     @pytest.mark.parametrize("field", ["t_end", "dt"])
     def test_zero_time_rejected(self, field):
         times = {"t_end": quantity(1, "s"), field: quantity(0, "s")}
@@ -204,7 +238,7 @@ class TestEvolve:
             trajectory_to_json_text(runs[1])
         # (1 - dt)^4 at dt = 0.25 s, not RK4's 0.36789...
         assert runs[0].visibility(0, 1)[-1] == pytest.approx(0.75 ** 4,
-                                                             rel=1e-12)
+                                                             rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("method", ["bogus", "RK4", None])
     def test_unknown_method_rejected(self, method):
@@ -663,7 +697,8 @@ class TestAnalyticIsolated:
     def test_single_decay_factor(self):
         out = analytic_isolated(equal_superposition(), rate_matrix(2.0),
                                 quantity(0.5, "s"))
-        assert out.elements[0, 1] == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
+        assert out.elements[0, 1] == pytest.approx(0.5 * math.exp(-1.0),
+                                                   rel=1e-12, abs=0)
         assert out.elements[0, 0] == pytest.approx(0.5)
 
     def test_zero_rates_static(self):
@@ -722,7 +757,7 @@ class TestOracleAgreement:
         traj = evolve(equal_superposition(), H, rate_matrix(gamma), cfg)
         for t, state in zip(traj.times, traj.states):
             assert abs(state.elements[0, 1]) == pytest.approx(
-                0.5 * math.exp(-gamma * t), rel=1e-8)
+                0.5 * math.exp(-gamma * t), rel=1e-8, abs=0)
 
     def test_off_diagonal_moduli_non_increasing(self):
         gap = 2.0 * HBAR.value
@@ -736,15 +771,19 @@ class TestOracleAgreement:
 class TestUnitaryBaseline:
     """With every rate zero the run is the von Neumann dynamics."""
 
-    def test_matches_zero_rates_bit_for_bit(self):
+    def test_matches_zero_rates_bit_for_bit(self, monkeypatch):
         omega = 2 * math.pi
         H = Hamiltonian(BASIS, (HBAR.value * omega / 2)
                         * np.array([[0, 1], [1, 0]], dtype=complex))
         rho0 = pure_state([1, 0], BASIS)
         cfg = EvolutionConfig(t_end=quantity(1, "s"), dt=quantity(0.01, "s"))
-        baseline = evolve(rho0, H, CollapseRateMatrix.zero(BASIS), cfg)
-        explicit = evolve(rho0, H, rate_matrix(0.0), cfg)
-        assert baseline.elements.tobytes() == explicit.elements.tobytes()
+        baseline = evolve(rho0, H, rate_matrix(0.0), cfg)
+        # The von Neumann right-hand side alone, with no damping term.
+        h = H.elements / HBAR.value
+        monkeypatch.setattr(evolution, "_rhs", lambda H, rates:
+                            lambda y: -1j * (h @ y - y @ h))
+        von_neumann = evolve(rho0, H, rate_matrix(0.0), cfg)
+        assert baseline.elements.tobytes() == von_neumann.elements.tobytes()
 
     def test_purity_constant(self):
         omega = 2 * math.pi
@@ -753,7 +792,7 @@ class TestUnitaryBaseline:
         rho0 = pure_state([1, 0], BASIS)
         cfg = EvolutionConfig(t_end=quantity(1, "s"), dt=quantity(1 / 512, "s"),
                               record_stride=64)
-        traj = evolve(rho0, H, CollapseRateMatrix.zero(BASIS), cfg)
+        traj = evolve(rho0, H, rate_matrix(0.0), cfg)
         for state in traj.states:
             purity = np.trace(state.elements @ state.elements).real
             assert purity == pytest.approx(1.0, abs=1e-10)
@@ -761,9 +800,9 @@ class TestUnitaryBaseline:
     def test_coherence_survives_without_rates(self):
         cfg = EvolutionConfig(t_end=quantity(5, "s"))
         traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
-                      CollapseRateMatrix.zero(BASIS), cfg)
+                      rate_matrix(0.0), cfg)
         assert traj.visibility("here", "there")[-1] == \
-            pytest.approx(1.0, rel=1e-12)
+            pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 class TestConvergence:
@@ -783,7 +822,7 @@ class TestConvergence:
         errors = [np.max(np.abs(evolve(rho0, H, rates, EvolutionConfig(
             t_end=t_end, dt=quantity(dt, "s"))).final_state().elements
             - exact)) for dt in (0.05, 0.025)]
-        assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.25)
+        assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.25, abs=0)
 
 
 @settings(deadline=None, max_examples=20)
@@ -879,7 +918,8 @@ class TestExports:
         assert len(rows) == 1 + len(traj.times)
         last = rows[-1]
         assert float(last[0]) == pytest.approx(1.0)
-        assert float(last[-2]) == pytest.approx(math.exp(-1.0), rel=1e-6)
+        assert float(last[-2]) == pytest.approx(math.exp(-1.0),
+                                                rel=1e-6, abs=0)
 
     def test_visibility_by_name_is_by_index(self):
         traj = self.make_trajectory()
@@ -911,7 +951,7 @@ class TestExports:
         assert doc["pair"] == ["here", "there"]
         assert doc["samples"][0]["time"] == {"value": 0.0, "unit": "s"}
         assert doc["samples"][-1]["visibility"] == pytest.approx(
-            math.exp(-1.0), rel=1e-6)
+            math.exp(-1.0), rel=1e-6, abs=0)
 
 
 # Floats the writers spell in every way: signed zeros, subnormals, NaN of

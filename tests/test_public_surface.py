@@ -10,11 +10,14 @@ example is run here too, so that what it shows is a use that works.
 
 Two rules apply it.  A name `collapsim/__init__.py` exports must be used
 outside the module that defines it.  Every public top-level function,
-class and constant of a package module must be used somewhere other than
-its own definition.  Methods and properties are not covered: an
-attribute is matched by its name alone, and names such as `to_json`, `dim`
-and `zero` each collide across classes, so a read of one would vouch for
-all of them.
+class and constant of a package module, and every public classmethod and
+staticmethod, must be used somewhere other than its own definition.  A
+class-level method is matched by its qualified name `Class.name` (an
+attribute read on the class, `cs.Hamiltonian.zero` included), since a name
+such as `zero` alone collides across classes and a read of one would vouch
+for all of them.  Instance methods and properties are not covered: they
+are read on instances, so only their names, such as `to_json` and `dim`,
+could be matched.
 """
 
 import ast
@@ -41,7 +44,8 @@ def exports() -> dict[str, str]:
 
 def definitions(path: Path) -> list[str]:
     """The public functions, classes and constants a module defines at its
-    top level."""
+    top level, and its classes' classmethods and staticmethods as
+    `Class.name`."""
     names = []
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -51,18 +55,31 @@ def definitions(path: Path) -> list[str]:
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
                                                             ast.Name):
             names.append(node.target.id)
-    return [name for name in names if not name.startswith("_")]
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and any(isinstance(d, ast.Name) and d.id in
+                              ("classmethod", "staticmethod")
+                              for d in item.decorator_list)]
+    return [name for name in names
+            if not any(part.startswith("_") for part in name.split("."))]
 
 
 @functools.cache
 def identifiers(path: Path) -> frozenset[str]:
-    """The names, attributes and imported names a Python file reads."""
+    """The names, attributes and imported names a Python file reads, and
+    each attribute read on a name as `owner.attr` (`Hamiltonian.zero` in
+    `cs.Hamiltonian.zero`)."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                found.add(f"{node.value.id}.{node.attr}")
+            elif isinstance(node.value, ast.Attribute):
+                found.add(f"{node.value.attr}.{node.attr}")
         elif isinstance(node, ast.alias):
             found.add(node.name)
     return frozenset(found)
@@ -91,7 +108,7 @@ def test_every_exported_name_has_a_caller():
 
 def test_every_public_module_name_is_read():
     names = {path.stem: definitions(path) for path in MODULES}
-    assert {"evolve", "Hamiltonian", "TRACE_TOL"} <= {
+    assert {"evolve", "Hamiltonian", "TRACE_TOL", "Hamiltonian.zero"} <= {
         name for defined in names.values() for name in defined}
     unread = [f"{module}.{name}" for module, defined in names.items()
               for name in defined if not users(name)]

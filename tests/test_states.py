@@ -243,7 +243,8 @@ class TestValidate:
     def test_hermiticity_defect_measured(self, two_basis):
         m = np.array([[0.5, 0.5 + 1e-6], [0.5, 0.5]], dtype=complex)
         found = validate(DensityMatrix(two_basis, m))
-        assert found["hermiticity defect"] == pytest.approx(1e-6, rel=1e-3)
+        assert found["hermiticity defect"] == pytest.approx(1e-6,
+                                                            rel=1e-3, abs=0)
 
     def test_invariants_of_a_stack_match_each_matrix(self):
         rng = np.random.default_rng(7)
@@ -339,7 +340,7 @@ class TestOneJudgement:
         assert list(validate(outside)) == [name]
         cfg = EvolutionConfig(t_end=quantity(1, "s"), dt=quantity(0.5, "s"))
         zero = (Hamiltonian.zero(inside.basis),
-                CollapseRateMatrix.zero(inside.basis))
+                CollapseRateMatrix(inside.basis, np.zeros((2, 2))))
         evolve(inside, *zero, cfg)
         with pytest.raises(ValueError, match="^initial state is not a valid "
                            f"density matrix: {name} "):

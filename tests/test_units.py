@@ -21,14 +21,14 @@ GEV = 1.78266192e-27
 class TestParse:
     def test_micrometers(self):
         q = parse_quantity("10 um")
-        assert q.value == pytest.approx(1.0e-5, rel=1e-12)
+        assert q.value == pytest.approx(1.0e-5, rel=1e-12, abs=0)
         assert q.dim == LENGTH
 
     def test_gev_over_c2(self):
         # 5 * CODATA conversion factor, frozen independently
         q = parse_quantity("5 GeV/c2")
-        assert q.value == pytest.approx(5 * GEV, rel=1e-12)
-        assert q.value == pytest.approx(8.9133096e-27, rel=1e-7)
+        assert q.value == pytest.approx(5 * GEV, rel=1e-12, abs=0)
+        assert q.value == pytest.approx(8.9133096e-27, rel=1e-7, abs=0)
         assert q.dim == MASS
 
     def test_identity_scale(self):
@@ -83,7 +83,7 @@ def test_round_trip_lossless(x, unit):
     text = format_quantity(original, unit, digits=None)
     again = parse_quantity(text)
     assert again.dim == original.dim
-    assert again.value == pytest.approx(original.value, rel=1e-12)
+    assert again.value == pytest.approx(original.value, rel=1e-12, abs=0)
 
 
 @given(st.floats(min_value=1.0, max_value=9.9999).map(lambda x: round(x, 4)),
@@ -92,7 +92,7 @@ def test_round_trip_default_digits(x, unit):
     # Values already at five significant figures survive the default display.
     original = parse_quantity(f"{x} {unit}")
     again = parse_quantity(format_quantity(original, unit))
-    assert again.value == pytest.approx(original.value, rel=1e-12)
+    assert again.value == pytest.approx(original.value, rel=1e-12, abs=0)
 
 
 class TestDimensionArithmetic:
