@@ -78,7 +78,10 @@ TRAJECTORY_SCHEMA_ID = "trajectory/1"
 
 # Samples per fastest timescale for the AUTO step.  64 keeps the RK4
 # relative error under 1e-8 across ten decay times (50 would land at
-# 1.4e-8, just over that budget).
+# 1.4e-8, just over that budget).  The budget holds for decay only: under
+# a gap RK4's phase error grows by ~3.1e-9 per period, to 3.12e-8 after 10
+# periods and 3.12e-7 after 100 (two_level_decay at rate = 1e-3 omega),
+# and no run says so (ROADMAP.md item 11).
 AUTO_STEP_DIVISOR = 64
 
 # Most steps one run may plan: 20x the largest run in the tests, so that a
@@ -97,11 +100,8 @@ class Method(str, enum.Enum):
 
 
 class IntegrationError(RuntimeError):
-    """Integration produced a non-finite state; carries the failing time."""
-
-    def __init__(self, message: str, time: float):
-        super().__init__(message)
-        self.time = time
+    """Integration produced a non-finite state; the message names the time
+    of the first non-finite step, `non-finite state at t = 30000.0 s`."""
 
 
 @dataclass(frozen=True)
@@ -331,7 +331,7 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
                 y = jump(y, 1)
                 if not np.isfinite(y).all():
                     raise IntegrationError(
-                        f"non-finite state at t = {s * dt!r} s", s * dt)
+                        f"non-finite state at t = {s * dt!r} s")
             elements[i] = y
     elements.setflags(write=False)
 

@@ -206,6 +206,8 @@ def pure_state(amplitudes, basis: tuple[str, ...]) -> DensityMatrix:
     # norm neither overflow nor underflow.
     pairs = _complex_to_pairs(psi)
     largest = float(np.max(np.abs(pairs), initial=0.0))
+    if not math.isfinite(largest):
+        raise ValueError(f"amplitudes must be finite, got {psi.tolist()}")
     if largest == 0.0:
         raise ValueError("amplitudes must not all be zero")
     pairs = np.ldexp(pairs, -math.frexp(largest)[1])

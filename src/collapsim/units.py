@@ -1,11 +1,13 @@
 """Unit-safe scalar quantities over the (mass, length, time) lattice.
 
 Values are stored at SI base scale (kg, m, s); the unit tokens in UNITS are
-pure I/O conversions.  Arithmetic across mismatched dimensions raises
-DimensionError rather than silently coercing.  Integer dimension exponents
-suffice for every formula in this package; square roots are only ever taken
-of quantities with even exponents, and a non-integer power of a dimensional
-quantity raises DimensionError.
+pure I/O conversions.  `*`, `/`, `**` and `sqrt` combine dimensions, and
+`<` and `>` across mismatched dimensions raise DimensionError rather than
+silently coercing; no other arithmetic is defined.  Integer dimension
+exponents suffice for every formula in this package; square roots are only
+ever taken of quantities with even exponents, and a non-integer power of
+any quantity, a dimensionless one included, raises DimensionError (the
+verdicts raise a dimensionless value's float instead).
 
 Both classes are immutable values built for the verdict hot path, where a
 sweep does thousands of operations.  Dimension is interned: there is one
@@ -88,8 +90,6 @@ class Dimension(_Frozen):
         return _DIMENSIONS.get(key) or Dimension(*key)
 
     def __pow__(self, n: int) -> "Dimension":
-        if self is DIMENSIONLESS:
-            return self
         if not float(n).is_integer():
             raise DimensionError(
                 f"cannot raise {self.si_name()} to the non-integer power {n!r}")
@@ -149,24 +149,11 @@ class Quantity(_Frozen):
     def __hash__(self) -> int:
         return hash((self.value, self.dim))
 
-    def _require(self, other: "Quantity", op: str) -> None:
+    def _require(self, other: "Quantity") -> None:
         if self.dim is not other.dim:
             raise DimensionError(
-                f"cannot {op} {self.dim.si_name()} and {other.dim.si_name()}")
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        self._require(other, "add")
-        return _quantity(self.value + other.value, self.dim)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._require(other, "subtract")
-        return _quantity(self.value - other.value, self.dim)
-
-    def __neg__(self) -> "Quantity":
-        return _quantity(-self.value, self.dim)
-
-    def __abs__(self) -> "Quantity":
-        return _quantity(abs(self.value), self.dim)
+                f"cannot compare {self.dim.si_name()} and "
+                f"{other.dim.si_name()}")
 
     def __mul__(self, other):
         if isinstance(other, Quantity):
@@ -190,20 +177,12 @@ class Quantity(_Frozen):
         return _quantity(math.sqrt(self.value), self.dim.sqrt())
 
     def __lt__(self, other: "Quantity") -> bool:
-        self._require(other, "compare")
+        self._require(other)
         return self.value < other.value
 
-    def __le__(self, other: "Quantity") -> bool:
-        self._require(other, "compare")
-        return self.value <= other.value
-
     def __gt__(self, other: "Quantity") -> bool:
-        self._require(other, "compare")
+        self._require(other)
         return self.value > other.value
-
-    def __ge__(self, other: "Quantity") -> bool:
-        self._require(other, "compare")
-        return self.value >= other.value
 
     @property
     def is_finite(self) -> bool:

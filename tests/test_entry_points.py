@@ -136,7 +136,7 @@ def evolve_calls():
             quantities(PER_SECOND), st.none() | quantities(ENERGY),
             *run_config(quantities(TIME)))),
         st.tuples(st.just(three_level_run), st.tuples(
-            st.tuples(*[st.sampled_from([0.0, 1.0, -1.0, 2.5])] * 3),
+            st.tuples(runnable, runnable, runnable),
             st.tuples(runnable, runnable),
             st.tuples(runnable, st.sampled_from([1, 1j])),
             st.tuples(runnable, runnable, runnable),

@@ -252,10 +252,10 @@ class TestEvolve:
         # a wildly too-large explicit step makes Euler blow up
         cfg = EvolutionConfig(t_end=quantity(2000, "s"), dt=quantity(4, "s"),
                               method=Method.EULER)
-        with pytest.raises(IntegrationError) as err:
+        with pytest.raises(IntegrationError, match="^" + re.escape(
+                "non-finite state at t = 428.0 s") + "$"):
             evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                    rate_matrix(200.0), cfg)
-        assert err.value.time > 0
 
     def test_blow_up_raises_without_numpy_warnings(self):
         cfg = EvolutionConfig(t_end=quantity(1e5, "s"), dt=quantity(1e3, "s"))
@@ -264,7 +264,7 @@ class TestEvolve:
             with pytest.raises(IntegrationError) as err:
                 evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                        rate_matrix(1.0), cfg)
-        assert err.value.time == 30000.0
+        assert str(err.value) == "non-finite state at t = 30000.0 s"
 
     @pytest.mark.parametrize("path, t_end, stride", [
         pytest.param(path, t_end, stride, id=path + where)
@@ -285,7 +285,6 @@ class TestEvolve:
             with pytest.raises(IntegrationError) as err:
                 evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                        rate_matrix(1.0), cfg)
-        assert err.value.time == 30000.0
         assert str(err.value) == "non-finite state at t = 30000.0 s"
 
     def test_blow_up_stops_jumping_at_its_first_overflow(self, monkeypatch):
@@ -558,6 +557,22 @@ def test_large_operator_never_built():
     # its products costs more than thousands of direct steps.
     assert not evolution._operator_pays(64, Method.RK4, [64] * 64)
     assert not evolution._operator_pays(64, Method.RK4, [10 ** 4] * 100)
+
+
+# Runs whose two non-diagonal paths were timed (RK4, best of 5, one core of
+# an x86-64 host; direct ms / operator ms): n = 2, 1000 steps, stride 100
+# 52.7/0.36; 8, 10, 1 0.55/0.59; 12, 10, 1 1.20/3.96; 16, 100, 1 11.6/18.1;
+# 16, 1000, 100 45.9/22.7; 24, 100, 100 6.7/206; 24, 1000, 100 65.1/219.
+# The rule picks the faster path except at n = 8, where the operator costs 7%
+# more.  At n = 32 the operator is never built.
+@pytest.mark.parametrize("n, steps, stride, operator", [
+    (2, 1000, 100, True), (8, 10, 1, True), (12, 10, 1, False),
+    (16, 100, 1, False), (16, 1000, 100, True), (24, 100, 100, False),
+    (24, 1000, 100, False), (32, 1000, 100, False)])
+def test_cost_rule_choices_at_the_timed_runs(n, steps, stride, operator):
+    marks = [*range(0, steps, stride), steps]
+    gaps = [stop - start for start, stop in zip(marks, marks[1:])]
+    assert evolution._operator_pays(n, Method.RK4, gaps) is operator
 
 
 class TestStepBudget:

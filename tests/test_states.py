@@ -120,6 +120,18 @@ class TestPureState:
         with pytest.raises(ValueError, match="zero"):
             pure_state([0, 0], two_basis)
 
+    @pytest.mark.parametrize("amplitude, text", [
+        (math.nan, "(nan+0j)"), (math.inf, "(inf+0j)"),
+        (-math.inf, "(-inf+0j)"), (complex(0, math.inf), "infj")],
+        ids=["nan", "inf", "-inf", "imaginary-inf"])
+    def test_non_finite_amplitude_rejected(self, two_basis, amplitude, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"amplitudes must be finite, got [{text}, (1+0j)]")
+                    + "$"):
+                pure_state([amplitude, 1], two_basis)
+
     def test_length_mismatch_rejected(self, two_basis):
         with pytest.raises(ValueError):
             pure_state([1, 0, 0], two_basis)

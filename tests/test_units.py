@@ -111,31 +111,19 @@ class TestDimensionArithmetic:
 
 
 class TestQuantityArithmetic:
-    def test_add_mismatched_rejected(self):
-        with pytest.raises(DimensionError):
-            Quantity(1.0, MASS) + Quantity(1.0, LENGTH)
-
     def test_compare_mismatched_rejected(self):
         with pytest.raises(DimensionError):
             Quantity(1.0, MASS) < Quantity(2.0, TIME)
 
-    def test_sums_negation_abs_and_order(self):
+    def test_strict_order(self):
         a, b = Quantity(3.0, MASS), Quantity(-5.0, MASS)
-        assert a + b == Quantity(-2.0, MASS)
-        assert a - b == Quantity(8.0, MASS)
-        assert -a == Quantity(-3.0, MASS)
-        assert abs(b) == Quantity(5.0, MASS)
-        assert b <= a and a >= b and a <= a and a >= a
-        assert not a <= b and not b >= a
         assert b < a and a > b
         assert not a < a and not a > a and not a < b and not b > a
 
-    @pytest.mark.parametrize("op, verb", [
-        (operator.add, "add"), (operator.sub, "subtract"),
-        (operator.le, "compare"), (operator.ge, "compare")],
-        ids=["add", "sub", "le", "ge"])
-    def test_mismatched_dimensions_name_both(self, op, verb):
-        with pytest.raises(DimensionError, match=f"^cannot {verb} kg and m$"):
+    @pytest.mark.parametrize("op", [operator.lt, operator.gt],
+                             ids=["lt", "gt"])
+    def test_mismatched_dimensions_name_both(self, op):
+        with pytest.raises(DimensionError, match="^cannot compare kg and m$"):
             op(Quantity(1.0, MASS), Quantity(1.0, LENGTH))
 
     def test_scalar_division_inverts_dimension(self):
@@ -321,10 +309,10 @@ class TestPowers:
     def test_integral_float_power_gives_integer_exponents(self):
         assert (quantity(4, "m") ** 2.0).dim is LENGTH ** 2
 
-    def test_dimensionless_base_takes_any_real_power(self):
-        q = Quantity(4.0) ** 0.5
-        assert q == Quantity(2.0)
-        assert q.dim is DIMENSIONLESS
+    def test_fractional_power_of_a_dimensionless_quantity_rejected(self):
+        with pytest.raises(DimensionError, match="^cannot raise "
+                           "dimensionless to the non-integer power 0.5$"):
+            Quantity(4.0) ** 0.5
 
 
 # At most six steps, each a factor in 1e-3..1e3 or a power |n| <= 2, keep
