@@ -12,6 +12,14 @@ eta, count, grid and counts when it is built; each point's values are
 checked by its scenario's spec, so a bad value raises from `sweep`.
 `mass_boundary` is the mass scan behind `collapsim boundary`.
 
+`sweep` evaluates the whole grid in one call of the verdict function: the
+axis is a Quantity whose value is a 1-d array (`units.PointwiseArray`),
+to which `**` is applied element by element as Python's float `**`.
+Each row equals the verdict at its point alone, bit for bit, and a grid
+with an invalid point raises the error that point alone raises (the
+first such point in grid order).  Bisection evaluates one point at a
+time, with Python floats.
+
 A decay curve is one `Trajectory`: `curve_trajectory` runs it from a
 verdict, and `curve_to_csv` reads its times and visibility 2|rho_01|.
 """
@@ -33,7 +41,8 @@ from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
                              ValidationError)
 from .evolution import (EvolutionConfig, Trajectory, csv_text, evolve,
                         two_level_decay)
-from .units import DIMENSIONLESS, Quantity, preferred_unit, quantity
+from .units import (DIMENSIONLESS, PointwiseArray, Quantity, preferred_unit,
+                    quantity)
 
 REPORT_SCHEMA_ID = "report/1"
 
@@ -247,11 +256,32 @@ def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
     return entry.verdict(params, eta)
 
 
-def _verdict_at(spec: SweepSpec, x: float) -> DiscriminationVerdict:
-    """The verdict at axis value x (SI scale; a count may be real)."""
+def _verdict_at(spec: SweepSpec, x):
+    """The verdict at axis value x (SI scale; a count may be real), or the
+    verdicts at each point of a PointwiseArray x."""
     params = spec.fixed.copy()
     params[spec.axis] = Quantity(x, spec.minimum.dim)
     return SCENARIOS[spec.scenario].verdict(params, spec.eta)
+
+
+def _grid_verdicts(spec: SweepSpec, points: list) -> list:
+    """The verdict at each point, from one verdict call on them all.
+
+    numpy's warnings are off in that call, since Python floats overflow
+    without one.  If any point is invalid, the error raised is the one
+    that evaluating the points one at a time raises at the first of them.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            verdicts = _verdict_at(
+                spec, np.array(points).view(PointwiseArray))
+    except ValidationError:
+        for x in points:
+            _verdict_at(spec, x)
+        raise
+    if isinstance(verdicts, DiscriminationVerdict):  # no formula reads x
+        return [verdicts] * len(points)
+    return verdicts
 
 
 def _bisect(spec: SweepSpec, below: SweepRow, above: SweepRow) -> float:
@@ -288,14 +318,12 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
     """
     space = np.geomspace if spec.spacing == "geometric" else np.linspace
     grid = space(spec.minimum.value, spec.maximum.value, spec.count)
-
-    rows = []
-    for x in grid.tolist():
-        if spec.axis in COUNTS:
-            x = float(round(x))
-        verdict = _verdict_at(spec, x)
-        rows.append(SweepRow(Quantity(x, spec.minimum.dim), verdict.tau,
-                             verdict.regime, verdict.derivation))
+    points = grid.tolist()
+    if spec.axis in COUNTS:
+        points = [float(round(x)) for x in points]
+    rows = [SweepRow(Quantity(x, spec.minimum.dim), verdict.tau,
+                     verdict.regime, verdict.derivation)
+            for x, verdict in zip(points, _grid_verdicts(spec, points))]
 
     flips = [i for i in range(len(grid) - 1)
              if rows[i].tau.is_finite != rows[i + 1].tau.is_finite]

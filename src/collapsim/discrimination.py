@@ -31,6 +31,14 @@ Each verdict and closed form refuses a derived scale that underflows to 0
 or overflows, naming it, before the scale can divide anything.
 Regime is Marginal when the deciding ratio is within a factor of 2 of its
 threshold, reflecting that these are order-of-magnitude criteria.
+
+A sweep passes the three scenarios with a window (trapped, free flight,
+oscillator) a spec whose swept parameter holds a whole grid (a
+`units.PointwiseArray`).  Each check then judges every point, the
+window's open/closed test is a mask, and the verdict is the list of the
+points' verdicts (or one verdict, when no formula reads the swept
+parameter).  A failed check's message need not name the first bad point;
+`boundary.sweep` asks that point alone for it.
 """
 
 from __future__ import annotations
@@ -71,8 +79,17 @@ VERDICT_SCHEMA_ID = "verdict/1"
 MARGINAL_BAND = 2.0
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
+def _holds(condition) -> bool:
+    """Whether a check holds: condition, or for an array of conditions (one
+    per grid point) whether every one does.  The checks below test
+    `condition is True` first, which settles every passing scalar check
+    without a call, since bisection makes thousands of them."""
+    return condition is True or (condition is not False
+                                 and bool(condition.all()))
+
+
+def _require(condition, message: str) -> None:
+    if condition is not True and not _holds(condition):
         raise ValidationError(message)
 
 
@@ -86,20 +103,25 @@ def _require_dim(q: Quantity, dim, name: str) -> None:
 
 def _require_positive(q: Quantity, dim, name: str) -> None:
     _require_dim(q, dim, name)
-    if not q.value > 0.0:
-        raise ValidationError(f"{name} must be positive, got {q.value!r}")
-    if not q.is_finite:
-        raise ValidationError(f"{name} must be finite, got {q.value!r}")
+    value = q.value
+    valid = (value > 0.0) & (value < math.inf)
+    if valid is True or _holds(valid):
+        return
+    if not _holds(value > 0.0):
+        raise ValidationError(f"{name} must be positive, got {value!r}")
+    raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 def _scale(name: str, q: Quantity) -> Quantity:
     """q, a scale derived from valid inputs, if it is positive and finite;
     one that underflows to 0 or overflows raises ValidationError naming it,
     before it can divide anything."""
-    if 0.0 < q.value < math.inf:
+    value = q.value
+    valid = (value > 0.0) & (value < math.inf)
+    if valid is True or _holds(valid):
         return q
     raise ValidationError(
-        f"{name} {'overflows' if q.value else 'underflows to 0'}")
+        f"{name} {'overflows' if _holds(value != 0.0) else 'underflows to 0'}")
 
 
 @dataclass(frozen=True)
@@ -160,6 +182,32 @@ def _quantum_verdict(reason: Reason, derivation=()) -> DiscriminationVerdict:
                                  tuple(derivation))
 
 
+def _window_verdict(closed, tau, margin, derivation):
+    """Quantum where the probe window is closed, else finite at tau() with
+    its deciding ratio margin.  tau is called only when the window of a
+    single point is open, since at a closed one it may not be computable.
+
+    Over a grid, closed is a bool array; the result is each point's
+    verdict in a list, tau() and margin are taken over the whole grid, and
+    each entry of the derivation is one Quantity or an array of them."""
+    if not isinstance(closed, np.ndarray):
+        if closed:
+            return _quantum_verdict(Reason.WINDOW_CLOSED, derivation)
+        return _finite_verdict(tau(), margin, derivation)
+    tau = tau()
+    shape = closed.shape
+    # One column of (symbol, Quantity) pairs per entry; a point's
+    # derivation is its row.
+    columns = [[(sym, q)] * shape[0] if not isinstance(q.value, np.ndarray)
+               else [(sym, Quantity(x, q.dim)) for x in q.value.tolist()]
+               for sym, q in derivation]
+    return [_quantum_verdict(Reason.WINDOW_CLOSED, row) if is_closed else
+            _finite_verdict(Quantity(t, tau.dim), m, row)
+            for is_closed, t, m, row in zip(
+                closed.tolist(), np.broadcast_to(tau.value, shape).tolist(),
+                np.broadcast_to(margin, shape).tolist(), zip(*columns))]
+
+
 @dataclass(frozen=True)
 class TrappedPairSpec:
     """Particle held in one of two identical traps separated by D.
@@ -181,9 +229,9 @@ class TrappedPairSpec:
         _require_positive(self.separation, LENGTH, "separation")
         if self.energy_gap is not None:
             _require_positive(self.energy_gap, ENERGY, "energy_gap")
-        _require(self.margin >= 1.0, f"margin must be >= 1, got {self.margin}")
         _require(math.isfinite(self.margin),
                  f"margin must be finite, got {self.margin}")
+        _require(self.margin >= 1.0, f"margin must be >= 1, got {self.margin}")
 
 
 @dataclass(frozen=True)
@@ -233,10 +281,11 @@ class OscillatorSpec:
     def __post_init__(self):
         _require_positive(self.mass, MASS, "mass")
         _require_positive(self.angular_frequency, PER_SECOND, "angular_frequency")
-        _require(self.quantum_number >= 0,
-                 f"quantum_number must be >= 0, got {self.quantum_number}")
-        _require(math.isfinite(self.quantum_number),
-                 f"quantum_number must be finite, got {self.quantum_number}")
+        n = self.quantum_number
+        if not _holds(n >= 0):
+            raise ValidationError(f"quantum_number must be >= 0, got {n}")
+        if not _holds(n < math.inf):
+            raise ValidationError(f"quantum_number must be finite, got {n}")
 
 
 def trapped_tau(spec: TrappedPairSpec) -> DiscriminationVerdict:
@@ -256,10 +305,8 @@ def trapped_tau(spec: TrappedPairSpec) -> DiscriminationVerdict:
     lam = _scale("lambda", 2.0 * PI * C / omega_max)
     derivation = [("E", energy), ("omega_min", omega_min),
                   ("omega_max", omega_max), ("lambda", lam)]
-    if omega_min > omega_max:
-        return _quantum_verdict(Reason.WINDOW_CLOSED, derivation)
-    tau = 4.0 * PI / omega_max
-    return _finite_verdict(tau, (omega_max / omega_min).value, derivation)
+    return _window_verdict(omega_min > omega_max, lambda: 4.0 * PI / omega_max,
+                           omega_max.value / omega_min.value, derivation)
 
 
 def trapped_critical_mass(v: Quantity, D: Quantity, eta: float = 1.0) -> Quantity:
@@ -270,8 +317,8 @@ def trapped_critical_mass(v: Quantity, D: Quantity, eta: float = 1.0) -> Quantit
     _require_positive(v, SPEED, "v")
     _require(v < C, "v must be below c")
     _require_positive(D, LENGTH, "D")
-    _require(eta >= 1.0, f"eta must be >= 1, got {eta}")
     _require(math.isfinite(eta), f"eta must be finite, got {eta}")
+    _require(eta >= 1.0, f"eta must be >= 1, got {eta}")
     return _scale("M*",
                   4.0 * PI * HBAR * C * eta / _scale("D v^2", D * v ** 2))
 
@@ -332,10 +379,10 @@ def free_flight_tau(spec: FreeFlightSpec) -> DiscriminationVerdict:
                   ("omega_low", omega_low), ("omega_high", omega_high),
                   ("flight_time", flight_time),
                   ("window_margin", Quantity(margin))]
-    if omega_low > omega_high:
-        return _quantum_verdict(Reason.WINDOW_CLOSED, derivation)
-    tau = 2.0 * C / (omega_high * spec.speed * theta)
-    return _finite_verdict(tau, margin, derivation)
+    return _window_verdict(
+        omega_low > omega_high,
+        lambda: 2.0 * C / (omega_high * spec.speed * theta), margin,
+        derivation)
 
 
 def free_flight_critical_mass(v: Quantity, theta: float, D: Quantity) -> Quantity:
@@ -388,13 +435,14 @@ def oscillator_verdict(spec: OscillatorSpec) -> DiscriminationVerdict:
     v0 = _scale("v0", r0 * spec.angular_frequency)
     n_star = _scale("n_star",
                     Quantity((4.0 * PI * C / v0).value ** (2.0 / 3.0)))
-    n = spec.quantum_number
-    v_n = math.sqrt(n) * v0
-    derivation = [("r0", r0), ("v0", v0), ("n_star", n_star), ("v_n", v_n)]
-    if n == 0 or n <= n_star.value:
-        return _quantum_verdict(Reason.WINDOW_CLOSED, derivation)
-    tau = 4.0 * PI / (n * spec.angular_frequency)
-    return _finite_verdict(tau, n / n_star.value, derivation)
+    n = Quantity(spec.quantum_number)
+    derivation = [("r0", r0), ("v0", v0), ("n_star", n_star),
+                  ("v_n", n.sqrt() * v0)]
+    # n_star > 0, so the window is closed at n = 0 too.
+    return _window_verdict(
+        n.value <= n_star.value,
+        lambda: 4.0 * PI / (n * spec.angular_frequency),
+        n.value / n_star.value, derivation)
 
 
 def build_rate_matrix(basis: tuple[str, ...],

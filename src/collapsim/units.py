@@ -1,4 +1,4 @@
-"""Unit-safe scalar quantities over the (mass, length, time) lattice.
+"""Unit-safe quantities over the (mass, length, time) lattice.
 
 Values are stored at SI base scale (kg, m, s); the unit tokens in UNITS are
 pure I/O conversions.  `*`, `/`, `**` and `sqrt` combine dimensions, and
@@ -9,11 +9,18 @@ ever taken of quantities with even exponents, and a non-integer power of
 any quantity, a dimensionless one included, raises DimensionError (the
 verdicts raise a dimensionless value's float instead).
 
-Both classes are immutable values built for the verdict hot path, where a
-sweep does thousands of operations.  Dimension is interned: there is one
-instance per exponent triple, so comparing two dimensions compares
-pointers.  Quantity is a slotted pair (value, dim) that is built without
-going through its own frozen __setattr__.
+A value is a float, or a `PointwiseArray`: a 1-d float64 array with one
+value per point of a sweep grid, which a verdict then evaluates in one
+call.  `*`, `/`, `sqrt`, `<` and `>` apply numpy's float64 arithmetic to
+it, which is correctly rounded, and `**` applies Python's float `**` to
+each element, because numpy's power rounds some elements differently.  So
+each element has the bits that the same operations on it alone give.
+
+Dimension and Quantity are immutable values built for the verdict hot
+path, where bisection does thousands of scalar operations.  Dimension is
+interned: there is one instance per exponent triple, so comparing two
+dimensions compares pointers.  Quantity is a slotted pair (value, dim)
+that is built without going through its own frozen __setattr__.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import FrozenInstanceError
+
+import numpy as np
 
 
 class UnitError(ValueError):
@@ -98,7 +107,8 @@ class Dimension(_Frozen):
     def sqrt(self) -> "Dimension":
         if self.mass % 2 or self.length % 2 or self.time % 2:
             raise DimensionError(f"square root of odd dimension {self.si_name()}")
-        return Dimension(self.mass // 2, self.length // 2, self.time // 2)
+        key = (self.mass // 2, self.length // 2, self.time // 2)
+        return _DIMENSIONS.get(key) or Dimension(*key)
 
     def si_name(self) -> str:
         """Composed SI name like 'kg m s^-2'; 'dimensionless' at the origin."""
@@ -123,8 +133,18 @@ PER_SECOND = DIMENSIONLESS / TIME
 ACTION = ENERGY * TIME
 
 
+class PointwiseArray(np.ndarray):
+    """A 1-d float64 array, one value per grid point, as a Quantity's
+    value: `np.array(values).view(PointwiseArray)`.  numpy's arithmetic
+    keeps the type, and `**` is Python's float `**` at each element."""
+
+    def __pow__(self, n):
+        return np.array([x ** n for x in self.tolist()]).view(PointwiseArray)
+
+
 class Quantity(_Frozen):
-    """A real value at SI base scale, tagged with its Dimension.
+    """A real value at SI base scale, or a PointwiseArray of them, tagged
+    with its Dimension.
 
     Equal to another Quantity with equal value and dim, and to nothing else.
     """
@@ -174,7 +194,11 @@ class Quantity(_Frozen):
         return _quantity(self.value ** n, self.dim ** n)
 
     def sqrt(self) -> "Quantity":
-        return _quantity(math.sqrt(self.value), self.dim.sqrt())
+        try:
+            value = math.sqrt(self.value)
+        except TypeError:   # a PointwiseArray; np.sqrt is correctly rounded
+            value = np.sqrt(self.value)
+        return _quantity(value, self.dim.sqrt())
 
     def __lt__(self, other: "Quantity") -> bool:
         self._require(other)

@@ -387,18 +387,146 @@ def test_sweep_rows_equal_single_verdicts(scenario, data, tenths, count,
             repr((verdict.tau, verdict.regime, verdict.derivation))
 
 
+# Points where numpy's power rounds differently from Python's float **,
+# which the grid's verdicts apply to each point.  Each sweep's rows must
+# equal the verdict at each point alone.
+def test_trapped_speed_grid_squares_each_point_as_python_does():
+    v = 360.8375561642087
+    assert v ** 2 == 130203.74193855848 != np.power(v, 2) == v * v
+    # At 1 kg, E = M v^2 is v ** 2 itself.
+    spec = SweepSpec(Scenario.TRAPPED, "v", quantity(v, "m/s"),
+                     quantity(1e3, "m/s"), count=7,
+                     fixed={"M": quantity(1, "kg"), "D": quantity(10, "um")})
+    rows = sweep(spec).rows
+    assert rows[0].value.value == v
+    assert dict(rows[0].derivation)["E"].value == 130203.74193855848
+    assert_rows_are_single_verdicts(spec, rows)
+
+
+def test_oscillator_mass_grid_takes_n_star_as_python_does():
+    omega0 = quantity(1e5, "rad/s")
+    spec = SweepSpec(Scenario.OSCILLATOR, "M", quantity(1e-30, "kg"),
+                     quantity(1e-20, "kg"), count=21,
+                     fixed={"omega0": omega0, "n": Quantity(1e7)})
+    # At the 18th mass, (4 pi c / v0) ** (2/3) differs from np.power's
+    # where numpy dispatches its AVX-512 power loop; its scalar loop
+    # agrees with Python's there.
+    assert_rows_are_single_verdicts(spec, sweep(spec).rows)
+
+
+def test_rounded_count_axis_rows_are_single_verdicts():
+    spec = SweepSpec(Scenario.OSCILLATOR, "n", Quantity(0.3), Quantity(40.7),
+                     count=17, spacing="linear",
+                     fixed={"M": quantity(3.942625681831795e-46, "kg"),
+                            "omega0": quantity(1e5, "rad/s")})
+    rows = sweep(spec).rows
+    assert [row.value.value for row in rows] == \
+        [float(round(x)) for x in np.linspace(0.3, 40.7, 17).tolist()]
+    assert {row.regime for row in rows} == {Regime.QUANTUM, Regime.MARGINAL,
+                                            Regime.CLASSICAL}
+    assert_rows_are_single_verdicts(spec, rows)
+
+
+def assert_rows_are_single_verdicts(spec, rows):
+    for row in rows:
+        verdict = scenario_verdict(spec.scenario, {**spec.fixed,
+                                                   spec.axis: row.value},
+                                   spec.eta)
+        assert repr((row.value, row.tau, row.regime, row.derivation)) == \
+            repr((row.value, verdict.tau, verdict.regime,
+                  verdict.derivation))
+
+
+def grid_points(spec):
+    space = np.geomspace if spec.spacing == "geometric" else np.linspace
+    points = space(spec.minimum.value, spec.maximum.value,
+                   spec.count).tolist()
+    if spec.axis in COUNTS:
+        return [float(round(x)) for x in points]
+    return points
+
+
+# Grids that reach an invalid value.  sweep raises what evaluating the
+# points one at a time raises at the first of them, with no numpy warning
+# on the way.  From 1e-170 m/s the first bad speed is one whose M v^2
+# underflows, although the grid's later speeds reach c.
+INVALID_GRIDS = {
+    "mass-through-zero": (
+        lambda: SweepSpec(Scenario.TRAPPED, "M", quantity(-5, "GeV/c2"),
+                          quantity(1e3, "GeV/c2"), count=9, spacing="linear",
+                          fixed={"v": quantity(100, "m/s"),
+                                 "D": quantity(10, "um")}),
+        "mass must be positive, got -8.913309600000001e-27"),
+    "speed-past-c": (
+        lambda: SweepSpec(Scenario.TRAPPED, "v", quantity(1e8, "m/s"),
+                          quantity(4e8, "m/s"), count=7, spacing="linear",
+                          fixed={"M": quantity(2000, "GeV/c2"),
+                                 "D": quantity(10, "um")}),
+        "mean_velocity must be below c"),
+    "speed-underflow-before-c": (
+        lambda: SweepSpec(Scenario.TRAPPED, "v", quantity(1e-170, "m/s"),
+                          quantity(4e8, "m/s"), count=31,
+                          fixed={"M": quantity(2000, "GeV/c2"),
+                                 "D": quantity(10, "um")}),
+        "E = M v^2 underflows to 0"),
+    "slit-width-reaching-D": (
+        lambda: SweepSpec(Scenario.FREE_FLIGHT, "d", quantity(1, "um"),
+                          quantity(10, "um"), count=5, spacing="linear",
+                          fixed={name: q for name, q in
+                                 free_flight_fixed().items() if name != "d"}
+                          | {"M": quantity(5, "GeV/c2")}),
+        "slit_width must be smaller than slit_separation"),
+    "energy-overflow": (
+        lambda: SweepSpec(Scenario.TRAPPED, "M", quantity(1, "kg"),
+                          quantity(1e300, "kg"), count=7,
+                          fixed={"v": quantity(1e8, "m/s"),
+                                 "D": quantity(10, "um")}),
+        "E = M v^2 overflows"),
+    "boundary-speed-1e-300": (
+        lambda: SweepSpec(Scenario.TRAPPED, "M", quantity(1e-3, "GeV/c2"),
+                          quantity(1e12, "GeV/c2"), count=31,
+                          fixed={"v": quantity(1e-300, "m/s"),
+                                 "D": quantity(10, "um")}),
+        "E = M v^2 underflows to 0"),
+    "omega-max-overflow": (
+        lambda: SweepSpec(Scenario.TRAPPED, "M", quantity(1, "GeV/c2"),
+                          quantity(1e6, "GeV/c2"), count=13,
+                          fixed={"v": quantity(100, "m/s"),
+                                 "D": quantity(10, "um"),
+                                 "E": quantity(1e300, "J")}),
+        "omega_max overflows"),
+    "eta-inf": (lambda: trapped_sweep(count=9, eta=math.inf),
+                "margin must be finite, got inf"),
+    "eta-nan": (lambda: trapped_sweep(count=9, eta=math.nan),
+                "margin must be finite, got nan"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build, message", INVALID_GRIDS.values(),
+                         ids=INVALID_GRIDS)
+def test_invalid_grid_raises_the_first_points_error(build, message):
+    spec = build()
+    with pytest.raises(Exception) as one_by_one:
+        for x in grid_points(spec):
+            boundary_mod._verdict_at(spec, x)
+    assert type(one_by_one.value) is ValidationError
+    assert str(one_by_one.value) == message
+    with raises_exactly(message):
+        sweep(spec)
+
+
 def test_multiple_flips_rejected(monkeypatch):
     # No physical axis produces two flips, so punch holes into the finite
-    # side of the grid to fake a non-monotone pattern.
+    # side of the grid's verdicts to fake a non-monotone pattern.
     spec = trapped_sweep(count=9)
-    calls = {"i": -1}
     real = boundary_mod._verdict_at
 
     def flappy(spec, x):
-        calls["i"] += 1
-        if calls["i"] in (6, 7):
-            return photon_tau()
-        return real(spec, x)
+        verdicts = real(spec, x)
+        if isinstance(x, np.ndarray):
+            verdicts[6:8] = [photon_tau()] * 2
+        return verdicts
 
     monkeypatch.setattr(boundary_mod, "_verdict_at", flappy)
     # The pair flips between grid points 4 and 5, and the holes add flips
@@ -530,8 +658,9 @@ class TestMassBoundary:
             rel=BISECTION_REL_TOL, abs=0)
 
     def test_bisection_reuses_the_bracketing_rows(self, monkeypatch):
-        # 31 grid points plus 21 bisection midpoints; the lower end of the
-        # bracket is a grid row already, so it is not evaluated again.
+        # One evaluation of the 31 grid points plus 21 bisection midpoints;
+        # the ends of the bracket are grid rows already, so neither is
+        # evaluated again.
         calls, real = [], boundary_mod._verdict_at
 
         def counted(spec, x):
@@ -540,8 +669,20 @@ class TestMassBoundary:
 
         monkeypatch.setattr(boundary_mod, "_verdict_at", counted)
         mass_boundary("trapped", quantity(100, "m/s"), quantity(10, "um"))
-        assert len(calls) == 52
-        assert len(set(calls)) == 52
+        grid, *midpoints = calls
+        assert isinstance(grid, np.ndarray) and len(grid) == 31
+        assert all(isinstance(x, float) for x in midpoints)
+        assert len(midpoints) == len(set(midpoints)) == 21
+        assert not set(midpoints) & set(grid.tolist())
+
+    def test_one_verdict_call_for_the_grid(self, monkeypatch):
+        # The traced verdict function, as SCENARIOS looks it up: one call
+        # for the 31 grid points, then one per bisection midpoint.
+        calls, real = [], discrimination.trapped_tau
+        monkeypatch.setattr(discrimination, "trapped_tau",
+                            lambda spec: calls.append(spec) or real(spec))
+        mass_boundary("trapped", quantity(100, "m/s"), quantity(10, "um"))
+        assert len(calls) == 22
 
     def test_margin_moves_the_trapped_boundary(self):
         v, D = quantity(100, "m/s"), quantity(10, "um")

@@ -465,16 +465,21 @@ class TestUsageErrors:
         assert code == 2
         assert "slit_width" in err
 
+    # NaN is reported as not finite, not as below 1.
     @pytest.mark.parametrize("argv", [
         ["tau", "trapped", "--M", "2000 GeV/c2", "--v", "100 m/s",
          "--D", "10 um", "--eta", "inf"],
         ["boundary", "trapped", "--v", "100 m/s", "--D", "10 um",
          "--eta", "inf"],
-    ], ids=lambda argv: argv[0])
+        ["tau", "trapped", "--M", "2000 GeV/c2", "--v", "100 m/s",
+         "--D", "10 um", "--eta", "nan"],
+        ["boundary", "trapped", "--v", "100 m/s", "--D", "10 um",
+         "--eta", "nan"],
+    ], ids=["tau", "boundary", "tau-nan", "boundary-nan"])
     def test_infinite_eta_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "error: margin must be finite, got inf\n"
+        assert err == f"error: margin must be finite, got {argv[-1]}\n"
 
     # A file in a directory that does not exist, and a directory.
     @pytest.mark.parametrize("name", ["missing/out.txt", "."])
