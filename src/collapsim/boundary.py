@@ -20,6 +20,11 @@ with an invalid point raises the error that point alone raises (the
 first such point in grid order).  Bisection evaluates one point at a
 time, with Python floats.
 
+A report is written as the report/1 dict (`BoundaryReport.to_json`) or
+as that dict's indented JSON text (`report_to_json_text`, equal to
+json.dumps(..., indent=2) + "\\n"); both read each row's values from
+`_row_values`, and the report/1 layout is written once (`_document`).
+
 A decay curve is one `Trajectory`: `curve_trajectory` runs it from a
 verdict, and `curve_to_csv` reads its times and visibility 2|rho_01|.
 """
@@ -31,6 +36,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -39,8 +45,8 @@ from . import discrimination as disc
 from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
                              OscillatorSpec, Regime, TrappedPairSpec,
                              ValidationError)
-from .evolution import (EvolutionConfig, Trajectory, csv_text, evolve,
-                        two_level_decay)
+from .evolution import (EvolutionConfig, Trajectory, _json_float, csv_text,
+                        evolve, json_text, two_level_decay)
 from .units import (DIMENSIONLESS, PointwiseArray, Quantity, preferred_unit,
                     quantity)
 
@@ -191,26 +197,47 @@ class BoundaryReport:
     critical_value: Quantity | None
 
     def to_json(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA_ID,
-            "scenario": self.scenario.value,
-            "axis": self.axis,
-            "rows": [
-                {
-                    "value": row.value.value,
-                    "unit": preferred_unit(row.value.dim),
-                    "tau": {"value": None if not row.tau.is_finite else row.tau.value,
-                            "unit": "s"},
-                    "regime": row.regime.value,
-                    "digest": _derivation_digest(row.derivation),
-                }
-                for row in self.rows
-            ],
-            "critical_value": None if self.critical_value is None else {
-                "value": self.critical_value.value,
-                "unit": preferred_unit(self.critical_value.dim),
-            },
-        }
+        return _document(self, map(_row_values, self.rows))
+
+
+def _row_values(row: SweepRow) -> tuple:
+    """A report/1 row's values in document order: value, unit, tau (None if
+    infinite), regime and the derivation's digest."""
+    return (row.value.value, preferred_unit(row.value.dim),
+            row.tau.value if row.tau.is_finite else None, row.regime.value,
+            _derivation_digest(row.derivation))
+
+
+def _document(report: BoundaryReport, rows) -> dict:
+    """The report/1 document of the report, one row per tuple of values
+    (`_row_values`)."""
+    critical = report.critical_value
+    return {
+        "schema": REPORT_SCHEMA_ID,
+        "scenario": report.scenario.value,
+        "axis": report.axis,
+        "rows": [{"value": value, "unit": unit,
+                  "tau": {"value": tau, "unit": "s"}, "regime": regime,
+                  "digest": digest}
+                 for value, unit, tau, regime, digest in rows],
+        "critical_value": None if critical is None else {
+            "value": critical.value, "unit": preferred_unit(critical.dim)},
+    }
+
+
+def report_to_json_text(report: BoundaryReport) -> str:
+    """`json.dumps(report.to_json(), indent=2) + "\\n"`, byte for byte,
+    without json's pure-Python indenting encoder: `evolution.json_text`
+    fills one template per row with its values (`_row_values`), each
+    spelled as json.dumps spells it.  A row's value and tau are floats,
+    as `sweep` makes them."""
+    encode = encode_basestring_ascii
+    rows = [(_json_float(value), encode(unit),
+             "null" if tau is None else _json_float(tau), encode(regime),
+             encode(digest))
+            for value, unit, tau, regime, digest in map(_row_values,
+                                                         report.rows)]
+    return json_text(_document(report, [(None,) * 5]), "rows", rows)
 
 
 def _derivation_digest(derivation: tuple) -> str:

@@ -20,7 +20,11 @@ parse, route and print; the library checks every input, `--theta` and
 (`mean_velocity must be below c`), a missing or unused flag without `--`.
 `evolve` and `curve` print a run one way: its health warnings as `warning:`
 lines on stderr, then `evolution.trajectory_to_json_text` under `--json`,
-else the command's CSV; verdict/1 and report/1 use `json.dumps(indent=2)`.
+else the command's CSV.  `boundary` and `sweep` print report/1 as
+`boundary.report_to_json_text` writes it, and `tau` prints verdict/1 as
+`json.dumps(indent=2)` does.  `boundary --unit` chooses the unit of its
+text line only: report/1 gives masses in kg, so `--unit` with `--json` is
+a usage error.
 The argument parser is built once per process, on the first call to
 `main`.
 """
@@ -36,8 +40,8 @@ from pathlib import Path
 from . import discrimination as disc
 from .boundary import (COUNTS, PARAMETERS, SCENARIOS, BoundaryReport,
                        Scenario, SweepError, SweepSpec, curve_to_csv,
-                       curve_trajectory, mass_boundary, scenario_verdict,
-                       sweep)
+                       curve_trajectory, mass_boundary, report_to_json_text,
+                       scenario_verdict, sweep)
 from .evolution import (EvolutionConfig, IntegrationError, Method, evolve,
                         trajectory_to_csv, trajectory_to_json_text,
                         two_level_decay)
@@ -98,10 +102,14 @@ def _verdict_text(verdict: disc.DiscriminationVerdict) -> str:
 
 
 def _cmd_boundary(args) -> str:
+    if args.json and args.unit is not None:
+        raise ValueError("--unit does not apply to --json: report/1 gives "
+                         "masses in kg")
     report = mass_boundary(args.scenario, args.v, args.D, args.theta, args.eta)
     if args.json:
-        return _dump(report.to_json())
-    mass = format_quantity(report.critical_value, args.unit)
+        return report_to_json_text(report)
+    mass = format_quantity(report.critical_value,
+                           args.unit or DEFAULT_MASS_UNIT)
     return f"critical_mass: {mass}\n"
 
 
@@ -126,7 +134,7 @@ def _cmd_sweep(args) -> str:
                      fixed=_scenario_params(args), eta=args.eta)
     report = sweep(spec)
     if args.json:
-        return _dump(report.to_json())
+        return report_to_json_text(report)
     return _report_text(report)
 
 
@@ -188,9 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=None,
                    help="trajectory angle (free-flight)")
     _add_common(p)
-    p.add_argument("--unit", default=DEFAULT_MASS_UNIT,
+    p.add_argument("--unit",
                    choices=[u for u, (_, dim) in UNITS.items() if dim == MASS],
-                   help=f"mass output unit (default {DEFAULT_MASS_UNIT})")
+                   help=f"mass unit of the text output (default "
+                        f"{DEFAULT_MASS_UNIT}); --json gives kg")
     p.set_defaults(handler=_cmd_boundary)
 
     _scenario_command(sub, "tau", "discrimination verdict for one setup",

@@ -47,13 +47,19 @@ dict (`trajectory_to_json`) or as that dict's indented JSON text
 (`trajectory_to_json_text`, equal to json.dumps(..., indent=2) + "\\n").
 All three read one table of per-sample columns (`_sample_columns`), and
 the trajectory/1 layout is written once (`_document`).  The CSV and the
-text spell each float as its repr, formatting each distinct magnitude of
-the table once (`_float_texts`): a recorded rho is Hermitian, so each
-coherence's magnitudes come twice and every diagonal's imaginary part is
-0.0, and only 41-45% of a record's values are distinct magnitudes at
-n = 3-16.  The text fills one template per sample, cut from json.dumps of
-a one-sample document, instead of going through json's pure-Python
-encoder.
+text spell each float as its repr (json's NaN/Infinity in the text),
+formatting each distinct magnitude of the table once (`_float_texts`): a
+recorded rho is Hermitian, so each coherence's magnitudes come twice and
+every diagonal's imaginary part is 0.0, and only 41-45% of a record's
+values are distinct magnitudes at n = 3-16.
+
+`json_text` writes the indented JSON text of a document with one list of
+rows, as `csv_text` writes CSV: it cuts json.dumps of the document with
+one row of nulls into the text before the rows, a row template and the
+text after them, and fills the template once per row with ready-made
+value texts, instead of going through json's pure-Python encoder.  The
+trajectory/1 text and the report/1 text (`boundary.report_to_json_text`)
+are both written by it.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -427,12 +434,23 @@ def trajectory_to_csv(traj: Trajectory, pair: tuple = (0, 1)) -> str:
     return csv_text(header, *_sample_columns(traj, pair)[1][:4])
 
 
-def _float_texts(table: np.ndarray) -> list[list[str]]:
-    """The repr of every float in a 2-d table, formatting each distinct
-    magnitude once; a set sign bit prefixes "-" except on NaN, as repr
-    spells -0.0, -inf and a negative NaN ("nan")."""
+# json.dumps's spellings of the floats whose repr is not JSON.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    """x as json.dumps spells a float: its repr, or NaN, Infinity or
+    -Infinity."""
+    text = float.__repr__(x)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _float_texts(table: np.ndarray, spell=repr) -> list[list[str]]:
+    """Every float of a 2-d table as spell (repr, or `_json_float`) spells
+    it, formatting each distinct magnitude once; a set sign bit prefixes
+    "-" except on NaN, as either spells -0.0, -inf and a negative NaN."""
     magnitudes, inverse = np.unique(np.abs(table), return_inverse=True)
-    texts = np.array([repr(x) for x in magnitudes.tolist()], dtype=object)
+    texts = np.array([spell(x) for x in magnitudes.tolist()], dtype=object)
     texts = texts[inverse.reshape(table.shape)]
     negative = np.signbit(table) & ~np.isnan(table)
     texts[negative] = "-" + texts[negative]
@@ -448,6 +466,29 @@ def csv_text(header: list[str], *columns: np.ndarray) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
+def json_text(blank: dict, key: str, rows: Iterable[tuple[str, ...]]) -> str:
+    """`json.dumps(document, indent=2) + "\\n"` of the document that is
+    blank with blank[key] holding one row per tuple of rows, byte for byte;
+    each tuple holds the JSON texts of one row's values in document order.
+
+    blank[key] is a list of one row whose values are all None; its keys
+    and fixed strings hold no "%" and no "null".  json.dumps of blank is
+    cut around that row: no string in its text holds a newline, so the row
+    is what lies between the top-level `"key": [` line and the next line
+    indented by two spaces.  Each null of the row becomes a %s of the
+    template.
+    """
+    rows = list(rows)
+    if not rows:
+        return json.dumps({**blank, key: []}, indent=2) + "\n"
+    opening = f'\n  {json.dumps(key)}: [\n'
+    head, _, rest = json.dumps(blank, indent=2).partition(opening)
+    row, _, tail = rest.partition("\n  ]")
+    template = row.replace("null", "%s")
+    body = ",\n".join([template % values for values in rows])
+    return f"{head}{opening}{body}\n  ]{tail}\n"
+
+
 def trajectory_to_json(traj: Trajectory, pair: tuple = (0, 1)) -> dict:
     pair, columns = _sample_columns(traj, pair)
     columns[1] = columns[1].reshape(*traj.elements.shape, 2)
@@ -456,24 +497,14 @@ def trajectory_to_json(traj: Trajectory, pair: tuple = (0, 1)) -> dict:
 
 def trajectory_to_json_text(traj: Trajectory, pair: tuple = (0, 1)) -> str:
     """`json.dumps(trajectory_to_json(traj, pair), indent=2) + "\\n"`, byte
-    for byte, without json's pure-Python indenting encoder.
-
-    The header and a %s sample template are json.dumps of the one-sample
-    `_document` over this basis, split at the sample's opening brace (the
-    first "{" indented by four spaces: the basis and pair hold strings).
-    Each sample fills the template with the reprs of one row of the
-    columns (`_float_texts`); a non-finite value is then respelled as json
-    spells it (the template's fixed text holds no "nan" or "inf").  The
-    trajectory has at least one sample, as every recorded run does.
+    for byte, without json's pure-Python indenting encoder: `json_text`
+    fills one template per sample with the texts of one row of the columns
+    (`_float_texts`, each float spelled as json spells it).
     """
     pair, columns = _sample_columns(traj, pair)
     n = len(traj.basis)
     blank = (None, [[[None, None]] * n] * n, None, None, None)
-    text = json.dumps(_document(traj.basis, pair, [blank]), indent=2)
-    header, _, sample = text.removesuffix("\n  ]\n}").partition("\n    {")
-    template = ("    {" + sample).replace("null", "%s")
     table = np.column_stack(columns)
-    body = ",\n".join([template % tuple(row) for row in _float_texts(table)])
-    if not np.isfinite(table).all():
-        body = body.replace("nan", "NaN").replace("inf", "Infinity")
-    return header + "\n" + body + "\n  ]\n}\n"
+    spell = repr if np.isfinite(table).all() else _json_float
+    return json_text(_document(traj.basis, pair, [blank]), "samples",
+                     map(tuple, _float_texts(table, spell)))

@@ -6,15 +6,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import collapsim.boundary as boundary_mod
 from collapsim import discrimination
 from collapsim.boundary import (BISECTION_REL_TOL, COUNTS, MAX_SWEEP_POINTS,
-                                PARAMETERS, SCENARIOS, Scenario, SweepError,
-                                SweepSpec,
+                                PARAMETERS, SCENARIOS, BoundaryReport,
+                                Scenario, SweepError, SweepRow, SweepSpec,
                                 curve_to_csv, curve_trajectory, mass_boundary,
-                                scenario_verdict, sweep)
+                                report_to_json_text, scenario_verdict, sweep)
 from collapsim.discrimination import (DiscriminationVerdict, FreeFlightSpec,
                                       OscillatorSpec, Reason, Regime,
                                       TrappedPairSpec, ValidationError,
@@ -25,7 +25,8 @@ from collapsim.discrimination import (DiscriminationVerdict, FreeFlightSpec,
 from collapsim.cli import main
 from collapsim.evolution import trajectory_to_csv
 from collapsim.schemas import REPORT_SCHEMA, VERDICT_SCHEMA
-from collapsim.units import Quantity, quantity
+from collapsim.units import (DIMENSIONLESS, ENERGY, LENGTH, MASS, SPEED,
+                             TIME, Dimension, Quantity, quantity)
 
 HBAR_V = 1.054571817e-34
 GEV = 1.78266192e-27
@@ -797,7 +798,7 @@ class TestReportJson:
                            (verdict["reason"], Reason), (row["regime"], Regime)]:
             assert prop["enum"] == [member.value for member in enum]
 
-    def test_digests_formatted_only_by_to_json(self, monkeypatch):
+    def test_digests_formatted_only_by_the_writers(self, monkeypatch):
         calls = []
         real = boundary_mod._derivation_digest
         monkeypatch.setattr(boundary_mod, "_derivation_digest",
@@ -805,11 +806,49 @@ class TestReportJson:
                             or real(derivation))
         report = sweep(trapped_sweep(count=9))
         assert calls == []
+        digests = [real(row.derivation) for row in report.rows]
         doc = report.to_json()
         assert len(calls) == len(report.rows) == 9
-        assert [row["digest"] for row in doc["rows"]] == \
-            [real(row.derivation) for row in report.rows]
+        assert [row["digest"] for row in doc["rows"]] == digests
+        text = report_to_json_text(report)
+        assert len(calls) == 18
+        assert [row["digest"] for row in json.loads(text)["rows"]] == digests
 
     def test_no_flip_serializes_null(self):
         doc = sweep(trapped_sweep(count=5, v=1e-6)).to_json()
         assert doc["critical_value"] is None
+
+
+# Text that json escapes or that a row template could mistake for its own:
+# quotes, backslashes, %, %s, null, the non-finite spellings, non-ASCII.
+ODD_TEXT = st.lists(
+    st.sampled_from(["a", '"', "\\", "%", "%s", "null", "nan", "inf", "NaN",
+                     "\u00e9", "\u91cf", "\U0001f600", "\n"]),
+    min_size=1, max_size=3).map("".join)
+REPORT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308, math.nan,
+                     math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+# A unit is preferred_unit's: a token, or the SI name of an exotic dimension.
+DIMENSIONS = st.sampled_from([DIMENSIONLESS, MASS, LENGTH, TIME, SPEED,
+                              ENERGY, Dimension(mass=2, length=-3, time=1)])
+QUANTITIES = st.builds(Quantity, REPORT_FLOATS, DIMENSIONS)
+
+
+# Hand-built reports of 0-5 rows: finite, infinite and NaN tau, odd text in
+# the axis and the derivation symbols, critical_value None or set.
+@pytest.mark.parametrize("scenario", list(Scenario))
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_report_json_text_is_json_dumps(scenario, data):
+    row = st.builds(SweepRow, QUANTITIES,
+                    st.builds(Quantity, REPORT_FLOATS, st.just(TIME)),
+                    st.sampled_from(Regime),
+                    st.lists(st.tuples(ODD_TEXT, QUANTITIES),
+                             max_size=6).map(tuple))
+    report = BoundaryReport(
+        scenario, data.draw(ODD_TEXT),
+        tuple(data.draw(st.lists(row, max_size=5))),
+        data.draw(st.none() | QUANTITIES))
+    assert report_to_json_text(report) == \
+        json.dumps(report.to_json(), indent=2) + "\n"

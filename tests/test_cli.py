@@ -42,6 +42,8 @@ README_EXAMPLES = {
     "tau_oscillator": ["tau", "oscillator", "--M", "40 kg",
                        "--omega0", "6.283 rad/s", "--n", "0"],
     "evolve": ["evolve", "--rate", "1 1/s", "--t-end", "1 s"],
+    "evolve_euler": ["evolve", "--rate", "1 1/s", "--t-end", "1 s",
+                     "--method", "euler"],
     "sweep_trapped": ["sweep", "trapped", "--axis", "M", "--min", "1 GeV/c2",
                       "--max", "1e6 GeV/c2", "--count", "13",
                       "--v", "100 m/s", "--D", "10 um"],
@@ -84,6 +86,17 @@ class TestBoundary:
                            "--v", "100 m/s", "--D", "10 um", "--unit", "kg")
         assert code == 0
         assert out.strip().endswith("kg")
+
+    @pytest.mark.parametrize("unit", ["kg", "GeV/c2", "MeV/c2"])
+    def test_unit_with_json_exits_2(self, capsys, monkeypatch, unit):
+        # report/1 gives masses in kg, so no --unit applies to it; the
+        # text line keeps GeV/c2 as its default (README's golden).
+        monkeypatch.setattr(boundary, "sweep",
+                            lambda spec: pytest.fail("swept"))
+        assert run(capsys, "boundary", "trapped", "--v", "100 m/s",
+                   "--D", "10 um", "--unit", unit, "--json") == (
+            2, "", "error: --unit does not apply to --json: report/1 gives "
+                   "masses in kg\n")
 
     def test_json_report_validates(self, capsys):
         code, out, _ = run(capsys, "boundary", "trapped",
@@ -546,18 +559,34 @@ def test_readme_examples_are_the_pinned_commands():
     assert sorted(commands) == sorted(README_EXAMPLES.values())
 
 
-# report/1 documents of README examples, keyed by tests/golden/<key>.txt.
+# report/1 documents, keyed by tests/golden/<key>.txt: two README examples
+# with --json, a sweep along the count n, a free-flight mass sweep (digests
+# of six entries) and a sweep with no flip (critical_value null).  Each
+# file was written by json.dumps(report.to_json(), indent=2).
 REPORT_EXAMPLES = {
     "sweep_trapped_json": README_EXAMPLES["sweep_trapped"] + ["--json"],
     "boundary_free_flight_json": README_EXAMPLES["boundary_free_flight"]
     + ["--json"],
+    "sweep_oscillator_n_json": [
+        "sweep", "oscillator", "--axis", "n", "--min", "1 dimensionless",
+        "--max", "1e12 dimensionless", "--count", "7", "--M", "1e-24 kg",
+        "--omega0", "1e5 rad/s", "--json"],
+    "sweep_free_flight_json": [
+        "sweep", "free-flight", "--axis", "M", "--min", "1 GeV/c2",
+        "--max", "100 GeV/c2", "--count", "5", "--v", "1e3 m/s",
+        "--D", "10 um", "--L", "1 m", "--d", "1 um", "--json"],
+    "sweep_no_flip_json": [
+        "sweep", "trapped", "--axis", "M", "--min", "1 GeV/c2",
+        "--max", "100 GeV/c2", "--count", "5", "--v", "100 m/s",
+        "--D", "10 um", "--json"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_EXAMPLES))
 def test_report_json_is_unchanged(capsys, name):
-    assert run(capsys, *REPORT_EXAMPLES[name]) == \
-        (0, (GOLDEN / f"{name}.txt").read_bytes().decode(), "")
+    golden = (GOLDEN / f"{name}.txt").read_bytes().decode()
+    assert run(capsys, *REPORT_EXAMPLES[name]) == (0, golden, "")
+    jsonschema.validate(json.loads(golden), REPORT_SCHEMA)
 
 
 # A valid value for every scenario flag in the table.

@@ -48,10 +48,6 @@ ALLOWED = {
         "value-type behaviour: immutability, pickling, copying, equality "
         "and hashing; __repr__ is also what error texts such as "
         "analytic_isolated's `got {t!r}` print"),
-    "_step.<locals>.<lambda>":
-        "the Euler step of EvolutionConfig(method=\"euler\") and `evolve "
-        "--method euler`, an option that no README example, script, "
-        "acceptance criterion or workload selects",
     "evolve.<locals>.jump":
         "the direct path, kept until a workload measures it: at n >= 12 "
         "with <= 100 steps per gap it is 1.6-31x faster than the operator "
