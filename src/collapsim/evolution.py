@@ -35,8 +35,13 @@ two samples; every other run jumps from sample to sample, and stops at
 the first jump that overflows.  One pass then checks the record for
 finiteness, and from the first non-finite sample on the run is stepped
 one step at a time, so a blow-up is reported at its first non-finite
-step.  Runs over MAX_STEPS steps or MAX_RECORDED_ENTRIES recorded
-entries, or whose AUTO step underflows to 0 s, are refused at the start.
+step.
+
+`_plan` settles a run before its first step: the step, the recorded
+step counts and the path.  Every refusal of `evolve` comes from it, none
+from the run: a basis mismatch, an invalid rho0, an AUTO step that
+underflows to 0 s, and runs over MAX_STEPS steps or MAX_RECORDED_ENTRIES
+recorded entries.
 
 Health is judged by `states.defects`: rho0 is refused before the first
 step unless `states.validate` finds it valid, and the record, rho0
@@ -193,11 +198,6 @@ def _step(rhs, dt: float, method: Method):
     return rk4
 
 
-def _is_diagonal(h: np.ndarray) -> bool:
-    """Whether h has no nonzero entry off its diagonal."""
-    return np.count_nonzero(h) == np.count_nonzero(np.diagonal(h))
-
-
 def _power_table(base: np.ndarray, product):
     """k -> base**k, cached, from squares base**(2**b) that every k shares,
     least significant bit first, as numpy's linalg matrix power for k > 3."""
@@ -238,39 +238,20 @@ def _operator_pays(n: int, method: Method, gaps: list[int]) -> bool:
     return build + products * (4.0 + 2e-4 * n ** 6) + jumps < sum(gaps) * step
 
 
-def _resolve_dt(cfg: EvolutionConfig, H: Hamiltonian,
-                rates: CollapseRateMatrix) -> float:
-    if cfg.dt is not None:
-        return cfg.dt.value
-    scales = []
-    max_rate = rates.max_rate
-    if max_rate > 0.0:
-        scales.append(1.0 / max_rate)
-    h_max = float(np.max(np.abs(H.elements)))
-    if h_max > 0.0:
-        scales.append(HBAR.value / h_max)
-    if not scales:
-        # Static problem: any step is exact, pick a round subdivision.
-        return cfg.t_end.value / 100.0
-    dt = min(min(scales) / AUTO_STEP_DIVISOR, cfg.t_end.value)
-    if dt == 0.0:
-        raise ValueError(f"the AUTO step min(1/max rate, hbar/max|H|)/"
-                         f"{AUTO_STEP_DIVISOR} underflows to 0 s; give an "
-                         f"explicit dt")
-    return dt
+def _plan(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
+          cfg: EvolutionConfig) -> tuple[float, list[int], str]:
+    """Everything `evolve` settles before its first step, as (dt, marks,
+    path): the step, the step counts of the recorded samples (0 first,
+    the last step last) and the path, "diagonal", "operator" or "direct".
 
+    Every refusal of a run is raised here, in this order: a basis
+    mismatch, an invalid rho0, an AUTO step that underflows to 0 s, more
+    than MAX_STEPS steps, more than MAX_RECORDED_ENTRIES recorded entries.
 
-# A blow-up is reported once, by the finite check, not as numpy warnings.
-@np.errstate(over="ignore", invalid="ignore")
-def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
-           cfg: EvolutionConfig) -> Trajectory:
-    """Integrate from rho0 to at least t_end - dt, sampling every
-    record_stride steps (first and last steps always included).
-
-    rho0 must be a valid density matrix (`states.validate` empty), judged
-    once before the first step.  Every recorded sample carries trace drift,
-    Hermiticity defect, and smallest eigenvalue; positivity violations are
-    flagged in warnings, never silently repaired.
+    The AUTO step is the fastest timescale over AUTO_STEP_DIVISOR: 1/max
+    rate, or hbar over H's scale.  A diagonal H rotates coherence ij at
+    (E_i - E_j)/hbar, so its scale is max E - min E, which does not depend
+    on the zero of energy; any other H's scale is max|H_ij|.
     """
     basis = _check_shared_basis(rho0, H, rates)
     found = validate(rho0)
@@ -278,7 +259,26 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
         raise ValueError("initial state is not a valid density matrix: "
                          + "; ".join(describe(found)))
 
-    dt = _resolve_dt(cfg, H, rates)
+    h = H.elements
+    diagonal = np.count_nonzero(h) == np.count_nonzero(np.diagonal(h))
+    if cfg.dt is not None:
+        dt = cfg.dt.value
+    else:
+        max_rate = rates.max_rate
+        h_max = float(np.ptp(np.diagonal(h).real) if diagonal
+                      else np.max(np.abs(h)))
+        scales = [1.0 / max_rate] if max_rate > 0.0 else []
+        if h_max > 0.0:
+            scales.append(HBAR.value / h_max)
+        # Static problem: any step is exact, pick a round subdivision.
+        dt = cfg.t_end.value / 100.0
+        if scales:
+            dt = min(min(scales) / AUTO_STEP_DIVISOR, cfg.t_end.value)
+            if dt == 0.0:
+                raise ValueError(f"the AUTO step min(1/max rate, hbar/max|H|)"
+                                 f"/{AUTO_STEP_DIVISOR} underflows to 0 s; "
+                                 f"give an explicit dt")
+
     planned = cfg.t_end.value / dt - 1e-9
     if planned > MAX_STEPS:
         raise ValueError(f"{planned:.3g} steps of dt = {dt:.3g} s to reach "
@@ -293,16 +293,37 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
                          f"record_stride")
 
     marks = [*range(0, n_steps, cfg.record_stride), n_steps]
+    if diagonal:
+        return dt, marks, "diagonal"
+    gaps = [stop - start for start, stop in zip(marks, marks[1:])]
+    return dt, marks, ("operator" if _operator_pays(n, cfg.method, gaps)
+                       else "direct")
+
+
+# A blow-up is reported once, by the finite check, not as numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
+def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
+           cfg: EvolutionConfig) -> Trajectory:
+    """Integrate from rho0 to at least t_end - dt, sampling every
+    record_stride steps (first and last steps always included).
+
+    rho0 must be a valid density matrix (`states.validate` empty), judged
+    once before the first step.  Every recorded sample carries trace drift,
+    Hermiticity defect, and smallest eigenvalue; positivity violations are
+    flagged in warnings, never silently repaired.
+    """
+    dt, marks, path = _plan(rho0, H, rates, cfg)
+    basis, samples = rho0.basis, len(marks)
+    n = len(basis)
     gaps = [stop - start for start, stop in zip(marks, marks[1:])]
     step = _step(_rhs(H, rates), dt, cfg.method)
     elements = np.empty((samples, n, n), dtype=np.complex128)
     elements[0] = rho0.elements
-    diagonal = _is_diagonal(H.elements)
-    if diagonal:
+    if path == "diagonal":
         # A step multiplies each entry by its amplification (real if H = 0).
         power = _power_table(step(np.ones((n, n))), _entry_product)
         jump = lambda y, k: _entry_product(y, power(k))
-    elif _operator_pays(n, cfg.method, gaps):
+    elif path == "operator":
         op = step(np.eye(n * n, dtype=np.complex128).reshape(-1, n, n))
         power = _power_table(op.reshape(n * n, n * n).T, np.matmul)
         jump = lambda y, k: (power(k) @ y.ravel()).reshape(n, n)
@@ -312,7 +333,7 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
                 y = step(y)
             return y
 
-    if diagonal and samples > 2:
+    if path == "diagonal" and samples > 2:
         # Every gap but the last is the stride.  One cumulative product
         # fills the record: numpy's accumulate takes its scalar loop,
         # unfused like _entry_product, because each product reads the one

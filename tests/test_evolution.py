@@ -39,15 +39,26 @@ def equal_superposition(basis=BASIS):
 
 
 def use_path(monkeypatch, path):
-    """Make evolve take the named path.  A diagonal H takes the diagonal
-    path by itself: the cost rule of the other two is then never asked."""
-    def pays(*args):
-        assert path != "diagonal", "a diagonal H was stepped as a matrix"
-        return path == "operator"
+    """Make evolve take the named path: its plan keeps the step and the
+    marks and takes this path.  Only a diagonal H may take the diagonal
+    path."""
+    real = evolution._plan
 
-    if path != "diagonal":
-        monkeypatch.setattr(evolution, "_is_diagonal", lambda h: False)
-    monkeypatch.setattr(evolution, "_operator_pays", pays)
+    def plan(*args):
+        dt, marks, planned = real(*args)
+        assert path != "diagonal" or planned == "diagonal", \
+            "a non-diagonal H was planned on the diagonal path"
+        return dt, marks, path
+    monkeypatch.setattr(evolution, "_plan", plan)
+
+
+def timed_run(n, steps, stride):
+    """A run of random_system(n) over `steps` RK4 steps of 1/64 s."""
+    rho0, H, rates = random_system(n, seed=n)
+    dt = 1.0 / 64.0
+    return rho0, H, rates, EvolutionConfig(
+        t_end=quantity(steps * dt, "s"), dt=quantity(dt, "s"),
+        record_stride=stride)
 
 
 def diagonal_part(H):
@@ -400,11 +411,7 @@ def test_operator_built_only_where_it_pays(monkeypatch, n, steps, stride,
         return counted
 
     monkeypatch.setattr(evolution, "_step", spy)
-    rho0, H, rates = random_system(n, seed=n)
-    dt = 1.0 / 64.0
-    cfg = EvolutionConfig(t_end=quantity(steps * dt, "s"),
-                          dt=quantity(dt, "s"), record_stride=stride)
-    evolve(rho0, H, rates, cfg)
+    evolve(*timed_run(n, steps, stride))
     assert any(stacks) is built
 
 
@@ -555,8 +562,8 @@ def test_closed_form_is_analytic_isolated_for_h_zero():
 def test_large_operator_never_built():
     # At n = 64 the operator would hold 16.8 million entries, and each of
     # its products costs more than thousands of direct steps.
-    assert not evolution._operator_pays(64, Method.RK4, [64] * 64)
-    assert not evolution._operator_pays(64, Method.RK4, [10 ** 4] * 100)
+    for steps, stride in (64 * 64, 64), (10 ** 6, 10 ** 4):
+        assert evolution._plan(*timed_run(64, steps, stride))[2] == "direct"
 
 
 # Runs whose two non-diagonal paths were timed (RK4, best of 5, one core of
@@ -564,15 +571,21 @@ def test_large_operator_never_built():
 # 52.7/0.36; 8, 10, 1 0.55/0.59; 12, 10, 1 1.20/3.96; 16, 100, 1 11.6/18.1;
 # 16, 1000, 100 45.9/22.7; 24, 100, 100 6.7/206; 24, 1000, 100 65.1/219.
 # The rule picks the faster path except at n = 8, where the operator costs 7%
-# more.  At n = 32 the operator is never built.
+# more.  At n = 32 the operator is never built.  The last four rows sit
+# where the rule's choice flips when any one of its eight constants is
+# doubled or halved, so each constant is pinned by one of them; timed as
+# above, best of 3 x 5 on a shared two-core x86-64 host: 8, 10, 10
+# 0.46/0.61; 9, 20, 7 0.93/1.04; 11, 40, 1 2.37/2.04; 15, 256, 1 17.3/13.0.
+# There the rule's path costs up to 12% (n = 9) and 33% (n = 15) more.
 @pytest.mark.parametrize("n, steps, stride, operator", [
     (2, 1000, 100, True), (8, 10, 1, True), (12, 10, 1, False),
     (16, 100, 1, False), (16, 1000, 100, True), (24, 100, 100, False),
-    (24, 1000, 100, False), (32, 1000, 100, False)])
+    (24, 1000, 100, False), (32, 1000, 100, False),
+    (8, 10, 10, False), (9, 20, 7, True), (11, 40, 1, True),
+    (15, 256, 1, False)])
 def test_cost_rule_choices_at_the_timed_runs(n, steps, stride, operator):
-    marks = [*range(0, steps, stride), steps]
-    gaps = [stop - start for start, stop in zip(marks, marks[1:])]
-    assert evolution._operator_pays(n, Method.RK4, gaps) is operator
+    path = evolution._plan(*timed_run(n, steps, stride))[2]
+    assert path == ("operator" if operator else "direct")
 
 
 class TestStepBudget:
@@ -600,20 +613,6 @@ class TestStepBudget:
             evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                    rate_matrix(1.0), cfg)
 
-    def test_recording_over_the_budget_refused_before_any_step(
-            self, monkeypatch):
-        # n = 16 at stride 1: 10001 samples of 256 entries.
-        def no_step(*args):
-            raise AssertionError("stepped a refused run")
-
-        monkeypatch.setattr(evolution, "_step", no_step)
-        rho0, H, rates = random_system(16, seed=16)
-        cfg = EvolutionConfig(t_end=quantity(1, "s"), dt=quantity(1e-4, "s"))
-        with pytest.raises(ValueError, match="10001 recorded samples of 16x16 "
-                           "exceed the budget of 1000000 entries; raise "
-                           "record_stride"):
-            evolve(rho0, H, rates, cfg)
-
     def test_recording_at_the_budget_allowed(self, monkeypatch):
         # 11 samples of 2x2 are exactly a budget of 44 entries; 12 are
         # over it unless only every second step is recorded.
@@ -629,6 +628,49 @@ class TestStepBudget:
         assert len(run(1.1, 2).times) == 7
         with pytest.raises(ValueError, match="^12 recorded samples"):
             run(1.1, 1)
+
+
+REFUSALS = {
+    "basis-mismatch": (
+        (equal_superposition(), Hamiltonian.zero(make_basis("a", "b")),
+         rate_matrix(0.0), EvolutionConfig(t_end=quantity(1, "s"))),
+        "basis mismatch: [('here', 'there'), ('a', 'b'), ('here', 'there')]"),
+    "invalid-rho0": (
+        (DensityMatrix(BASIS, np.diag([0.9, 0.3])), Hamiltonian.zero(BASIS),
+         rate_matrix(0.0), EvolutionConfig(t_end=quantity(1, "s"))),
+        "initial state is not a valid density matrix: trace drift 2.000e-01"),
+    "auto-step-underflow": (
+        (*two_level_decay(quantity(2.5, "1/s"), quantity(1e300, "J")),
+         EvolutionConfig(t_end=quantity(3e8, "s"))),
+        "the AUTO step min(1/max rate, hbar/max|H|)/64 underflows to 0 s; "
+        "give an explicit dt"),
+    "max-steps": (
+        (equal_superposition(), Hamiltonian.zero(BASIS), rate_matrix(1.0),
+         EvolutionConfig(t_end=quantity(1e300, "s"),
+                         dt=quantity(1e-300, "s"))),
+        "inf steps of dt = 1e-300 s to reach t_end exceed the budget of "
+        "1000000"),
+    # n = 16 at stride 1: 10001 samples of 256 entries.
+    "max-recorded-entries": (
+        (*random_system(16, seed=16),
+         EvolutionConfig(t_end=quantity(1, "s"), dt=quantity(1e-4, "s"))),
+        "10001 recorded samples of 16x16 exceed the budget of 1000000 "
+        "entries; raise record_stride"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_every_refusal_comes_from_the_plan_before_any_step(monkeypatch,
+                                                           case):
+    def no_step(*args):
+        raise AssertionError("stepped a refused run")
+
+    monkeypatch.setattr(evolution, "_step", no_step)
+    run, message = REFUSALS[case]
+    for refused in (evolution._plan, evolve):
+        with pytest.raises(ValueError) as err:
+            refused(*run)
+        assert str(err.value) == message
 
 
 class TestRecordStride:
@@ -694,6 +736,23 @@ class TestAutoStep:
         traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                       rate_matrix(0.0), cfg)
         assert traj.times.tolist() == [k * (3 / 100) for k in range(101)]
+
+    @pytest.mark.parametrize("shift", [2.0 ** -102, 2.0 ** -62, -2.0 ** -62],
+                             ids=["1e-12-eV", "1-eV", "minus-1-eV"])
+    def test_diagonal_h_step_ignores_the_zero_of_energy(self, shift):
+        # A gap of 2^-112 J (1.2e-15 eV) and shifts whose E_i + shift are
+        # exact: the coherence rotates at gap/hbar whatever the zero of
+        # energy, so H + shift I takes the AUTO step of H.
+        gap = 2.0 ** -112
+        H = Hamiltonian(BASIS, np.diag([0.0, gap]).astype(complex))
+        shifted = Hamiltonian(BASIS,
+                              np.diag([shift, shift + gap]).astype(complex))
+        rho0, rates = equal_superposition(), rate_matrix(1.0)
+        cfg = EvolutionConfig(t_end=quantity(1, "s"))
+        dt, marks, _ = evolution._plan(rho0, H, rates, cfg)
+        assert evolution._plan(rho0, shifted, rates, cfg)[:2] == (dt, marks)
+        assert evolve(rho0, shifted, rates, cfg).times.tolist() == \
+            (np.array(marks) * dt).tolist()
 
     def test_auto_uses_hamiltonian_scale(self):
         H = Hamiltonian(BASIS, np.diag([0.0, 2.0 * HBAR.value]).astype(complex))
