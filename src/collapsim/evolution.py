@@ -15,17 +15,22 @@ A fixed-step classic RK4 (Euler selectable) keeps trajectories reproducible
 and makes the convergence order directly measurable; the dynamics is
 non-stiff at the scales this package targets.
 
-The equation is linear and time-invariant, so one step is a fixed
-n^2 x n^2 matrix acting on the row-major vec rho, and a run takes one of
+The equation is linear and time-invariant: d vec(rho)/dt = L vec(rho)
+for the row-major vec rho and one n^2 x n^2 Liouvillian L
+(`_liouvillian`), so one step is the fixed matrix R(dt L), R(A) = I + A +
+A^2/2 + A^3/6 + A^4/24 for RK4 and I + A for Euler.  A run takes one of
 three paths into the (samples, n, n) array the trajectory keeps:
 
 - diagonal: where H has no nonzero entry off its diagonal (every CLI run),
   each entry decouples, d rho_ij/dt = (-i(E_i - E_j)/hbar - rate_ij)
   rho_ij, and a step multiplies it by its amplification g = step(ones);
 - operator: where it costs less than stepping the matrix
-  (`_operator_pays`), the operator is built once, by stepping the n^2
-  basis matrices;
+  (`_operator_pays`), R(dt L) is built once, by Horner's rule
+  (`_step_operator`);
 - direct: otherwise the matrix is stepped one step at a time.
+
+The diagonal and direct paths step with `_step` of `_rhs`; the operator
+path does not step at all.
 
 Each gap's power of g or of the operator comes from one table
 (`_power_table`), and complex entries are multiplied with bits that do
@@ -198,6 +203,37 @@ def _step(rhs, dt: float, method: Method):
     return rk4
 
 
+def _liouvillian(H: Hamiltonian, rates: CollapseRateMatrix) -> np.ndarray:
+    """The n^2 x n^2 matrix L of d vec(rho)/dt = L vec(rho), row-major vec:
+    L[(i,j),(k,l)] = -(i/hbar)(H_ik d_jl - d_ik H_lj) - rate_ij d_ik d_jl.
+
+    Its at most 2n^3 nonzero entries are written through einsum's
+    writeable diagonal views of the (i, j, k, l) array."""
+    n = len(H.basis)
+    h = -1j * (H.elements / HBAR.value)  # H/hbar rounded as `_rhs` rounds it
+    L = np.zeros((n, n, n, n), dtype=np.complex128)
+    np.einsum("ijkj->ikj", L)[...] = h[:, :, None]
+    np.einsum("ijil->ijl", L)[...] -= h.T
+    np.einsum("ijij->ij", L)[...] -= rates.rates
+    return L.reshape(n * n, n * n)
+
+
+def _step_operator(L: np.ndarray, dt: float, method: Method) -> np.ndarray:
+    """One step as the matrix acting on vec rho: the polynomial of A = dt L
+    that the method is for a linear equation, I + A + A^2/2 + A^3/6 +
+    A^4/24 for RK4 and I + A for Euler, by Horner's rule, I + A(I + A/2(I +
+    A/3(I + A/4))): 3 products for RK4, none for Euler.
+
+    Each A/k is L scaled by the float dt/k; numpy would divide a complex
+    array by multiplying with the reciprocal, rounding twice."""
+    eye = np.eye(len(L))
+    degree = 1 if method is Method.EULER else 4
+    P = eye + (dt / degree) * L
+    for k in range(degree - 1, 0, -1):
+        P = eye + ((dt / k) * L) @ P
+    return P
+
+
 def _power_table(base: np.ndarray, product):
     """k -> base**k, cached, from squares base**(2**b) that every k shares,
     least significant bit first, as numpy's linalg matrix power for k > 3."""
@@ -224,18 +260,20 @@ def _operator_pays(n: int, method: Method, gaps: list[int]) -> bool:
 
     The costs are microseconds measured on one core of an x86-64 host with
     numpy 2.4 at n = 2..32, each within a factor of two: a step of one
-    matrix (15 per RHS evaluation plus its matrix products), a step of the
-    n^2 basis matrices that builds the operator, one n^2 x n^2 product
-    (`_products` of them) and one jump.
+    matrix (15 per RHS evaluation plus its matrix products), one n^2 x n^2
+    product and one jump.  Building the operator takes its Horner products
+    (3 for RK4, none for Euler) and, per stage, one pass over n^4 entries
+    priced as a jump (the Liouvillian and Horner's scaled sums); its powers
+    take `_products` more products.
     """
     if n ** 4 > MAX_RECORDED_ENTRIES:
         return False
     stages = 1 if method is Method.EULER else 4
     step = stages * (15.0 + 1e-3 * n ** 3)
-    build = stages * (15.0 + 2.5e-3 * n ** 5)
-    products = _products(gaps)
-    jumps = len(gaps) * (7.0 + 8e-4 * n ** 4)
-    return build + products * (4.0 + 2e-4 * n ** 6) + jumps < sum(gaps) * step
+    products = stages - 1 + _products(gaps)
+    jumps = stages + len(gaps)
+    return (products * (4.0 + 2e-4 * n ** 6) + jumps * (7.0 + 8e-4 * n ** 4)
+            < sum(gaps) * step)
 
 
 def _plan(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
@@ -271,13 +309,13 @@ def _plan(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
         if h_max > 0.0:
             scales.append(HBAR.value / h_max)
         # Static problem: any step is exact, pick a round subdivision.
-        dt = cfg.t_end.value / 100.0
+        dt, rule = cfg.t_end.value / 100.0, "t_end/100"
         if scales:
             dt = min(min(scales) / AUTO_STEP_DIVISOR, cfg.t_end.value)
-            if dt == 0.0:
-                raise ValueError(f"the AUTO step min(1/max rate, hbar/max|H|)"
-                                 f"/{AUTO_STEP_DIVISOR} underflows to 0 s; "
-                                 f"give an explicit dt")
+            rule = f"min(1/max rate, hbar/max|H|)/{AUTO_STEP_DIVISOR}"
+        if dt == 0.0:
+            raise ValueError(f"the AUTO step {rule} underflows to 0 s; give "
+                             f"an explicit dt")
 
     planned = cfg.t_end.value / dt - 1e-9
     if planned > MAX_STEPS:
@@ -316,18 +354,20 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
     basis, samples = rho0.basis, len(marks)
     n = len(basis)
     gaps = [stop - start for start, stop in zip(marks, marks[1:])]
-    step = _step(_rhs(H, rates), dt, cfg.method)
     elements = np.empty((samples, n, n), dtype=np.complex128)
     elements[0] = rho0.elements
-    if path == "diagonal":
+    if path == "operator":
+        op = _step_operator(_liouvillian(H, rates), dt, cfg.method)
+        power = _power_table(op, np.matmul)
+        jump = lambda y, k: (power(k) @ y.ravel()).reshape(n, n)
+    elif path == "diagonal":
         # A step multiplies each entry by its amplification (real if H = 0).
+        step = _step(_rhs(H, rates), dt, cfg.method)
         power = _power_table(step(np.ones((n, n))), _entry_product)
         jump = lambda y, k: _entry_product(y, power(k))
-    elif path == "operator":
-        op = step(np.eye(n * n, dtype=np.complex128).reshape(-1, n, n))
-        power = _power_table(op.reshape(n * n, n * n).T, np.matmul)
-        jump = lambda y, k: (power(k) @ y.ravel()).reshape(n, n)
     else:
+        step = _step(_rhs(H, rates), dt, cfg.method)
+
         def jump(y, k):
             for _ in range(k):
                 y = step(y)

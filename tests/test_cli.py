@@ -433,6 +433,14 @@ class TestUsageErrors:
         assert err == ("error: the AUTO step min(1/max rate, hbar/max|H|)/64 "
                        "underflows to 0 s; give an explicit dt\n")
 
+    def test_static_auto_step_that_underflows_exits_2(self, capsys):
+        # With no rate and no gap the AUTO step is t_end/100, here 0 s.
+        code, out, err = run(capsys, "evolve", "--rate", "0 1/s",
+                             "--t-end", "1e-322 s")
+        assert (code, out) == (2, "")
+        assert err == ("error: the AUTO step t_end/100 underflows to 0 s; "
+                       "give an explicit dt\n")
+
     def test_sweep_over_the_point_budget_exits_2(self, capsys):
         code, out, err = run(capsys, "sweep", "trapped", "--axis", "M",
                              "--min", "1 GeV/c2", "--max", "1e6 GeV/c2",

@@ -25,6 +25,7 @@ from collapsim import units
 from collapsim.units import HBAR, DimensionError, quantity
 
 BASIS = make_basis("here", "there")
+EPS = np.finfo(float).eps
 
 
 def rate_matrix(gamma, basis=BASIS):
@@ -194,8 +195,10 @@ class TestEvolve:
     @pytest.mark.parametrize("valid", [True, False])
     def test_rho0_is_judged_once_by_validate_before_any_step(
             self, monkeypatch, path, valid):
+        # The operator path steps nothing before it builds its operator.
         calls = []
         real_validate, real_step = evolution.validate, evolution._step
+        real_operator = evolution._step_operator
 
         def judged(rho):
             calls.append("validate")
@@ -205,8 +208,13 @@ class TestEvolve:
             step = real_step(rhs, dt, method)
             return lambda y: calls.append("step") or step(y)
 
+        def built(*args):
+            calls.append("step")
+            return real_operator(*args)
+
         monkeypatch.setattr(evolution, "validate", judged)
         monkeypatch.setattr(evolution, "_step", spy)
+        monkeypatch.setattr(evolution, "_step_operator", built)
         use_path(monkeypatch, path)
         rho0, H, rates = random_system(2, seed=2)
         if path == "diagonal":
@@ -393,33 +401,27 @@ def test_every_sample_matches_a_plain_stepping_loop(monkeypatch, method, n,
 
 
 @pytest.mark.parametrize("n, steps, stride, built", [
-    (2, 1, 1, False), (2, 2, 1, True), (3, 1000, 125, True),
+    (2, 1, 1, True), (2, 2, 1, True), (3, 1000, 125, True),
     (8, 25, 1, True), (16, 20, 1, False), (16, 256, 256, False),
     (16, 4096, 4096, True), (24, 576, 576, False), (32, 40, 40, False)])
 def test_operator_built_only_where_it_pays(monkeypatch, n, steps, stride,
                                            built):
-    # Building the operator steps a stack of n^2 basis matrices; the
-    # measured crossovers put these runs on either side of the rule.
-    stacks, real = [], evolution._step
-
-    def spy(rhs, dt, method):
-        step = real(rhs, dt, method)
-
-        def counted(y):
-            stacks.append(y.ndim == 3)
-            return step(y)
-        return counted
-
-    monkeypatch.setattr(evolution, "_step", spy)
+    # The measured crossovers put these runs on either side of the rule.
+    # One step at n = 2 is a near tie (0.12 ms either way), which the
+    # rule gives to the operator.
+    operators, real = [], evolution._step_operator
+    monkeypatch.setattr(evolution, "_step_operator",
+                        lambda *args: operators.append(1) or real(*args))
     evolve(*timed_run(n, steps, stride))
-    assert any(stacks) is built
+    assert bool(operators) is built
 
 
 def test_operator_powers_share_their_squares(monkeypatch):
     # Gaps of 125 (eight of them) and 3.  The squares op**2 .. op**64 take
     # 6 products, 125 = 1 + 4 + 8 + 16 + 32 + 64 takes 5 more and 3 = 1 + 2
     # one: 12, where building each power on its own would take 11 + 2.
-    products, real = [], evolution._step
+    # The operator's own 3 Horner products are not counted.
+    products, real = [], evolution._step_operator
 
     class Counted(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -428,11 +430,8 @@ def test_operator_powers_share_their_squares(monkeypatch):
                 products.append(1)
             return getattr(ufunc, method)(*arrays, **kwargs).view(Counted)
 
-    def spy(rhs, dt, method):
-        step = real(rhs, dt, method)
-        return lambda y: step(y).view(Counted) if y.ndim == 3 else step(y)
-
-    monkeypatch.setattr(evolution, "_step", spy)
+    monkeypatch.setattr(evolution, "_step_operator",
+                        lambda *args: real(*args).view(Counted))
     use_path(monkeypatch, "operator")
     rho0, H, rates = random_system(3, seed=3)
     dt = 1.0 / 64.0
@@ -466,20 +465,62 @@ def test_diagonal_hamiltonian_steps_no_stack(monkeypatch, n, steps, stride):
     assert stepped == [(n, n)]
 
 
+def stepped_basis_operator(H, rates, dt, method):
+    """The step operator built by stepping the n^2 basis matrices: column
+    m of the matrix acting on the row-major vec rho is the step of the
+    m-th basis matrix."""
+    n = len(H.basis)
+    step = evolution._step(evolution._rhs(H, rates), dt, method)
+    basis = np.eye(n * n, dtype=np.complex128).reshape(-1, n, n)
+    return step(basis).reshape(n * n, n * n).T
+
+
 @pytest.mark.parametrize("method", list(Method))
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_amplification_is_the_operator_diagonal(method, n):
-    # g = step(ones) is each entry's amplification; stepping the n^2 basis
-    # matrices, as the operator path builds its operator, gives the same
-    # numbers on the operator's diagonal and exact zeros off it.
+    # g = step(ones) is each entry's amplification.  For a diagonal H the
+    # operator has exact zeros off its diagonal, and on it the numbers of
+    # g within 2 eps: here |g| <= 1, and the polynomial of the operator
+    # and the stages of the step round the same terms in another order.
     rho0, H, rates = random_system(n, seed=n)
-    step = evolution._step(evolution._rhs(diagonal_part(H), rates), 0.1,
-                           method)
-    g = step(np.ones((n, n)))
-    op = step(np.eye(n * n, dtype=np.complex128).reshape(-1, n, n))
-    op = op.reshape(n * n, n * n)
-    assert np.diagonal(op).tobytes() == g.astype(np.complex128).tobytes()
+    H = diagonal_part(H)
+    g = evolution._step(evolution._rhs(H, rates), 0.1, method)(
+        np.ones((n, n)))
+    op = evolution._step_operator(evolution._liouvillian(H, rates), 0.1,
+                                  method)
+    assert np.max(np.abs(g)) <= 1.0
+    assert np.max(np.abs(np.diagonal(op) - g.ravel())) <= 2 * EPS
     assert not np.any(op - np.diag(np.diagonal(op)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n=st.integers(1, 5), seed=st.integers(0, 10 ** 6),
+       hamiltonian=st.sampled_from(["zero", "diagonal", "general"]),
+       h_scale=st.sampled_from([0.01, 1.0, 100.0]),
+       rate_scale=st.sampled_from([0.01, 1.0, 100.0]),
+       method=st.sampled_from(Method), edge=st.floats(0.01, 1.0))
+def test_operator_is_the_stepped_basis_operator(n, seed, hamiltonian, h_scale,
+                                                rate_scale, method, edge):
+    # dt puts dt ||L||_2 up to 2.8, beyond which RK4's stability region
+    # (2.785 along the negative real axis) ends.  Each of the two builds
+    # rounds the terms A^k/k!, A = dt L, so they differ by under 2 eps
+    # times the sum of ||A||^k/k! (0.65 at worst in 3000 draws); the
+    # Euler operator I + A is the same to the bit.
+    _, H, rates = random_system(n, seed, h_scale, rate_scale)
+    if hamiltonian == "zero":
+        H = Hamiltonian.zero(H.basis)
+    elif hamiltonian == "diagonal":
+        H = diagonal_part(H)
+    L = evolution._liouvillian(H, rates)
+    norm = np.linalg.norm(L, 2)
+    dt = edge * 2.8 / norm if norm else edge
+    op = evolution._step_operator(L, dt, method)
+    want = stepped_basis_operator(H, rates, dt, method)
+    if method is Method.EULER:
+        assert np.array_equal(op, want)
+    else:
+        terms = sum((dt * norm) ** k / math.factorial(k) for k in range(5))
+        assert np.max(np.abs(op - want)) <= 2 * EPS * terms
 
 
 def textbook_record(rho0, g, gaps):
@@ -566,23 +607,27 @@ def test_large_operator_never_built():
         assert evolution._plan(*timed_run(64, steps, stride))[2] == "direct"
 
 
-# Runs whose two non-diagonal paths were timed (RK4, best of 5, one core of
-# an x86-64 host; direct ms / operator ms): n = 2, 1000 steps, stride 100
-# 52.7/0.36; 8, 10, 1 0.55/0.59; 12, 10, 1 1.20/3.96; 16, 100, 1 11.6/18.1;
-# 16, 1000, 100 45.9/22.7; 24, 100, 100 6.7/206; 24, 1000, 100 65.1/219.
-# The rule picks the faster path except at n = 8, where the operator costs 7%
-# more.  At n = 32 the operator is never built.  The last four rows sit
-# where the rule's choice flips when any one of its eight constants is
-# doubled or halved, so each constant is pinned by one of them; timed as
-# above, best of 3 x 5 on a shared two-core x86-64 host: 8, 10, 10
-# 0.46/0.61; 9, 20, 7 0.93/1.04; 11, 40, 1 2.37/2.04; 15, 256, 1 17.3/13.0.
-# There the rule's path costs up to 12% (n = 9) and 33% (n = 15) more.
+# Runs whose two non-diagonal paths were timed (RK4, best of 3 runs of best
+# of 3 x 5, one BLAS thread on a shared two-core x86-64 host, numpy 2.4;
+# direct ms / operator ms): n = 2, 1000 steps, stride 100 29.3/0.18; 8, 10,
+# 1 0.52/0.40; 12, 10, 1 0.67/1.74; 16, 100, 1 7.1/12.3; 16, 1000, 100
+# 47.2/24.1; 24, 100, 100 7.0/235; 24, 1000, 100 71.4/234; 8, 10, 10
+# 0.42/0.43; 9, 20, 7 0.87/0.80; 11, 40, 1 2.21/1.71; 15, 256, 1 16.7/13.6;
+# 4, 1, 1 0.121/0.132; 8, 4, 1 0.26/0.33; 11, 25, 1 1.39/1.41; 14, 128, 2
+# 6.7/5.8.  At n = 32 the operator is never built.  The rule picks the
+# faster path except at 15, 256, 1 (direct, 23% slower) and at the near
+# ties 4, 1, 1 (9%), 11, 25, 1 (1.5%) and 8, 10, 10 (1%).  The last four
+# rows sit where the rule's choice flips when one of its six constants is
+# doubled or halved, which the rows before them do not all catch: 4, 1, 1
+# pins 4.0 doubled, 8, 4, 1 pins it halved, and 11, 25, 1 and 14, 128, 2
+# pin 1e-3 halved and 8e-4 doubled.
 @pytest.mark.parametrize("n, steps, stride, operator", [
     (2, 1000, 100, True), (8, 10, 1, True), (12, 10, 1, False),
     (16, 100, 1, False), (16, 1000, 100, True), (24, 100, 100, False),
     (24, 1000, 100, False), (32, 1000, 100, False),
-    (8, 10, 10, False), (9, 20, 7, True), (11, 40, 1, True),
-    (15, 256, 1, False)])
+    (8, 10, 10, True), (9, 20, 7, True), (11, 40, 1, True),
+    (15, 256, 1, False), (4, 1, 1, True), (8, 4, 1, False),
+    (11, 25, 1, True), (14, 128, 2, True)])
 def test_cost_rule_choices_at_the_timed_runs(n, steps, stride, operator):
     path = evolution._plan(*timed_run(n, steps, stride))[2]
     assert path == ("operator" if operator else "direct")
@@ -644,6 +689,11 @@ REFUSALS = {
          EvolutionConfig(t_end=quantity(3e8, "s"))),
         "the AUTO step min(1/max rate, hbar/max|H|)/64 underflows to 0 s; "
         "give an explicit dt"),
+    # No rate and no H: the static step t_end/100 of 1e-322 s is 0 s.
+    "static-auto-step-underflow": (
+        (equal_superposition(), Hamiltonian.zero(BASIS), rate_matrix(0.0),
+         EvolutionConfig(t_end=quantity(1e-322, "s"))),
+        "the AUTO step t_end/100 underflows to 0 s; give an explicit dt"),
     "max-steps": (
         (equal_superposition(), Hamiltonian.zero(BASIS), rate_matrix(1.0),
          EvolutionConfig(t_end=quantity(1e300, "s"),
@@ -666,6 +716,7 @@ def test_every_refusal_comes_from_the_plan_before_any_step(monkeypatch,
         raise AssertionError("stepped a refused run")
 
     monkeypatch.setattr(evolution, "_step", no_step)
+    monkeypatch.setattr(evolution, "_step_operator", no_step)
     run, message = REFUSALS[case]
     for refused in (evolution._plan, evolve):
         with pytest.raises(ValueError) as err:
