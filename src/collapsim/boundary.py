@@ -12,13 +12,13 @@ eta, count, grid and counts when it is built; each point's values are
 checked by its scenario's spec, so a bad value raises from `sweep`.
 `mass_boundary` is the mass scan behind `collapsim boundary`.
 
-`sweep` evaluates the whole grid in one call of the verdict function: the
-axis is a Quantity whose value is a 1-d array (`units.PointwiseArray`),
-to which `**` is applied element by element as Python's float `**`.
-Each row equals the verdict at its point alone, bit for bit, and a grid
-with an invalid point raises the error that point alone raises (the
-first such point in grid order).  Bisection evaluates one point at a
-time, with Python floats.
+`sweep` evaluates the grid one point at a time, in grid order: the
+point's spec check, then the scenario's kernel over SI floats
+(`discrimination`), whose output is the row; so each row equals the
+verdict at its point, bit for bit, and an invalid grid raises its first
+invalid point's error.  Bisection calls the kernel alone, with the fixed
+values taken once as floats: the grid has checked them, and a midpoint
+between two valid points is valid.
 
 A report is written as the report/1 dict (`BoundaryReport.to_json`) or
 as that dict's indented JSON text (`report_to_json_text`, equal to
@@ -47,8 +47,7 @@ from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
                              ValidationError)
 from .evolution import (EvolutionConfig, Trajectory, _json_float, csv_text,
                         evolve, json_text, two_level_decay)
-from .units import (DIMENSIONLESS, PointwiseArray, Quantity, preferred_unit,
-                    quantity)
+from .units import DIMENSIONLESS, Quantity, preferred_unit, quantity
 
 REPORT_SCHEMA_ID = "report/1"
 
@@ -67,18 +66,26 @@ class SweepError(RuntimeError):
 class ScenarioEntry:
     """One scenario: required and optional parameter names, and its verdict.
 
-    verdict(params, eta) evaluates a {name: Quantity} map holding every name
-    in params, any of optional and nothing else; _check_params enforces
-    that, and checks each count, before any verdict runs.  Only a scenario
-    that uses_eta accepts eta != 1; sweeps scan those with has_boundary.
+    spec(params, eta) builds, and so checks, what verdict(spec) evaluates,
+    from a {name: Quantity} map holding every name in params, any of
+    optional and nothing else; _check_params enforces that, and checks
+    each count, before either runs.  A scenario with a boundary has a
+    kernel(floats, eta): its discrimination kernel at a map of the same
+    names to SI floats, unchecked.  Only a scenario that uses_eta accepts
+    eta != 1.
     """
 
     name: str
     params: tuple[str, ...]
-    verdict: Callable[[dict, float], DiscriminationVerdict]
+    spec: Callable[[dict, float], object]
+    verdict: Callable[[object], DiscriminationVerdict]
+    kernel: Callable[[dict, float], tuple] | None = None
     optional: tuple[str, ...] = ()
     uses_eta: bool = False
-    has_boundary: bool = True
+
+    @property
+    def has_boundary(self) -> bool:
+        return self.kernel is not None
 
 
 # What each parameter of SCENARIOS means, in the table's order.  Each is a
@@ -90,28 +97,36 @@ PARAMETERS = {"M": "mass", "v": "speed", "D": "separation",
               "omega0": "angular frequency", "n": "oscillator quantum number"}
 COUNTS = frozenset({"n"})
 
-# Verdicts look up disc.<fn> when called, so wrapping it later (tracing,
-# profiling) still sees every dispatch through this table.
+# Verdicts and kernels look up disc.<fn> when called, so wrapping it later
+# (tracing, profiling) still sees every dispatch through this table.
 SCENARIOS: dict[str, ScenarioEntry] = {entry.name: entry for entry in (
     ScenarioEntry(
         "trapped", ("M", "v", "D"), optional=("E",), uses_eta=True,
-        verdict=lambda p, eta: disc.trapped_tau(TrappedPairSpec(
+        spec=lambda p, eta: TrappedPairSpec(
             mass=p["M"], mean_velocity=p["v"], separation=p["D"],
-            energy_gap=p.get("E"), margin=eta))),
+            energy_gap=p.get("E"), margin=eta),
+        verdict=lambda spec: disc.trapped_tau(spec),
+        kernel=lambda p, eta: disc._trapped(p["M"], p["v"], p["D"],
+                                            p.get("E"), eta)),
     ScenarioEntry(
         "free-flight", ("M", "v", "D", "L", "d"),
-        verdict=lambda p, eta: disc.free_flight_tau(FreeFlightSpec(
+        spec=lambda p, eta: FreeFlightSpec(
             mass=p["M"], speed=p["v"], slit_separation=p["D"],
-            source_distance=p["L"], slit_width=p["d"]))),
-    ScenarioEntry("photon", (), verdict=lambda p, eta: disc.photon_tau(),
-                  has_boundary=False),
-    ScenarioEntry("rabi", ("gap",), has_boundary=False,
-                  verdict=lambda p, eta: disc.rabi_tau(p["gap"])),
+            source_distance=p["L"], slit_width=p["d"]),
+        verdict=lambda spec: disc.free_flight_tau(spec),
+        kernel=lambda p, eta: disc._free_flight(p["M"], p["v"], p["D"],
+                                                p["L"])),
+    ScenarioEntry("photon", (), spec=lambda p, eta: None,
+                  verdict=lambda spec: disc.photon_tau()),
+    ScenarioEntry("rabi", ("gap",), spec=lambda p, eta: p["gap"],
+                  verdict=lambda gap: disc.rabi_tau(gap)),
     ScenarioEntry(
         "oscillator", ("M", "omega0", "n"),
-        verdict=lambda p, eta: disc.oscillator_verdict(OscillatorSpec(
+        spec=lambda p, eta: OscillatorSpec(
             mass=p["M"], angular_frequency=p["omega0"],
-            quantum_number=p["n"].value))),
+            quantum_number=p["n"].value),
+        verdict=lambda spec: disc.oscillator_verdict(spec),
+        kernel=lambda p, eta: disc._oscillator(p["M"], p["omega0"], p["n"])),
 )}
 
 # The scenarios a sweep can scan, e.g. Scenario.FREE_FLIGHT == "free-flight".
@@ -280,44 +295,30 @@ def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
         raise ValidationError(
             f"unknown scenario '{scenario}' (one of {list(SCENARIOS)})")
     _check_params(entry, params, eta)
-    return entry.verdict(params, eta)
+    return entry.verdict(entry.spec(params, eta))
 
 
-def _verdict_at(spec: SweepSpec, x):
-    """The verdict at axis value x (SI scale; a count may be real), or the
-    verdicts at each point of a PointwiseArray x."""
+def _verdict_at(spec: SweepSpec, x: float) -> SweepRow:
+    """The row at axis value x (SI scale; a count may be real): the
+    point's spec check, then its kernel, whose output is the row."""
+    entry = SCENARIOS[spec.scenario]
     params = spec.fixed.copy()
-    params[spec.axis] = Quantity(x, spec.minimum.dim)
-    return SCENARIOS[spec.scenario].verdict(params, spec.eta)
-
-
-def _grid_verdicts(spec: SweepSpec, points: list) -> list:
-    """The verdict at each point, from one verdict call on them all.
-
-    numpy's warnings are off in that call, since Python floats overflow
-    without one.  If any point is invalid, the error raised is the one
-    that evaluating the points one at a time raises at the first of them.
-    """
-    try:
-        with np.errstate(all="ignore"):
-            verdicts = _verdict_at(
-                spec, np.array(points).view(PointwiseArray))
-    except ValidationError:
-        for x in points:
-            _verdict_at(spec, x)
-        raise
-    if isinstance(verdicts, DiscriminationVerdict):  # no formula reads x
-        return [verdicts] * len(points)
-    return verdicts
+    value = params[spec.axis] = Quantity(x, spec.minimum.dim)
+    tau, regime, _, derivation = disc._outcome(
+        *entry.spec(params, spec.eta)._kernel())
+    return SweepRow(value, tau, regime, derivation)
 
 
 def _bisect(spec: SweepSpec, below: SweepRow, above: SweepRow) -> float:
     """Refine the flip between two adjacent rows to BISECTION_REL_TOL (of
     the upper row's value while the lower end is a count rounded to 0).
     Each midpoint is a finite double even where lo + hi or lo * hi is not,
-    and the loop ends once no double lies strictly between lo and hi."""
+    and the loop ends once no double lies strictly between lo and hi.
+    Each midpoint asks the kernel alone whether the window is closed."""
+    kernel, eta, axis = SCENARIOS[spec.scenario].kernel, spec.eta, spec.axis
+    floats = {name: q.value for name, q in spec.fixed.items()}
     lo, hi = below.value.value, above.value.value
-    lo_infinite = not below.tau.is_finite
+    lo_closed = not below.tau.is_finite
     geometric = spec.spacing == "geometric"
     while (hi - lo) > BISECTION_REL_TOL * (lo or above.value.value):
         if not (geometric and lo):
@@ -329,7 +330,8 @@ def _bisect(spec: SweepSpec, below: SweepRow, above: SweepRow) -> float:
             mid = math.sqrt(lo) * math.sqrt(hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent doubles (subnormal tolerance)
-        if _verdict_at(spec, mid).is_infinite == lo_infinite:
+        floats[axis] = mid
+        if kernel(floats, eta)[0] == lo_closed:
             lo = mid
         else:
             hi = mid
@@ -348,9 +350,7 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
     points = grid.tolist()
     if spec.axis in COUNTS:
         points = [float(round(x)) for x in points]
-    rows = [SweepRow(Quantity(x, spec.minimum.dim), verdict.tau,
-                     verdict.regime, verdict.derivation)
-            for x, verdict in zip(points, _grid_verdicts(spec, points))]
+    rows = [_verdict_at(spec, x) for x in points]
 
     flips = [i for i in range(len(grid) - 1)
              if rows[i].tau.is_finite != rows[i + 1].tau.is_finite]

@@ -32,13 +32,15 @@ or overflows, naming it, before the scale can divide anything.
 Regime is Marginal when the deciding ratio is within a factor of 2 of its
 threshold, reflecting that these are order-of-magnitude criteria.
 
-A sweep passes the three scenarios with a window (trapped, free flight,
-oscillator) a spec whose swept parameter holds a whole grid (a
-`units.PointwiseArray`).  Each check then judges every point, the
-window's open/closed test is a mask, and the verdict is the list of the
-points' verdicts (or one verdict, when no formula reads the swept
-parameter).  A failed check's message need not name the first bad point;
-`boundary.sweep` asks that point alone for it.
+Each scenario with a window (trapped, free flight, oscillator) has one
+kernel over SI floats (`_trapped`, `_free_flight`, `_oscillator`): it
+returns whether the window is closed, tau (None if so), the deciding ratio
+and the derivation's values, whose dimensions `_DERIVATION_DIMENSIONS`
+declares.  Its verdict checks the spec, runs the kernel on the spec's
+values and wraps them as Quantities (`_outcome`).  hbar, c, sqrt, the
+scale check and the power are keyword defaults, so the kernels also run
+on Quantities: the tests check each derived dimension so, and
+`doppler_window` keeps its bounds' dimensions.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import CollapseRateMatrix, index_of
-from .units import (C, ENERGY, HBAR, LENGTH, MASS, PER_SECOND, PI, SPEED,
-                    TIME, Quantity, preferred_unit)
+from .units import (C, DIMENSIONLESS, ENERGY, HBAR, LENGTH, MASS, PER_SECOND,
+                    PI, SPEED, TIME, Quantity, _quantity, preferred_unit)
 
 
 class ValidationError(ValueError):
@@ -79,22 +81,13 @@ VERDICT_SCHEMA_ID = "verdict/1"
 MARGINAL_BAND = 2.0
 
 
-def _holds(condition) -> bool:
-    """Whether a check holds: condition, or for an array of conditions (one
-    per grid point) whether every one does.  The checks below test
-    `condition is True` first, which settles every passing scalar check
-    without a call, since bisection makes thousands of them."""
-    return condition is True or (condition is not False
-                                 and bool(condition.all()))
-
-
-def _require(condition, message: str) -> None:
-    if condition is not True and not _holds(condition):
+def _require(condition: bool, message: str) -> None:
+    if not condition:
         raise ValidationError(message)
 
 
-# These two run on every spec a sweep builds, so their messages are
-# formatted only when a check fails.
+# These run on every spec a sweep builds, so their messages are formatted
+# only when a check fails.
 def _require_dim(q: Quantity, dim, name: str) -> None:
     if q.dim != dim:
         raise ValidationError(f"{name} must have dimension {dim.si_name()}, "
@@ -104,24 +97,24 @@ def _require_dim(q: Quantity, dim, name: str) -> None:
 def _require_positive(q: Quantity, dim, name: str) -> None:
     _require_dim(q, dim, name)
     value = q.value
-    valid = (value > 0.0) & (value < math.inf)
-    if valid is True or _holds(valid):
-        return
-    if not _holds(value > 0.0):
-        raise ValidationError(f"{name} must be positive, got {value!r}")
-    raise ValidationError(f"{name} must be finite, got {value!r}")
+    if not 0.0 < value < math.inf:
+        bound = "positive" if value <= 0.0 else "finite"
+        raise ValidationError(f"{name} must be {bound}, got {value!r}")
+
+
+def _in_range(name: str, x: float) -> float:
+    """x, a scale derived from valid inputs, if it is positive and finite;
+    one that underflows to 0 or overflows raises ValidationError naming it,
+    before it can divide anything."""
+    if 0.0 < x < math.inf:
+        return x
+    raise ValidationError(f"{name} {'overflows' if x else 'underflows to 0'}")
 
 
 def _scale(name: str, q: Quantity) -> Quantity:
-    """q, a scale derived from valid inputs, if it is positive and finite;
-    one that underflows to 0 or overflows raises ValidationError naming it,
-    before it can divide anything."""
-    value = q.value
-    valid = (value > 0.0) & (value < math.inf)
-    if valid is True or _holds(valid):
-        return q
-    raise ValidationError(
-        f"{name} {'overflows' if _holds(value != 0.0) else 'underflows to 0'}")
+    """q, if its value is `_in_range`."""
+    _in_range(name, q.value)
+    return q
 
 
 @dataclass(frozen=True)
@@ -171,41 +164,30 @@ class DiscriminationVerdict:
         }
 
 
-def _finite_verdict(tau: Quantity, margin: float, derivation) -> DiscriminationVerdict:
-    regime = Regime.MARGINAL if margin < MARGINAL_BAND else Regime.CLASSICAL
-    return DiscriminationVerdict(_scale("tau", tau), regime,
-                                 Reason.DISCRIMINABLE, tuple(derivation))
-
-
 def _quantum_verdict(reason: Reason, derivation=()) -> DiscriminationVerdict:
     return DiscriminationVerdict(INFINITE_TAU, Regime.QUANTUM, reason,
                                  tuple(derivation))
 
 
-def _window_verdict(closed, tau, margin, derivation):
-    """Quantum where the probe window is closed, else finite at tau() with
-    its deciding ratio margin.  tau is called only when the window of a
-    single point is open, since at a closed one it may not be computable.
+# The dimension of each symbol that a windowed scenario's kernel derives.
+_DERIVATION_DIMENSIONS = {
+    "E": ENERGY, "omega_min": PER_SECOND, "omega_max": PER_SECOND,
+    "lambda": LENGTH, "p": MASS * SPEED, "theta": DIMENSIONLESS,
+    "omega_low": PER_SECOND, "omega_high": PER_SECOND, "flight_time": TIME,
+    "window_margin": DIMENSIONLESS, "r0": LENGTH, "v0": SPEED,
+    "n_star": DIMENSIONLESS, "v_n": SPEED}
 
-    Over a grid, closed is a bool array; the result is each point's
-    verdict in a list, tau() and margin are taken over the whole grid, and
-    each entry of the derivation is one Quantity or an array of them."""
-    if not isinstance(closed, np.ndarray):
-        if closed:
-            return _quantum_verdict(Reason.WINDOW_CLOSED, derivation)
-        return _finite_verdict(tau(), margin, derivation)
-    tau = tau()
-    shape = closed.shape
-    # One column of (symbol, Quantity) pairs per entry; a point's
-    # derivation is its row.
-    columns = [[(sym, q)] * shape[0] if not isinstance(q.value, np.ndarray)
-               else [(sym, Quantity(x, q.dim)) for x in q.value.tolist()]
-               for sym, q in derivation]
-    return [_quantum_verdict(Reason.WINDOW_CLOSED, row) if is_closed else
-            _finite_verdict(Quantity(t, tau.dim), m, row)
-            for is_closed, t, m, row in zip(
-                closed.tolist(), np.broadcast_to(tau.value, shape).tolist(),
-                np.broadcast_to(margin, shape).tolist(), zip(*columns))]
+
+def _outcome(closed: bool, tau, margin: float, values: dict) -> tuple:
+    """(tau, regime, reason, derivation) of a kernel's output: quantum where
+    the probe window is closed, else tau, Marginal when the deciding ratio
+    margin is within MARGINAL_BAND of its threshold."""
+    derivation = tuple([(sym, _quantity(value, _DERIVATION_DIMENSIONS[sym]))
+                        for sym, value in values.items()])
+    if closed:
+        return INFINITE_TAU, Regime.QUANTUM, Reason.WINDOW_CLOSED, derivation
+    regime = Regime.MARGINAL if margin < MARGINAL_BAND else Regime.CLASSICAL
+    return _quantity(tau, TIME), regime, Reason.DISCRIMINABLE, derivation
 
 
 @dataclass(frozen=True)
@@ -229,9 +211,16 @@ class TrappedPairSpec:
         _require_positive(self.separation, LENGTH, "separation")
         if self.energy_gap is not None:
             _require_positive(self.energy_gap, ENERGY, "energy_gap")
-        _require(math.isfinite(self.margin),
-                 f"margin must be finite, got {self.margin}")
-        _require(self.margin >= 1.0, f"margin must be >= 1, got {self.margin}")
+        if not 1.0 <= self.margin < math.inf:
+            bound = ">= 1" if math.isfinite(self.margin) else "finite"
+            raise ValidationError(f"margin must be {bound}, got {self.margin}")
+
+    def _kernel(self) -> tuple:
+        """`_trapped` at this spec's values."""
+        gap = self.energy_gap
+        return _trapped(self.mass.value, self.mean_velocity.value,
+                        self.separation.value,
+                        None if gap is None else gap.value, self.margin)
 
 
 @dataclass(frozen=True)
@@ -261,9 +250,11 @@ class FreeFlightSpec:
                  "slit_separation must be smaller than source_distance")
         _require(self.speed < C, "speed must be below c")
 
-    @property
-    def theta(self) -> float:
-        return (self.slit_separation / self.source_distance).value
+    def _kernel(self) -> tuple:
+        """`_free_flight` at this spec's values."""
+        return _free_flight(self.mass.value, self.speed.value,
+                            self.slit_separation.value,
+                            self.source_distance.value)
 
 
 @dataclass(frozen=True)
@@ -282,10 +273,29 @@ class OscillatorSpec:
         _require_positive(self.mass, MASS, "mass")
         _require_positive(self.angular_frequency, PER_SECOND, "angular_frequency")
         n = self.quantum_number
-        if not _holds(n >= 0):
-            raise ValidationError(f"quantum_number must be >= 0, got {n}")
-        if not _holds(n < math.inf):
-            raise ValidationError(f"quantum_number must be finite, got {n}")
+        if not 0 <= n < math.inf:
+            bound = ">= 0" if n < 0 else "finite"
+            raise ValidationError(f"quantum_number must be {bound}, got {n}")
+
+    def _kernel(self) -> tuple:
+        """`_oscillator` at this spec's values."""
+        return _oscillator(self.mass.value, self.angular_frequency.value,
+                           self.quantum_number)
+
+
+def _trapped(M, v, D, E, eta, *, hbar=HBAR.value, c=C.value,
+             scale=_in_range):
+    """The trapped pair's kernel: E (None for M v^2), then the window
+    [omega_min, omega_max] = [4 pi c / D, E / (hbar eta)]."""
+    if E is None:
+        E = scale("E = M v^2", M * v ** 2)
+    omega_max = scale("omega_max", E / (hbar * eta))
+    omega_min = scale("omega_min", 4.0 * PI * c / D)
+    lam = scale("lambda", 2.0 * PI * c / omega_max)
+    closed = omega_min > omega_max
+    tau = None if closed else scale("tau", 4.0 * PI / omega_max)
+    return closed, tau, omega_max / omega_min, {
+        "E": E, "omega_min": omega_min, "omega_max": omega_max, "lambda": lam}
 
 
 def trapped_tau(spec: TrappedPairSpec) -> DiscriminationVerdict:
@@ -297,16 +307,7 @@ def trapped_tau(spec: TrappedPairSpec) -> DiscriminationVerdict:
     is open, the minimal send-plus-receive time at the gentlest usable
     setting is tau = 4 pi / omega_max.
     """
-    energy = spec.energy_gap
-    if energy is None:
-        energy = _scale("E = M v^2", spec.mass * spec.mean_velocity ** 2)
-    omega_max = _scale("omega_max", energy / (HBAR * spec.margin))
-    omega_min = _scale("omega_min", 4.0 * PI * C / spec.separation)
-    lam = _scale("lambda", 2.0 * PI * C / omega_max)
-    derivation = [("E", energy), ("omega_min", omega_min),
-                  ("omega_max", omega_max), ("lambda", lam)]
-    return _window_verdict(omega_min > omega_max, lambda: 4.0 * PI / omega_max,
-                           omega_max.value / omega_min.value, derivation)
+    return DiscriminationVerdict(*_outcome(*spec._kernel()))
 
 
 def trapped_critical_mass(v: Quantity, D: Quantity, eta: float = 1.0) -> Quantity:
@@ -338,12 +339,12 @@ def doppler_back_action(omega: Quantity, M: Quantity) -> Quantity:
     return _scale("back-action", 2.0 * HBAR * omega / _scale("c M", C * M))
 
 
-def _doppler_bounds(spec: FreeFlightSpec) -> tuple[Quantity, Quantity]:
+def _doppler_bounds(M, v, D, L, hbar, c, sqrt, scale) -> tuple:
     """(omega_low, omega_high) of the speed meter, open window or not."""
-    omega_low = _scale("omega_low", 2.0 * C / spec.slit_separation)
-    p = _scale("p = M v", spec.mass * spec.speed)
-    hbar_l = _scale("2 hbar L", 2.0 * HBAR * spec.source_distance)
-    omega_high = _scale("omega_high", (p * C ** 2 / hbar_l).sqrt())
+    omega_low = scale("omega_low", 2.0 * c / D)
+    p = scale("p = M v", M * v)
+    hbar_l = scale("2 hbar L", 2.0 * hbar * L)
+    omega_high = scale("omega_high", sqrt(p * c ** 2 / hbar_l))
     return omega_low, omega_high
 
 
@@ -352,12 +353,33 @@ def doppler_window(spec: FreeFlightSpec) -> tuple[Quantity, Quantity] | None:
 
     Lower bound 2c/D: the resolution requirement error <= v*theta/2 within
     the flight-time duration budget.  Upper bound sqrt(p c^2 / (2 hbar L)):
-    the recoil must stay below half the resolution.
+    the recoil must stay below half the resolution.  The bounds are taken
+    on the spec's Quantities, so each carries its derived dimension.
     """
-    omega_low, omega_high = _doppler_bounds(spec)
+    omega_low, omega_high = _doppler_bounds(
+        spec.mass, spec.speed, spec.slit_separation, spec.source_distance,
+        HBAR, C, Quantity.sqrt, _scale)
     if omega_low > omega_high:
         return None
     return omega_low, omega_high
+
+
+def _free_flight(M, v, D, L, *, hbar=HBAR.value, c=C.value, sqrt=math.sqrt,
+                 scale=_in_range):
+    """The free flight's kernel: the speed meter's window, theta = D / L,
+    the flight time L / v and the window margin p theta D / (8 hbar)."""
+    omega_low, omega_high = _doppler_bounds(M, v, D, L, hbar, c, sqrt, scale)
+    p = M * v
+    theta = scale("theta", D / L)
+    flight_time = scale("flight_time", L / v)
+    margin = scale("window_margin", p * D / (8.0 * hbar) * theta)
+    closed = omega_low > omega_high
+    tau = None if closed else scale("tau",
+                                    2.0 * c / (omega_high * v * theta))
+    return closed, tau, margin, {
+        "p": p, "theta": theta, "omega_low": omega_low,
+        "omega_high": omega_high, "flight_time": flight_time,
+        "window_margin": margin}
 
 
 def free_flight_tau(spec: FreeFlightSpec) -> DiscriminationVerdict:
@@ -369,20 +391,7 @@ def free_flight_tau(spec: FreeFlightSpec) -> DiscriminationVerdict:
     p*theta*D = 8*hbar this equals the flight time L/v exactly, so one
     flight attenuates the coherence by 1/e.
     """
-    omega_low, omega_high = _doppler_bounds(spec)
-    p = spec.mass * spec.speed
-    theta = _scale("theta", Quantity(spec.theta))
-    flight_time = _scale("flight_time", spec.source_distance / spec.speed)
-    margin = _scale("window_margin", p * spec.slit_separation / (8.0 * HBAR)
-                    * theta).value
-    derivation = [("p", p), ("theta", theta),
-                  ("omega_low", omega_low), ("omega_high", omega_high),
-                  ("flight_time", flight_time),
-                  ("window_margin", Quantity(margin))]
-    return _window_verdict(
-        omega_low > omega_high,
-        lambda: 2.0 * C / (omega_high * spec.speed * theta), margin,
-        derivation)
+    return DiscriminationVerdict(*_outcome(*spec._kernel()))
 
 
 def free_flight_critical_mass(v: Quantity, theta: float, D: Quantity) -> Quantity:
@@ -416,6 +425,21 @@ def rabi_tau(resonant_gap: Quantity) -> DiscriminationVerdict:
                             [("resonant_gap", resonant_gap)])
 
 
+def _oscillator(M, omega0, n, *, hbar=HBAR.value, c=C.value, sqrt=math.sqrt,
+                power=pow, scale=_in_range):
+    """The oscillator's kernel: r0, v0 and the threshold n* of
+    `oscillator_verdict`, and v_n = sqrt(n) v0."""
+    two_m_omega = scale("2 M omega0", 2.0 * M * omega0)
+    r0 = scale("r0", sqrt(hbar / two_m_omega))
+    v0 = scale("v0", r0 * omega0)
+    n_star = scale("n_star", power(4.0 * PI * c / v0, 2.0 / 3.0))
+    # n <= n*; n_star > 0, so the window is closed at n = 0 too.
+    closed = not n > n_star
+    tau = None if closed else scale("tau", 4.0 * PI / (n * omega0))
+    return closed, tau, n / n_star, {
+        "r0": r0, "v0": v0, "n_star": n_star, "v_n": sqrt(n) * v0}
+
+
 def oscillator_verdict(spec: OscillatorSpec) -> DiscriminationVerdict:
     """Position readout of a mechanical oscillator in number state n.
 
@@ -429,20 +453,7 @@ def oscillator_verdict(spec: OscillatorSpec) -> DiscriminationVerdict:
     minimal send-plus-receive probe time at the gentlest usable frequency
     is tau = 4 pi / (n omega0).
     """
-    two_m_omega = _scale("2 M omega0",
-                         2.0 * spec.mass * spec.angular_frequency)
-    r0 = _scale("r0", (HBAR / two_m_omega).sqrt())
-    v0 = _scale("v0", r0 * spec.angular_frequency)
-    n_star = _scale("n_star",
-                    Quantity((4.0 * PI * C / v0).value ** (2.0 / 3.0)))
-    n = Quantity(spec.quantum_number)
-    derivation = [("r0", r0), ("v0", v0), ("n_star", n_star),
-                  ("v_n", n.sqrt() * v0)]
-    # n_star > 0, so the window is closed at n = 0 too.
-    return _window_verdict(
-        n.value <= n_star.value,
-        lambda: 4.0 * PI / (n * spec.angular_frequency),
-        n.value / n_star.value, derivation)
+    return DiscriminationVerdict(*_outcome(*spec._kernel()))
 
 
 def build_rate_matrix(basis: tuple[str, ...],

@@ -7,20 +7,16 @@ silently coercing; no other arithmetic is defined.  Integer dimension
 exponents suffice for every formula in this package; square roots are only
 ever taken of quantities with even exponents, and a non-integer power of
 any quantity, a dimensionless one included, raises DimensionError (the
-verdicts raise a dimensionless value's float instead).
+oscillator's threshold raises a float to the 2/3 power instead).
 
-A value is a float, or a `PointwiseArray`: a 1-d float64 array with one
-value per point of a sweep grid, which a verdict then evaluates in one
-call.  `*`, `/`, `sqrt`, `<` and `>` apply numpy's float64 arithmetic to
-it, which is correctly rounded, and `**` applies Python's float `**` to
-each element, because numpy's power rounds some elements differently.  So
-each element has the bits that the same operations on it alone give.
+A value is a Python float (or int).  The verdicts' formulas run on SI
+floats (`discrimination`'s kernels); Quantities carry a verdict's inputs,
+whose dimensions its spec checks, and its results.
 
-Dimension and Quantity are immutable values built for the verdict hot
-path, where bisection does thousands of scalar operations.  Dimension is
-interned: there is one instance per exponent triple, so comparing two
-dimensions compares pointers.  Quantity is a slotted pair (value, dim)
-that is built without going through its own frozen __setattr__.
+Dimension and Quantity are immutable values.  Dimension is interned:
+there is one instance per exponent triple, so comparing two dimensions
+compares pointers.  Quantity is a slotted pair (value, dim) that is built
+without going through its own frozen __setattr__ (`_quantity`).
 """
 
 from __future__ import annotations
@@ -28,8 +24,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import FrozenInstanceError
-
-import numpy as np
 
 
 class UnitError(ValueError):
@@ -133,18 +127,8 @@ PER_SECOND = DIMENSIONLESS / TIME
 ACTION = ENERGY * TIME
 
 
-class PointwiseArray(np.ndarray):
-    """A 1-d float64 array, one value per grid point, as a Quantity's
-    value: `np.array(values).view(PointwiseArray)`.  numpy's arithmetic
-    keeps the type, and `**` is Python's float `**` at each element."""
-
-    def __pow__(self, n):
-        return np.array([x ** n for x in self.tolist()]).view(PointwiseArray)
-
-
 class Quantity(_Frozen):
-    """A real value at SI base scale, or a PointwiseArray of them, tagged
-    with its Dimension.
+    """A real value at SI base scale, tagged with its Dimension.
 
     Equal to another Quantity with equal value and dim, and to nothing else.
     """
@@ -194,11 +178,7 @@ class Quantity(_Frozen):
         return _quantity(self.value ** n, self.dim ** n)
 
     def sqrt(self) -> "Quantity":
-        try:
-            value = math.sqrt(self.value)
-        except TypeError:   # a PointwiseArray; np.sqrt is correctly rounded
-            value = np.sqrt(self.value)
-        return _quantity(value, self.dim.sqrt())
+        return _quantity(math.sqrt(self.value), self.dim.sqrt())
 
     def __lt__(self, other: "Quantity") -> bool:
         self._require(other)

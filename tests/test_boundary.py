@@ -15,9 +15,10 @@ from collapsim.boundary import (BISECTION_REL_TOL, COUNTS, MAX_SWEEP_POINTS,
                                 Scenario, SweepError, SweepRow, SweepSpec,
                                 curve_to_csv, curve_trajectory, mass_boundary,
                                 report_to_json_text, scenario_verdict, sweep)
-from collapsim.discrimination import (DiscriminationVerdict, FreeFlightSpec,
-                                      OscillatorSpec, Reason, Regime,
-                                      TrappedPairSpec, ValidationError,
+from collapsim.discrimination import (INFINITE_TAU, DiscriminationVerdict,
+                                      FreeFlightSpec, OscillatorSpec, Reason,
+                                      Regime, TrappedPairSpec,
+                                      ValidationError,
                                       free_flight_critical_mass,
                                       free_flight_tau, oscillator_verdict,
                                       photon_tau, rabi_tau,
@@ -519,15 +520,17 @@ def test_invalid_grid_raises_the_first_points_error(build, message):
 
 def test_multiple_flips_rejected(monkeypatch):
     # No physical axis produces two flips, so punch holes into the finite
-    # side of the grid's verdicts to fake a non-monotone pattern.
+    # side of the grid's rows to fake a non-monotone pattern.
     spec = trapped_sweep(count=9)
+    holes = grid_points(spec)[6:8]
     real = boundary_mod._verdict_at
 
     def flappy(spec, x):
-        verdicts = real(spec, x)
-        if isinstance(x, np.ndarray):
-            verdicts[6:8] = [photon_tau()] * 2
-        return verdicts
+        row = real(spec, x)
+        if x in holes:
+            return SweepRow(row.value, INFINITE_TAU, Regime.QUANTUM,
+                            row.derivation)
+        return row
 
     monkeypatch.setattr(boundary_mod, "_verdict_at", flappy)
     # The pair flips between grid points 4 and 5, and the holes add flips
@@ -659,31 +662,36 @@ class TestMassBoundary:
             rel=BISECTION_REL_TOL, abs=0)
 
     def test_bisection_reuses_the_bracketing_rows(self, monkeypatch):
-        # One evaluation of the 31 grid points plus 21 bisection midpoints;
-        # the ends of the bracket are grid rows already, so neither is
-        # evaluated again.
-        calls, real = [], boundary_mod._verdict_at
-
-        def counted(spec, x):
-            calls.append(x)
-            return real(spec, x)
-
-        monkeypatch.setattr(boundary_mod, "_verdict_at", counted)
-        mass_boundary("trapped", quantity(100, "m/s"), quantity(10, "um"))
-        grid, *midpoints = calls
-        assert isinstance(grid, np.ndarray) and len(grid) == 31
+        # The kernel runs once at each of the 31 grid points, then at 21
+        # bisection midpoints; the ends of the bracket are grid rows
+        # already, so neither is evaluated again.  No public verdict runs.
+        masses, real = [], discrimination._trapped
+        monkeypatch.setattr(discrimination, "_trapped", lambda M, *args:
+                            masses.append(M) or real(M, *args))
+        verdicts = []
+        monkeypatch.setattr(discrimination, "trapped_tau", verdicts.append)
+        report = mass_boundary("trapped", quantity(100, "m/s"),
+                               quantity(10, "um"))
+        grid, midpoints = masses[:31], masses[31:]
+        assert grid == [row.value.value for row in report.rows]
         assert all(isinstance(x, float) for x in midpoints)
         assert len(midpoints) == len(set(midpoints)) == 21
-        assert not set(midpoints) & set(grid.tolist())
+        assert not set(midpoints) & set(grid)
+        assert verdicts == []
 
-    def test_one_verdict_call_for_the_grid(self, monkeypatch):
-        # The traced verdict function, as SCENARIOS looks it up: one call
-        # for the 31 grid points, then one per bisection midpoint.
-        calls, real = [], discrimination.trapped_tau
-        monkeypatch.setattr(discrimination, "trapped_tau",
-                            lambda spec: calls.append(spec) or real(spec))
-        mass_boundary("trapped", quantity(100, "m/s"), quantity(10, "um"))
-        assert len(calls) == 22
+    def test_one_spec_check_per_grid_point(self, monkeypatch):
+        # Each of the 31 grid points builds, and so checks, its own spec;
+        # bisection builds none, and no public verdict runs.
+        specs, real = [], boundary_mod.TrappedPairSpec
+        monkeypatch.setattr(boundary_mod, "TrappedPairSpec",
+                            lambda **kw: specs.append(kw) or real(**kw))
+        verdicts = []
+        monkeypatch.setattr(discrimination, "trapped_tau", verdicts.append)
+        report = mass_boundary("trapped", quantity(100, "m/s"),
+                               quantity(10, "um"))
+        assert [kw["mass"] for kw in specs] == [row.value
+                                                for row in report.rows]
+        assert verdicts == []
 
     def test_margin_moves_the_trapped_boundary(self):
         v, D = quantity(100, "m/s"), quantity(10, "um")

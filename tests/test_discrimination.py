@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from collapsim import discrimination
 from collapsim.discrimination import (MARGINAL_BAND, DiscriminationVerdict,
                                       FreeFlightSpec, OscillatorSpec, Reason,
                                       Regime, TrappedPairSpec,
@@ -16,8 +17,9 @@ from collapsim.discrimination import (MARGINAL_BAND, DiscriminationVerdict,
                                       photon_tau, rabi_tau,
                                       trapped_critical_mass, trapped_tau)
 from collapsim.states import make_basis
-from collapsim.units import (ENERGY, LENGTH, MASS, PER_SECOND, PI, SPEED,
-                            TIME, Quantity, parse_quantity, quantity)
+from collapsim.units import (C, DIMENSIONLESS, ENERGY, HBAR, LENGTH, MASS,
+                             PER_SECOND, PI, SPEED, TIME, Quantity,
+                             parse_quantity, quantity)
 
 HBAR_V = 1.054571817e-34
 C_V = 2.99792458e8
@@ -81,6 +83,7 @@ def test_validation_messages_are_exact(cls, field, unit, si_name):
         (quantity(0, unit), f"{field} must be positive, got 0.0"),
         (quantity(-1, unit), f"{field} must be positive, got -1.0"),
         (quantity(math.inf, unit), f"{field} must be finite, got inf"),
+        (quantity(math.nan, unit), f"{field} must be finite, got nan"),
     ]
     for value, message in cases:
         with pytest.raises(ValidationError) as info:
@@ -118,6 +121,13 @@ class TestNonFinite:
             OscillatorSpec(mass=quantity(40, "kg"),
                            angular_frequency=quantity(6.283, "rad/s"),
                            quantum_number=math.inf)
+
+    def test_nan_quantum_number_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            OscillatorSpec(mass=quantity(40, "kg"),
+                           angular_frequency=quantity(6.283, "rad/s"),
+                           quantum_number=math.nan)
+        assert str(info.value) == "quantum_number must be finite, got nan"
 
     def test_infinite_margin_rejected(self):
         with pytest.raises(ValidationError, match="margin must be finite"):
@@ -234,6 +244,48 @@ def test_valid_inputs_give_finite_scales_or_a_validation_error(kind, exps):
     for symbol, q in verdict.derivation:
         assert math.isfinite(q.value), symbol
         assert q.value > 0.0 or symbol == "v_n", symbol
+
+
+def dimensionless_power(q, exponent):
+    assert q.dim is DIMENSIONLESS
+    return Quantity(q.value ** exponent)
+
+
+# Each kernel's inputs at an open window, and the keyword arguments besides
+# hbar, c and the scale check that make it run on Quantities.
+OPEN_WINDOWS = {
+    "trapped": (discrimination._trapped,
+                [quantity(1e6, "GeV/c2"), quantity(100, "m/s"),
+                 quantity(10, "um"), None, 2.0], {}),
+    "trapped-gap": (discrimination._trapped,
+                    [quantity(1, "kg"), quantity(100, "m/s"),
+                     quantity(10, "um"), quantity(1, "eV"), 1.0], {}),
+    "free-flight": (discrimination._free_flight,
+                    [quantity(100, "GeV/c2"), quantity(1e3, "m/s"),
+                     quantity(10, "um"), quantity(1, "m")],
+                    {"sqrt": Quantity.sqrt}),
+    "oscillator": (discrimination._oscillator,
+                   [quantity(40, "kg"), quantity(6.283, "rad/s"),
+                    Quantity(1e19)],
+                   {"sqrt": Quantity.sqrt, "power": dimensionless_power}),
+}
+
+
+# The verdicts run each kernel on SI floats, so no call checks a derived
+# dimension; this test does, once, by running the kernels on Quantities.
+@pytest.mark.parametrize("kernel, args, ops", OPEN_WINDOWS.values(),
+                         ids=OPEN_WINDOWS)
+def test_kernels_derive_their_declared_dimensions(kernel, args, ops):
+    closed, tau, margin, values = kernel(
+        *args, hbar=HBAR, c=C, scale=discrimination._scale, **ops)
+    assert closed is False
+    assert tau.dim is TIME and margin.dim is DIMENSIONLESS
+    assert {sym: q.dim for sym, q in values.items()} == \
+        {sym: discrimination._DERIVATION_DIMENSIONS[sym] for sym in values}
+    # On floats, the same formulas give the same bits.
+    assert kernel(*[getattr(a, "value", a) for a in args]) == \
+        (closed, tau.value, margin.value,
+         {sym: q.value for sym, q in values.items()})
 
 
 class TestTrapped:
