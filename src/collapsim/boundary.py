@@ -8,17 +8,19 @@ verdict on a grid along one axis and then bisect the flip interval on the
 verdict itself (not on an inverted formula), so they stay correct if the
 discrimination margins change; the closed-form critical-mass operations
 remain available as cross-checks.  `SweepSpec` checks a sweep's names,
-eta, count, grid and counts when it is built; each point's values are
-checked by its scenario's spec, so a bad value raises from `sweep`.
-`mass_boundary` is the mass scan behind `collapsim boundary`.
+eta, count, grid and counts when it is built; the values are checked at
+each grid point, so a bad value raises from `sweep`.  `mass_boundary` is
+the mass scan behind `collapsim boundary`.
 
-`sweep` evaluates the grid one point at a time, in grid order: the
-point's spec check, then the scenario's kernel over SI floats
-(`discrimination`), whose output is the row; so each row equals the
-verdict at its point, bit for bit, and an invalid grid raises its first
-invalid point's error.  Bisection calls the kernel alone, with the fixed
-values taken once as floats: the grid has checked them, and a midpoint
-between two valid points is valid.
+`sweep` builds the scenario's spec once, at the first grid point, which
+checks every dimension (no later point can change one) and that point's
+values, as its verdict would.  Then it evaluates the grid one point at a
+time, in grid order, on one map of SI floats: the scenario's value check
+(every point after the first), then its kernel (`discrimination`), whose
+output is the row.  So each row equals the verdict at its point, bit for
+bit, and an invalid grid raises its first invalid point's error.
+Bisection calls the kernel alone on the same map: the grid has checked
+the fixed values, and a midpoint between two valid points is valid.
 
 A report is written as the report/1 dict (`BoundaryReport.to_json`) or
 as that dict's indented JSON text (`report_to_json_text`, equal to
@@ -47,7 +49,8 @@ from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
                              ValidationError)
 from .evolution import (EvolutionConfig, Trajectory, _json_float, csv_text,
                         evolve, json_text, two_level_decay)
-from .units import DIMENSIONLESS, Quantity, preferred_unit, quantity
+from .units import (DIMENSIONLESS, Quantity, _quantity, preferred_unit,
+                    quantity)
 
 REPORT_SCHEMA_ID = "report/1"
 
@@ -70,15 +73,17 @@ class ScenarioEntry:
     from a {name: Quantity} map holding every name in params, any of
     optional and nothing else; _check_params enforces that, and checks
     each count, before either runs.  A scenario with a boundary has a
-    kernel(floats, eta): its discrimination kernel at a map of the same
-    names to SI floats, unchecked.  Only a scenario that uses_eta accepts
-    eta != 1.
+    check(floats, eta) and a kernel(floats, eta), both on a map of the same
+    names to SI floats: check raises what the spec's value checks raise
+    (it checks no dimension), and kernel is its discrimination kernel,
+    unchecked.  Only a scenario that uses_eta accepts eta != 1.
     """
 
     name: str
     params: tuple[str, ...]
     spec: Callable[[dict, float], object]
     verdict: Callable[[object], DiscriminationVerdict]
+    check: Callable[[dict, float], None] | None = None
     kernel: Callable[[dict, float], tuple] | None = None
     optional: tuple[str, ...] = ()
     uses_eta: bool = False
@@ -97,8 +102,9 @@ PARAMETERS = {"M": "mass", "v": "speed", "D": "separation",
               "omega0": "angular frequency", "n": "oscillator quantum number"}
 COUNTS = frozenset({"n"})
 
-# Verdicts and kernels look up disc.<fn> when called, so wrapping it later
-# (tracing, profiling) still sees every dispatch through this table.
+# Verdicts, checks and kernels look up disc.<fn> when called, so wrapping
+# it later (tracing, profiling) still sees every dispatch through this
+# table.
 SCENARIOS: dict[str, ScenarioEntry] = {entry.name: entry for entry in (
     ScenarioEntry(
         "trapped", ("M", "v", "D"), optional=("E",), uses_eta=True,
@@ -106,6 +112,8 @@ SCENARIOS: dict[str, ScenarioEntry] = {entry.name: entry for entry in (
             mass=p["M"], mean_velocity=p["v"], separation=p["D"],
             energy_gap=p.get("E"), margin=eta),
         verdict=lambda spec: disc.trapped_tau(spec),
+        check=lambda p, eta: disc._check_trapped(p["M"], p["v"], p["D"],
+                                                 p.get("E"), eta),
         kernel=lambda p, eta: disc._trapped(p["M"], p["v"], p["D"],
                                             p.get("E"), eta)),
     ScenarioEntry(
@@ -114,6 +122,8 @@ SCENARIOS: dict[str, ScenarioEntry] = {entry.name: entry for entry in (
             mass=p["M"], speed=p["v"], slit_separation=p["D"],
             source_distance=p["L"], slit_width=p["d"]),
         verdict=lambda spec: disc.free_flight_tau(spec),
+        check=lambda p, eta: disc._check_free_flight(p["M"], p["v"], p["D"],
+                                                     p["L"], p["d"]),
         kernel=lambda p, eta: disc._free_flight(p["M"], p["v"], p["D"],
                                                 p["L"])),
     ScenarioEntry("photon", (), spec=lambda p, eta: None,
@@ -126,6 +136,8 @@ SCENARIOS: dict[str, ScenarioEntry] = {entry.name: entry for entry in (
             mass=p["M"], angular_frequency=p["omega0"],
             quantum_number=p["n"].value),
         verdict=lambda spec: disc.oscillator_verdict(spec),
+        check=lambda p, eta: disc._check_oscillator(p["M"], p["omega0"],
+                                                    p["n"]),
         kernel=lambda p, eta: disc._oscillator(p["M"], p["omega0"], p["n"])),
 )}
 
@@ -196,7 +208,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point; to_json formats the verdict's derivation."""
+    """One grid point: its axis value, and the tau, regime and derivation
+    of the verdict there; `_row_values` reads it as a report/1 row."""
 
     value: Quantity
     tau: Quantity
@@ -298,25 +311,15 @@ def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
     return entry.verdict(entry.spec(params, eta))
 
 
-def _verdict_at(spec: SweepSpec, x: float) -> SweepRow:
-    """The row at axis value x (SI scale; a count may be real): the
-    point's spec check, then its kernel, whose output is the row."""
-    entry = SCENARIOS[spec.scenario]
-    params = spec.fixed.copy()
-    value = params[spec.axis] = Quantity(x, spec.minimum.dim)
-    tau, regime, _, derivation = disc._outcome(
-        *entry.spec(params, spec.eta)._kernel())
-    return SweepRow(value, tau, regime, derivation)
-
-
-def _bisect(spec: SweepSpec, below: SweepRow, above: SweepRow) -> float:
+def _bisect(spec: SweepSpec, floats: dict, below: SweepRow,
+            above: SweepRow) -> float:
     """Refine the flip between two adjacent rows to BISECTION_REL_TOL (of
     the upper row's value while the lower end is a count rounded to 0).
     Each midpoint is a finite double even where lo + hi or lo * hi is not,
     and the loop ends once no double lies strictly between lo and hi.
-    Each midpoint asks the kernel alone whether the window is closed."""
+    Each midpoint asks the kernel alone, at floats (the sweep's map of SI
+    floats) with the axis set to it, whether the window is closed."""
     kernel, eta, axis = SCENARIOS[spec.scenario].kernel, spec.eta, spec.axis
-    floats = {name: q.value for name, q in spec.fixed.items()}
     lo, hi = below.value.value, above.value.value
     lo_closed = not below.tau.is_finite
     geometric = spec.spacing == "geometric"
@@ -350,7 +353,20 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
     points = grid.tolist()
     if spec.axis in COUNTS:
         points = [float(round(x)) for x in points]
-    rows = [_verdict_at(spec, x) for x in points]
+    entry, axis, dim, eta = (SCENARIOS[spec.scenario], spec.axis,
+                             spec.minimum.dim, spec.eta)
+    params = spec.fixed.copy()
+    params[axis] = Quantity(points[0], dim)
+    entry.spec(params, eta)
+    floats = {name: q.value for name, q in params.items()}
+    check, kernel = entry.check, entry.kernel
+    rows = []
+    for x in points:
+        if rows:  # the spec has checked the first point's values
+            floats[axis] = x
+            check(floats, eta)
+        tau, regime, _, derivation = disc._outcome(*kernel(floats, eta))
+        rows.append(SweepRow(_quantity(x, dim), tau, regime, derivation))
 
     flips = [i for i in range(len(grid) - 1)
              if rows[i].tau.is_finite != rows[i + 1].tau.is_finite]
@@ -363,7 +379,7 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
     critical = None
     if flips:
         i = flips[0]
-        critical = Quantity(_bisect(spec, *rows[i:i + 2]), spec.minimum.dim)
+        critical = Quantity(_bisect(spec, floats, *rows[i:i + 2]), dim)
     return BoundaryReport(spec.scenario, spec.axis, tuple(rows), critical)
 
 

@@ -36,11 +36,15 @@ Each scenario with a window (trapped, free flight, oscillator) has one
 kernel over SI floats (`_trapped`, `_free_flight`, `_oscillator`): it
 returns whether the window is closed, tau (None if so), the deciding ratio
 and the derivation's values, whose dimensions `_DERIVATION_DIMENSIONS`
-declares.  Its verdict checks the spec, runs the kernel on the spec's
-values and wraps them as Quantities (`_outcome`).  hbar, c, sqrt, the
-scale check and the power are keyword defaults, so the kernels also run
-on Quantities: the tests check each derived dimension so, and
-`doppler_window` keeps its bounds' dimensions.
+declares.  Beside each kernel, one function checks the values of its
+inputs on the same floats (`_check_trapped`, `_check_free_flight`,
+`_check_oscillator`).  A spec checks every field's dimension first, then
+calls that function on the fields' values, so a spec that is wrong in
+both ways reports its dimension.  A verdict checks the spec, runs the
+kernel on the spec's values and wraps them as Quantities (`_outcome`).
+hbar, c, sqrt, the scale check and the power are keyword defaults, so the
+kernels also run on Quantities: the tests check each derived dimension
+so, and `doppler_window` keeps its bounds' dimensions.
 """
 
 from __future__ import annotations
@@ -86,20 +90,24 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-# These run on every spec a sweep builds, so their messages are formatted
-# only when a check fails.
+# These run on every spec, and `_positive` at every grid point of a sweep,
+# so their messages are formatted only when a check fails.
 def _require_dim(q: Quantity, dim, name: str) -> None:
     if q.dim != dim:
         raise ValidationError(f"{name} must have dimension {dim.si_name()}, "
                               f"got {q.dim.si_name()}")
 
 
-def _require_positive(q: Quantity, dim, name: str) -> None:
-    _require_dim(q, dim, name)
-    value = q.value
+def _positive(name: str, value: float) -> None:
+    """The value check of a positive input: 0 < value < inf."""
     if not 0.0 < value < math.inf:
         bound = "positive" if value <= 0.0 else "finite"
         raise ValidationError(f"{name} must be {bound}, got {value!r}")
+
+
+def _require_positive(q: Quantity, dim, name: str) -> None:
+    _require_dim(q, dim, name)
+    _positive(name, q.value)
 
 
 def _in_range(name: str, x: float) -> float:
@@ -205,15 +213,15 @@ class TrappedPairSpec:
     margin: float = 1.0
 
     def __post_init__(self):
-        _require_positive(self.mass, MASS, "mass")
-        _require_positive(self.mean_velocity, SPEED, "mean_velocity")
-        _require(self.mean_velocity < C, "mean_velocity must be below c")
-        _require_positive(self.separation, LENGTH, "separation")
-        if self.energy_gap is not None:
-            _require_positive(self.energy_gap, ENERGY, "energy_gap")
-        if not 1.0 <= self.margin < math.inf:
-            bound = ">= 1" if math.isfinite(self.margin) else "finite"
-            raise ValidationError(f"margin must be {bound}, got {self.margin}")
+        _require_dim(self.mass, MASS, "mass")
+        _require_dim(self.mean_velocity, SPEED, "mean_velocity")
+        _require_dim(self.separation, LENGTH, "separation")
+        gap = self.energy_gap
+        if gap is not None:
+            _require_dim(gap, ENERGY, "energy_gap")
+        _check_trapped(self.mass.value, self.mean_velocity.value,
+                       self.separation.value,
+                       None if gap is None else gap.value, self.margin)
 
     def _kernel(self) -> tuple:
         """`_trapped` at this spec's values."""
@@ -239,16 +247,14 @@ class FreeFlightSpec:
     slit_width: Quantity
 
     def __post_init__(self):
-        _require_positive(self.mass, MASS, "mass")
-        _require_positive(self.speed, SPEED, "speed")
-        _require_positive(self.slit_separation, LENGTH, "slit_separation")
-        _require_positive(self.source_distance, LENGTH, "source_distance")
-        _require_positive(self.slit_width, LENGTH, "slit_width")
-        _require(self.slit_width < self.slit_separation,
-                 "slit_width must be smaller than slit_separation")
-        _require(self.slit_separation < self.source_distance,
-                 "slit_separation must be smaller than source_distance")
-        _require(self.speed < C, "speed must be below c")
+        _require_dim(self.mass, MASS, "mass")
+        _require_dim(self.speed, SPEED, "speed")
+        _require_dim(self.slit_separation, LENGTH, "slit_separation")
+        _require_dim(self.source_distance, LENGTH, "source_distance")
+        _require_dim(self.slit_width, LENGTH, "slit_width")
+        _check_free_flight(self.mass.value, self.speed.value,
+                           self.slit_separation.value,
+                           self.source_distance.value, self.slit_width.value)
 
     def _kernel(self) -> tuple:
         """`_free_flight` at this spec's values."""
@@ -270,17 +276,29 @@ class OscillatorSpec:
     quantum_number: int
 
     def __post_init__(self):
-        _require_positive(self.mass, MASS, "mass")
-        _require_positive(self.angular_frequency, PER_SECOND, "angular_frequency")
-        n = self.quantum_number
-        if not 0 <= n < math.inf:
-            bound = ">= 0" if n < 0 else "finite"
-            raise ValidationError(f"quantum_number must be {bound}, got {n}")
+        _require_dim(self.mass, MASS, "mass")
+        _require_dim(self.angular_frequency, PER_SECOND, "angular_frequency")
+        _check_oscillator(self.mass.value, self.angular_frequency.value,
+                          self.quantum_number)
 
     def _kernel(self) -> tuple:
         """`_oscillator` at this spec's values."""
         return _oscillator(self.mass.value, self.angular_frequency.value,
                            self.quantum_number)
+
+
+def _check_trapped(M, v, D, E, eta) -> None:
+    """The trapped pair's value checks, on SI floats: M, v, D and E (unless
+    None) positive and finite, v < c, and a finite margin eta >= 1."""
+    _positive("mass", M)
+    _positive("mean_velocity", v)
+    _require(v < C.value, "mean_velocity must be below c")
+    _positive("separation", D)
+    if E is not None:
+        _positive("energy_gap", E)
+    if not 1.0 <= eta < math.inf:
+        bound = ">= 1" if math.isfinite(eta) else "finite"
+        raise ValidationError(f"margin must be {bound}, got {eta}")
 
 
 def _trapped(M, v, D, E, eta, *, hbar=HBAR.value, c=C.value,
@@ -364,6 +382,19 @@ def doppler_window(spec: FreeFlightSpec) -> tuple[Quantity, Quantity] | None:
     return omega_low, omega_high
 
 
+def _check_free_flight(M, v, D, L, d) -> None:
+    """The free flight's value checks, on SI floats: every input positive
+    and finite, d < D < L, and v < c."""
+    _positive("mass", M)
+    _positive("speed", v)
+    _positive("slit_separation", D)
+    _positive("source_distance", L)
+    _positive("slit_width", d)
+    _require(d < D, "slit_width must be smaller than slit_separation")
+    _require(D < L, "slit_separation must be smaller than source_distance")
+    _require(v < C.value, "speed must be below c")
+
+
 def _free_flight(M, v, D, L, *, hbar=HBAR.value, c=C.value, sqrt=math.sqrt,
                  scale=_in_range):
     """The free flight's kernel: the speed meter's window, theta = D / L,
@@ -423,6 +454,16 @@ def rabi_tau(resonant_gap: Quantity) -> DiscriminationVerdict:
     _require_positive(resonant_gap, ENERGY, "resonant_gap")
     return _quantum_verdict(Reason.RABI_PROBE_DESTROYS,
                             [("resonant_gap", resonant_gap)])
+
+
+def _check_oscillator(M, omega0, n) -> None:
+    """The oscillator's value checks, on SI floats: M and omega0 positive
+    and finite, and a finite n >= 0."""
+    _positive("mass", M)
+    _positive("angular_frequency", omega0)
+    if not 0 <= n < math.inf:
+        bound = ">= 0" if n < 0 else "finite"
+        raise ValidationError(f"quantum_number must be {bound}, got {n}")
 
 
 def _oscillator(M, omega0, n, *, hbar=HBAR.value, c=C.value, sqrt=math.sqrt,

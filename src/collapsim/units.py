@@ -57,21 +57,29 @@ class Dimension(_Frozen):
 
     Dimension(mass, length, time) returns the one instance for that triple,
     so == and hashing are by identity.  An integral float exponent is stored
-    as an int; any other non-integer raises DimensionError.
+    as an int; any other non-integer raises DimensionError.  Each instance
+    composes its SI name once, when it is interned.
     """
 
-    __slots__ = ("mass", "length", "time")
+    __slots__ = ("mass", "length", "time", "_si_name")
 
     def __new__(cls, mass: int = 0, length: int = 0, time: int = 0):
         key = (mass, length, time)
         self = _DIMENSIONS.get(key)
         if self is None:
             self = object.__new__(cls)
-            for name, exp in zip(cls.__slots__, key):
+            parts = []
+            for name, sym, exp in zip(("mass", "length", "time"),
+                                      ("kg", "m", "s"), key):
                 if not float(exp).is_integer():
                     raise DimensionError(
                         f"{name} exponent must be an integer, got {exp!r}")
-                object.__setattr__(self, name, int(exp))
+                exp = int(exp)
+                object.__setattr__(self, name, exp)
+                if exp:
+                    parts.append(sym if exp == 1 else f"{sym}^{exp}")
+            object.__setattr__(self, "_si_name",
+                               " ".join(parts) or "dimensionless")
             self = _DIMENSIONS.setdefault(key, self)
         return self
 
@@ -106,15 +114,7 @@ class Dimension(_Frozen):
 
     def si_name(self) -> str:
         """Composed SI name like 'kg m s^-2'; 'dimensionless' at the origin."""
-        if self is DIMENSIONLESS:
-            return "dimensionless"
-        parts = []
-        for sym, exp in (("kg", self.mass), ("m", self.length), ("s", self.time)):
-            if exp == 1:
-                parts.append(sym)
-            elif exp != 0:
-                parts.append(f"{sym}^{exp}")
-        return " ".join(parts)
+        return self._si_name
 
 
 DIMENSIONLESS = Dimension()

@@ -15,10 +15,9 @@ from collapsim.boundary import (BISECTION_REL_TOL, COUNTS, MAX_SWEEP_POINTS,
                                 Scenario, SweepError, SweepRow, SweepSpec,
                                 curve_to_csv, curve_trajectory, mass_boundary,
                                 report_to_json_text, scenario_verdict, sweep)
-from collapsim.discrimination import (INFINITE_TAU, DiscriminationVerdict,
-                                      FreeFlightSpec, OscillatorSpec, Reason,
-                                      Regime, TrappedPairSpec,
-                                      ValidationError,
+from collapsim.discrimination import (DiscriminationVerdict, FreeFlightSpec,
+                                      OscillatorSpec, Reason, Regime,
+                                      TrappedPairSpec, ValidationError,
                                       free_flight_critical_mass,
                                       free_flight_tau, oscillator_verdict,
                                       photon_tau, rabi_tau,
@@ -26,7 +25,7 @@ from collapsim.discrimination import (INFINITE_TAU, DiscriminationVerdict,
 from collapsim.cli import main
 from collapsim.evolution import trajectory_to_csv
 from collapsim.schemas import REPORT_SCHEMA, VERDICT_SCHEMA
-from collapsim.units import (DIMENSIONLESS, ENERGY, LENGTH, MASS, SPEED,
+from collapsim.units import (C, DIMENSIONLESS, ENERGY, LENGTH, MASS, SPEED,
                              TIME, Dimension, Quantity, quantity)
 
 HBAR_V = 1.054571817e-34
@@ -297,15 +296,16 @@ class TestOscillatorSweep:
                                                       mass):
         # The geometric grid 0.1..10 rounds to the rows 0, 0, 1, 3, 10, and
         # n* < 1, so the flip's lower row is n = 0, where no geometric
-        # midpoint moves.  A bound on the verdict calls stands in for a hang.
-        calls, real = [], boundary_mod._verdict_at
+        # midpoint moves.  A bound on the kernel calls, which the grid and
+        # every bisection step make, stands in for a hang.
+        calls, real = [], discrimination._oscillator
 
-        def bounded(spec, x):
-            calls.append(x)
+        def bounded(M, omega0, n):
+            calls.append(n)
             assert len(calls) < 100, "bisection does not converge"
-            return real(spec, x)
+            return real(M, omega0, n)
 
-        monkeypatch.setattr(boundary_mod, "_verdict_at", bounded)
+        monkeypatch.setattr(discrimination, "_oscillator", bounded)
         fixed = {"M": quantity(mass, "kg"), "omega0": quantity(1e5, "rad/s")}
         spec = SweepSpec(Scenario.OSCILLATOR, "n", Quantity(0.1),
                          Quantity(10.0), count=5, fixed=fixed)
@@ -448,10 +448,10 @@ def grid_points(spec):
     return points
 
 
-# Grids that reach an invalid value.  sweep raises what evaluating the
-# points one at a time raises at the first of them, with no numpy warning
-# on the way.  From 1e-170 m/s the first bad speed is one whose M v^2
-# underflows, although the grid's later speeds reach c.
+# Grids that reach an invalid value.  sweep raises what the verdicts at
+# the points, one at a time, raise at the first of them, with no numpy
+# warning on the way.  From 1e-170 m/s the first bad speed is one whose
+# M v^2 underflows, although the grid's later speeds reach c.
 INVALID_GRIDS = {
     "mass-through-zero": (
         lambda: SweepSpec(Scenario.TRAPPED, "M", quantity(-5, "GeV/c2"),
@@ -501,6 +501,14 @@ INVALID_GRIDS = {
                 "margin must be finite, got inf"),
     "eta-nan": (lambda: trapped_sweep(count=9, eta=math.nan),
                 "margin must be finite, got nan"),
+    # The first point's mass is negative, but its spec checks the fixed
+    # separation's dimension first.
+    "dimension-before-value": (
+        lambda: SweepSpec(Scenario.TRAPPED, "M", quantity(-5, "GeV/c2"),
+                          quantity(1e3, "GeV/c2"), count=9, spacing="linear",
+                          fixed={"v": quantity(100, "m/s"),
+                                 "D": quantity(10, "us")}),
+        "separation must have dimension m, got s"),
 }
 
 
@@ -509,30 +517,78 @@ INVALID_GRIDS = {
                          ids=INVALID_GRIDS)
 def test_invalid_grid_raises_the_first_points_error(build, message):
     spec = build()
-    with pytest.raises(Exception) as one_by_one:
-        for x in grid_points(spec):
-            boundary_mod._verdict_at(spec, x)
-    assert type(one_by_one.value) is ValidationError
-    assert str(one_by_one.value) == message
+    error = first_point_error(spec)
+    assert type(error) is ValidationError
+    assert str(error) == message
     with raises_exactly(message):
         sweep(spec)
 
 
+def first_point_error(spec):
+    """What scenario_verdict raises at the first grid point where it
+    raises, or None."""
+    for x in grid_points(spec):
+        try:
+            scenario_verdict(spec.scenario, {
+                **spec.fixed, spec.axis: Quantity(x, spec.minimum.dim)},
+                spec.eta)
+        except Exception as error:
+            return error
+    return None
+
+
+# One validity edge per case, crossed by a linear grid along its axis:
+# (scenario, axis, the axis value where it turns invalid).  Masses,
+# lengths and n turn invalid at 0 and below, a speed at c and above, a
+# slit width at D and a slit separation at L.
+VALIDITY_EDGES = [
+    ("trapped", "M", 0.0), ("trapped", "D", 0.0), ("trapped", "v", C.value),
+    ("free-flight", "M", 0.0), ("free-flight", "d", 0.0),
+    ("free-flight", "v", C.value),
+    ("free-flight", "d", SWEEP_BASES["free-flight"]["D"].value),
+    ("free-flight", "D", SWEEP_BASES["free-flight"]["L"].value),
+    ("oscillator", "M", 0.0), ("oscillator", "n", 0.0),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(edge=st.sampled_from(VALIDITY_EDGES),
+       reach=st.tuples(*[st.floats(min_value=0.01, max_value=0.99)] * 2),
+       count=st.integers(min_value=2, max_value=9))
+def test_grid_across_a_validity_edge_raises_the_first_points_error(
+        edge, reach, count):
+    scenario, axis, at = edge
+    base = SWEEP_BASES[scenario]
+    # The grid's ends lie either side of the edge, each within a fraction
+    # of the edge's value (of the base value for an edge at 0).
+    scale = at or base[axis].value
+    lo, hi = at - reach[0] * scale, at + reach[1] * scale
+    spec = SweepSpec(scenario, axis, Quantity(lo, base[axis].dim),
+                     Quantity(hi, base[axis].dim), count=count,
+                     spacing="linear",
+                     fixed={k: q for k, q in base.items() if k != axis})
+    error = first_point_error(spec)
+    assert error is not None
+    with pytest.raises(Exception) as info:
+        sweep(spec)
+    assert (type(info.value), str(info.value)) == (type(error), str(error))
+
+
 def test_multiple_flips_rejected(monkeypatch):
-    # No physical axis produces two flips, so punch holes into the finite
-    # side of the grid's rows to fake a non-monotone pattern.
+    # No physical axis produces two flips, so close the window at two
+    # masses on the finite side of the grid to fake a non-monotone pattern.
     spec = trapped_sweep(count=9)
     holes = grid_points(spec)[6:8]
-    real = boundary_mod._verdict_at
+    real = discrimination._trapped
 
-    def flappy(spec, x):
-        row = real(spec, x)
-        if x in holes:
-            return SweepRow(row.value, INFINITE_TAU, Regime.QUANTUM,
-                            row.derivation)
-        return row
+    def flappy(M, *args):
+        closed, tau, margin, values = real(M, *args)
+        if M in holes:
+            return True, None, margin, values
+        return closed, tau, margin, values
 
-    monkeypatch.setattr(boundary_mod, "_verdict_at", flappy)
+    monkeypatch.setattr(discrimination, "_trapped", flappy)
     # The pair flips between grid points 4 and 5, and the holes add flips
     # at 5..6 and 7..8: the first two brackets are named.
     with pytest.raises(SweepError, match="^" + re.escape(
@@ -679,18 +735,24 @@ class TestMassBoundary:
         assert not set(midpoints) & set(grid)
         assert verdicts == []
 
-    def test_one_spec_check_per_grid_point(self, monkeypatch):
-        # Each of the 31 grid points builds, and so checks, its own spec;
-        # bisection builds none, and no public verdict runs.
-        specs, real = [], boundary_mod.TrappedPairSpec
+    def test_one_spec_per_sweep_and_one_value_check_per_point(
+            self, monkeypatch):
+        # The first grid point builds the sweep's one spec, which checks
+        # the dimensions and that point's values; each later point checks
+        # its values on floats.  Bisection checks nothing, and no public
+        # verdict runs.
+        specs, real_spec = [], boundary_mod.TrappedPairSpec
         monkeypatch.setattr(boundary_mod, "TrappedPairSpec",
-                            lambda **kw: specs.append(kw) or real(**kw))
+                            lambda **kw: specs.append(kw) or real_spec(**kw))
+        checked, real_check = [], discrimination._check_trapped
+        monkeypatch.setattr(discrimination, "_check_trapped", lambda M, *a:
+                            checked.append(M) or real_check(M, *a))
         verdicts = []
         monkeypatch.setattr(discrimination, "trapped_tau", verdicts.append)
         report = mass_boundary("trapped", quantity(100, "m/s"),
                                quantity(10, "um"))
-        assert [kw["mass"] for kw in specs] == [row.value
-                                                for row in report.rows]
+        assert [kw["mass"] for kw in specs] == [report.rows[0].value]
+        assert checked == [row.value.value for row in report.rows]
         assert verdicts == []
 
     def test_margin_moves_the_trapped_boundary(self):

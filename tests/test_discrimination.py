@@ -91,6 +91,29 @@ def test_validation_messages_are_exact(cls, field, unit, si_name):
         assert str(info.value) == message
 
 
+# A spec wrong in two ways, a bad value in one field and a bad dimension
+# in a later one, reports the dimension: each spec checks every field's
+# dimension before any value.
+@pytest.mark.parametrize("cls, wrong, message", [
+    (TrappedPairSpec, dict(mass=quantity(-1, "kg"),
+                           energy_gap=quantity(1, "m")),
+     "energy_gap must have dimension kg m^2 s^-2, got m"),
+    (TrappedPairSpec, dict(mean_velocity=quantity(4e8, "m/s"),
+                           separation=quantity(1, "s")),
+     "separation must have dimension m, got s"),
+    (FreeFlightSpec, dict(slit_separation=quantity(2, "m"),
+                          slit_width=quantity(1, "s")),
+     "slit_width must have dimension m, got s"),
+    (OscillatorSpec, dict(mass=quantity(-1, "kg"),
+                          angular_frequency=quantity(1, "m")),
+     "angular_frequency must have dimension s^-1, got m"),
+], ids=["trapped-mass", "trapped-speed", "free-flight", "oscillator"])
+def test_dimensions_are_checked_before_values(cls, wrong, message):
+    with pytest.raises(ValidationError) as info:
+        cls(**{**VALID_SPECS[cls], **wrong})
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("v", [C_V, 4e8], ids=["c", "above"])
 def test_speed_at_or_above_c_rejected(v):
     speed, D = quantity(v, "m/s"), quantity(10, "um")
