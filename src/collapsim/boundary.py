@@ -14,13 +14,13 @@ the mass scan behind `collapsim boundary`.
 
 `sweep` builds the scenario's spec once, at the first grid point, which
 checks every dimension (no later point can change one) and that point's
-values, as its verdict would.  Then it evaluates the grid one point at a
-time, in grid order, on one map of SI floats: the scenario's value check
-(every point after the first), then its kernel (`discrimination`), whose
-output is the row.  So each row equals the verdict at its point, bit for
-bit, and an invalid grid raises its first invalid point's error.
-Bisection calls the kernel alone on the same map: the grid has checked
-the fixed values, and a midpoint between two valid points is valid.
+values, and takes its `_values()`: its check's and kernel's arguments.
+Then, in grid order, each point overwrites its axis's slot in that list
+and runs the check (after the first point), then the kernel, whose output
+is the row.  So each row equals the verdict at its point, bit for bit,
+and an invalid grid raises its first invalid point's error.  Bisection
+calls the kernel alone on the same list: the grid has checked the fixed
+values, and a midpoint between two valid points is valid.
 
 A report is written as the report/1 dict (`BoundaryReport.to_json`) or
 as that dict's indented JSON text (`report_to_json_text`, equal to
@@ -72,21 +72,25 @@ class ScenarioEntry:
     spec(params, eta) builds, and so checks, what verdict(spec) evaluates,
     from a {name: Quantity} map holding every name in params, any of
     optional and nothing else; _check_params enforces that, and checks
-    each count, before either runs.  A scenario with a boundary has a
-    check(floats, eta) and a kernel(floats, eta), both on a map of the same
-    names to SI floats: check raises what the spec's value checks raise
-    (it checks no dimension), and kernel is its discrimination kernel,
-    unchecked.  Only a scenario that uses_eta accepts eta != 1.
+    each count, before either runs.  A scenario with a boundary names its
+    value check and its kernel in `discrimination`, both taking the spec's
+    `_values()`: the SI floats of inputs (None if omitted), in this order,
+    then eta if it uses_eta.  Only such a scenario accepts eta != 1.
     """
 
     name: str
     params: tuple[str, ...]
     spec: Callable[[dict, float], object]
     verdict: Callable[[object], DiscriminationVerdict]
-    check: Callable[[dict, float], None] | None = None
-    kernel: Callable[[dict, float], tuple] | None = None
+    check: str | None = None
+    kernel: str | None = None
     optional: tuple[str, ...] = ()
     uses_eta: bool = False
+
+    @property
+    def inputs(self) -> tuple[str, ...]:
+        """Every parameter name, params then optional: the table's order."""
+        return self.params + self.optional
 
     @property
     def has_boundary(self) -> bool:
@@ -102,9 +106,9 @@ PARAMETERS = {"M": "mass", "v": "speed", "D": "separation",
               "omega0": "angular frequency", "n": "oscillator quantum number"}
 COUNTS = frozenset({"n"})
 
-# Verdicts, checks and kernels look up disc.<fn> when called, so wrapping
-# it later (tracing, profiling) still sees every dispatch through this
-# table.
+# Verdicts look up disc.<fn> when called, so tracing can wrap them; each
+# sweep looks up its named check and kernel when it starts, so tests can
+# substitute them.
 SCENARIOS: dict[str, ScenarioEntry] = {entry.name: entry for entry in (
     ScenarioEntry(
         "trapped", ("M", "v", "D"), optional=("E",), uses_eta=True,
@@ -112,20 +116,14 @@ SCENARIOS: dict[str, ScenarioEntry] = {entry.name: entry for entry in (
             mass=p["M"], mean_velocity=p["v"], separation=p["D"],
             energy_gap=p.get("E"), margin=eta),
         verdict=lambda spec: disc.trapped_tau(spec),
-        check=lambda p, eta: disc._check_trapped(p["M"], p["v"], p["D"],
-                                                 p.get("E"), eta),
-        kernel=lambda p, eta: disc._trapped(p["M"], p["v"], p["D"],
-                                            p.get("E"), eta)),
+        check="_check_trapped", kernel="_trapped"),
     ScenarioEntry(
         "free-flight", ("M", "v", "D", "L", "d"),
         spec=lambda p, eta: FreeFlightSpec(
             mass=p["M"], speed=p["v"], slit_separation=p["D"],
             source_distance=p["L"], slit_width=p["d"]),
         verdict=lambda spec: disc.free_flight_tau(spec),
-        check=lambda p, eta: disc._check_free_flight(p["M"], p["v"], p["D"],
-                                                     p["L"], p["d"]),
-        kernel=lambda p, eta: disc._free_flight(p["M"], p["v"], p["D"],
-                                                p["L"])),
+        check="_check_free_flight", kernel="_free_flight"),
     ScenarioEntry("photon", (), spec=lambda p, eta: None,
                   verdict=lambda spec: disc.photon_tau()),
     ScenarioEntry("rabi", ("gap",), spec=lambda p, eta: p["gap"],
@@ -136,9 +134,7 @@ SCENARIOS: dict[str, ScenarioEntry] = {entry.name: entry for entry in (
             mass=p["M"], angular_frequency=p["omega0"],
             quantum_number=p["n"].value),
         verdict=lambda spec: disc.oscillator_verdict(spec),
-        check=lambda p, eta: disc._check_oscillator(p["M"], p["omega0"],
-                                                    p["n"]),
-        kernel=lambda p, eta: disc._oscillator(p["M"], p["omega0"], p["n"])),
+        check="_check_oscillator", kernel="_oscillator"),
 )}
 
 # The scenarios a sweep can scan, e.g. Scenario.FREE_FLIGHT == "free-flight".
@@ -177,10 +173,10 @@ class SweepSpec:
         object.__setattr__(self, "scenario", Scenario(self.scenario))
         object.__setattr__(self, "fixed", dict(self.fixed))
         entry = SCENARIOS[self.scenario]
-        if self.axis not in entry.params:
+        if self.axis not in entry.inputs:
             raise ValidationError(
                 f"axis '{self.axis}' is not a {entry.name} parameter "
-                f"(one of {entry.params})")
+                f"(one of {entry.inputs})")
         try:
             if not 2 <= operator.index(self.count) <= MAX_SWEEP_POINTS:
                 raise ValidationError(f"count must be between 2 and "
@@ -287,7 +283,7 @@ def _check_params(entry: ScenarioEntry, params: dict, eta: float,
     for name, value in params.items():
         if name == axis:
             raise ValidationError(f"{name} is the sweep axis")
-        if name not in entry.params and name not in entry.optional:
+        if name not in entry.inputs:
             raise ValidationError(f"{entry.name} does not take {name}")
         if not isinstance(value, Quantity):
             raise ValidationError(f"{name} must be a Quantity, "
@@ -311,15 +307,14 @@ def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
     return entry.verdict(entry.spec(params, eta))
 
 
-def _bisect(spec: SweepSpec, floats: dict, below: SweepRow,
-            above: SweepRow) -> float:
+def _bisect(spec: SweepSpec, kernel, values: list, slot: int,
+            below: SweepRow, above: SweepRow) -> float:
     """Refine the flip between two adjacent rows to BISECTION_REL_TOL (of
     the upper row's value while the lower end is a count rounded to 0).
     Each midpoint is a finite double even where lo + hi or lo * hi is not,
     and the loop ends once no double lies strictly between lo and hi.
-    Each midpoint asks the kernel alone, at floats (the sweep's map of SI
-    floats) with the axis set to it, whether the window is closed."""
-    kernel, eta, axis = SCENARIOS[spec.scenario].kernel, spec.eta, spec.axis
+    Each midpoint asks the kernel alone, on the sweep's values with the
+    axis's slot set to it, whether the window is closed."""
     lo, hi = below.value.value, above.value.value
     lo_closed = not below.tau.is_finite
     geometric = spec.spacing == "geometric"
@@ -333,8 +328,8 @@ def _bisect(spec: SweepSpec, floats: dict, below: SweepRow,
             mid = math.sqrt(lo) * math.sqrt(hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent doubles (subnormal tolerance)
-        floats[axis] = mid
-        if kernel(floats, eta)[0] == lo_closed:
+        values[slot] = mid
+        if kernel(*values)[0] == lo_closed:
             lo = mid
         else:
             hi = mid
@@ -344,28 +339,28 @@ def _bisect(spec: SweepSpec, floats: dict, below: SweepRow,
 def sweep(spec: SweepSpec) -> BoundaryReport:
     """Evaluate the scenario along the grid and locate the regime flip.
 
-    Exactly one flip is bisected to 1e-6 relative; none leaves
-    critical_value at None; more than one raises SweepError naming the
-    offending interval.  Output is deterministic for identical specs.
+    Each point runs on the first point's spec's `_values()` with the axis's
+    slot overwritten.  Exactly one flip is bisected to 1e-6 relative; none
+    leaves critical_value at None; more than one raises SweepError naming
+    the offending interval.  Output is deterministic for identical specs.
     """
     space = np.geomspace if spec.spacing == "geometric" else np.linspace
     grid = space(spec.minimum.value, spec.maximum.value, spec.count)
     points = grid.tolist()
     if spec.axis in COUNTS:
         points = [float(round(x)) for x in points]
-    entry, axis, dim, eta = (SCENARIOS[spec.scenario], spec.axis,
-                             spec.minimum.dim, spec.eta)
+    entry, dim = SCENARIOS[spec.scenario], spec.minimum.dim
     params = spec.fixed.copy()
-    params[axis] = Quantity(points[0], dim)
-    entry.spec(params, eta)
-    floats = {name: q.value for name, q in params.items()}
-    check, kernel = entry.check, entry.kernel
+    params[spec.axis] = Quantity(points[0], dim)
+    values = entry.spec(params, spec.eta)._values()
+    slot = entry.inputs.index(spec.axis)
+    check, kernel = getattr(disc, entry.check), getattr(disc, entry.kernel)
     rows = []
     for x in points:
         if rows:  # the spec has checked the first point's values
-            floats[axis] = x
-            check(floats, eta)
-        tau, regime, _, derivation = disc._outcome(*kernel(floats, eta))
+            values[slot] = x
+            check(*values)
+        tau, regime, _, derivation = disc._outcome(*kernel(*values))
         rows.append(SweepRow(_quantity(x, dim), tau, regime, derivation))
 
     flips = [i for i in range(len(grid) - 1)
@@ -379,7 +374,8 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
     critical = None
     if flips:
         i = flips[0]
-        critical = Quantity(_bisect(spec, floats, *rows[i:i + 2]), dim)
+        critical = Quantity(_bisect(spec, kernel, values, slot,
+                                    *rows[i:i + 2]), dim)
     return BoundaryReport(spec.scenario, spec.axis, tuple(rows), critical)
 
 

@@ -170,7 +170,7 @@ def _scenario_command(sub, command: str, summary: str, entries,
     p = sub.add_parser(command, help=summary, epilog="\n".join(lines),
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("scenario", choices=[e.name for e in entries])
-    taken = {name for e in entries for name in e.params + e.optional}
+    taken = {name for e in entries for name in e.inputs}
     for name in filter(taken.__contains__, PARAMETERS):
         p.add_argument(f"--{name}", help=PARAMETERS[name],
                        type=int if name in COUNTS else _quantity_arg)

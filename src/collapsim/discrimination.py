@@ -38,10 +38,10 @@ returns whether the window is closed, tau (None if so), the deciding ratio
 and the derivation's values, whose dimensions `_DERIVATION_DIMENSIONS`
 declares.  Beside each kernel, one function checks the values of its
 inputs on the same floats (`_check_trapped`, `_check_free_flight`,
-`_check_oscillator`).  A spec checks every field's dimension first, then
-calls that function on the fields' values, so a spec that is wrong in
-both ways reports its dimension.  A verdict checks the spec, runs the
-kernel on the spec's values and wraps them as Quantities (`_outcome`).
+`_check_oscillator`).  Both take the spec's `_values()`, its fields' SI
+values in field order.  A spec checks every field's dimension, then its
+values, so a spec that is wrong in both ways reports its dimension.  A
+verdict runs the kernel on them and wraps its output (`_outcome`).
 hbar, c, sqrt, the scale check and the power are keyword defaults, so the
 kernels also run on Quantities: the tests check each derived dimension
 so, and `doppler_window` keeps its bounds' dimensions.
@@ -216,19 +216,16 @@ class TrappedPairSpec:
         _require_dim(self.mass, MASS, "mass")
         _require_dim(self.mean_velocity, SPEED, "mean_velocity")
         _require_dim(self.separation, LENGTH, "separation")
-        gap = self.energy_gap
-        if gap is not None:
-            _require_dim(gap, ENERGY, "energy_gap")
-        _check_trapped(self.mass.value, self.mean_velocity.value,
-                       self.separation.value,
-                       None if gap is None else gap.value, self.margin)
+        if self.energy_gap is not None:
+            _require_dim(self.energy_gap, ENERGY, "energy_gap")
+        _check_trapped(*self._values())
 
-    def _kernel(self) -> tuple:
-        """`_trapped` at this spec's values."""
+    def _values(self) -> list:
+        """`_check_trapped`'s and `_trapped`'s arguments, in field order."""
         gap = self.energy_gap
-        return _trapped(self.mass.value, self.mean_velocity.value,
-                        self.separation.value,
-                        None if gap is None else gap.value, self.margin)
+        return [self.mass.value, self.mean_velocity.value,
+                self.separation.value, None if gap is None else gap.value,
+                self.margin]
 
 
 @dataclass(frozen=True)
@@ -252,15 +249,12 @@ class FreeFlightSpec:
         _require_dim(self.slit_separation, LENGTH, "slit_separation")
         _require_dim(self.source_distance, LENGTH, "source_distance")
         _require_dim(self.slit_width, LENGTH, "slit_width")
-        _check_free_flight(self.mass.value, self.speed.value,
-                           self.slit_separation.value,
-                           self.source_distance.value, self.slit_width.value)
+        _check_free_flight(*self._values())
 
-    def _kernel(self) -> tuple:
-        """`_free_flight` at this spec's values."""
-        return _free_flight(self.mass.value, self.speed.value,
-                            self.slit_separation.value,
-                            self.source_distance.value)
+    def _values(self) -> list:
+        """`_check_free_flight`'s and `_free_flight`'s arguments."""
+        return [self.mass.value, self.speed.value, self.slit_separation.value,
+                self.source_distance.value, self.slit_width.value]
 
 
 @dataclass(frozen=True)
@@ -278,13 +272,12 @@ class OscillatorSpec:
     def __post_init__(self):
         _require_dim(self.mass, MASS, "mass")
         _require_dim(self.angular_frequency, PER_SECOND, "angular_frequency")
-        _check_oscillator(self.mass.value, self.angular_frequency.value,
-                          self.quantum_number)
+        _check_oscillator(*self._values())
 
-    def _kernel(self) -> tuple:
-        """`_oscillator` at this spec's values."""
-        return _oscillator(self.mass.value, self.angular_frequency.value,
-                           self.quantum_number)
+    def _values(self) -> list:
+        """`_check_oscillator`'s and `_oscillator`'s arguments."""
+        return [self.mass.value, self.angular_frequency.value,
+                self.quantum_number]
 
 
 def _check_trapped(M, v, D, E, eta) -> None:
@@ -325,7 +318,7 @@ def trapped_tau(spec: TrappedPairSpec) -> DiscriminationVerdict:
     is open, the minimal send-plus-receive time at the gentlest usable
     setting is tau = 4 pi / omega_max.
     """
-    return DiscriminationVerdict(*_outcome(*spec._kernel()))
+    return DiscriminationVerdict(*_outcome(*_trapped(*spec._values())))
 
 
 def trapped_critical_mass(v: Quantity, D: Quantity, eta: float = 1.0) -> Quantity:
@@ -395,10 +388,11 @@ def _check_free_flight(M, v, D, L, d) -> None:
     _require(v < C.value, "speed must be below c")
 
 
-def _free_flight(M, v, D, L, *, hbar=HBAR.value, c=C.value, sqrt=math.sqrt,
-                 scale=_in_range):
+def _free_flight(M, v, D, L, d, *, hbar=HBAR.value, c=C.value,
+                 sqrt=math.sqrt, scale=_in_range):
     """The free flight's kernel: the speed meter's window, theta = D / L,
-    the flight time L / v and the window margin p theta D / (8 hbar)."""
+    the flight time L / v and the window margin p theta D / (8 hbar); d
+    is unused, taken to share `_check_free_flight`'s signature."""
     omega_low, omega_high = _doppler_bounds(M, v, D, L, hbar, c, sqrt, scale)
     p = M * v
     theta = scale("theta", D / L)
@@ -422,7 +416,7 @@ def free_flight_tau(spec: FreeFlightSpec) -> DiscriminationVerdict:
     p*theta*D = 8*hbar this equals the flight time L/v exactly, so one
     flight attenuates the coherence by 1/e.
     """
-    return DiscriminationVerdict(*_outcome(*spec._kernel()))
+    return DiscriminationVerdict(*_outcome(*_free_flight(*spec._values())))
 
 
 def free_flight_critical_mass(v: Quantity, theta: float, D: Quantity) -> Quantity:
@@ -494,7 +488,7 @@ def oscillator_verdict(spec: OscillatorSpec) -> DiscriminationVerdict:
     minimal send-plus-receive probe time at the gentlest usable frequency
     is tau = 4 pi / (n omega0).
     """
-    return DiscriminationVerdict(*_outcome(*spec._kernel()))
+    return DiscriminationVerdict(*_outcome(*_oscillator(*spec._values())))
 
 
 def build_rate_matrix(basis: tuple[str, ...],

@@ -190,7 +190,7 @@ def _rhs(H: Hamiltonian, rates: CollapseRateMatrix):
 
 
 def _step(rhs, dt: float, method: Method):
-    """One RK4 (or Euler) step of a matrix or a stack of matrices."""
+    """One RK4 (or Euler) step of a matrix."""
     if method is Method.EULER:
         return lambda y: y + dt * rhs(y)
 

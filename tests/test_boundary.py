@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import inspect
 import json
 import math
 import pickle
@@ -51,7 +53,9 @@ def raises_exactly(message):
 
 class TestSweepSpec:
     def test_axis_must_belong_to_scenario(self):
-        with pytest.raises(ValidationError, match="axis"):
+        # Any input may be the axis, an optional one (E) too.
+        with raises_exactly("axis 'L' is not a trapped parameter "
+                            "(one of ('M', 'v', 'D', 'E'))"):
             SweepSpec(Scenario.TRAPPED, "L", quantity(1, "m"),
                       quantity(2, "m"), count=5, fixed={})
 
@@ -439,6 +443,23 @@ def assert_rows_are_single_verdicts(spec, rows):
                   verdict.derivation))
 
 
+def test_energy_gap_axis_locates_the_closed_form_gap():
+    # E is an optional trapped input, and a sweep may scan it: with E
+    # given, M v^2 decides nothing, and the window opens at
+    # E* = 4 pi hbar c eta / D.
+    D, eta = quantity(10, "um"), 2.0
+    spec = SweepSpec(Scenario.TRAPPED, "E", quantity(1e-21, "J"),
+                     quantity(1e-18, "J"), count=7,
+                     fixed={"M": quantity(1, "kg"), "v": quantity(100, "m/s"),
+                            "D": D}, eta=eta)
+    report = sweep(spec)
+    e_star = 4 * math.pi * HBAR_V * C.value * eta / D.value
+    assert report.critical_value.dim is ENERGY
+    assert report.critical_value.value == pytest.approx(
+        e_star, rel=BISECTION_REL_TOL, abs=0)
+    assert_rows_are_single_verdicts(spec, report.rows)
+
+
 def grid_points(spec):
     space = np.geomspace if spec.spacing == "geometric" else np.linspace
     points = space(spec.minimum.value, spec.maximum.value,
@@ -677,6 +698,41 @@ def test_parameters_declare_the_table_names_in_table_order():
     names = [n for e in SCENARIOS.values() for n in e.params + e.optional]
     assert list(PARAMETERS) == list(dict.fromkeys(names))
     assert COUNTS <= PARAMETERS.keys()
+
+
+# Valid inputs of each scenario with a boundary, all of them distinct in SI,
+# and its eta.
+DISTINCT_INPUTS = {
+    "trapped": ({"M": quantity(1, "kg"), "v": quantity(100, "m/s"),
+                 "D": quantity(10, "um"), "E": quantity(1, "eV")}, 2.0),
+    "free-flight": ({"M": quantity(100, "GeV/c2"), **free_flight_fixed()},
+                    1.0),
+    "oscillator": ({"M": quantity(40, "kg"),
+                    "omega0": quantity(6.283, "rad/s"), "n": Quantity(3.0)},
+                   1.0),
+}
+
+
+@pytest.mark.parametrize("name", [n for n, entry in SCENARIOS.items()
+                                  if entry.has_boundary])
+def test_one_argument_order_per_scenario(name):
+    # The table's order, its inputs and then eta where it is used, is the
+    # order of the spec's fields, of the spec's `_values()` and of the
+    # positional arguments of its check and its kernel, which a sweep
+    # calls on that list.
+    entry = SCENARIOS[name]
+    params, eta = DISTINCT_INPUTS[name]
+    order = list(entry.inputs) + ["eta"] * entry.uses_eta
+    values = [params[n].value for n in entry.inputs] + [eta] * entry.uses_eta
+    spec = entry.spec(params, eta)
+    fields = [getattr(spec, f.name) for f in dataclasses.fields(spec)]
+    assert [getattr(x, "value", x) for x in fields] == values
+    assert spec._values() == values
+    for function in (entry.check, entry.kernel):
+        parameters = inspect.signature(
+            getattr(discrimination, function)).parameters.values()
+        assert [p.name for p in parameters
+                if p.kind is p.POSITIONAL_OR_KEYWORD] == order, function
 
 
 # A valid value for every table parameter, and theta, which none takes.

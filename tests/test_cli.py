@@ -810,7 +810,9 @@ def verdict_argv(draw) -> list:
 
 
 # Sweeps that run to their report, which no draw reaches: the README's, a
-# free-flight speed sweep and an oscillator sweep along n.
+# free-flight speed sweep, an oscillator sweep along n and a trapped sweep
+# along the optional gap E, whose critical value is 4 pi hbar c eta / D =
+# 7.9457834e-20 J to within the bisection's 1e-6.
 FREE_FLIGHT_SPEED_SWEEP = ["sweep", "free-flight", "--axis", "v",
                            "--min", "1 m/s", "--max", "1e4 m/s", "--count",
                            "5", "--M", "4.7326 GeV/c2", "--D", "10 um",
@@ -820,13 +822,17 @@ OSCILLATOR_N_SWEEP = ["sweep", "oscillator", "--axis", "n",
                       "--max", "20.4 dimensionless", "--count", "2",
                       "--spacing", "linear", "--M", "3.942625681831795e-46 kg",
                       "--omega0", "1e5 rad/s"]
+TRAPPED_GAP_SWEEP = ["sweep", "trapped", "--axis", "E", "--min", "1e-21 J",
+                     "--max", "1e-18 J", "--count", "7", "--M", "1 kg",
+                     "--v", "100 m/s", "--D", "10 um", "--eta", "2"]
 
 
 @pytest.mark.parametrize("argv, critical", [
     (README_EXAMPLES["sweep_trapped"], "3.9728926e-24 kg"),
     (FREE_FLIGHT_SPEED_SWEEP, "999.99369 m/s"),
-    (OSCILLATOR_N_SWEEP, "10.2 dimensionless")],
-    ids=["readme-trapped", "free-flight-v", "oscillator-n"])
+    (OSCILLATOR_N_SWEEP, "10.2 dimensionless"),
+    (TRAPPED_GAP_SWEEP, "7.9457853e-20 J")],
+    ids=["readme-trapped", "free-flight-v", "oscillator-n", "trapped-E"])
 def test_fuzz_examples_sweep_to_a_report(capsys, argv, critical):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")

@@ -285,7 +285,8 @@ OPEN_WINDOWS = {
                      quantity(10, "um"), quantity(1, "eV"), 1.0], {}),
     "free-flight": (discrimination._free_flight,
                     [quantity(100, "GeV/c2"), quantity(1e3, "m/s"),
-                     quantity(10, "um"), quantity(1, "m")],
+                     quantity(10, "um"), quantity(1, "m"),
+                     quantity(1, "um")],
                     {"sqrt": Quantity.sqrt}),
     "oscillator": (discrimination._oscillator,
                    [quantity(40, "kg"), quantity(6.283, "rad/s"),
