@@ -755,8 +755,10 @@ def subparser(command: str) -> argparse.ArgumentParser:
 def verdict_argv(draw) -> list:
     """A tau, boundary, curve, sweep or evolve argv: the scenario's own
     flags but a sweep's axis, any of the command's other options but --out,
-    and sometimes one unused flag.  A sweep's --min and --max are edge
-    numbers (either sign) in the axis' unit, mostly."""
+    and sometimes one unused flag.  A sweep's axis is any scenario input,
+    an optional one (whose flag is sometimes given too) included.  Its
+    --min and --max are edge numbers (either sign) in the axis' unit,
+    mostly."""
     command = draw(st.sampled_from(sorted(VERDICT_COMMANDS)))
     actions = subparser(command)._actions
     argv, entry, axis, extra = [command], None, None, None
@@ -766,7 +768,7 @@ def verdict_argv(draw) -> list:
         argv.append(name)
         entry = SCENARIOS[name] if command != "boundary" else None
     if command == "sweep":
-        axis = draw(st.sampled_from(entry.params))
+        axis = draw(st.sampled_from(entry.inputs))
     if entry:
         unused = [a.dest for a in actions if a.dest in PARAMETERS
                   and a.dest not in entry.params + entry.optional]

@@ -43,7 +43,8 @@ def quantities(dim):
 
 @st.composite
 def scenario_params(draw, entry, axis=None):
-    """Each parameter of the entry but the axis, and any optional one."""
+    """Each parameter of the entry but the axis, and any optional one: an
+    optional axis too, sometimes, which the sweep must refuse."""
     names = [name for name in entry.params if name != axis]
     names += [name for name in entry.optional if draw(st.booleans())]
     return {name: draw(quantities(RIGHT[name])) for name in names}
@@ -64,7 +65,7 @@ def sweep_of(*args, **kwargs):
 def sweep_calls(draw):
     scenario = draw(st.sampled_from(list(Scenario)))
     entry = SCENARIOS[scenario]
-    axis = draw(st.sampled_from(entry.params))
+    axis = draw(st.sampled_from(entry.inputs))
     dim = RIGHT[axis]
     return sweep_of, (scenario, axis, draw(quantities(dim)),
                       draw(quantities(dim)),
