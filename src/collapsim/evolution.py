@@ -17,20 +17,19 @@ non-stiff at the scales this package targets.
 
 The equation is linear and time-invariant: d vec(rho)/dt = L vec(rho)
 for the row-major vec rho and one n^2 x n^2 Liouvillian L
-(`_liouvillian`), so one step is the fixed matrix R(dt L), R(A) = I + A +
-A^2/2 + A^3/6 + A^4/24 for RK4 and I + A for Euler.  A run takes one of
-three paths into the (samples, n, n) array the trajectory keeps:
+(`_liouvillian`), so one step is the fixed matrix R(dt L), the method's
+step polynomial, which `_step` writes once.  A run takes one of three
+paths into the (samples, n, n) array the trajectory keeps, each taking
+its step from `_step`:
 
 - diagonal: where H has no nonzero entry off its diagonal (every CLI run),
   each entry decouples, d rho_ij/dt = (-i(E_i - E_j)/hbar - rate_ij)
-  rho_ij, and a step multiplies it by its amplification g = step(ones);
+  rho_ij, and a step multiplies it by its amplification g, the step of
+  `_rhs` applied to a matrix of ones;
 - operator: where it costs less than stepping the matrix
-  (`_operator_pays`), R(dt L) is built once, by Horner's rule
-  (`_step_operator`);
-- direct: otherwise the matrix is stepped one step at a time.
-
-The diagonal and direct paths step with `_step` of `_rhs`; the operator
-path does not step at all.
+  (`_operator_pays`), R(dt L) is built once, as the step of L's product
+  applied to the identity;
+- direct: otherwise the matrix is stepped by `_rhs` one step at a time.
 
 Each gap's power of g or of the operator comes from one table
 (`_power_table`), and complex entries are multiplied with bits that do
@@ -189,18 +188,22 @@ def _rhs(H: Hamiltonian, rates: CollapseRateMatrix):
     return lambda y: -1j * (h_over_hbar @ y - y @ h_over_hbar) - damping * y
 
 
-def _step(rhs, dt: float, method: Method):
-    """One RK4 (or Euler) step of a matrix."""
-    if method is Method.EULER:
-        return lambda y: y + dt * rhs(y)
+def _step(f, dt: float, method: Method):
+    """y -> R(dt f) y, one step of dy/dt = f(y) for a linear f: R(A) = I +
+    A + A^2/2 + A^3/6 + A^4/24 for RK4 and I + A for Euler, the one place
+    they are written, by Horner's rule: y + dt f(y + dt/2 f(y + dt/3 f(y +
+    dt/4 f(y)))) and y + dt f(y).  A caller that has f(y) passes it: the
+    operator's f(I) is L, so its build takes RK4's 3 products, Euler's
+    none.  Each dt/k is one float, where numpy would divide a complex
+    array by multiplying with the reciprocal, rounding twice."""
+    scales = [] if method is Method.EULER else [dt / 4, dt / 3, dt / 2]
 
-    def rk4(y):
-        k1 = rhs(y)
-        k2 = rhs(y + (0.5 * dt) * k1)
-        k3 = rhs(y + (0.5 * dt) * k2)
-        k4 = rhs(y + dt * k3)
-        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rk4
+    def step(y, f_y=None):
+        f_y = f(y) if f_y is None else f_y
+        for scale in scales:
+            f_y = f(y + scale * f_y)
+        return y + dt * f_y
+    return step
 
 
 def _liouvillian(H: Hamiltonian, rates: CollapseRateMatrix) -> np.ndarray:
@@ -216,22 +219,6 @@ def _liouvillian(H: Hamiltonian, rates: CollapseRateMatrix) -> np.ndarray:
     np.einsum("ijil->ijl", L)[...] -= h.T
     np.einsum("ijij->ij", L)[...] -= rates.rates
     return L.reshape(n * n, n * n)
-
-
-def _step_operator(L: np.ndarray, dt: float, method: Method) -> np.ndarray:
-    """One step as the matrix acting on vec rho: the polynomial of A = dt L
-    that the method is for a linear equation, I + A + A^2/2 + A^3/6 +
-    A^4/24 for RK4 and I + A for Euler, by Horner's rule, I + A(I + A/2(I +
-    A/3(I + A/4))): 3 products for RK4, none for Euler.
-
-    Each A/k is L scaled by the float dt/k; numpy would divide a complex
-    array by multiplying with the reciprocal, rounding twice."""
-    eye = np.eye(len(L))
-    degree = 1 if method is Method.EULER else 4
-    P = eye + (dt / degree) * L
-    for k in range(degree - 1, 0, -1):
-        P = eye + ((dt / k) * L) @ P
-    return P
 
 
 def _power_table(base: np.ndarray, product):
@@ -288,8 +275,10 @@ def _plan(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
 
     The AUTO step is the fastest timescale over AUTO_STEP_DIVISOR: 1/max
     rate, or hbar over H's scale.  A diagonal H rotates coherence ij at
-    (E_i - E_j)/hbar, so its scale is max E - min E, which does not depend
-    on the zero of energy; any other H's scale is max|H_ij|.
+    (E_i - E_j)/hbar, so its scale is max E - min E; any other H's scale
+    is the larger of half that spread and max|H_ij| off the diagonal.
+    Neither depends on the zero of energy, and the second is never more
+    than max|H_ij|.
     """
     basis = _check_shared_basis(rho0, H, rates)
     found = validate(rho0)
@@ -303,8 +292,12 @@ def _plan(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
         dt = cfg.dt.value
     else:
         max_rate = rates.max_rate
-        h_max = float(np.ptp(np.diagonal(h).real) if diagonal
-                      else np.max(np.abs(h)))
+        energies = h.real.diagonal()
+        h_max = float(energies.max() - energies.min())
+        if not diagonal:
+            coupling = np.abs(h)
+            np.fill_diagonal(coupling, 0.0)
+            h_max = max(h_max / 2.0, float(coupling.max()))
         scales = [1.0 / max_rate] if max_rate > 0.0 else []
         if h_max > 0.0:
             scales.append(HBAR.value / h_max)
@@ -357,7 +350,8 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
     elements = np.empty((samples, n, n), dtype=np.complex128)
     elements[0] = rho0.elements
     if path == "operator":
-        op = _step_operator(_liouvillian(H, rates), dt, cfg.method)
+        L = _liouvillian(H, rates)
+        op = _step(L.__matmul__, dt, cfg.method)(np.eye(n * n), L)
         power = _power_table(op, np.matmul)
         jump = lambda y, k: (power(k) @ y.ravel()).reshape(n, n)
     elif path == "diagonal":

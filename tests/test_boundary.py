@@ -359,18 +359,30 @@ class TestOscillatorSweep:
 
 # A base value for every parameter of each sweepable scenario, each near
 # its flip; a sweep below spans up to 10**0.9 either side of it, where
-# every spec stays valid (free flight keeps d < D < L).
+# every spec stays valid (free flight keeps d < D < L).  The trapped pair's
+# optional E, near 4 pi hbar c / D = 0.248 eV, is given only where it is
+# the axis (`base_fixed`).
 SWEEP_BASES = {
     "trapped": {"M": quantity(2000, "GeV/c2"), "v": quantity(100, "m/s"),
-                "D": quantity(10, "um")},
+                "D": quantity(10, "um"), "E": quantity(0.25, "eV")},
     "free-flight": {"M": quantity(5, "GeV/c2"), **free_flight_fixed()},
     "oscillator": {"M": quantity(4e-28, "kg"),
                    "omega0": quantity(1e5, "rad/s"), "n": Quantity(1e7)},
 }
 
 
+def base_fixed(scenario, axis):
+    """The base values of the scenario's required parameters but the axis."""
+    base = SWEEP_BASES[scenario]
+    return {name: base[name] for name in SCENARIOS[Scenario(scenario)].params
+            if name != axis}
+
+
 def test_sweep_bases_cover_every_sweepable_scenario():
     assert set(SWEEP_BASES) == {s.value for s in Scenario}
+    for scenario in Scenario:
+        assert set(SWEEP_BASES[scenario.value]) == \
+            set(SCENARIOS[scenario].inputs)
 
 
 @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
@@ -382,8 +394,8 @@ def test_sweep_bases_cover_every_sweepable_scenario():
 def test_sweep_rows_equal_single_verdicts(scenario, data, tenths, count,
                                           spacing):
     base = SWEEP_BASES[scenario.value]
-    axis = data.draw(st.sampled_from(SCENARIOS[scenario].params))
-    fixed = {name: q for name, q in base.items() if name != axis}
+    axis = data.draw(st.sampled_from(SCENARIOS[scenario].inputs))
+    fixed = base_fixed(scenario.value, axis)
     lo, hi = (base[axis] * 10 ** (k / 10) for k in tenths)
     spec = SweepSpec(scenario, axis, lo, hi, count=count,
                      spacing=spacing, fixed=fixed)
@@ -588,7 +600,7 @@ def test_grid_across_a_validity_edge_raises_the_first_points_error(
     spec = SweepSpec(scenario, axis, Quantity(lo, base[axis].dim),
                      Quantity(hi, base[axis].dim), count=count,
                      spacing="linear",
-                     fixed={k: q for k, q in base.items() if k != axis})
+                     fixed=base_fixed(scenario, axis))
     error = first_point_error(spec)
     assert error is not None
     with pytest.raises(Exception) as info:

@@ -195,26 +195,20 @@ class TestEvolve:
     @pytest.mark.parametrize("valid", [True, False])
     def test_rho0_is_judged_once_by_validate_before_any_step(
             self, monkeypatch, path, valid):
-        # The operator path steps nothing before it builds its operator.
+        # The operator path's one step is the build of its operator.
         calls = []
         real_validate, real_step = evolution.validate, evolution._step
-        real_operator = evolution._step_operator
 
         def judged(rho):
             calls.append("validate")
             return real_validate(rho)
 
-        def spy(rhs, dt, method):
-            step = real_step(rhs, dt, method)
-            return lambda y: calls.append("step") or step(y)
-
-        def built(*args):
-            calls.append("step")
-            return real_operator(*args)
+        def spy(f, dt, method):
+            step = real_step(f, dt, method)
+            return lambda *args: calls.append("step") or step(*args)
 
         monkeypatch.setattr(evolution, "validate", judged)
         monkeypatch.setattr(evolution, "_step", spy)
-        monkeypatch.setattr(evolution, "_step_operator", built)
         use_path(monkeypatch, path)
         rho0, H, rates = random_system(2, seed=2)
         if path == "diagonal":
@@ -409,11 +403,41 @@ def test_operator_built_only_where_it_pays(monkeypatch, n, steps, stride,
     # The measured crossovers put these runs on either side of the rule.
     # One step at n = 2 is a near tie (0.12 ms either way), which the
     # rule gives to the operator.
-    operators, real = [], evolution._step_operator
-    monkeypatch.setattr(evolution, "_step_operator",
+    operators, real = [], evolution._liouvillian
+    monkeypatch.setattr(evolution, "_liouvillian",
                         lambda *args: operators.append(1) or real(*args))
     evolve(*timed_run(n, steps, stride))
     assert bool(operators) is built
+
+
+def counted_products(products):
+    """An ndarray subclass that appends 1 to products for each product of
+    two matrices that it takes part in, and whose results are its own."""
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            arrays = [np.asarray(x) for x in inputs]
+            if ufunc is np.matmul and all(a.ndim == 2 for a in arrays):
+                products.append(1)
+            return getattr(ufunc, method)(*arrays, **kwargs).view(Counted)
+    return Counted
+
+
+@pytest.mark.parametrize("method, built", [(Method.RK4, 3), (Method.EULER, 0)])
+def test_operator_build_takes_the_priced_products(monkeypatch, method, built):
+    # `_operator_pays` prices the build at 3 products for RK4 and none for
+    # Euler: the first stage's L @ I is L itself, and is not computed.
+    products, at_build = [], []
+    liouvillian, table = evolution._liouvillian, evolution._power_table
+    monkeypatch.setattr(evolution, "_liouvillian", lambda *args: liouvillian(
+        *args).view(counted_products(products)))
+    monkeypatch.setattr(evolution, "_power_table", lambda *args: (
+        at_build.append(len(products)) or table(*args)))
+    use_path(monkeypatch, "operator")
+    rho0, H, rates = random_system(3, seed=3)
+    dt = 1.0 / 64.0
+    evolve(rho0, H, rates, EvolutionConfig(
+        t_end=quantity(10 * dt, "s"), dt=quantity(dt, "s"), method=method))
+    assert at_build == [built]
 
 
 def test_operator_powers_share_their_squares(monkeypatch):
@@ -421,17 +445,9 @@ def test_operator_powers_share_their_squares(monkeypatch):
     # 6 products, 125 = 1 + 4 + 8 + 16 + 32 + 64 takes 5 more and 3 = 1 + 2
     # one: 12, where building each power on its own would take 11 + 2.
     # The operator's own 3 Horner products are not counted.
-    products, real = [], evolution._step_operator
-
-    class Counted(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            arrays = [np.asarray(x) for x in inputs]
-            if ufunc is np.matmul and all(a.ndim == 2 for a in arrays):
-                products.append(1)
-            return getattr(ufunc, method)(*arrays, **kwargs).view(Counted)
-
-    monkeypatch.setattr(evolution, "_step_operator",
-                        lambda *args: real(*args).view(Counted))
+    products, real = [], evolution._power_table
+    monkeypatch.setattr(evolution, "_power_table", lambda base, product: real(
+        base.view(counted_products(products)), product))
     use_path(monkeypatch, "operator")
     rho0, H, rates = random_system(3, seed=3)
     dt = 1.0 / 64.0
@@ -465,6 +481,13 @@ def test_diagonal_hamiltonian_steps_no_stack(monkeypatch, n, steps, stride):
     assert stepped == [(n, n)]
 
 
+def built_operator(H, rates, dt, method):
+    """The step operator as evolve builds it: the step of L's product
+    applied to the identity, given f(I) = L."""
+    L = evolution._liouvillian(H, rates)
+    return evolution._step(L.__matmul__, dt, method)(np.eye(len(L)), L)
+
+
 def stepped_basis_operator(H, rates, dt, method):
     """The step operator built by stepping the n^2 basis matrices: column
     m of the matrix acting on the row-major vec rho is the step of the
@@ -480,14 +503,13 @@ def stepped_basis_operator(H, rates, dt, method):
 def test_amplification_is_the_operator_diagonal(method, n):
     # g = step(ones) is each entry's amplification.  For a diagonal H the
     # operator has exact zeros off its diagonal, and on it the numbers of
-    # g within 2 eps: here |g| <= 1, and the polynomial of the operator
-    # and the stages of the step round the same terms in another order.
+    # g within 2 eps: here |g| <= 1, and both take the same Horner steps,
+    # but L's product and `_rhs` round each derivative differently.
     rho0, H, rates = random_system(n, seed=n)
     H = diagonal_part(H)
     g = evolution._step(evolution._rhs(H, rates), 0.1, method)(
         np.ones((n, n)))
-    op = evolution._step_operator(evolution._liouvillian(H, rates), 0.1,
-                                  method)
+    op = built_operator(H, rates, 0.1, method)
     assert np.max(np.abs(g)) <= 1.0
     assert np.max(np.abs(np.diagonal(op) - g.ravel())) <= 2 * EPS
     assert not np.any(op - np.diag(np.diagonal(op)))
@@ -502,19 +524,21 @@ def test_amplification_is_the_operator_diagonal(method, n):
 def test_operator_is_the_stepped_basis_operator(n, seed, hamiltonian, h_scale,
                                                 rate_scale, method, edge):
     # dt puts dt ||L||_2 up to 2.8, beyond which RK4's stability region
-    # (2.785 along the negative real axis) ends.  Each of the two builds
-    # rounds the terms A^k/k!, A = dt L, so they differ by under 2 eps
-    # times the sum of ||A||^k/k! (0.65 at worst in 3000 draws); the
-    # Euler operator I + A is the same to the bit.
+    # (2.785 along the negative real axis) ends.  Both builds take the
+    # same Horner steps, A = dt L, but L's product and `_rhs` round each
+    # derivative differently, so they differ by under 2 eps times the sum
+    # of ||A||^k/k! (1.23 at worst in 3000 draws); the Euler operator
+    # I + A is the same to the bit.  `_rhs` rounds E_i y and y E_j before
+    # it subtracts them, so an H whose energies are ~100 times its gaps
+    # can exceed the bound; these draws hold none.
     _, H, rates = random_system(n, seed, h_scale, rate_scale)
     if hamiltonian == "zero":
         H = Hamiltonian.zero(H.basis)
     elif hamiltonian == "diagonal":
         H = diagonal_part(H)
-    L = evolution._liouvillian(H, rates)
-    norm = np.linalg.norm(L, 2)
+    norm = np.linalg.norm(evolution._liouvillian(H, rates), 2)
     dt = edge * 2.8 / norm if norm else edge
-    op = evolution._step_operator(L, dt, method)
+    op = built_operator(H, rates, dt, method)
     want = stepped_basis_operator(H, rates, dt, method)
     if method is Method.EULER:
         assert np.array_equal(op, want)
@@ -716,7 +740,6 @@ def test_every_refusal_comes_from_the_plan_before_any_step(monkeypatch,
         raise AssertionError("stepped a refused run")
 
     monkeypatch.setattr(evolution, "_step", no_step)
-    monkeypatch.setattr(evolution, "_step_operator", no_step)
     run, message = REFUSALS[case]
     for refused in (evolution._plan, evolve):
         with pytest.raises(ValueError) as err:
@@ -793,17 +816,20 @@ class TestAutoStep:
     def test_diagonal_h_step_ignores_the_zero_of_energy(self, shift):
         # A gap of 2^-112 J (1.2e-15 eV) and shifts whose E_i + shift are
         # exact: the coherence rotates at gap/hbar whatever the zero of
-        # energy, so H + shift I takes the AUTO step of H.
+        # energy, so H + shift I takes the AUTO step of H.  So does an H
+        # that also couples its two levels by 2^-112 J.
         gap = 2.0 ** -112
-        H = Hamiltonian(BASIS, np.diag([0.0, gap]).astype(complex))
-        shifted = Hamiltonian(BASIS,
-                              np.diag([shift, shift + gap]).astype(complex))
         rho0, rates = equal_superposition(), rate_matrix(1.0)
         cfg = EvolutionConfig(t_end=quantity(1, "s"))
-        dt, marks, _ = evolution._plan(rho0, H, rates, cfg)
-        assert evolution._plan(rho0, shifted, rates, cfg)[:2] == (dt, marks)
-        assert evolve(rho0, shifted, rates, cfg).times.tolist() == \
-            (np.array(marks) * dt).tolist()
+        for coupling in (0.0, 2.0 ** -112):
+            h = np.array([[0.0, coupling], [coupling, gap]], dtype=complex)
+            H = Hamiltonian(BASIS, h)
+            shifted = Hamiltonian(BASIS, h + shift * np.eye(2))
+            dt, marks, _ = evolution._plan(rho0, H, rates, cfg)
+            assert evolution._plan(rho0, shifted, rates, cfg)[:2] == \
+                (dt, marks)
+            assert evolve(rho0, shifted, rates, cfg).times.tolist() == \
+                (np.array(marks) * dt).tolist()
 
     def test_auto_uses_hamiltonian_scale(self):
         H = Hamiltonian(BASIS, np.diag([0.0, 2.0 * HBAR.value]).astype(complex))
