@@ -12,6 +12,9 @@ eta, count, grid and counts when it is built; the values are checked at
 each grid point, so a bad value raises from `sweep`.  `mass_boundary` is
 the mass scan behind `collapsim boundary`.
 
+`SCENARIOS` holds data only, and one binder (`_arguments`) gives
+`scenario_verdict` and `sweep` a scenario's arguments in the table's order.
+
 `sweep` builds the scenario's spec once, at the first grid point, which
 checks every dimension (no later point can change one) and that point's
 values, and takes its `_values()`: its check's and kernel's arguments.
@@ -39,7 +42,6 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Callable
 
 import numpy as np
 
@@ -67,21 +69,21 @@ class SweepError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScenarioEntry:
-    """One scenario: required and optional parameter names, and its verdict.
+    """One scenario, as data: its parameter names, its spec class (None
+    where the verdict takes the arguments itself) and the names of its
+    verdict, value check and kernel in `discrimination`, looked up when
+    called, so that tracing and tests can substitute them.
 
-    spec(params, eta) builds, and so checks, what verdict(spec) evaluates,
-    from a {name: Quantity} map holding every name in params, any of
-    optional and nothing else; _check_params enforces that, and checks
-    each count, before either runs.  A scenario with a boundary names its
-    value check and its kernel in `discrimination`, both taking the spec's
-    `_values()`: the SI floats of inputs (None if omitted), in this order,
-    then eta if it uses_eta.  Only such a scenario accepts eta != 1.
+    `_arguments` binds a checked {name: Quantity} map to the table's order:
+    the inputs (None if omitted, a count as its float), then eta if it
+    uses_eta, which only then may be != 1.  The check and the kernel take
+    the spec's `_values()`: the same arguments as SI floats.
     """
 
     name: str
     params: tuple[str, ...]
-    spec: Callable[[dict, float], object]
-    verdict: Callable[[object], DiscriminationVerdict]
+    verdict: str
+    spec: type | None = None
     check: str | None = None
     kernel: str | None = None
     optional: tuple[str, ...] = ()
@@ -106,35 +108,16 @@ PARAMETERS = {"M": "mass", "v": "speed", "D": "separation",
               "omega0": "angular frequency", "n": "oscillator quantum number"}
 COUNTS = frozenset({"n"})
 
-# Verdicts look up disc.<fn> when called, so tracing can wrap them; each
-# sweep looks up its named check and kernel when it starts, so tests can
-# substitute them.
 SCENARIOS: dict[str, ScenarioEntry] = {entry.name: entry for entry in (
-    ScenarioEntry(
-        "trapped", ("M", "v", "D"), optional=("E",), uses_eta=True,
-        spec=lambda p, eta: TrappedPairSpec(
-            mass=p["M"], mean_velocity=p["v"], separation=p["D"],
-            energy_gap=p.get("E"), margin=eta),
-        verdict=lambda spec: disc.trapped_tau(spec),
-        check="_check_trapped", kernel="_trapped"),
-    ScenarioEntry(
-        "free-flight", ("M", "v", "D", "L", "d"),
-        spec=lambda p, eta: FreeFlightSpec(
-            mass=p["M"], speed=p["v"], slit_separation=p["D"],
-            source_distance=p["L"], slit_width=p["d"]),
-        verdict=lambda spec: disc.free_flight_tau(spec),
-        check="_check_free_flight", kernel="_free_flight"),
-    ScenarioEntry("photon", (), spec=lambda p, eta: None,
-                  verdict=lambda spec: disc.photon_tau()),
-    ScenarioEntry("rabi", ("gap",), spec=lambda p, eta: p["gap"],
-                  verdict=lambda gap: disc.rabi_tau(gap)),
-    ScenarioEntry(
-        "oscillator", ("M", "omega0", "n"),
-        spec=lambda p, eta: OscillatorSpec(
-            mass=p["M"], angular_frequency=p["omega0"],
-            quantum_number=p["n"].value),
-        verdict=lambda spec: disc.oscillator_verdict(spec),
-        check="_check_oscillator", kernel="_oscillator"),
+    ScenarioEntry("trapped", ("M", "v", "D"), "trapped_tau", TrappedPairSpec,
+                  "_check_trapped", "_trapped", optional=("E",),
+                  uses_eta=True),
+    ScenarioEntry("free-flight", ("M", "v", "D", "L", "d"), "free_flight_tau",
+                  FreeFlightSpec, "_check_free_flight", "_free_flight"),
+    ScenarioEntry("photon", (), "photon_tau"),
+    ScenarioEntry("rabi", ("gap",), "rabi_tau"),
+    ScenarioEntry("oscillator", ("M", "omega0", "n"), "oscillator_verdict",
+                  OscillatorSpec, "_check_oscillator", "_oscillator"),
 )}
 
 # The scenarios a sweep can scan, e.g. Scenario.FREE_FLIGHT == "free-flight".
@@ -292,6 +275,14 @@ def _check_params(entry: ScenarioEntry, params: dict, eta: float,
         disc._require_dim(params[name], DIMENSIONLESS, name)
 
 
+def _arguments(entry: ScenarioEntry, params: dict, eta: float) -> list:
+    """The entry's arguments from a checked parameter map, in table order:
+    each input (None if omitted, a count as its float), then eta if the
+    entry uses it."""
+    return [params[name].value if name in COUNTS else params.get(name)
+            for name in entry.inputs] + [eta] * entry.uses_eta
+
+
 def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
                      ) -> DiscriminationVerdict:
     """Evaluate one SCENARIOS entry from a {name: Quantity} parameter map.
@@ -304,7 +295,9 @@ def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
         raise ValidationError(
             f"unknown scenario '{scenario}' (one of {list(SCENARIOS)})")
     _check_params(entry, params, eta)
-    return entry.verdict(entry.spec(params, eta))
+    args = _arguments(entry, params, eta)
+    verdict = getattr(disc, entry.verdict)
+    return verdict(*args) if entry.spec is None else verdict(entry.spec(*args))
 
 
 def _bisect(spec: SweepSpec, kernel, values: list, slot: int,
@@ -352,7 +345,7 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
     entry, dim = SCENARIOS[spec.scenario], spec.minimum.dim
     params = spec.fixed.copy()
     params[spec.axis] = Quantity(points[0], dim)
-    values = entry.spec(params, spec.eta)._values()
+    values = entry.spec(*_arguments(entry, params, spec.eta))._values()
     slot = entry.inputs.index(spec.axis)
     check, kernel = getattr(disc, entry.check), getattr(disc, entry.kernel)
     rows = []

@@ -39,9 +39,11 @@ and the derivation's values, whose dimensions `_DERIVATION_DIMENSIONS`
 declares.  Beside each kernel, one function checks the values of its
 inputs on the same floats (`_check_trapped`, `_check_free_flight`,
 `_check_oscillator`).  Both take the spec's `_values()`, its fields' SI
-values in field order.  A spec checks every field's dimension, then its
-values, so a spec that is wrong in both ways reports its dimension.  A
-verdict runs the kernel on them and wraps its output (`_outcome`).
+values in field order, which is `boundary.SCENARIOS`'s order: `boundary`
+passes a spec its fields positionally.  A spec checks every field's
+dimension, then its values, so a spec that is wrong in both ways reports
+its dimension.  A verdict runs the kernel on them and wraps its output
+(`_outcome`).
 hbar, c, sqrt, the scale check and the power are keyword defaults, so the
 kernels also run on Quantities: the tests check each derived dimension
 so, and `doppler_window` keeps its bounds' dimensions.

@@ -305,7 +305,7 @@ def _plan(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
         dt, rule = cfg.t_end.value / 100.0, "t_end/100"
         if scales:
             dt = min(min(scales) / AUTO_STEP_DIVISOR, cfg.t_end.value)
-            rule = f"min(1/max rate, hbar/max|H|)/{AUTO_STEP_DIVISOR}"
+            rule = f"min(1/max rate, hbar/scale of H)/{AUTO_STEP_DIVISOR}"
         if dt == 0.0:
             raise ValueError(f"the AUTO step {rule} underflows to 0 s; give "
                              f"an explicit dt")

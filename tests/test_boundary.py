@@ -585,7 +585,7 @@ VALIDITY_EDGES = [
 
 
 @pytest.mark.filterwarnings("error")
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=60)
 @given(edge=st.sampled_from(VALIDITY_EDGES),
        reach=st.tuples(*[st.floats(min_value=0.01, max_value=0.99)] * 2),
        count=st.integers(min_value=2, max_value=9))
@@ -731,12 +731,14 @@ def test_one_argument_order_per_scenario(name):
     # The table's order, its inputs and then eta where it is used, is the
     # order of the spec's fields, of the spec's `_values()` and of the
     # positional arguments of its check and its kernel, which a sweep
-    # calls on that list.
+    # calls on that list.  The binder passes the spec its arguments in
+    # that order; that each field means its table name is checked where
+    # the spec is built by keyword (`test_dispatch_matches_direct_call`).
     entry = SCENARIOS[name]
     params, eta = DISTINCT_INPUTS[name]
     order = list(entry.inputs) + ["eta"] * entry.uses_eta
     values = [params[n].value for n in entry.inputs] + [eta] * entry.uses_eta
-    spec = entry.spec(params, eta)
+    spec = entry.spec(*boundary_mod._arguments(entry, params, eta))
     fields = [getattr(spec, f.name) for f in dataclasses.fields(spec)]
     assert [getattr(x, "value", x) for x in fields] == values
     assert spec._values() == values
@@ -745,6 +747,27 @@ def test_one_argument_order_per_scenario(name):
             getattr(discrimination, function)).parameters.values()
         assert [p.name for p in parameters
                 if p.kind is p.POSITIONAL_OR_KEYWORD] == order, function
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_the_table_names_functions_and_spec_classes(name):
+    # The table holds names and classes only, so a misspelt name or a
+    # class of the wrong arity fails here, not at its first call.  The
+    # binder reads a count's value, so no count is optional.
+    entry = SCENARIOS[name]
+    assert not COUNTS.intersection(entry.optional)
+    named = [entry.verdict] + [f for f in (entry.check, entry.kernel) if f]
+    for function in named:
+        assert callable(getattr(discrimination, function, None)), function
+    arity = len(entry.inputs) + entry.uses_eta
+    if entry.spec is None:
+        parameters = inspect.signature(
+            getattr(discrimination, entry.verdict)).parameters.values()
+        kind = inspect.Parameter
+        assert [(p.kind, p.default) for p in parameters] == \
+            [(kind.POSITIONAL_OR_KEYWORD, kind.empty)] * arity
+    else:
+        assert len(dataclasses.fields(entry.spec)) == arity
 
 
 # A valid value for every table parameter, and theta, which none takes.
@@ -809,9 +832,9 @@ class TestMassBoundary:
         # the dimensions and that point's values; each later point checks
         # its values on floats.  Bisection checks nothing, and no public
         # verdict runs.
-        specs, real_spec = [], boundary_mod.TrappedPairSpec
-        monkeypatch.setattr(boundary_mod, "TrappedPairSpec",
-                            lambda **kw: specs.append(kw) or real_spec(**kw))
+        specs, entry = [], SCENARIOS["trapped"]
+        monkeypatch.setitem(SCENARIOS, "trapped", dataclasses.replace(
+            entry, spec=lambda *a: specs.append(a) or entry.spec(*a)))
         checked, real_check = [], discrimination._check_trapped
         monkeypatch.setattr(discrimination, "_check_trapped", lambda M, *a:
                             checked.append(M) or real_check(M, *a))
@@ -819,7 +842,7 @@ class TestMassBoundary:
         monkeypatch.setattr(discrimination, "trapped_tau", verdicts.append)
         report = mass_boundary("trapped", quantity(100, "m/s"),
                                quantity(10, "um"))
-        assert [kw["mass"] for kw in specs] == [report.rows[0].value]
+        assert [args[0] for args in specs] == [report.rows[0].value]
         assert checked == [row.value.value for row in report.rows]
         assert verdicts == []
 
@@ -976,7 +999,7 @@ QUANTITIES = st.builds(Quantity, REPORT_FLOATS, DIMENSIONS)
 # Hand-built reports of 0-5 rows: finite, infinite and NaN tau, odd text in
 # the axis and the derivation symbols, critical_value None or set.
 @pytest.mark.parametrize("scenario", list(Scenario))
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_report_json_text_is_json_dumps(scenario, data):
     row = st.builds(SweepRow, QUANTITIES,

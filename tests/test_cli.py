@@ -430,8 +430,8 @@ class TestUsageErrors:
         code, out, err = run(capsys, "evolve", "--rate", "2.5 1/s",
                              "--t-end", "3e8 s", "--gap", "1e300 J")
         assert (code, out) == (2, "")
-        assert err == ("error: the AUTO step min(1/max rate, hbar/max|H|)/64 "
-                       "underflows to 0 s; give an explicit dt\n")
+        assert err == ("error: the AUTO step min(1/max rate, hbar/scale of "
+                       "H)/64 underflows to 0 s; give an explicit dt\n")
 
     def test_static_auto_step_that_underflows_exits_2(self, capsys):
         # With no rate and no gap the AUTO step is t_end/100, here 0 s.
@@ -844,7 +844,7 @@ def test_fuzz_examples_sweep_to_a_report(capsys, argv, critical):
 # A linear grid whose width overflows, too rare among the draws to be met,
 # an evolve run whose --json must validate, and sweeps that exit 0, each
 # with and without --json.  No call may take longer than 5 s.
-@settings(derandomize=True, deadline=5000, max_examples=500)
+@settings(deadline=5000, max_examples=500)
 @given(argv=verdict_argv())
 @example(argv=["sweep", "trapped", "--axis", "M", "--min", "-1e308 kg",
                "--max", "1e308 kg", "--spacing", "linear", "--count", "5",

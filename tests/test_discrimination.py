@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from collapsim import discrimination
 from collapsim.discrimination import (MARGINAL_BAND, DiscriminationVerdict,
@@ -584,7 +584,6 @@ class TestOscillator:
         below = np.nextafter(MARGINAL_BAND * n_star, 0.0)
         assert oscillator(HBAR_V / 2.0, 1.0, below).regime is Regime.MARGINAL
 
-    @settings(derandomize=True)
     @given(st.floats(1e-30, 1e3), st.floats(1e-3, 1e6),
            st.floats(0.5, 2.0))
     @example(HBAR_V / 2.0, 1.0, 1.0)

@@ -145,7 +145,7 @@ def evolve_calls():
 
 
 # No call may take longer than 5 s.
-@settings(derandomize=True, deadline=5000, max_examples=600)
+@settings(deadline=5000, max_examples=600)
 @given(call=st.one_of(verdict_calls(), sweep_calls(), closed_form_calls(),
                       analytic_calls(), evolve_calls()))
 # A run that blows up at t = 30000 s, which no edge value reaches.

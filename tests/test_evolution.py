@@ -515,7 +515,7 @@ def test_amplification_is_the_operator_diagonal(method, n):
     assert not np.any(op - np.diag(np.diagonal(op)))
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(deadline=None, max_examples=300)
 @given(n=st.integers(1, 5), seed=st.integers(0, 10 ** 6),
        hamiltonian=st.sampled_from(["zero", "diagonal", "general"]),
        h_scale=st.sampled_from([0.01, 1.0, 100.0]),
@@ -574,7 +574,7 @@ def textbook_record(rho0, g, gaps):
     return np.array(record).reshape(-1, *rho0.shape)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=150)
 @given(n=st.integers(1, 4), seed=st.integers(0, 10 ** 6),
        gap=st.sampled_from([0.0, 0.3, 1.0]), method=st.sampled_from(Method),
        steps=st.integers(1, 40), stride=st.integers(1, 45))
@@ -711,8 +711,8 @@ REFUSALS = {
     "auto-step-underflow": (
         (*two_level_decay(quantity(2.5, "1/s"), quantity(1e300, "J")),
          EvolutionConfig(t_end=quantity(3e8, "s"))),
-        "the AUTO step min(1/max rate, hbar/max|H|)/64 underflows to 0 s; "
-        "give an explicit dt"),
+        "the AUTO step min(1/max rate, hbar/scale of H)/64 underflows to "
+        "0 s; give an explicit dt"),
     # No rate and no H: the static step t_end/100 of 1e-322 s is 0 s.
     "static-auto-step-underflow": (
         (equal_superposition(), Hamiltonian.zero(BASIS), rate_matrix(0.0),
@@ -1120,7 +1120,7 @@ TABLE_FLOATS = st.one_of(
               st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_csv_text_is_the_repr_of_every_float(data):
     rows, width = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
@@ -1141,7 +1141,7 @@ JSON_NAMES = st.lists(
     min_size=1, max_size=3).map("".join)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=100)
 @given(st.data())
 def test_json_text_is_json_dumps(data):
     # A pair needs two states, so the basis has 2-4; the run has 1-6 samples.

@@ -167,7 +167,7 @@ class TestPureState:
         assert (rho.elements.tobytes() == expected.tobytes()) or not same_bits
         assert validate(rho) == {}
 
-    @settings(derandomize=True, max_examples=300)
+    @settings(max_examples=300)
     @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
                                        allow_infinity=False),
                     min_size=1, max_size=4).filter(any),
