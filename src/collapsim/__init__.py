@@ -22,10 +22,9 @@ from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
                              doppler_window, free_flight_critical_mass,
                              free_flight_tau, oscillator_verdict, photon_tau,
                              rabi_tau, trapped_critical_mass, trapped_tau)
-from .evolution import (EvolutionConfig, IntegrationError, Method, Trajectory,
-                        analytic_isolated, convergence_order, evolve,
-                        trajectory_to_csv, trajectory_to_json,
-                        trajectory_to_json_text)
+from .evolution import (EvolutionConfig, Method, Trajectory, analytic_isolated,
+                        convergence_order, evolve, trajectory_to_csv,
+                        trajectory_to_json, trajectory_to_json_text)
 from .states import (CollapseRateMatrix, DensityMatrix, Hamiltonian,
                      invariants, make_basis, pure_state, validate)
 from .units import (C, HBAR, DimensionError, Quantity, UnitError,

@@ -13,8 +13,9 @@ help and its kind come from `boundary.PARAMETERS` and `COUNTS`: quantity
 flags take '<number> <unit>' strings ('100 m/s', '10 um', '2.5 GeV/c2'), a
 count takes an integer.  Exit codes: 0 success, 2 usage error (bad,
 missing or unused flags, unknown units, invalid parameters, a derived
-scale that underflows or overflows, an `--out` path that cannot be
-written; one `error:` line on stderr), 1 computation error.  Handlers only
+scale that underflows or overflows, a run that could overflow, an `--out`
+path that cannot be written; one `error:` line on stderr), 1 a sweep
+without a flip or with a non-monotone regime pattern.  Handlers only
 parse, route and print; the library checks every input, `--theta` and
 `evolve`'s rate and gap included.  Its errors name a bad value by its field
 (`mean_velocity must be below c`), a missing or unused flag without `--`.
@@ -42,9 +43,8 @@ from .boundary import (COUNTS, PARAMETERS, SCENARIOS, BoundaryReport,
                        Scenario, SweepError, SweepSpec, curve_to_csv,
                        curve_trajectory, mass_boundary, report_to_json_text,
                        scenario_verdict, sweep)
-from .evolution import (EvolutionConfig, IntegrationError, Method, evolve,
-                        trajectory_to_csv, trajectory_to_json_text,
-                        two_level_decay)
+from .evolution import (EvolutionConfig, Method, evolve, trajectory_to_csv,
+                        trajectory_to_json_text, two_level_decay)
 from .units import (MASS, UNITS, DimensionError, Quantity, UnitError,
                     format_quantity, parse_quantity, preferred_unit)
 
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     except (ValueError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SweepError, IntegrationError) as exc:
+    except SweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:

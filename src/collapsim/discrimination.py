@@ -291,9 +291,14 @@ def _check_trapped(M, v, D, E, eta) -> None:
     _positive("separation", D)
     if E is not None:
         _positive("energy_gap", E)
+    _check_margin(eta)
+
+
+def _check_margin(eta) -> None:
+    """The margin eta of the trapped strong inequalities: finite, >= 1."""
     if not 1.0 <= eta < math.inf:
         bound = ">= 1" if math.isfinite(eta) else "finite"
-        raise ValidationError(f"margin must be {bound}, got {eta}")
+        raise ValidationError(f"margin eta must be {bound}, got {eta}")
 
 
 def _trapped(M, v, D, E, eta, *, hbar=HBAR.value, c=C.value,
@@ -331,8 +336,7 @@ def trapped_critical_mass(v: Quantity, D: Quantity, eta: float = 1.0) -> Quantit
     _require_positive(v, SPEED, "v")
     _require(v < C, "v must be below c")
     _require_positive(D, LENGTH, "D")
-    _require(math.isfinite(eta), f"eta must be finite, got {eta}")
-    _require(eta >= 1.0, f"eta must be >= 1, got {eta}")
+    _check_margin(eta)
     return _scale("M*",
                   4.0 * PI * HBAR * C * eta / _scale("D v^2", D * v ** 2))
 

@@ -35,17 +35,12 @@ Each gap's power of g or of the operator comes from one table
 (`_power_table`), and complex entries are multiplied with bits that do
 not depend on the CPU (`states._entry_product`, and accumulate's scalar
 loop).  One np.multiply.accumulate fills a diagonal record of more than
-two samples; every other run jumps from sample to sample, and stops at
-the first jump that overflows.  One pass then checks the record for
-finiteness, and from the first non-finite sample on the run is stepped
-one step at a time, so a blow-up is reported at its first non-finite
-step.
+two samples; every other run jumps from sample to sample.
 
-`_plan` settles a run before its first step: the step, the recorded
-step counts and the path.  Every refusal of `evolve` comes from it, none
-from the run: a basis mismatch, an invalid rho0, an AUTO step that
-underflows to 0 s, and runs over MAX_STEPS steps or MAX_RECORDED_ENTRIES
-recorded entries.
+`_plan` settles a run before its first step, and every refusal of
+`evolve` comes from it, none from the run: a basis mismatch, an invalid
+rho0, an AUTO step that underflows to 0 s, runs over MAX_STEPS steps or
+MAX_RECORDED_ENTRIES entries, and runs it cannot bound below LOG_MAX.
 
 Health is judged by `states.defects`: rho0 is refused before the first
 step unless `states.validate` finds it valid, and the record, rho0
@@ -108,16 +103,12 @@ MAX_STEPS = 10 ** 6
 # largest recording in the tests, about 16 MB of complex states.  A step
 # operator (n^4 entries) over this budget is not built either.
 MAX_RECORDED_ENTRIES = 10 ** 6
+LOG_MAX = math.log(np.finfo(float).max)  # ln of the largest double
 
 
 class Method(str, enum.Enum):
     RK4 = "rk4"
     EULER = "euler"
-
-
-class IntegrationError(RuntimeError):
-    """Integration produced a non-finite state; the message names the time
-    of the first non-finite step, `non-finite state at t = 30000.0 s`."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +144,8 @@ class EvolutionConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded samples and their health, one array entry per sample;
-    warnings has one line per tolerance that any sample exceeded (or NaN)."""
+    warnings has one line per tolerance that any sample exceeded (or NaN),
+    after one naming a diagonal step's amplification above 1."""
 
     basis: tuple[str, ...]
     times: np.ndarray            # seconds, strictly increasing
@@ -263,15 +255,18 @@ def _operator_pays(n: int, method: Method, gaps: list[int]) -> bool:
             < sum(gaps) * step)
 
 
+# A bound that overflows is infinite, and refuses its run without a warning.
+@np.errstate(all="ignore")
 def _plan(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
-          cfg: EvolutionConfig) -> tuple[float, list[int], str]:
+          cfg: EvolutionConfig
+          ) -> tuple[float, list[int], str, np.ndarray | None]:
     """Everything `evolve` settles before its first step, as (dt, marks,
-    path): the step, the step counts of the recorded samples (0 first,
-    the last step last) and the path, "diagonal", "operator" or "direct".
+    path, g): the step, the recorded step counts (0 first, the last step
+    last), the path ("diagonal", "operator" or "direct") and a diagonal g.
 
     Every refusal of a run is raised here, in this order: a basis
     mismatch, an invalid rho0, an AUTO step that underflows to 0 s, more
-    than MAX_STEPS steps, more than MAX_RECORDED_ENTRIES recorded entries.
+    than MAX_STEPS steps or MAX_RECORDED_ENTRIES entries, an unbounded run.
 
     The AUTO step is the fastest timescale over AUTO_STEP_DIVISOR: 1/max
     rate, or hbar over H's scale.  A diagonal H rotates coherence ij at
@@ -286,18 +281,17 @@ def _plan(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
         raise ValueError("initial state is not a valid density matrix: "
                          + "; ".join(describe(found)))
 
-    h = H.elements
-    diagonal = np.count_nonzero(h) == np.count_nonzero(np.diagonal(h))
+    h, max_rate = H.elements, rates.max_rate
+    energies = h.real.diagonal()
+    hi, lo = float(energies.max()), float(energies.min())
+    coupling = np.abs(h)
+    np.fill_diagonal(coupling, 0.0)
+    diagonal = not coupling.any()
     if cfg.dt is not None:
         dt = cfg.dt.value
     else:
-        max_rate = rates.max_rate
-        energies = h.real.diagonal()
-        h_max = float(energies.max() - energies.min())
-        if not diagonal:
-            coupling = np.abs(h)
-            np.fill_diagonal(coupling, 0.0)
-            h_max = max(h_max / 2.0, float(coupling.max()))
+        h_max = hi - lo if diagonal else max((hi - lo) / 2.0,
+                                             float(coupling.max()))
         scales = [1.0 / max_rate] if max_rate > 0.0 else []
         if h_max > 0.0:
             scales.append(HBAR.value / h_max)
@@ -324,15 +318,36 @@ def _plan(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
                          f"record_stride")
 
     marks = [*range(0, n_steps, cfg.record_stride), n_steps]
-    if diagonal:
-        return dt, marks, "diagonal"
     gaps = [stop - start for start, stop in zip(marks, marks[1:])]
-    return dt, marks, ("operator" if _operator_pays(n, cfg.method, gaps)
-                       else "direct")
+    # Step k's bound e**(head + k log_p) overflows for k > last (NaN: k = 1).
+    if diagonal:  # step k holds rho0_ij g_ij**k
+        g = _step(_rhs(H, rates), dt, cfg.method)(np.ones((n, n)))
+        head, log_p = np.log(np.abs(rho0.elements)), np.log(np.abs(g))
+        last = ((LOG_MAX - head) / np.maximum(log_p, 0.0)).min()
+    else:
+        # dt L's numerical range lies in Re z <= 0, |z| <= x, so the k-th
+        # power of the step is within 1 + sqrt(2) for RK4 at x <= 2.6
+        # (Crouzeix & Palencia, SIAM J. Matrix Anal. Appl. 38, 649 (2017)),
+        # else within p**k; a stage, 2 + |H|/hbar + x/dt times more.
+        g, off = None, float(coupling.sum(axis=1).max())
+        x = dt * ((hi - lo + 2.0 * off) / HBAR.value + max_rate)
+        head = np.log(2.0 + (abs(hi) + abs(lo)) / HBAR.value + x / dt)
+        log_p = math.log(math.hypot(1.0, x) if cfg.method is Method.EULER
+                         else 1 + x * (1 + x / 2 * (1 + x / 3 * (1 + x / 4))))
+        if cfg.method is Method.RK4 and x <= 2.6:
+            head, log_p = head + log_p + 2.0 * math.log1p(math.sqrt(2.0)), 0.0
+        last = (LOG_MAX - head) / log_p  # a numpy float: inf where log_p = 0
+    if not last >= n_steps:
+        k = math.floor(last) + 1 if last > 0.0 else 1
+        verb = "overflows" if diagonal else "may overflow"
+        raise ValueError(f"the state {verb} at step {k} (t = {k * dt!r} s)")
+    if diagonal and max(gaps) * log_p.max() > LOG_MAX:
+        raise ValueError(f"g**{max(gaps)}, the step between samples, overflows")
+    path = "diagonal" if diagonal else (
+        "operator" if _operator_pays(n, cfg.method, gaps) else "direct")
+    return dt, marks, path, g
 
 
-# A blow-up is reported once, by the finite check, not as numpy warnings.
-@np.errstate(over="ignore", invalid="ignore")
 def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
            cfg: EvolutionConfig) -> Trajectory:
     """Integrate from rho0 to at least t_end - dt, sampling every
@@ -341,9 +356,10 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
     rho0 must be a valid density matrix (`states.validate` empty), judged
     once before the first step.  Every recorded sample carries trace drift,
     Hermiticity defect, and smallest eigenvalue; positivity violations are
-    flagged in warnings, never silently repaired.
+    flagged in warnings, never silently repaired.  A diagonal run whose
+    step amplifies some entry says so in the first line of warnings.
     """
-    dt, marks, path = _plan(rho0, H, rates, cfg)
+    dt, marks, path, g = _plan(rho0, H, rates, cfg)
     basis, samples = rho0.basis, len(marks)
     n = len(basis)
     gaps = [stop - start for start, stop in zip(marks, marks[1:])]
@@ -356,8 +372,7 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
         jump = lambda y, k: (power(k) @ y.ravel()).reshape(n, n)
     elif path == "diagonal":
         # A step multiplies each entry by its amplification (real if H = 0).
-        step = _step(_rhs(H, rates), dt, cfg.method)
-        power = _power_table(step(np.ones((n, n))), _entry_product)
+        power = _power_table(g, _entry_product)
         jump = lambda y, k: _entry_product(y, power(k))
     else:
         step = _step(_rhs(H, rates), dt, cfg.method)
@@ -376,31 +391,17 @@ def evolve(rho0: DensityMatrix, H: Hamiltonian, rates: CollapseRateMatrix,
         elements[-1] = power(gaps[-1])
         np.multiply.accumulate(elements, axis=0, out=elements)
     else:
-        with np.errstate(over="raise", invalid="raise"):
-            try:
-                for i, k in enumerate(gaps, 1):
-                    elements[i] = jump(elements[i - 1], k)
-            except FloatingPointError:
-                elements[i:] = np.nan  # stop jumping at the first overflow
-
-    # One check of the record, also for an overflow numpy did not flag.
-    finite = np.isfinite(elements).all(axis=(1, 2))
-    if not finite.all():
-        # Step on one step at a time from the last finite sample.
-        for i in range(int(finite.argmin()), samples):
-            y = elements[i - 1]
-            for s in range(marks[i - 1] + 1, marks[i] + 1):
-                y = jump(y, 1)
-                if not np.isfinite(y).all():
-                    raise IntegrationError(
-                        f"non-finite state at t = {s * dt!r} s")
-            elements[i] = y
+        for i, k in enumerate(gaps, 1):
+            elements[i] = jump(elements[i - 1], k)
     elements.setflags(write=False)
 
     drift, herm, lo = invariants(elements)
+    warnings = describe(defects(drift, herm, lo))
+    if g is not None and (top := float(np.abs(g).max())) > 1.0:
+        warnings.insert(0, f"step amplification {top:.3e} above 1")
     states = [rho0] + [DensityMatrix(basis, e) for e in elements[1:]]
     return Trajectory(basis, np.array(marks) * dt, elements, states, drift,
-                      herm, lo, tuple(describe(defects(drift, herm, lo))))
+                      herm, lo, tuple(warnings))
 
 
 def two_level_decay(rate: Quantity, gap: Quantity | None = None) -> tuple[

@@ -531,9 +531,9 @@ INVALID_GRIDS = {
                                  "E": quantity(1e300, "J")}),
         "omega_max overflows"),
     "eta-inf": (lambda: trapped_sweep(count=9, eta=math.inf),
-                "margin must be finite, got inf"),
+                "margin eta must be finite, got inf"),
     "eta-nan": (lambda: trapped_sweep(count=9, eta=math.nan),
-                "margin must be finite, got nan"),
+                "margin eta must be finite, got nan"),
     # The first point's mass is negative, but its spec checks the fixed
     # separation's dimension first.
     "dimension-before-value": (

@@ -500,7 +500,7 @@ class TestUsageErrors:
     def test_infinite_eta_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: margin must be finite, got {argv[-1]}\n"
+        assert err == f"error: margin eta must be finite, got {argv[-1]}\n"
 
     # A file in a directory that does not exist, and a directory.
     @pytest.mark.parametrize("name", ["missing/out.txt", "."])
@@ -514,32 +514,40 @@ class TestUsageErrors:
 
 
 class TestWarnings:
-    @pytest.mark.parametrize("argv, worst", [
+    # Each step amplifies the coherence, which the first line says before
+    # the record's health.
+    @pytest.mark.parametrize("argv, amplification, worst", [
         # Euler with a gap and no decay grows the coherence every step.
         (["evolve", "--rate", "0 1/s", "--gap", "1e-15 eV", "--method",
-          "euler", "--dt", "0.1 s", "--t-end", "10 s"], "-1.065e+00"),
+          "euler", "--dt", "0.1 s", "--t-end", "10 s"], "1.011e+00",
+         "-1.065e+00"),
         # dt = 2.96 tau is beyond the RK4 stability limit of 2.79 tau.
         (["curve", "trapped", "--M", "1e6 GeV/c2", "--v", "100 m/s",
           "--D", "10 um", "--dt", "2.2e-16 s", "--t-end", "2.2e-15 s"],
-         "-6.177e+00"),
+         "1.296e+00", "-6.177e+00"),
     ], ids=["evolve", "curve"])
-    def test_health_warnings_go_to_stderr(self, capsys, argv, worst):
+    def test_health_warnings_go_to_stderr(self, capsys, argv, amplification,
+                                          worst):
         code, out, err = run(capsys, *argv)
         assert code == 0
-        assert err == f"warning: min eigenvalue {worst} below floor -1.0e-10\n"
+        assert err == (f"warning: step amplification {amplification} above "
+                       f"1\nwarning: min eigenvalue {worst} below floor "
+                       f"-1.0e-10\n")
         assert out.startswith("time_s,")
 
     def test_nan_health_is_a_warning_and_overflow_no_numpy_warning(
             self, capsys):
         # Two steps that leave the coherence at 1.46e308: its visibility
-        # overflows to inf, and its eigenvalues come out NaN.
+        # overflows to inf, and its eigenvalues come out NaN.  (Recorded
+        # every second step, the run is refused: g**2 overflows.)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "evolve", "--rate", "1 1/s",
                                  "--t-end", "1.6e39 s", "--dt", "8e38 s",
-                                 "--stride", "2")
+                                 "--stride", "1")
         assert code == 0
-        assert err == "warning: min eigenvalue nan below floor -1.0e-10\n"
+        assert err == ("warning: step amplification 1.707e+154 above 1\n"
+                       "warning: min eigenvalue nan below floor -1.0e-10\n")
         last = list(csv.reader(io.StringIO(out)))[-1]
         assert last[3] == "1.456355555555555e+308"
         assert last[-2:] == ["inf", "nan"]
@@ -700,13 +708,15 @@ def test_traced_names_stay_bound_in_cli():
 
 
 def test_blow_up_prints_one_error_line():
+    # The plan refuses the run, before its first step.
     proc = subprocess.run(
         [sys.executable, "-m", "collapsim", "evolve", "--rate", "1 1/s",
          "--t-end", "1e5 s", "--dt", "1e3 s"],
         capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 1
+    assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: non-finite state at t = 30000.0 s\n"
+    assert proc.stderr == \
+        "error: the state overflows at step 30 (t = 30000.0 s)\n"
 
 
 def test_linear_sweep_whose_width_overflows_prints_one_error_line():

@@ -153,13 +153,25 @@ class TestNonFinite:
         assert str(info.value) == "quantum_number must be finite, got nan"
 
     def test_infinite_margin_rejected(self):
-        with pytest.raises(ValidationError, match="margin must be finite"):
+        with pytest.raises(ValidationError, match="^margin eta must be "
+                           "finite, got inf$"):
             trapped(2000.0, margin=math.inf)
 
     def test_infinite_critical_mass_eta_rejected(self):
-        with pytest.raises(ValidationError, match="eta must be finite"):
+        with pytest.raises(ValidationError, match="^margin eta must be "
+                           "finite, got inf$"):
             trapped_critical_mass(quantity(100, "m/s"), quantity(10, "um"),
                                   math.inf)
+
+    @pytest.mark.parametrize("build", [
+        lambda eta: trapped(2000.0, margin=eta),
+        lambda eta: trapped_critical_mass(quantity(100, "m/s"),
+                                          quantity(10, "um"), eta),
+    ], ids=["spec", "critical-mass"])
+    def test_margin_below_one_rejected(self, build):
+        with pytest.raises(ValidationError, match=re.escape(
+                "margin eta must be >= 1, got 0.5") + "$"):
+            build(0.5)
 
 
 # Valid inputs whose derived scale underflows to 0 or overflows; each is

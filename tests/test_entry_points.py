@@ -1,8 +1,8 @@
 """The library's entry points under edge values.
 
-Each call returns a value or refuses its input as ValueError,
-DimensionError, SweepError or IntegrationError (a run that blows up, which
-the CLI reports as exit 1), never another exception and never a numpy
+Each call returns a value or refuses its input as ValueError (a run that
+could overflow included, which `evolve` refuses before its first step),
+DimensionError or SweepError, never another exception and never a numpy
 warning (warnings are raised as errors here).  `evolve` runs from
 `two_level_decay` and from a random three-level system, with both methods
 and strides 1, 7 and 1e9.
@@ -18,8 +18,8 @@ from collapsim.boundary import (SCENARIOS, Scenario, SweepError, SweepSpec,
 from collapsim.discrimination import (doppler_back_action, doppler_error,
                                       free_flight_critical_mass,
                                       trapped_critical_mass)
-from collapsim.evolution import (EvolutionConfig, IntegrationError, Method,
-                                  analytic_isolated, evolve, two_level_decay)
+from collapsim.evolution import (EvolutionConfig, Method, analytic_isolated,
+                                  evolve, two_level_decay)
 from collapsim.states import CollapseRateMatrix, Hamiltonian, pure_state
 from collapsim.units import (DIMENSIONLESS, ENERGY, HBAR, LENGTH, MASS,
                              PER_SECOND, SPEED, TIME, DimensionError,
@@ -148,7 +148,8 @@ def evolve_calls():
 @settings(deadline=5000, max_examples=600)
 @given(call=st.one_of(verdict_calls(), sweep_calls(), closed_form_calls(),
                       analytic_calls(), evolve_calls()))
-# A run that blows up at t = 30000 s, which no edge value reaches.
+# A run refused for overflowing at t = 30000 s, which no edge value
+# reaches.
 @example(call=(two_level_run, (Quantity(1.0, PER_SECOND), None,
                                Quantity(1e5, TIME), Quantity(1e3, TIME),
                                Method.RK4, 7)))
@@ -158,5 +159,5 @@ def test_entry_points_return_or_refuse(call):
         warnings.simplefilter("error")
         try:
             function(*args)
-        except (ValueError, DimensionError, SweepError, IntegrationError):
+        except (ValueError, DimensionError, SweepError):
             pass

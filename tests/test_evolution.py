@@ -1,7 +1,9 @@
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import re
 import warnings
 
@@ -12,12 +14,11 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from collapsim import evolution
-from collapsim.evolution import (AUTO_STEP_DIVISOR, EvolutionConfig,
-                                 IntegrationError, Method, analytic_isolated,
-                                 convergence_order, csv_text, evolve,
-                                 Trajectory, trajectory_to_csv,
-                                 trajectory_to_json, trajectory_to_json_text,
-                                 two_level_decay)
+from collapsim.evolution import (AUTO_STEP_DIVISOR, EvolutionConfig, Method,
+                                 analytic_isolated, convergence_order,
+                                 csv_text, evolve, Trajectory,
+                                 trajectory_to_csv, trajectory_to_json,
+                                 trajectory_to_json_text, two_level_decay)
 from collapsim.states import (HERMITICITY_TOL, PSD_TOL, CollapseRateMatrix,
                               DensityMatrix, Hamiltonian, make_basis,
                               pure_state, visibility)
@@ -46,10 +47,10 @@ def use_path(monkeypatch, path):
     real = evolution._plan
 
     def plan(*args):
-        dt, marks, planned = real(*args)
+        dt, marks, planned, g = real(*args)
         assert path != "diagonal" or planned == "diagonal", \
             "a non-diagonal H was planned on the diagonal path"
-        return dt, marks, path
+        return dt, marks, path, g
     monkeypatch.setattr(evolution, "_plan", plan)
 
 
@@ -260,13 +261,13 @@ class TestEvolve:
                 f"got {method!r}") + "$"):
             EvolutionConfig(t_end=quantity(1, "s"), method=method)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_reports_failing_time(self):
-        # a wildly too-large explicit step makes Euler blow up
+        # A wildly too-large explicit step: each Euler step multiplies the
+        # coherence by -799.
         cfg = EvolutionConfig(t_end=quantity(2000, "s"), dt=quantity(4, "s"),
                               method=Method.EULER)
-        with pytest.raises(IntegrationError, match="^" + re.escape(
-                "non-finite state at t = 428.0 s") + "$"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "the state overflows at step 107 (t = 428.0 s)") + "$"):
             evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                    rate_matrix(200.0), cfg)
 
@@ -274,76 +275,52 @@ class TestEvolve:
         cfg = EvolutionConfig(t_end=quantity(1e5, "s"), dt=quantity(1e3, "s"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntegrationError) as err:
+            with pytest.raises(ValueError) as err:
                 evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                        rate_matrix(1.0), cfg)
-        assert str(err.value) == "non-finite state at t = 30000.0 s"
+        assert str(err.value) == \
+            "the state overflows at step 30 (t = 30000.0 s)"
 
-    @pytest.mark.parametrize("path, t_end, stride", [
-        pytest.param(path, t_end, stride, id=path + where)
-        for path in ("direct", "operator", "diagonal")
+    # H = 0 makes each run diagonal, and the refusal comes from the plan,
+    # before any path is taken.
+    @pytest.mark.parametrize("t_end, stride", [
+        pytest.param(t_end, stride, id="diagonal" + where)
         for where, (t_end, stride) in {
             "": (1e5, 7), "-first-interval": (1e5, 40),
             "-last-interval": (3.5e4, 29), "-one-interval": (1e5, 100),
             "-every-step": (1e5, 1)}.items()])
-    def test_blow_up_between_samples_reports_its_first_step(
-            self, monkeypatch, path, t_end, stride):
-        # Step 30 is the first non-finite one, whichever interval holds it:
+    def test_blow_up_between_samples_reports_its_first_step(self, t_end,
+                                                            stride):
+        # Step 30 is the first that overflows, whichever interval holds it:
         # with stride 7 the samples at steps 28 and 35 straddle it.
-        use_path(monkeypatch, path)
         cfg = EvolutionConfig(t_end=quantity(t_end, "s"),
                               dt=quantity(1e3, "s"), record_stride=stride)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntegrationError) as err:
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    "the state overflows at step 30 (t = 30000.0 s)") + "$"):
                 evolve(equal_superposition(), Hamiltonian.zero(BASIS),
                        rate_matrix(1.0), cfg)
-        assert str(err.value) == "non-finite state at t = 30000.0 s"
-
-    def test_blow_up_stops_jumping_at_its_first_overflow(self, monkeypatch):
-        # 10^5 planned steps; step 30 is the first non-finite one.
-        steps, real = [], evolution._step
-
-        def counted(*args):
-            step = real(*args)
-            return lambda y: steps.append(1) or step(y)
-
-        monkeypatch.setattr(evolution, "_step", counted)
-        use_path(monkeypatch, "direct")
-        cfg = EvolutionConfig(t_end=quantity(1e8, "s"), dt=quantity(1e3, "s"),
-                              record_stride=7)
-        with pytest.raises(IntegrationError, match="t = 30000.0 s"):
-            evolve(equal_superposition(), Hamiltonian.zero(BASIS),
-                   rate_matrix(1.0), cfg)
-        assert len(steps) < 100
-
-    def test_diagonal_blow_up_replays_only_its_first_steps(self, monkeypatch):
-        # The diagonal path fills all 14287 samples in one cumulative
-        # product.  Then g**7 and g**5 have taken 5 entry products, and the
-        # replay from the sample at step 28 takes two more, to step 30.
-        products, real = [], evolution._entry_product
-        monkeypatch.setattr(evolution, "_entry_product",
-                            lambda a, b: products.append(1) or real(a, b))
-        use_path(monkeypatch, "diagonal")
-        cfg = EvolutionConfig(t_end=quantity(1e8, "s"), dt=quantity(1e3, "s"),
-                              record_stride=7)
-        with pytest.raises(IntegrationError, match="t = 30000.0 s"):
-            evolve(equal_superposition(), Hamiltonian.zero(BASIS),
-                   rate_matrix(1.0), cfg)
-        assert len(products) == 7
 
     @pytest.mark.parametrize("path", ["direct", "operator", "diagonal"])
     def test_overflowing_power_keeps_the_single_steps(self, monkeypatch,
                                                       path):
-        # The second power of this step operator overflows, but two single
-        # steps of the coherence stay just under the largest double.
+        # The second power of this step overflows, so recording every second
+        # step is refused before any path runs; two single steps of the
+        # coherence stay just under the largest double on every path.
         use_path(monkeypatch, path)
+        rho0, H, rates = (equal_superposition(), Hamiltonian.zero(BASIS),
+                          rate_matrix(1.0))
         cfg = EvolutionConfig(t_end=quantity(1.6e39, "s"),
                               dt=quantity(8e38, "s"), record_stride=2)
-        traj = evolve(equal_superposition(), Hamiltonian.zero(BASIS),
-                      rate_matrix(1.0), cfg)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "g**2, the step between samples, overflows") + "$"):
+            evolve(rho0, H, rates, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve(rho0, H, rates, replace(cfg, record_stride=1))
         assert traj.elements[-1, 0, 1] == 1.456355555555555e+308
-        assert traj.final_state().elements[0, 1] == 1.456355555555555e+308
+        assert traj.warnings[0] == "step amplification 1.707e+154 above 1"
 
 
 def reference_run(rho0, H, rates, dt, n_steps, method):
@@ -730,6 +707,18 @@ REFUSALS = {
          EvolutionConfig(t_end=quantity(1, "s"), dt=quantity(1e-4, "s"))),
         "10001 recorded samples of 16x16 exceed the budget of 1000000 "
         "entries; raise record_stride"),
+    # dt r = 10 r is beyond RK4's stable half-disk, so the bound grows.
+    "unbounded-non-diagonal": (
+        (*random_system(3, seed=3),
+         EvolutionConfig(t_end=quantity(1e4, "s"), dt=quantity(10, "s"))),
+        "the state may overflow at step 49 (t = 490.0 s)"),
+    # A stable step, but H/hbar overflows on its diagonal.
+    "non-diagonal-energy-overflow": (
+        (equal_superposition(),
+         Hamiltonian(BASIS, [[1e280, HBAR.value], [HBAR.value, 1e280]]),
+         rate_matrix(1.0), EvolutionConfig(t_end=quantity(1, "s"),
+                                           dt=quantity(0.01, "s"))),
+        "the state may overflow at step 1 (t = 0.01 s)"),
 }
 
 
@@ -745,6 +734,96 @@ def test_every_refusal_comes_from_the_plan_before_any_step(monkeypatch,
         with pytest.raises(ValueError) as err:
             refused(*run)
         assert str(err.value) == message
+
+
+# The one step a refused diagonal run takes: its amplification g, the step
+# of a matrix of ones.  The plan refuses a state that overflows, a power
+# of g that does and a g that overflows while it is computed.
+DIAGONAL_REFUSALS = {
+    "state": (1e5, 1e3, 1, "the state overflows at step 30 (t = 30000.0 s)"),
+    "power": (1.6e39, 8e38, 2, "g**2, the step between samples, overflows"),
+    "step": (1e303, 1e300, 1, "the state overflows at step 1 (t = 1e+300 s)"),
+}
+
+
+@pytest.mark.parametrize("case", DIAGONAL_REFUSALS)
+def test_diagonal_refusal_steps_only_a_matrix_of_ones(monkeypatch, case):
+    t_end, dt, stride, message = DIAGONAL_REFUSALS[case]
+    stepped, real = [], evolution._step
+
+    def spy(f, dt, method):
+        step = real(f, dt, method)
+        return lambda y: stepped.append(y.tolist()) or step(y)
+
+    monkeypatch.setattr(evolution, "_step", spy)
+    cfg = EvolutionConfig(t_end=quantity(t_end, "s"), dt=quantity(dt, "s"),
+                          record_stride=stride)
+    for refused in (evolution._plan, evolve):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                refused(equal_superposition(), Hamiltonian.zero(BASIS),
+                        rate_matrix(1.0), cfg)
+        assert str(err.value) == message
+    assert stepped == [[[1.0, 1.0], [1.0, 1.0]]] * 2
+
+
+def first_overflow(rho0, g, n_steps, gap):
+    """A diagonal run stepped one step at a time: the first step at which
+    some entry of rho0 times g, step after step, overflows in modulus,
+    else "power" where g multiplied gap times does, else None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = rho0.elements
+        for k in range(1, n_steps + 1):
+            y = y * g
+            if not np.isfinite(np.abs(y)).all():
+                return k
+        power = functools.reduce(operator.mul, [g] * gap)
+        return None if np.isfinite(np.abs(power)).all() else "power"
+
+
+@settings(max_examples=200)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 16),
+       diagonal=st.booleans(), method=st.sampled_from(list(Method)),
+       log_dt=st.integers(-30, 800).map(lambda k: k / 10),
+       steps=st.integers(1, 300),
+       stride=st.sampled_from([1, 7, 10 ** 9]))
+def test_accepted_runs_stay_finite_and_diagonal_refusals_match_one_steps(
+        n, seed, diagonal, method, log_dt, steps, stride):
+    # Steps of 1e-3 to 1e80 time units, from well inside RK4's stability
+    # region to a g that overflows while it is computed.
+    rho0, H, rates = random_system(n, seed)
+    if diagonal:
+        H = diagonal_part(H)
+    dt = 10.0 ** log_dt
+    cfg = EvolutionConfig(t_end=quantity(steps * dt, "s"),
+                          dt=quantity(dt, "s"), method=method,
+                          record_stride=stride)
+    refusal = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            traj = evolve(rho0, H, rates, cfg)
+        except ValueError as err:
+            refusal = str(err)
+    if refusal is None:
+        assert np.isfinite(traj.elements).all()
+    if not diagonal:
+        assert refusal is None or refusal.startswith("the state may overflow")
+        return
+    n_steps = max(1, math.ceil(cfg.t_end.value / dt - 1e-9))  # as planned
+    gap = min(stride, n_steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = evolution._step(evolution._rhs(H, rates), dt, method)(
+            np.ones((n, n)))
+    found = first_overflow(rho0, g, n_steps, gap)
+    if found is None:
+        assert refusal is None
+    elif found == "power":
+        assert refusal == f"g**{gap}, the step between samples, overflows"
+    else:
+        assert refusal == f"the state overflows at step {found} " \
+                          f"(t = {found * dt!r} s)"
 
 
 class TestRecordStride:
@@ -825,7 +904,7 @@ class TestAutoStep:
             h = np.array([[0.0, coupling], [coupling, gap]], dtype=complex)
             H = Hamiltonian(BASIS, h)
             shifted = Hamiltonian(BASIS, h + shift * np.eye(2))
-            dt, marks, _ = evolution._plan(rho0, H, rates, cfg)
+            dt, marks = evolution._plan(rho0, H, rates, cfg)[:2]
             assert evolution._plan(rho0, shifted, rates, cfg)[:2] == \
                 (dt, marks)
             assert evolve(rho0, shifted, rates, cfg).times.tolist() == \
