@@ -25,10 +25,13 @@ and an invalid grid raises its first invalid point's error.  Bisection
 calls the kernel alone on the same list: the grid has checked the fixed
 values, and a midpoint between two valid points is valid.
 
-A report is written as the report/1 dict (`BoundaryReport.to_json`) or
-as that dict's indented JSON text (`report_to_json_text`, equal to
-json.dumps(..., indent=2) + "\\n"); both read each row's values from
-`_row_values`, and the report/1 layout is written once (`_document`).
+A row keeps the kernel's floats, and builds Quantities, or the verdict at
+its point, only when it is read; the flip test, bisection and the writers
+read the floats.  A report is written as the report/1 dict
+(`BoundaryReport.to_json`) or as that dict's indented JSON text
+(`report_to_json_text`, equal to json.dumps(..., indent=2) + "\\n"); both
+read each row's values from `_row_values`, as `cli`'s text of a sweep
+does, and the report/1 layout is written once (`_document`).
 
 A decay curve is one `Trajectory`: `curve_trajectory` runs it from a
 verdict, and `curve_to_csv` reads its times and visibility 2|rho_01|.
@@ -42,17 +45,17 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
 from . import discrimination as disc
 from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
-                             OscillatorSpec, Regime, TrappedPairSpec,
-                             ValidationError)
+                             OscillatorSpec, TrappedPairSpec, ValidationError)
 from .evolution import (EvolutionConfig, Trajectory, _json_float, csv_text,
                         evolve, json_text, two_level_decay)
-from .units import (DIMENSIONLESS, Quantity, _quantity, preferred_unit,
-                    quantity)
+from .units import (DIMENSIONLESS, TIME, Dimension, Quantity, _quantity,
+                    preferred_unit, quantity)
 
 REPORT_SCHEMA_ID = "report/1"
 
@@ -185,15 +188,29 @@ class SweepSpec:
             disc._require_dim(self.minimum, DIMENSIONLESS, self.axis)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point: its axis value, and the tau, regime and derivation
-    of the verdict there; `_row_values` reads it as a report/1 row."""
+class SweepRow(NamedTuple):
+    """One grid point: its axis value x in SI, the axis's dimension, and
+    the kernel's output there, (closed, tau, margin, values).  The
+    properties build Quantities, and the verdict, only when they are read;
+    `_row_values` reads the floats."""
 
-    value: Quantity
-    tau: Quantity
-    regime: Regime
-    derivation: tuple
+    x: float
+    dim: Dimension
+    output: tuple
+
+    @property
+    def value(self) -> Quantity:
+        return _quantity(self.x, self.dim)
+
+    @property
+    def tau(self) -> Quantity:
+        closed, tau, _, _ = self.output
+        return disc.INFINITE_TAU if closed else _quantity(tau, TIME)
+
+    @property
+    def verdict(self) -> DiscriminationVerdict:
+        """The verdict at this point, equal to the scenario's verdict."""
+        return DiscriminationVerdict(*disc._outcome(*self.output))
 
 
 @dataclass(frozen=True)
@@ -204,15 +221,23 @@ class BoundaryReport:
     critical_value: Quantity | None
 
     def to_json(self) -> dict:
-        return _document(self, map(_row_values, self.rows))
+        return _document(self, [
+            (value, unit, tau, regime, _derivation_digest(values))
+            for value, unit, tau, regime, values in _row_values(self)])
 
 
-def _row_values(row: SweepRow) -> tuple:
-    """A report/1 row's values in document order: value, unit, tau (None if
-    infinite), regime and the derivation's digest."""
-    return (row.value.value, preferred_unit(row.value.dim),
-            row.tau.value if row.tau.is_finite else None, row.regime.value,
-            _derivation_digest(row.derivation))
+def _row_values(report: BoundaryReport) -> list[tuple]:
+    """Each report/1 row's values in document order, read from the floats:
+    value, unit, tau (None if infinite), regime and the kernel's derivation
+    values, which the JSON writers digest (`_derivation_digest`).  A
+    report's rows share its axis's dimension, as `sweep` makes them, so the
+    unit is looked up once.  The regime is read as `_value_`, which is
+    `.value` without its descriptor call."""
+    rows = report.rows
+    unit = preferred_unit(rows[0].dim) if rows else None
+    regime = disc._regime
+    return [(x, unit, tau, regime(closed, margin)._value_, values)
+            for x, _, (closed, tau, margin, values) in rows]
 
 
 def _document(report: BoundaryReport, rows) -> dict:
@@ -241,16 +266,20 @@ def report_to_json_text(report: BoundaryReport) -> str:
     encode = encode_basestring_ascii
     rows = [(_json_float(value), encode(unit),
              "null" if tau is None else _json_float(tau), encode(regime),
-             encode(digest))
-            for value, unit, tau, regime, digest in map(_row_values,
-                                                         report.rows)]
+             encode(_derivation_digest(values)))
+            for value, unit, tau, regime, values in _row_values(report)]
     return json_text(_document(report, [(None,) * 5]), "rows", rows)
 
 
-def _derivation_digest(derivation: tuple) -> str:
-    parts = [f"{sym}={q.value:.6g} {preferred_unit(q.dim)}"
-             for sym, q in derivation]
-    return "; ".join(parts)
+# The unit of each symbol a kernel derives, as a digest writes it.
+_DIGEST_UNITS = {sym: preferred_unit(dim)
+                 for sym, dim in disc._DERIVATION_DIMENSIONS.items()}
+
+
+def _derivation_digest(values: dict) -> str:
+    """A kernel's derivation values as report/1's digest text."""
+    return "; ".join([f"{sym}={value:.6g} {_DIGEST_UNITS[sym]}"
+                      for sym, value in values.items()])
 
 
 def _check_params(entry: ScenarioEntry, params: dict, eta: float,
@@ -308,10 +337,10 @@ def _bisect(spec: SweepSpec, kernel, values: list, slot: int,
     and the loop ends once no double lies strictly between lo and hi.
     Each midpoint asks the kernel alone, on the sweep's values with the
     axis's slot set to it, whether the window is closed."""
-    lo, hi = below.value.value, above.value.value
-    lo_closed = not below.tau.is_finite
+    lo, hi = below.x, above.x
+    lo_closed = below.output[0]
     geometric = spec.spacing == "geometric"
-    while (hi - lo) > BISECTION_REL_TOL * (lo or above.value.value):
+    while (hi - lo) > BISECTION_REL_TOL * (lo or above.x):
         if not (geometric and lo):
             mid = 0.5 * lo + 0.5 * hi
         elif sys.float_info.min <= lo * hi < math.inf:
@@ -353,11 +382,10 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
         if rows:  # the spec has checked the first point's values
             values[slot] = x
             check(*values)
-        tau, regime, _, derivation = disc._outcome(*kernel(*values))
-        rows.append(SweepRow(_quantity(x, dim), tau, regime, derivation))
+        rows.append(SweepRow(x, dim, kernel(*values)))
 
-    flips = [i for i in range(len(grid) - 1)
-             if rows[i].tau.is_finite != rows[i + 1].tau.is_finite]
+    flips = [i for i in range(len(rows) - 1)
+             if rows[i].output[0] != rows[i + 1].output[0]]
     if len(flips) > 1:
         i, j = flips[0], flips[1]
         raise SweepError(

@@ -40,9 +40,9 @@ from pathlib import Path
 
 from . import discrimination as disc
 from .boundary import (COUNTS, PARAMETERS, SCENARIOS, BoundaryReport,
-                       Scenario, SweepError, SweepSpec, curve_to_csv,
-                       curve_trajectory, mass_boundary, report_to_json_text,
-                       scenario_verdict, sweep)
+                       Scenario, SweepError, SweepSpec, _row_values,
+                       curve_to_csv, curve_trajectory, mass_boundary,
+                       report_to_json_text, scenario_verdict, sweep)
 from .evolution import (EvolutionConfig, Method, evolve, trajectory_to_csv,
                         trajectory_to_json_text, two_level_decay)
 from .units import (MASS, UNITS, DimensionError, Quantity, UnitError,
@@ -140,10 +140,9 @@ def _cmd_sweep(args) -> str:
 
 def _report_text(report: BoundaryReport) -> str:
     lines = [f"scenario: {report.scenario.value}  axis: {report.axis}"]
-    for row in report.rows:
-        tau = "infinite" if not row.tau.is_finite else f"{row.tau.value:.6g} s"
-        lines.append(f"  {row.value.value:.6g} {preferred_unit(row.value.dim)}"
-                     f"  tau={tau}  regime={row.regime.value}")
+    for value, unit, tau, regime, _ in _row_values(report):
+        tau = "infinite" if tau is None else f"{tau:.6g} s"
+        lines.append(f"  {value:.6g} {unit}  tau={tau}  regime={regime}")
     if report.critical_value is None:
         lines.append("critical: none within grid")
     else:

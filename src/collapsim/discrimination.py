@@ -43,7 +43,8 @@ values in field order, which is `boundary.SCENARIOS`'s order: `boundary`
 passes a spec its fields positionally.  A spec checks every field's
 dimension, then its values, so a spec that is wrong in both ways reports
 its dimension.  A verdict runs the kernel on them and wraps its output
-(`_outcome`).
+(`_outcome`); `_regime` is the one rule for the regime of an output, which
+`_outcome` and `boundary`'s report writers share.
 hbar, c, sqrt, the scale check and the power are keyword defaults, so the
 kernels also run on Quantities: the tests check each derived dimension
 so, and `doppler_window` keeps its bounds' dimensions.
@@ -188,15 +189,23 @@ _DERIVATION_DIMENSIONS = {
     "n_star": DIMENSIONLESS, "v_n": SPEED}
 
 
+def _regime(closed: bool, margin: float) -> Regime:
+    """The regime of a kernel's output: quantum where the probe window is
+    closed, else Marginal when the deciding ratio margin is within
+    MARGINAL_BAND of its threshold, else classical."""
+    if closed:
+        return Regime.QUANTUM
+    return Regime.MARGINAL if margin < MARGINAL_BAND else Regime.CLASSICAL
+
+
 def _outcome(closed: bool, tau, margin: float, values: dict) -> tuple:
-    """(tau, regime, reason, derivation) of a kernel's output: quantum where
-    the probe window is closed, else tau, Marginal when the deciding ratio
-    margin is within MARGINAL_BAND of its threshold."""
+    """(tau, regime, reason, derivation) of a kernel's output: an infinite
+    tau where the probe window is closed, and the regime of `_regime`."""
     derivation = tuple([(sym, _quantity(value, _DERIVATION_DIMENSIONS[sym]))
                         for sym, value in values.items()])
+    regime = _regime(closed, margin)
     if closed:
-        return INFINITE_TAU, Regime.QUANTUM, Reason.WINDOW_CLOSED, derivation
-    regime = Regime.MARGINAL if margin < MARGINAL_BAND else Regime.CLASSICAL
+        return INFINITE_TAU, regime, Reason.WINDOW_CLOSED, derivation
     return _quantity(tau, TIME), regime, Reason.DISCRIMINABLE, derivation
 
 

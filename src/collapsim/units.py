@@ -240,7 +240,9 @@ UNITS: dict[str, tuple[float, Dimension]] = {
     "dimensionless": (1.0, DIMENSIONLESS),
 }
 
-_NUMBER = re.compile(r"^([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*(\S.*)$")
+_NUMBER_TEXT = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = re.compile(rf"^({_NUMBER_TEXT})\s*(\S.*)$")
+_BARE_NUMBER = re.compile(_NUMBER_TEXT)
 
 
 def _lookup(unit: str) -> tuple[float, Dimension]:
@@ -260,13 +262,22 @@ def parse_quantity(text: str) -> Quantity:
     """Parse '<number><space?><unit>' into an SI-scaled Quantity.
 
     The unit token is mandatory; dimensionless values spell it out
-    ('1.5 dimensionless' or '0.3 rad').  A number that overflows a double
-    is rejected.
+    ('1.5 dimensionless' or '0.3 rad').  Text that is a number alone is
+    refused as missing its unit; the pattern would otherwise read the
+    number's last digits or exponent as a unit ('2000' as '200' and '0').
+    A number that overflows a double is rejected.
     """
-    m = _NUMBER.match(text.strip())
-    if m is None:
-        raise UnitError(f"malformed quantity '{text}'")
-    q = quantity(float(m.group(1)), m.group(2).strip())
+    stripped = text.strip()
+    m = _NUMBER.match(stripped)
+    try:
+        if m is None:
+            raise UnitError(f"malformed quantity '{text}'")
+        q = quantity(float(m.group(1)), m.group(2).strip())
+    except UnitError:
+        if _BARE_NUMBER.fullmatch(stripped):
+            raise UnitError(f"missing unit in '{text}' (a pure number is "
+                            f"written '{stripped} dimensionless')") from None
+        raise
     if not q.is_finite:
         raise UnitError(f"quantity '{text}' overflows")
     return q

@@ -24,11 +24,12 @@ from collapsim.discrimination import (DiscriminationVerdict, FreeFlightSpec,
                                       free_flight_tau, oscillator_verdict,
                                       photon_tau, rabi_tau,
                                       trapped_critical_mass, trapped_tau)
-from collapsim.cli import main
+from collapsim.cli import _report_text, main
 from collapsim.evolution import trajectory_to_csv
 from collapsim.schemas import REPORT_SCHEMA, VERDICT_SCHEMA
 from collapsim.units import (C, DIMENSIONLESS, ENERGY, LENGTH, MASS, SPEED,
-                             TIME, Dimension, Quantity, quantity)
+                             TIME, Dimension, Quantity, preferred_unit,
+                             quantity)
 
 HBAR_V = 1.054571817e-34
 GEV = 1.78266192e-27
@@ -185,14 +186,14 @@ class TestTrappedSweep:
         report = sweep(trapped_sweep())
         values = [row.value.value for row in report.rows]
         assert values == sorted(values)
-        regimes = [row.regime for row in report.rows]
+        regimes = [row.verdict.regime for row in report.rows]
         assert regimes[0] is Regime.QUANTUM
         assert regimes[-1] is Regime.CLASSICAL
 
     def test_slow_limit_never_flips(self):
         report = sweep(trapped_sweep(v=1e-6))
         assert report.critical_value is None
-        assert all(row.regime is Regime.QUANTUM for row in report.rows)
+        assert all(row.verdict.regime is Regime.QUANTUM for row in report.rows)
 
     def test_margin_moves_boundary(self):
         eta = 3.0
@@ -257,8 +258,9 @@ class TestOscillatorSweep:
                          quantity(1e-30, "kg"), quantity(1e-10, "kg"),
                          count=21, fixed=fixed)
         report = sweep(spec)
-        assert report.rows[0].regime in (Regime.CLASSICAL, Regime.MARGINAL)
-        assert report.rows[-1].regime is Regime.QUANTUM
+        assert report.rows[0].verdict.regime in (Regime.CLASSICAL,
+                                                 Regime.MARGINAL)
+        assert report.rows[-1].verdict.regime is Regime.QUANTUM
         assert report.critical_value is not None
         # critical mass makes n* = n exactly
         m = report.critical_value.value
@@ -290,8 +292,8 @@ class TestOscillatorSweep:
                          fixed=fixed)
         report = sweep(spec)
         assert [row.value.value for row in report.rows] == [10.0, 20.0]
-        assert [row.regime for row in report.rows] == [Regime.QUANTUM,
-                                                       Regime.MARGINAL]
+        assert [row.verdict.regime for row in report.rows] == [
+            Regime.QUANTUM, Regime.MARGINAL]
         assert report.critical_value.value == pytest.approx(10.2,
                                                             rel=1e-6, abs=0)
 
@@ -401,8 +403,7 @@ def test_sweep_rows_equal_single_verdicts(scenario, data, tenths, count,
                      spacing=spacing, fixed=fixed)
     for row in sweep(spec).rows:
         verdict = scenario_verdict(scenario, {**fixed, axis: row.value})
-        assert repr((row.tau, row.regime, row.derivation)) == \
-            repr((verdict.tau, verdict.regime, verdict.derivation))
+        assert repr((row.tau, row.verdict)) == repr((verdict.tau, verdict))
 
 
 # Points where numpy's power rounds differently from Python's float **,
@@ -417,7 +418,7 @@ def test_trapped_speed_grid_squares_each_point_as_python_does():
                      fixed={"M": quantity(1, "kg"), "D": quantity(10, "um")})
     rows = sweep(spec).rows
     assert rows[0].value.value == v
-    assert dict(rows[0].derivation)["E"].value == 130203.74193855848
+    assert dict(rows[0].verdict.derivation)["E"].value == 130203.74193855848
     assert_rows_are_single_verdicts(spec, rows)
 
 
@@ -440,8 +441,8 @@ def test_rounded_count_axis_rows_are_single_verdicts():
     rows = sweep(spec).rows
     assert [row.value.value for row in rows] == \
         [float(round(x)) for x in np.linspace(0.3, 40.7, 17).tolist()]
-    assert {row.regime for row in rows} == {Regime.QUANTUM, Regime.MARGINAL,
-                                            Regime.CLASSICAL}
+    assert {row.verdict.regime for row in rows} == {
+        Regime.QUANTUM, Regime.MARGINAL, Regime.CLASSICAL}
     assert_rows_are_single_verdicts(spec, rows)
 
 
@@ -450,9 +451,8 @@ def assert_rows_are_single_verdicts(spec, rows):
         verdict = scenario_verdict(spec.scenario, {**spec.fixed,
                                                    spec.axis: row.value},
                                    spec.eta)
-        assert repr((row.value, row.tau, row.regime, row.derivation)) == \
-            repr((row.value, verdict.tau, verdict.regime,
-                  verdict.derivation))
+        assert repr((row.value, row.tau, row.verdict)) == \
+            repr((row.value, verdict.tau, verdict))
 
 
 def test_energy_gap_axis_locates_the_closed_form_gap():
@@ -963,17 +963,42 @@ class TestReportJson:
         calls = []
         real = boundary_mod._derivation_digest
         monkeypatch.setattr(boundary_mod, "_derivation_digest",
-                            lambda derivation: calls.append(derivation)
-                            or real(derivation))
+                            lambda values: calls.append(values)
+                            or real(values))
         report = sweep(trapped_sweep(count=9))
         assert calls == []
-        digests = [real(row.derivation) for row in report.rows]
+        digests = [real(row.output[3]) for row in report.rows]
+        # Each digest spells the verdict's derivation at its point.
+        assert digests == ["; ".join(
+            f"{sym}={q.value:.6g} {preferred_unit(q.dim)}"
+            for sym, q in row.verdict.derivation) for row in report.rows]
         doc = report.to_json()
         assert len(calls) == len(report.rows) == 9
         assert [row["digest"] for row in doc["rows"]] == digests
         text = report_to_json_text(report)
         assert len(calls) == 18
         assert [row["digest"] for row in json.loads(text)["rows"]] == digests
+
+    def test_sweep_and_writers_read_the_kernels_floats(self, monkeypatch):
+        # No row is wrapped as a verdict (`_outcome`) by the sweep, its
+        # bisection or any writer; each read of a row's verdict wraps it
+        # once.
+        calls = []
+        real = discrimination._outcome
+        monkeypatch.setattr(discrimination, "_outcome",
+                            lambda *output: calls.append(output)
+                            or real(*output))
+        report = sweep(trapped_sweep(count=9))
+        assert report.critical_value is not None
+        report.to_json()
+        report_to_json_text(report)
+        _report_text(report)
+        assert calls == []
+        for k, row in enumerate(report.rows, 1):
+            closed, _, margin, _ = row.output
+            assert row.verdict.regime is discrimination._regime(closed,
+                                                                margin)
+            assert calls[k - 1:] == [row.output]
 
     def test_no_flip_serializes_null(self):
         doc = sweep(trapped_sweep(count=5, v=1e-6)).to_json()
@@ -994,19 +1019,26 @@ REPORT_FLOATS = st.one_of(
 DIMENSIONS = st.sampled_from([DIMENSIONLESS, MASS, LENGTH, TIME, SPEED,
                               ENERGY, Dimension(mass=2, length=-3, time=1)])
 QUANTITIES = st.builds(Quantity, REPORT_FLOATS, DIMENSIONS)
+# A kernel's output (closed, tau, margin, values): closed or open, a
+# finite tau or None, any margin, and values under the symbols that the
+# kernels derive.
+KERNEL_OUTPUTS = st.tuples(
+    st.booleans(),
+    st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    REPORT_FLOATS,
+    st.dictionaries(st.sampled_from(list(
+        discrimination._DERIVATION_DIMENSIONS)), REPORT_FLOATS, max_size=6))
 
 
-# Hand-built reports of 0-5 rows: finite, infinite and NaN tau, odd text in
-# the axis and the derivation symbols, critical_value None or set.
+# Hand-built reports of 0-5 rows along one axis dimension, as `sweep` makes
+# them: every regime, finite and infinite tau, any axis value and derived
+# value, odd text in the axis, critical_value None or set.
 @pytest.mark.parametrize("scenario", list(Scenario))
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_report_json_text_is_json_dumps(scenario, data):
-    row = st.builds(SweepRow, QUANTITIES,
-                    st.builds(Quantity, REPORT_FLOATS, st.just(TIME)),
-                    st.sampled_from(Regime),
-                    st.lists(st.tuples(ODD_TEXT, QUANTITIES),
-                             max_size=6).map(tuple))
+    row = st.builds(SweepRow, REPORT_FLOATS, st.just(data.draw(DIMENSIONS)),
+                    KERNEL_OUTPUTS)
     report = BoundaryReport(
         scenario, data.draw(ODD_TEXT),
         tuple(data.draw(st.lists(row, max_size=5))),

@@ -303,6 +303,22 @@ class TestUsageErrors:
         assert code == 2
         assert "parsec" in err
 
+    @pytest.mark.parametrize("argv, number", [
+        (["tau", "trapped", "--M", "2000", "--v", "100 m/s",
+          "--D", "10 um"], "2000"),
+        (["tau", "trapped", "--M", "1e3", "--v", "100 m/s",
+          "--D", "10 um"], "1e3"),
+        (["sweep", "oscillator", "--axis", "n", "--min", "0.2",
+          "--max", "2e3 dimensionless", "--M", "1 kg",
+          "--omega0", "1 rad/s"], "0.2")], ids=["2000", "1e3", "0.2"])
+    def test_number_without_unit_exits_2(self, capsys, argv, number):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"error: argument --{argv[argv.index(number) - 1][2:]}: missing "
+            f"unit in '{number}' (a pure number is written '{number} "
+            f"dimensionless')\n")
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "boundary", "trapped", "--v", "1 m/s",
                          "--D", "1 um", "--frobnicate")

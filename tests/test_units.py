@@ -51,6 +51,29 @@ class TestParse:
         with pytest.raises(UnitError):
             parse_quantity("42")
 
+    # A number alone must not have its last digits or its exponent read as
+    # a unit ('2000' as 200 of unit '0'), nor be called malformed.
+    @pytest.mark.parametrize("text, number", [
+        ("2000", "2000"), ("1e3", "1e3"), ("0.2", "0.2"), ("2", "2"),
+        (" -.5E-2 ", "-.5E-2")])
+    def test_number_alone_names_its_missing_unit(self, text, number):
+        with pytest.raises(UnitError) as info:
+            parse_quantity(text)
+        assert str(info.value) == (
+            f"missing unit in '{text}' (a pure number is written "
+            f"'{number} dimensionless')")
+        assert parse_quantity(f"{number} dimensionless").value == \
+            float(number)
+
+    @pytest.mark.parametrize("text, message", [
+        ("2e", "unknown unit 'e'"), ("2 furlong", "unknown unit 'furlong'"),
+        ("inf", "malformed quantity 'inf'"), ("", "malformed quantity ''")])
+    def test_text_that_is_not_a_number_alone_keeps_its_error(self, text,
+                                                             message):
+        with pytest.raises(UnitError) as info:
+            parse_quantity(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text", ["1e400 m/s", "-1e400 s", "1e400 GeV/c2"])
     def test_overflowing_number_rejected(self, text):
         with pytest.raises(UnitError, match="overflows"):
