@@ -8,22 +8,28 @@ verdict on a grid along one axis and then bisect the flip interval on the
 verdict itself (not on an inverted formula), so they stay correct if the
 discrimination margins change; the closed-form critical-mass operations
 remain available as cross-checks.  `SweepSpec` checks a sweep's names,
-eta, count, grid and counts when it is built; the values are checked at
-each grid point, so a bad value raises from `sweep`.  `mass_boundary` is
-the mass scan behind `collapsim boundary`.
+eta, count, grid and counts when it is built; the values are checked on
+the grid, so a bad value raises from `sweep`.  `mass_boundary` is the
+mass scan behind `collapsim boundary`.
 
 `SCENARIOS` holds data only, and one binder (`_arguments`) gives
 `scenario_verdict` and `sweep` a scenario's arguments in the table's order.
 
-`sweep` builds the scenario's spec once, at the first grid point, which
-checks every dimension (no later point can change one) and that point's
-values, and takes its `_values()`: its check's and kernel's arguments.
-Then, in grid order, each point overwrites its axis's slot in that list
-and runs the check (after the first point), then the kernel, whose output
-is the row.  So each row equals the verdict at its point, bit for bit,
-and an invalid grid raises its first invalid point's error.  Bisection
-calls the kernel alone on the same list: the grid has checked the fixed
-values, and a midpoint between two valid points is valid.
+A sweep's grid (`_grid`) is Python floats, bit for bit the grid that
+numpy's geomspace or linspace gives in its baseline loops, so it does not
+depend on the SIMD features of the CPU.  `sweep` builds the scenario's
+spec once, at the first grid point, which checks every dimension (no
+later point can change one) and that point's values, and takes its
+`_values()`: its check's and kernel's arguments.  Each value check holds
+on an interval of the axis value (positive and finite, v < c, d < D < L,
+n >= 0), so checking the grid's least and greatest points checks them
+all.  Then, in grid order, each point overwrites its axis's slot in that
+list and runs the kernel, whose output is the row.  So each row equals
+the verdict at its point, bit for bit.  Only where an extreme point fails
+its check does each point run its check before its kernel, so that an
+invalid grid raises its first invalid point's error.  Bisection calls the
+kernel alone on the same list, by the same argument: a midpoint between
+two valid points is valid.
 
 A row keeps the kernel's floats, and builds Quantities, or the verdict at
 its point, only when it is read; the flip test, bisection and the writers
@@ -40,14 +46,13 @@ verdict, and `curve_to_csv` reads its times and visibility 2|rho_01|.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
-
-import numpy as np
 
 from . import discrimination as disc
 from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
@@ -276,10 +281,16 @@ _DIGEST_UNITS = {sym: preferred_unit(dim)
                  for sym, dim in disc._DERIVATION_DIMENSIONS.items()}
 
 
+@functools.cache
+def _digest_template(symbols: tuple[str, ...]) -> str:
+    """The digest of values under these symbols as one %-template, e.g.
+    "E=%.6g J; omega_min=%.6g 1/s": %.6g spells a float as :.6g does."""
+    return "; ".join([f"{sym}=%.6g {_DIGEST_UNITS[sym]}" for sym in symbols])
+
+
 def _derivation_digest(values: dict) -> str:
     """A kernel's derivation values as report/1's digest text."""
-    return "; ".join([f"{sym}={value:.6g} {_DIGEST_UNITS[sym]}"
-                      for sym, value in values.items()])
+    return _digest_template(tuple(values)) % tuple(values.values())
 
 
 def _check_params(entry: ScenarioEntry, params: dict, eta: float,
@@ -329,6 +340,48 @@ def scenario_verdict(scenario: str, params: dict, eta: float = 1.0
     return verdict(*args) if entry.spec is None else verdict(entry.spec(*args))
 
 
+def _grid(spacing: str, lo: float, hi: float, count: int) -> list[float]:
+    """count points from lo to hi, each equal to numpy's geomspace or
+    linspace point as numpy's baseline loops compute it: its SIMD power
+    moves some points by up to a few hundred ulp.  Python's float
+    arithmetic does not depend on the CPU, so the grid does not either.
+
+    A linear point is i * step + lo, or i / div * width + lo where the
+    step underflows to 0; a geometric one is 10 ** (i * step + log10(lo))
+    on the logarithms, inf where that overflows, as numpy's power gives.
+    The ends are lo and hi themselves."""
+    div = count - 1
+    if spacing == "linear":
+        width = hi - lo
+        step = width / div
+        if not step:
+            return [i / div * width + lo for i in range(div)] + [hi]
+        return [i * step + lo for i in range(div)] + [hi]
+    a = math.log10(lo)
+    step = (math.log10(hi) - a) / div
+    inner = []
+    for i in range(1, div):
+        try:
+            inner.append(10.0 ** (i * step + a))
+        except OverflowError:
+            inner.append(math.inf)
+    return [lo, *inner, hi]
+
+
+def _checks_hold(check, values: list, slot: int, extremes) -> bool:
+    """Whether the value check passes with the axis's slot set to each of
+    the grid's least and greatest points.  Each check is an interval in
+    the axis value while the other values are fixed, so then it passes at
+    every point between them."""
+    try:
+        for x in extremes:
+            values[slot] = x
+            check(*values)
+    except ValidationError:
+        return False
+    return True
+
+
 def _bisect(spec: SweepSpec, kernel, values: list, slot: int,
             below: SweepRow, above: SweepRow) -> float:
     """Refine the flip between two adjacent rows to BISECTION_REL_TOL (of
@@ -362,26 +415,31 @@ def sweep(spec: SweepSpec) -> BoundaryReport:
     """Evaluate the scenario along the grid and locate the regime flip.
 
     Each point runs on the first point's spec's `_values()` with the axis's
-    slot overwritten.  Exactly one flip is bisected to 1e-6 relative; none
-    leaves critical_value at None; more than one raises SweepError naming
-    the offending interval.  Output is deterministic for identical specs.
+    slot overwritten; the values are checked at the grid's least and
+    greatest points, and at every point only where one of those fails.
+    Exactly one flip is bisected to 1e-6 relative; none leaves
+    critical_value at None; more than one raises SweepError naming the
+    offending interval.  Output is deterministic for identical specs.
     """
-    space = np.geomspace if spec.spacing == "geometric" else np.linspace
-    grid = space(spec.minimum.value, spec.maximum.value, spec.count)
-    points = grid.tolist()
-    if spec.axis in COUNTS:
-        points = [float(round(x)) for x in points]
+    grid = _grid(spec.spacing, spec.minimum.value, spec.maximum.value,
+                 spec.count)
+    points = grid
+    if spec.axis in COUNTS:  # an inf point is left for its check to refuse
+        points = [float(round(x)) if x < math.inf else x for x in grid]
     entry, dim = SCENARIOS[spec.scenario], spec.minimum.dim
     params = spec.fixed.copy()
     params[spec.axis] = Quantity(points[0], dim)
     values = entry.spec(*_arguments(entry, params, spec.eta))._values()
     slot = entry.inputs.index(spec.axis)
     check, kernel = getattr(disc, entry.check), getattr(disc, entry.kernel)
-    rows = []
-    for x in points:
-        if rows:  # the spec has checked the first point's values
+    if not _checks_hold(check, values, slot, (min(points), max(points))):
+        for x in points:  # raises the first invalid point's error
             values[slot] = x
             check(*values)
+            kernel(*values)
+    rows = []
+    for x in points:
+        values[slot] = x
         rows.append(SweepRow(x, dim, kernel(*values)))
 
     flips = [i for i in range(len(rows) - 1)

@@ -93,8 +93,9 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-# These run on every spec, and `_positive` at every grid point of a sweep,
-# so their messages are formatted only when a check fails.
+# These run on every spec, and `_positive` at a sweep's least and greatest
+# grid points (at every point of an invalid grid), so their messages are
+# formatted only when a check fails.
 def _require_dim(q: Quantity, dim, name: str) -> None:
     if q.dim != dim:
         raise ValidationError(f"{name} must have dimension {dim.si_name()}, "

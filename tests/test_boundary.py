@@ -3,12 +3,15 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import collapsim.boundary as boundary_mod
 from collapsim import discrimination
@@ -282,6 +285,18 @@ class TestOscillatorSweep:
             assert report.critical_value.value == pytest.approx(
                 n_star, rel=1e-5, abs=0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_quantum_number_axis_past_the_doubles_refuses_inf(self):
+        # The middle point overflows to inf, which is not rounded: the
+        # check of n refuses it.
+        spec = SweepSpec(Scenario.OSCILLATOR, "n",
+                         Quantity(1.7976931348623155e308),
+                         Quantity(sys.float_info.max), count=3,
+                         fixed={"M": quantity(1e-20, "kg"),
+                                "omega0": quantity(1e-3, "rad/s")})
+        with raises_exactly("quantum_number must be finite, got inf"):
+            sweep(spec)
+
     def test_quantum_number_axis_bisects_between_its_rounded_rows(self):
         # n* = 10.2 here; the grid ends 10.4 and 20.4 round to the rows
         # n = 10 (quantum) and n = 20 (marginal), which bracket it.
@@ -473,12 +488,102 @@ def test_energy_gap_axis_locates_the_closed_form_gap():
 
 
 def grid_points(spec):
-    space = np.geomspace if spec.spacing == "geometric" else np.linspace
-    points = space(spec.minimum.value, spec.maximum.value,
-                   spec.count).tolist()
+    """The points `sweep` evaluates: its grid, which
+    `test_grid_is_numpys_baseline_grid` pins, rounded on a count axis."""
+    points = boundary_mod._grid(spec.spacing, spec.minimum.value,
+                                spec.maximum.value, spec.count)
     if spec.axis in COUNTS:
         return [float(round(x)) for x in points]
     return points
+
+
+@st.composite
+def grid_cases(draw):
+    """(spacing, lo, hi, count) of a grid that SweepSpec accepts: geometric
+    ends anywhere in the positive doubles, or a linear width from the
+    least subnormal up, and any count up to the budget."""
+    count = draw(st.integers(min_value=2, max_value=MAX_SWEEP_POINTS))
+    if draw(st.booleans()):
+        ends = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+        lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2,
+                                      unique=True)))
+        return "geometric", lo, hi, count
+    width = draw(st.floats(min_value=5e-324, max_value=sys.float_info.max))
+    # A start near the width too, so that subnormal widths meet a start
+    # they can move.
+    lo = draw(st.floats(allow_nan=False, allow_infinity=False)
+              | st.integers(-10 ** 6, 10 ** 6).map(lambda k: k * width))
+    hi = lo + width
+    assume(lo < hi and math.isfinite(hi - lo))
+    return "linear", lo, hi, count
+
+
+# Prints the grid of each (spacing, lo, hi, count) read from stdin, as
+# numpy's geomspace or linspace gives it, in float.hex.
+NUMPY_GRIDS = """
+import json, sys
+import numpy as np
+grids = []
+for spacing, lo, hi, count in json.load(sys.stdin):
+    space = np.geomspace if spacing == "geometric" else np.linspace
+    with np.errstate(over="ignore"):  # a point past the largest double
+        grid = space(float.fromhex(lo), float.fromhex(hi), count)
+    grids.append([x.hex() for x in grid.tolist()])
+json.dump(grids, sys.stdout)
+"""
+
+
+def test_grid_is_numpys_baseline_grid():
+    # Bit for bit the grid of numpy's baseline loops, in one Python whose
+    # numpy has its dispatched CPU features disabled; where numpy
+    # dispatches its SIMD power, some geometric points differ.
+    from test_trajectory_golden import dispatched_cpu_features
+    cases = []
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=grid_cases())
+    def draw(case):
+        cases.append(case)
+
+    draw()
+    env = dict(os.environ)
+    # A feature disabled here already reads as absent: keep it disabled.
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join([
+        *env.get("NPY_DISABLE_CPU_FEATURES", "").split(),
+        *dispatched_cpu_features()])
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_GRIDS], capture_output=True, text=True,
+        timeout=120, env=env, input=json.dumps(
+            [(spacing, lo.hex(), hi.hex(), count)
+             for spacing, lo, hi, count in cases]))
+    assert proc.returncode == 0, proc.stderr
+    assert [case for case, grid in zip(cases, json.loads(proc.stdout))
+            if [x.hex() for x in boundary_mod._grid(*case)] != grid] == []
+
+
+def top_of_range_sweep(lo, count):
+    """A trapped mass sweep from lo kg up to the largest double."""
+    return SweepSpec(Scenario.TRAPPED, "M", quantity(lo, "kg"),
+                     quantity(sys.float_info.max, "kg"), count=count,
+                     fixed={"v": quantity(1e-150, "m/s"),
+                            "D": quantity(10, "um")})
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_ending_at_the_largest_double_takes_no_power_of_its_ends():
+    # numpy's geomspace computed 10 ** log10(hi), which overflows, before
+    # it set the end to hi.
+    report = sweep(top_of_range_sweep(1.79769313486e308, 5))
+    masses = [row.x for row in report.rows]
+    assert masses[0] == 1.79769313486e308
+    assert masses[-1] == sys.float_info.max
+    assert masses == sorted(masses) and len(masses) == 5
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_point_past_the_largest_double_is_refused_as_inf():
+    with raises_exactly("mass must be finite, got inf"):
+        sweep(top_of_range_sweep(1.7976931348623155e308, 3))
 
 
 # Grids that reach an invalid value.  sweep raises what the verdicts at
@@ -826,11 +931,12 @@ class TestMassBoundary:
         assert not set(midpoints) & set(grid)
         assert verdicts == []
 
-    def test_one_spec_per_sweep_and_one_value_check_per_point(
+    def test_one_spec_per_sweep_and_value_checks_at_the_grid_extremes(
             self, monkeypatch):
         # The first grid point builds the sweep's one spec, which checks
-        # the dimensions and that point's values; each later point checks
-        # its values on floats.  Bisection checks nothing, and no public
+        # the dimensions and that point's values; the sweep then checks
+        # the values on floats at the least and the greatest mass, and so
+        # at every point between.  Bisection checks nothing, and no public
         # verdict runs.
         specs, entry = [], SCENARIOS["trapped"]
         monkeypatch.setitem(SCENARIOS, "trapped", dataclasses.replace(
@@ -843,7 +949,8 @@ class TestMassBoundary:
         report = mass_boundary("trapped", quantity(100, "m/s"),
                                quantity(10, "um"))
         assert [args[0] for args in specs] == [report.rows[0].value]
-        assert checked == [row.value.value for row in report.rows]
+        masses = [row.value.value for row in report.rows]
+        assert checked == [masses[0], min(masses), max(masses)]
         assert verdicts == []
 
     def test_margin_moves_the_trapped_boundary(self):
@@ -1045,3 +1152,14 @@ def test_report_json_text_is_json_dumps(scenario, data):
         data.draw(st.none() | QUANTITIES))
     assert report_to_json_text(report) == \
         json.dumps(report.to_json(), indent=2) + "\n"
+
+
+@settings(deadline=None, max_examples=200)
+@given(output=KERNEL_OUTPUTS)
+def test_digest_spells_each_value_as_its_6g_format(output):
+    # The digest fills one %.6g template per tuple of symbols.
+    values = output[3]
+    units = {sym: preferred_unit(dim) for sym, dim in
+             discrimination._DERIVATION_DIMENSIONS.items()}
+    assert boundary_mod._derivation_digest(values) == "; ".join(
+        f"{sym}={value:.6g} {units[sym]}" for sym, value in values.items())

@@ -747,6 +747,26 @@ def test_linear_sweep_whose_width_overflows_prints_one_error_line():
         "error: linear grid width maximum - minimum overflows\n"
 
 
+@pytest.mark.parametrize("omega0, message", [
+    # At the first point, n omega0 overflows, so tau = 4 pi / (n omega0)
+    # underflows before the sweep reaches the inf point.
+    ("1e3 rad/s", "tau underflows to 0"),
+    ("1e-3 rad/s", "quantum_number must be finite, got inf"),
+], ids=["first-point", "inf-point"])
+def test_count_axis_past_the_doubles_prints_one_error_line(omega0, message):
+    # The grid's middle n overflows to inf, which is not rounded, and the
+    # sweep raises its first invalid point's error: the whole stderr is
+    # one line, with no numpy warning.
+    proc = subprocess.run(
+        [sys.executable, "-m", "collapsim", "sweep", "oscillator", "--axis",
+         "n", "--min", "1.7976931348623155e308 dimensionless",
+         "--max", "1.7976931348623157e308 dimensionless", "--count", "3",
+         "--M", "1e-20 kg", "--omega0", omega0],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "collapsim", "boundary", "trapped",

@@ -153,6 +153,18 @@ def evolve_calls():
 @example(call=(two_level_run, (Quantity(1.0, PER_SECOND), None,
                                Quantity(1e5, TIME), Quantity(1e3, TIME),
                                Method.RK4, 7)))
+# Trapped mass grids up to the largest double: the first returns its five
+# rows; the middle point of the second overflows to inf and is refused.
+@example(call=(sweep_of, (Scenario.TRAPPED, "M",
+                          Quantity(1.79769313486e308, MASS),
+                          Quantity(1.7976931348623157e308, MASS), 5,
+                          "geometric", {"v": Quantity(1e-150, SPEED),
+                                        "D": Quantity(1e-5, LENGTH)})))
+@example(call=(sweep_of, (Scenario.TRAPPED, "M",
+                          Quantity(1.7976931348623155e308, MASS),
+                          Quantity(1.7976931348623157e308, MASS), 3,
+                          "geometric", {"v": Quantity(1e-150, SPEED),
+                                        "D": Quantity(1e-5, LENGTH)})))
 def test_entry_points_return_or_refuse(call):
     function, args = call
     with warnings.catch_warnings():
