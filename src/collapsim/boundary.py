@@ -59,7 +59,7 @@ from .discrimination import (DiscriminationVerdict, FreeFlightSpec,
                              OscillatorSpec, TrappedPairSpec, ValidationError)
 from .evolution import (EvolutionConfig, Trajectory, _json_float, csv_text,
                         evolve, json_text, two_level_decay)
-from .units import (DIMENSIONLESS, TIME, Dimension, Quantity, _quantity,
+from .units import (DIMENSIONLESS, TIME, Dimension, Quantity,
                     preferred_unit, quantity)
 
 REPORT_SCHEMA_ID = "report/1"
@@ -175,6 +175,8 @@ class SweepSpec:
         except TypeError:
             raise ValidationError(
                 f"count must be an integer, got {self.count!r}") from None
+        disc._require_quantity(self.minimum, "minimum")
+        disc._require_quantity(self.maximum, "maximum")
         if self.minimum.dim != self.maximum.dim:
             raise ValidationError("grid endpoints must share a dimension")
         if not (self.minimum.is_finite and self.maximum.is_finite):
@@ -205,12 +207,12 @@ class SweepRow(NamedTuple):
 
     @property
     def value(self) -> Quantity:
-        return _quantity(self.x, self.dim)
+        return Quantity(self.x, self.dim)
 
     @property
     def tau(self) -> Quantity:
         closed, tau, _, _ = self.output
-        return disc.INFINITE_TAU if closed else _quantity(tau, TIME)
+        return disc.INFINITE_TAU if closed else Quantity(tau, TIME)
 
     @property
     def verdict(self) -> DiscriminationVerdict:
@@ -308,9 +310,7 @@ def _check_params(entry: ScenarioEntry, params: dict, eta: float,
             raise ValidationError(f"{name} is the sweep axis")
         if name not in entry.inputs:
             raise ValidationError(f"{entry.name} does not take {name}")
-        if not isinstance(value, Quantity):
-            raise ValidationError(f"{name} must be a Quantity, "
-                                  f"got {type(value).__name__}")
+        disc._require_quantity(value, name)
     for name in COUNTS.intersection(params):
         disc._require_dim(params[name], DIMENSIONLESS, name)
 
@@ -470,8 +470,7 @@ def mass_boundary(scenario: Scenario | str, v: Quantity, D: Quantity,
     if scenario == Scenario.FREE_FLIGHT:
         if theta is None:
             raise ValidationError("free-flight boundary needs theta")
-        if not 0.0 < theta < 1.0:
-            raise ValidationError(f"theta must be in (0, 1), got {theta}")
+        disc._check_theta(theta)
         fixed.update(L=D / theta, d=D / 10.0)
     report = sweep(SweepSpec(scenario, "M", quantity(1e-3, "GeV/c2"),
                              quantity(1e12, "GeV/c2"), count=31, fixed=fixed,

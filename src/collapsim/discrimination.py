@@ -60,7 +60,7 @@ import numpy as np
 
 from .states import CollapseRateMatrix, index_of
 from .units import (C, DIMENSIONLESS, ENERGY, HBAR, LENGTH, MASS, PER_SECOND,
-                    PI, SPEED, TIME, Quantity, _quantity, preferred_unit)
+                    PI, SPEED, TIME, Quantity, preferred_unit)
 
 
 class ValidationError(ValueError):
@@ -96,8 +96,15 @@ def _require(condition: bool, message: str) -> None:
 # These run on every spec, and `_positive` at a sweep's least and greatest
 # grid points (at every point of an invalid grid), so their messages are
 # formatted only when a check fails.
+def _require_quantity(q, name: str) -> None:
+    if not isinstance(q, Quantity):
+        raise ValidationError(f"{name} must be a Quantity, "
+                              f"got {type(q).__name__}")
+
+
 def _require_dim(q: Quantity, dim, name: str) -> None:
-    if q.dim != dim:
+    _require_quantity(q, name)
+    if q.dim is not dim:
         raise ValidationError(f"{name} must have dimension {dim.si_name()}, "
                               f"got {q.dim.si_name()}")
 
@@ -202,12 +209,12 @@ def _regime(closed: bool, margin: float) -> Regime:
 def _outcome(closed: bool, tau, margin: float, values: dict) -> tuple:
     """(tau, regime, reason, derivation) of a kernel's output: an infinite
     tau where the probe window is closed, and the regime of `_regime`."""
-    derivation = tuple([(sym, _quantity(value, _DERIVATION_DIMENSIONS[sym]))
+    derivation = tuple([(sym, Quantity(value, _DERIVATION_DIMENSIONS[sym]))
                         for sym, value in values.items()])
     regime = _regime(closed, margin)
     if closed:
         return INFINITE_TAU, regime, Reason.WINDOW_CLOSED, derivation
-    return _quantity(tau, TIME), regime, Reason.DISCRIMINABLE, derivation
+    return Quantity(tau, TIME), regime, Reason.DISCRIMINABLE, derivation
 
 
 @dataclass(frozen=True)
@@ -305,10 +312,14 @@ def _check_trapped(M, v, D, E, eta) -> None:
 
 
 def _check_margin(eta) -> None:
-    """The margin eta of the trapped strong inequalities: finite, >= 1."""
-    if not 1.0 <= eta < math.inf:
+    """The trapped strong inequalities' margin eta: real, finite, >= 1."""
+    try:
+        if 1.0 <= eta < math.inf:
+            return
         bound = ">= 1" if math.isfinite(eta) else "finite"
-        raise ValidationError(f"margin eta must be {bound}, got {eta}")
+    except TypeError:
+        bound = "a real number"
+    raise ValidationError(f"margin eta must be {bound}, got {eta!r}")
 
 
 def _trapped(M, v, D, E, eta, *, hbar=HBAR.value, c=C.value,
@@ -439,9 +450,20 @@ def free_flight_critical_mass(v: Quantity, theta: float, D: Quantity) -> Quantit
     """Mass at which the speed-meter window just opens: M* = 8 hbar / (v theta D)."""
     _require_positive(v, SPEED, "v")
     _require(v < C, "v must be below c")
-    _require(0.0 < theta < 1.0, f"theta must be in (0, 1), got {theta}")
+    _check_theta(theta)
     _require_positive(D, LENGTH, "D")
     return _scale("M*", 8.0 * HBAR / _scale("v theta D", v * theta * D))
+
+
+def _check_theta(theta) -> None:
+    """The angle theta = D / L of the free-flight closed forms, in (0, 1)."""
+    try:
+        if 0.0 < theta < 1.0:
+            return
+        bound = "in (0, 1)"
+    except TypeError:
+        bound = "a real number"
+    raise ValidationError(f"theta must be {bound}, got {theta!r}")
 
 
 def photon_tau() -> DiscriminationVerdict:
@@ -468,12 +490,16 @@ def rabi_tau(resonant_gap: Quantity) -> DiscriminationVerdict:
 
 def _check_oscillator(M, omega0, n) -> None:
     """The oscillator's value checks, on SI floats: M and omega0 positive
-    and finite, and a finite n >= 0."""
+    and finite, and n a finite real number >= 0."""
     _positive("mass", M)
     _positive("angular_frequency", omega0)
-    if not 0 <= n < math.inf:
+    try:
+        if 0 <= n < math.inf:
+            return
         bound = ">= 0" if n < 0 else "finite"
-        raise ValidationError(f"quantum_number must be {bound}, got {n}")
+    except TypeError:
+        bound = "a real number"
+    raise ValidationError(f"quantum_number must be {bound}, got {n!r}")
 
 
 def _oscillator(M, omega0, n, *, hbar=HBAR.value, c=C.value, sqrt=math.sqrt,

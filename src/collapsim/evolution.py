@@ -122,10 +122,12 @@ class EvolutionConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.t_end.dim != TIME or not 0.0 < self.t_end.value < math.inf:
+        t_end, dt = self.t_end, self.dt
+        if not (isinstance(t_end, Quantity) and t_end.dim is TIME
+                and 0.0 < t_end.value < math.inf):
             raise ValueError("t_end must be a positive finite time")
-        if self.dt is not None and (self.dt.dim != TIME
-                                    or not 0.0 < self.dt.value < math.inf):
+        if dt is not None and not (isinstance(dt, Quantity) and dt.dim is TIME
+                                   and 0.0 < dt.value < math.inf):
             raise ValueError("dt must be a positive finite time")
         try:
             object.__setattr__(self, "method", Method(self.method))
@@ -408,9 +410,15 @@ def two_level_decay(rate: Quantity, gap: Quantity | None = None) -> tuple[
         DensityMatrix, Hamiltonian, CollapseRateMatrix]:
     """The here/there problem: an equal superposition, H = diag(0, gap) and
     the pair decay rate (1/s, DimensionError otherwise), as (rho0, H, rates)."""
+    if not isinstance(rate, Quantity):
+        raise DimensionError(
+            f"rate must be a Quantity, got {type(rate).__name__}")
     if rate.dim != PER_SECOND:
         raise DimensionError(
             f"rate must be a rate (1/s), got {rate.dim.si_name()}")
+    if gap is not None and not isinstance(gap, Quantity):
+        raise DimensionError(
+            f"gap must be a Quantity, got {type(gap).__name__}")
     if gap is not None and gap.dim != ENERGY:
         raise DimensionError(
             f"gap must be an energy, got {gap.dim.si_name()}")
@@ -431,7 +439,8 @@ def analytic_isolated(rho0: DensityMatrix, rates: CollapseRateMatrix,
     the commuting case; the caller asserts [H, rho] = 0.
     """
     _check_shared_basis(rho0, rates)
-    if t.dim != TIME or not 0.0 <= t.value < math.inf:
+    if not (isinstance(t, Quantity) and t.dim is TIME
+            and 0.0 <= t.value < math.inf):
         raise ValueError(f"t must be a nonnegative finite time, got {t!r}")
     decay = np.exp(-t.value * rates.rates)
     return DensityMatrix(rho0.basis, rho0.elements * decay)

@@ -2,28 +2,29 @@
 
 Values are stored at SI base scale (kg, m, s); the unit tokens in UNITS are
 pure I/O conversions.  `*`, `/`, `**` and `sqrt` combine dimensions, and
-`<` and `>` across mismatched dimensions raise DimensionError rather than
-silently coercing; no other arithmetic is defined.  Integer dimension
-exponents suffice for every formula in this package; square roots are only
-ever taken of quantities with even exponents, and a non-integer power of
-any quantity, a dimensionless one included, raises DimensionError (the
-oscillator's threshold raises a float to the 2/3 power instead).
+`<` and `>` across mismatched dimensions, or with a value that is not a
+Quantity, raise DimensionError rather than silently coercing; no other
+arithmetic is defined.  Integer dimension exponents suffice for every
+formula in this package; square roots are only ever taken of quantities
+with even exponents, and a non-integer power of any quantity, a
+dimensionless one included, raises DimensionError (the oscillator's
+threshold raises a float to the 2/3 power instead).
 
 A value is a Python float (or int).  The verdicts' formulas run on SI
 floats (`discrimination`'s kernels); Quantities carry a verdict's inputs,
 whose dimensions its spec checks, and its results.
 
-Dimension and Quantity are immutable values.  Dimension is interned:
+Dimension and Quantity are frozen dataclasses.  Dimension is interned:
 there is one instance per exponent triple, so comparing two dimensions
-compares pointers.  Quantity is a slotted pair (value, dim) that is built
-without going through its own frozen __setattr__ (`_quantity`).
+compares pointers, and a copy or an unpickled one is that instance too
+(`__reduce__`).  Quantity is the pair (value, dim).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass, field
 
 
 class UnitError(ValueError):
@@ -34,25 +35,12 @@ class DimensionError(TypeError):
     """Operation attempted across incompatible dimensions."""
 
 
-class _Frozen:
-    """Assignment and deletion raise FrozenInstanceError, as on a frozen
-    dataclass; constructors set their slots through object.__setattr__ or
-    the slot descriptors."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
 # Every Dimension ever built, by exponent triple.
 _DIMENSIONS: dict[tuple, "Dimension"] = {}
 
 
-class Dimension(_Frozen):
+@dataclass(frozen=True, eq=False, init=False)
+class Dimension:
     """Exponents of mass, length, and time.  Exact integer arithmetic.
 
     Dimension(mass, length, time) returns the one instance for that triple,
@@ -61,7 +49,10 @@ class Dimension(_Frozen):
     composes its SI name once, when it is interned.
     """
 
-    __slots__ = ("mass", "length", "time", "_si_name")
+    mass: int
+    length: int
+    time: int
+    _si_name: str = field(repr=False)
 
     def __new__(cls, mass: int = 0, length: int = 0, time: int = 0):
         key = (mass, length, time)
@@ -85,10 +76,6 @@ class Dimension(_Frozen):
 
     def __reduce__(self):
         return Dimension, (self.mass, self.length, self.time)
-
-    def __repr__(self) -> str:
-        return (f"Dimension(mass={self.mass!r}, length={self.length!r}, "
-                f"time={self.time!r})")
 
     def __mul__(self, other: "Dimension") -> "Dimension":
         key = (self.mass + other.mass, self.length + other.length,
@@ -127,33 +114,20 @@ PER_SECOND = DIMENSIONLESS / TIME
 ACTION = ENERGY * TIME
 
 
-class Quantity(_Frozen):
+@dataclass(frozen=True)
+class Quantity:
     """A real value at SI base scale, tagged with its Dimension.
 
     Equal to another Quantity with equal value and dim, and to nothing else.
     """
 
-    __slots__ = ("value", "dim")
-
-    def __init__(self, value: float, dim: Dimension = DIMENSIONLESS):
-        _set_value(self, value)
-        _set_dim(self, dim)
-
-    def __reduce__(self):
-        return Quantity, (self.value, self.dim)
-
-    def __repr__(self) -> str:
-        return f"Quantity(value={self.value!r}, dim={self.dim!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value, self.dim) == (other.value, other.dim)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.dim))
+    value: float
+    dim: Dimension = DIMENSIONLESS
 
     def _require(self, other: "Quantity") -> None:
+        if not isinstance(other, Quantity):
+            raise DimensionError(f"cannot compare {self.dim.si_name()} and "
+                                 f"{type(other).__name__}")
         if self.dim is not other.dim:
             raise DimensionError(
                 f"cannot compare {self.dim.si_name()} and "
@@ -161,24 +135,24 @@ class Quantity(_Frozen):
 
     def __mul__(self, other):
         if isinstance(other, Quantity):
-            return _quantity(self.value * other.value, self.dim * other.dim)
-        return _quantity(self.value * float(other), self.dim)
+            return Quantity(self.value * other.value, self.dim * other.dim)
+        return Quantity(self.value * float(other), self.dim)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Quantity):
-            return _quantity(self.value / other.value, self.dim / other.dim)
-        return _quantity(self.value / float(other), self.dim)
+            return Quantity(self.value / other.value, self.dim / other.dim)
+        return Quantity(self.value / float(other), self.dim)
 
     def __rtruediv__(self, other) -> "Quantity":
-        return _quantity(float(other) / self.value, DIMENSIONLESS / self.dim)
+        return Quantity(float(other) / self.value, DIMENSIONLESS / self.dim)
 
     def __pow__(self, n: int) -> "Quantity":
-        return _quantity(self.value ** n, self.dim ** n)
+        return Quantity(self.value ** n, self.dim ** n)
 
     def sqrt(self) -> "Quantity":
-        return _quantity(math.sqrt(self.value), self.dim.sqrt())
+        return Quantity(math.sqrt(self.value), self.dim.sqrt())
 
     def __lt__(self, other: "Quantity") -> bool:
         self._require(other)
@@ -199,18 +173,6 @@ class Quantity(_Frozen):
             raise DimensionError(
                 f"cannot express {self.dim.si_name()} in '{unit}' ({dim.si_name()})")
         return self.value / scale
-
-
-_set_value = Quantity.value.__set__
-_set_dim = Quantity.dim.__set__
-
-
-def _quantity(value: float, dim: Dimension) -> Quantity:
-    """Quantity(value, dim) for the arithmetic, without the __init__ call."""
-    q = object.__new__(Quantity)
-    _set_value(q, value)
-    _set_dim(q, dim)
-    return q
 
 
 PI = math.pi

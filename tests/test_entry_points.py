@@ -1,23 +1,26 @@
-"""The library's entry points under edge values.
+"""The library's entry points under edge values and wrong-typed inputs.
 
 Each call returns a value or refuses its input as ValueError (a run that
 could overflow included, which `evolve` refuses before its first step),
 DimensionError or SweepError, never another exception and never a numpy
 warning (warnings are raised as errors here).  `evolve` runs from
 `two_level_decay` and from a random three-level system, with both methods
-and strides 1, 7 and 1e9.
+and strides 1, 7 and 1e9.  A Quantity argument may be drawn as a value that
+is not one, and an eta or theta as one that is not a real number.
 """
 
 import math
 import warnings
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from collapsim.boundary import (SCENARIOS, Scenario, SweepError, SweepSpec,
-                                scenario_verdict, sweep)
-from collapsim.discrimination import (doppler_back_action, doppler_error,
-                                      free_flight_critical_mass,
-                                      trapped_critical_mass)
+                                mass_boundary, scenario_verdict, sweep)
+from collapsim.discrimination import (FreeFlightSpec, OscillatorSpec,
+                                      TrappedPairSpec, doppler_back_action,
+                                      doppler_error, free_flight_critical_mass,
+                                      rabi_tau, trapped_critical_mass)
 from collapsim.evolution import (EvolutionConfig, Method, analytic_isolated,
                                   evolve, two_level_decay)
 from collapsim.states import CollapseRateMatrix, Hamiltonian, pure_state
@@ -34,11 +37,18 @@ RIGHT = {"M": MASS, "v": SPEED, "D": LENGTH, "E": ENERGY, "L": LENGTH,
          "n": DIMENSIONLESS}
 
 edge = st.sampled_from(EDGES)
+# An eta or a theta: an edge value, or one that is not a real number.
+ratio = st.sampled_from(EDGES + ["2", Quantity(0.5)])
 
 
-def quantities(dim):
-    """An edge value, mostly in the given dimension."""
-    return st.builds(Quantity, edge, st.sampled_from([dim] * 3 + DIMENSIONS))
+@st.composite
+def quantities(draw, dim):
+    """An edge value, mostly in the given dimension; one draw in ten is a
+    value that is not a Quantity."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([1.0, None, "1 kg"]))
+    return Quantity(draw(edge),
+                    draw(st.sampled_from([dim] * 3 + DIMENSIONS)))
 
 
 @st.composite
@@ -54,7 +64,7 @@ def scenario_params(draw, entry, axis=None):
 def verdict_calls(draw):
     entry = draw(st.sampled_from(list(SCENARIOS.values())))
     return scenario_verdict, (entry.name, draw(scenario_params(entry)),
-                              draw(edge))
+                              draw(ratio))
 
 
 def sweep_of(*args, **kwargs):
@@ -71,15 +81,15 @@ def sweep_calls(draw):
                       draw(quantities(dim)),
                       draw(st.sampled_from([2, 3, 5])),
                       draw(st.sampled_from(["geometric", "linear"])),
-                      draw(scenario_params(entry, axis)), draw(edge))
+                      draw(scenario_params(entry, axis)), draw(ratio))
 
 
 def closed_form_calls():
     return st.one_of(
         st.tuples(st.just(trapped_critical_mass),
-                  st.tuples(quantities(SPEED), quantities(LENGTH), edge)),
+                  st.tuples(quantities(SPEED), quantities(LENGTH), ratio)),
         st.tuples(st.just(free_flight_critical_mass),
-                  st.tuples(quantities(SPEED), edge, quantities(LENGTH))),
+                  st.tuples(quantities(SPEED), ratio, quantities(LENGTH))),
         st.tuples(st.just(doppler_error),
                   st.tuples(quantities(PER_SECOND), quantities(TIME))),
         st.tuples(st.just(doppler_back_action),
@@ -173,3 +183,54 @@ def test_entry_points_return_or_refuse(call):
             function(*args)
         except (ValueError, DimensionError, SweepError):
             pass
+
+
+M, V, D = (Quantity(1e-20, MASS), Quantity(100.0, SPEED),
+           Quantity(1e-5, LENGTH))
+FIXED = {"v": V, "D": D}
+SECOND = Quantity(1.0, TIME)
+
+
+# Each call with one argument of the wrong type, and the name that its
+# refusal begins with.
+WRONG_TYPES = {
+    "TrappedPairSpec mass": (lambda: TrappedPairSpec(5.0, V, D), "mass"),
+    "TrappedPairSpec margin": (
+        lambda: TrappedPairSpec(M, V, D, margin="2"), "margin eta"),
+    "FreeFlightSpec speed": (
+        lambda: FreeFlightSpec(M, None, D, Quantity(1.0, LENGTH),
+                               Quantity(1e-6, LENGTH)), "speed"),
+    "OscillatorSpec quantum_number": (
+        lambda: OscillatorSpec(M, Quantity(1e3, PER_SECOND), Quantity(3)),
+        "quantum_number"),
+    "rabi_tau": (lambda: rabi_tau(5.0), "resonant_gap"),
+    "trapped_critical_mass": (lambda: trapped_critical_mass(100.0, D), "v"),
+    "doppler_error": (lambda: doppler_error(1.0, SECOND), "omega"),
+    "free_flight_critical_mass Quantity theta": (
+        lambda: free_flight_critical_mass(V, Quantity(1e-5), D), "theta"),
+    "free_flight_critical_mass str theta": (
+        lambda: free_flight_critical_mass(V, "1e-5", D), "theta"),
+    "scenario_verdict eta": (
+        lambda: scenario_verdict("trapped", {"M": M, **FIXED}, eta="2"),
+        "margin eta"),
+    "sweep eta": (
+        lambda: sweep_of("trapped", "M", Quantity(1e-25, MASS),
+                         Quantity(1e-15, MASS), 5, fixed=FIXED, eta="2"),
+        "margin eta"),
+    "mass_boundary theta": (
+        lambda: mass_boundary("free-flight", V, D, "1e-5"), "theta"),
+    "SweepSpec minimum": (
+        lambda: SweepSpec("trapped", "M", 1.0, 2.0, 5, fixed=FIXED),
+        "minimum"),
+    "EvolutionConfig t_end": (lambda: EvolutionConfig(t_end=1.0), "t_end"),
+    "EvolutionConfig dt": (
+        lambda: EvolutionConfig(t_end=SECOND, dt=0.1), "dt"),
+    "two_level_decay": (lambda: two_level_decay(1.0), "rate"),
+    "analytic_isolated": (lambda: decay_of(1.0, 1.0), "t"),
+}
+
+
+@pytest.mark.parametrize("call, name", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_a_wrong_typed_argument_is_refused_by_name(call, name):
+    with pytest.raises((ValueError, DimensionError), match=f"^{name} must "):
+        call()

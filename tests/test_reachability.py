@@ -40,14 +40,10 @@ README = ROOT / "README.md"
 
 # Definitions that no real caller enters, each with its reason.
 ALLOWED = {
-    **dict.fromkeys([
-        "_Frozen.__setattr__", "_Frozen.__delattr__",
-        "Dimension.__reduce__", "Dimension.__repr__",
-        "Quantity.__reduce__", "Quantity.__repr__",
-        "Quantity.__eq__", "Quantity.__hash__"],
-        "value-type behaviour: immutability, pickling, copying, equality "
-        "and hashing; __repr__ is also what error texts such as "
-        "analytic_isolated's `got {t!r}` print"),
+    "Dimension.__reduce__":
+        "pickling and copying: they must return the interned instance, "
+        "not write a copy's exponents into DIMENSIONLESS; only tests copy "
+        "a Dimension",
     "evolve.<locals>.jump":
         "the direct path, kept until a workload measures it: at n >= 12 "
         "with <= 100 steps per gap it is 1.6-31x faster than the operator "

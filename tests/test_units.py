@@ -149,6 +149,16 @@ class TestQuantityArithmetic:
         with pytest.raises(DimensionError, match="^cannot compare kg and m$"):
             op(Quantity(1.0, MASS), Quantity(1.0, LENGTH))
 
+    @pytest.mark.parametrize("op", [operator.lt, operator.gt],
+                             ids=["lt", "gt"])
+    def test_a_number_is_not_compared_with_a_quantity(self, op):
+        """Either way round, as a number compares with a Quantity by the
+        Quantity's reflected method."""
+        for a, b in ((Quantity(1.0, MASS), 2.0), (2.0, Quantity(1.0, MASS))):
+            with pytest.raises(DimensionError,
+                               match="^cannot compare kg and float$"):
+                op(a, b)
+
     def test_scalar_division_inverts_dimension(self):
         q = 1.0 / Quantity(2.0, TIME)
         assert q.value == 0.5
@@ -260,6 +270,12 @@ class TestValueSemantics:
         with pytest.raises(FrozenInstanceError):
             MASS.mass = 2
 
+    def test_an_attribute_that_is_not_a_field_cannot_be_set(self):
+        with pytest.raises(FrozenInstanceError):
+            HBAR.unit = "J s"
+        with pytest.raises(FrozenInstanceError):
+            MASS.name = "m"
+
     def test_fields_cannot_be_deleted(self):
         with pytest.raises(FrozenInstanceError,
                            match="^cannot delete field 'value'$"):
@@ -301,6 +317,24 @@ class TestInterning:
     def test_pickle_and_copy_return_the_constant(self):
         assert pickle.loads(pickle.dumps(HBAR)).dim is ACTION
         assert copy.deepcopy(MASS) is MASS
+
+    @pytest.mark.parametrize("value", [MASS, Dimension(2, -3, 5), HBAR,
+                                       Quantity(2.5, Dimension(-7, 1, 3))],
+                             ids=["MASS", "new Dimension", "HBAR",
+                                  "Quantity of a new Dimension"])
+    def test_copies_leave_the_constants_as_they_are(self, value):
+        """An unpickled or deep-copied Dimension is the interned instance,
+        not DIMENSIONLESS with the copy's exponents written into it."""
+        def constants():
+            return [(dim.mass, dim.length, dim.time, dim.si_name())
+                    for dim in (DIMENSIONLESS, MASS, ACTION)]
+
+        before = constants()
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+        assert constants() == before == [(0, 0, 0, "dimensionless"),
+                                         (1, 0, 0, "kg"),
+                                         (1, 2, -1, "kg m^2 s^-1")]
 
 
 class TestDimensionExponents:
